@@ -16,8 +16,8 @@ from .federation import (
     run_round,
 )
 from .knowledge import Granularity, KnowledgeCache, SampleId
-from .metrics import ExperimentSummary, RoundReport, evaluate, global_accuracy, maua
-from .models import CapacityTier, Model, build_model, fedavg_aggregate, forward, train_batch
+from .metrics import ExperimentSummary, RoundReport, evaluate, maua
+from .models import CapacityTier, Model, build_model, fedavg_aggregate
 from .numerics import KdConfig, LossBreakdown
 
 __version__ = "0.1.0"
@@ -43,14 +43,11 @@ __all__ = [
     "ExperimentSummary",
     "RoundReport",
     "evaluate",
-    "global_accuracy",
     "maua",
     "CapacityTier",
     "Model",
     "build_model",
     "fedavg_aggregate",
-    "forward",
-    "train_batch",
     "KdConfig",
     "LossBreakdown",
     "__version__",

@@ -16,8 +16,11 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
+from functools import reduce
 from pathlib import Path
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .data import Dataset, load_idx, split_local_test, stratified_subsample, synth_train_and_test
 from .errors import (
@@ -41,8 +44,6 @@ from .errors import (
 )
 from .federation import FederationConfig, Method, child_seed, run_experiment, _TAG_DATA
 from .knowledge import Granularity
-from .models import CapacityTier
-from .numerics import KdConfig
 
 ROUNDS_CSV_SCHEMA = "# hks-rounds-v1"
 ROUNDS_CSV_COLUMNS = (
@@ -103,83 +104,88 @@ class RunConfig:
             raise ConfigError("constraint violation on 'max_train_samples'")
 
     def resolved(self) -> dict:
-        fed = self.federation
-        return {
-            "method": fed.method.value,
-            "granularity": fed.granularity.value,
-            "n_clients": fed.n_clients,
-            "rounds": fed.rounds,
-            "local_epochs": fed.local_epochs,
-            "warmup_rounds": fed.warmup_rounds,
-            "lr": fed.lr,
-            "batch_size": fed.batch_size,
-            "temperature": fed.kd.temperature,
-            "alpha_kd": fed.kd.alpha_kd,
-            "t_squared_scaling": fed.kd.t_squared_scaling,
-            "R": fed.R,
-            "alpha_dir": fed.alpha_dir,
-            "seed": fed.seed,
-            "exclude_self": fed.exclude_self,
-            "test_fraction": fed.test_fraction,
-            "min_per_client": fed.resolved_min_per_client,
-            "fedavg_tier": fed.fedavg_tier.value,
-            "d_hash": fed.d_hash,
-            "hnsw_m": fed.hnsw_m,
-            "hnsw_ef_construction": fed.hnsw_ef_construction,
-            "hnsw_ef_search": fed.hnsw_ef_search,
-            "linkage": fed.linkage,
-            "cluster_space": fed.cluster_space,
-            "synthetic": list(self.synthetic) if self.synthetic else None,
-            "idx_images": self.idx_images,
-            "idx_labels": self.idx_labels,
-            "idx_test_images": self.idx_test_images,
-            "idx_test_labels": self.idx_test_labels,
-            "max_train_samples": self.max_train_samples,
-            "out": self.out,
-        }
+        """Every config key with its effective value, in field-table order."""
+        out = {}
+        for f in config_fields(type(self)):
+            value = f.read(self)
+            if isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.key] = value
+        return out
 
 
-_FED_INT_KEYS = {
-    "n_clients",
-    "rounds",
-    "local_epochs",
-    "warmup_rounds",
-    "batch_size",
-    "R",
-    "seed",
-    "d_hash",
-    "hnsw_m",
-    "hnsw_ef_construction",
-    "hnsw_ef_search",
-}
-_FED_FLOAT_KEYS = {"lr", "alpha_dir", "test_fraction"}
-_FED_BOOL_KEYS = {"exclude_self"}
-_KD_KEYS = {"temperature", "alpha_kd", "t_squared_scaling"}
-_OTHER_KEYS = {
-    "method",
-    "granularity",
-    "min_per_client",
-    "fedavg_tier",
-    "linkage",
-    "cluster_space",
-    "synthetic",
-    "idx_images",
-    "idx_labels",
-    "idx_test_images",
-    "idx_test_labels",
-    "max_train_samples",
-    "out",
-}
-KNOWN_KEYS = _FED_INT_KEYS | _FED_FLOAT_KEYS | _FED_BOOL_KEYS | _KD_KEYS | _OTHER_KEYS
+@dataclass(frozen=True)
+class ConfigField:
+    """One settable config value: a leaf of the RunConfig dataclass tree.
+
+    The JSON key is the leaf field's name and the flag is that name with
+    dashes, so nested settings (e.g. `federation.kd.temperature`) are set as
+    a flat `temperature` key or `--temperature` flag.
+    """
+
+    path: tuple[str, ...]
+    kind: Any  # declared type with `| None` stripped
+    optional: bool
+
+    @property
+    def key(self) -> str:
+        return self.path[-1]
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def read(self, rc: RunConfig):
+        return reduce(getattr, self.path, rc)
 
 
-def _coerce(key: str, value, kind: type):
-    if isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"type mismatch on '{key}': expected {kind.__name__}, got bool")
+def config_fields(cls: type = RunConfig) -> tuple[ConfigField, ...]:
+    """Field table of a config dataclass; dataclass-typed fields are expanded."""
+
+    def walk(node: type, prefix: tuple[str, ...]):
+        hints = get_type_hints(node)
+        for f in fields(node):
+            hint = hints[f.name]
+            args = get_args(hint)
+            if is_dataclass(hint):
+                yield from walk(hint, prefix + (f.name,))
+            elif type(None) in args:
+                (kind,) = [a for a in args if a is not type(None)]
+                yield ConfigField(prefix + (f.name,), kind, True)
+            else:
+                yield ConfigField(prefix + (f.name,), hint, False)
+
+    table = tuple(walk(cls, ()))
+    if len({f.key for f in table}) != len(table):
+        raise TypeError(f"{cls.__name__} defines a config key twice")
+    return table
+
+
+def _coerce(f: ConfigField, value):
+    """Read a JSON (or flag) value as the field's declared type."""
+    key, kind = f.key, f.kind
+    if value is None and f.optional:
+        return None
+    if get_origin(kind) is tuple:
+        return _parse_synthetic(value)
+    if issubclass(kind, Enum):
+        try:
+            return kind(str(value).lower())
+        except ValueError:
+            raise ConfigError(f"unknown {key} {value!r}")
+    mismatch = ConfigError(f"type mismatch on '{key}': cannot read {value!r} as {kind.__name__}")
+    if (
+        isinstance(value, bool) != (kind is bool)
+        or (kind is str and not isinstance(value, str))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        raise mismatch
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"type mismatch on '{key}': cannot read {value!r} as {kind.__name__}")
+        raise mismatch
 
 
 def _parse_synthetic(value) -> tuple[int, int, int, float]:
@@ -197,7 +203,24 @@ def _parse_synthetic(value) -> tuple[int, int, int, float]:
         raise ConfigError("type mismatch on 'synthetic': C,per_class,dim must be int, spread real")
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
+def _build(cls: type, values: dict):
+    """Construct a config dataclass tree from flat, already coerced values."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            try:
+                kwargs[f.name] = _build(hints[f.name], values)
+            except InvalidInputError as exc:
+                raise ConfigError(f"constraint violation on {f.name} settings: {exc}")
+        elif f.name in values:
+            kwargs[f.name] = values[f.name]
+    return cls(**kwargs)
+
+
+def parse_config(
+    path: str | None = None, overrides: dict | None = None, cls: type = RunConfig
+) -> RunConfig:
     """Merge a JSON config file with flag overrides; flags win; unknown keys fail."""
     merged: dict = {}
     if path is not None:
@@ -212,69 +235,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         merged.update(loaded)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    unknown = sorted(set(merged) - KNOWN_KEYS)
+    table = {f.key: f for f in config_fields(cls)}
+    unknown = sorted(set(merged) - table.keys())
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
-
-    fed_kwargs: dict = {}
-    kd_kwargs: dict = {}
-    for key in _FED_INT_KEYS & merged.keys():
-        fed_kwargs[key] = _coerce(key, merged[key], int)
-    for key in _FED_FLOAT_KEYS & merged.keys():
-        fed_kwargs[key] = _coerce(key, merged[key], float)
-    for key in _FED_BOOL_KEYS & merged.keys():
-        fed_kwargs[key] = _coerce(key, merged[key], bool)
-    for key in ("temperature", "alpha_kd"):
-        if key in merged:
-            kd_kwargs[key] = _coerce(key, merged[key], float)
-    if "t_squared_scaling" in merged:
-        kd_kwargs["t_squared_scaling"] = _coerce("t_squared_scaling", merged["t_squared_scaling"], bool)
-    try:
-        if kd_kwargs:
-            fed_kwargs["kd"] = KdConfig(**kd_kwargs)
-    except InvalidInputError as exc:
-        raise ConfigError(f"constraint violation on kd settings: {exc}")
-    if "method" in merged:
-        try:
-            fed_kwargs["method"] = Method(str(merged["method"]).lower())
-        except ValueError:
-            raise ConfigError(f"unknown method {merged['method']!r}")
-    if "granularity" in merged:
-        try:
-            fed_kwargs["granularity"] = Granularity(str(merged["granularity"]).lower())
-        except ValueError:
-            raise ConfigError(f"unknown granularity {merged['granularity']!r}")
-    if "fedavg_tier" in merged:
-        try:
-            fed_kwargs["fedavg_tier"] = CapacityTier(str(merged["fedavg_tier"]).lower())
-        except ValueError:
-            raise ConfigError(f"unknown fedavg_tier {merged['fedavg_tier']!r}")
-    if "min_per_client" in merged and merged["min_per_client"] is not None:
-        fed_kwargs["min_per_client"] = _coerce("min_per_client", merged["min_per_client"], int)
-    for key in ("linkage", "cluster_space"):
-        if key in merged:
-            fed_kwargs[key] = str(merged[key])
-
-    rc = RunConfig(federation=FederationConfig(**fed_kwargs))
-    if merged.get("synthetic") is not None:
-        rc.synthetic = _parse_synthetic(merged["synthetic"])
-    for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels"):
-        if merged.get(key) is not None:
-            rc = _set(rc, key, str(merged[key]))
-    if merged.get("max_train_samples") is not None:
-        rc.max_train_samples = _coerce("max_train_samples", merged["max_train_samples"], int)
-    if merged.get("out") is not None:
-        rc.out = str(merged["out"])
+    rc = _build(cls, {key: _coerce(table[key], value) for key, value in merged.items()})
     rc.validate()
-    return rc
-
-
-def _set(rc: RunConfig, key: str, value) -> RunConfig:
-    setattr(rc, key, value)
     return rc
 
 
@@ -374,8 +342,6 @@ def _hyperparameter_label(method: str, resolved: dict) -> str:
 
 
 def _sweep_cases(rc: RunConfig, methods, granularities, r_values, seeds):
-    from dataclasses import replace as dc_replace
-
     for method in methods:
         if method is Method.HKS:
             variants = [("granularity", g) for g in granularities]
@@ -385,13 +351,13 @@ def _sweep_cases(rc: RunConfig, methods, granularities, r_values, seeds):
             variants = [(None, None)]
         for field_name, value in variants:
             for seed in seeds:
-                fed = dc_replace(rc.federation, method=method, seed=seed)
+                fed = replace(rc.federation, method=method, seed=seed)
                 name = method.value
                 if field_name == "granularity":
-                    fed = dc_replace(fed, granularity=value)
+                    fed = replace(fed, granularity=value)
                     name += f"_{value.value}"
                 elif field_name == "R":
-                    fed = dc_replace(fed, R=value)
+                    fed = replace(fed, R=value)
                     name += f"_R{value}"
                 elif method is Method.FEDAVG:
                     name += f"_{fed.fedavg_tier.value}"
@@ -403,16 +369,7 @@ def cmd_sweep(rc: RunConfig, methods, granularities, r_values, seeds) -> int:
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, fed in _sweep_cases(rc, methods, granularities, r_values, seeds):
-        case = RunConfig(
-            federation=fed,
-            synthetic=rc.synthetic,
-            idx_images=rc.idx_images,
-            idx_labels=rc.idx_labels,
-            idx_test_images=rc.idx_test_images,
-            idx_test_labels=rc.idx_test_labels,
-            max_train_samples=rc.max_train_samples,
-            out=str(sweep_dir / name),
-        )
+        case = replace(rc, federation=fed, out=str(sweep_dir / name))
         start = time.perf_counter()
         train, global_test = load_experiment_data(case)
         result = run_experiment(case.federation, train, global_test)
@@ -508,55 +465,30 @@ def cmd_report(runs_dir: str, out_file: str | None) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _flag_bool(text: str):
+    """`true`/`false` become bools; any other text is left for _coerce to reject."""
+    return {"true": True, "false": False}.get(text, text)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls: type) -> None:
+    """One flag per config field; values are coerced again by parse_config."""
     p.add_argument("--config", metavar="PATH", help="JSON config file; flags override it")
-    p.add_argument("--method", choices=[m.value for m in Method])
-    p.add_argument("--granularity", choices=[g.value for g in Granularity])
-    p.add_argument("--R", type=int, dest="R")
-    p.add_argument("--alpha-dir", type=float, dest="alpha_dir")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--warmup-rounds", type=int, dest="warmup_rounds")
-    p.add_argument("--n-clients", type=int, dest="n_clients")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", metavar="DIR")
-    p.add_argument("--synthetic", metavar="C,PER_CLASS,DIM,SPREAD")
-    p.add_argument("--idx-images", dest="idx_images")
-    p.add_argument("--idx-labels", dest="idx_labels")
-    p.add_argument("--idx-test-images", dest="idx_test_images")
-    p.add_argument("--idx-test-labels", dest="idx_test_labels")
-    p.add_argument("--max-train-samples", type=int, dest="max_train_samples")
+    for f in config_fields(cls):
+        if f.kind is bool:
+            p.add_argument(f.flag, dest=f.key, type=_flag_bool, metavar="{true,false}")
+        elif isinstance(f.kind, type) and issubclass(f.kind, Enum):
+            p.add_argument(f.flag, dest=f.key, choices=[m.value for m in f.kind])
+        else:
+            p.add_argument(f.flag, dest=f.key, type=f.kind if f.kind in (int, float) else str)
 
 
-_OVERRIDE_KEYS = (
-    "method",
-    "granularity",
-    "R",
-    "alpha_dir",
-    "rounds",
-    "warmup_rounds",
-    "n_clients",
-    "lr",
-    "batch_size",
-    "seed",
-    "out",
-    "synthetic",
-    "idx_images",
-    "idx_labels",
-    "idx_test_images",
-    "idx_test_labels",
-    "max_train_samples",
-)
-
-
-def main(argv: list[str] | None = None) -> int:
+def build_parser(cls: type = RunConfig) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hks", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one experiment")
-    _add_config_flags(run_p)
+    _add_config_flags(run_p, cls)
     sweep_p = sub.add_parser("sweep", help="run a method/granularity/seed cross-product")
-    _add_config_flags(sweep_p)
+    _add_config_flags(sweep_p, cls)
     sweep_p.add_argument("--methods", help="comma-separated method list")
     sweep_p.add_argument("--granularities", help="comma-separated granularity list (hks)")
     sweep_p.add_argument("--R-values", dest="r_values", help="comma-separated R list (fedcache)")
@@ -564,13 +496,19 @@ def main(argv: list[str] | None = None) -> int:
     report_p = sub.add_parser("report", help="re-render summaries from stored CSVs")
     report_p.add_argument("runs_dir")
     report_p.add_argument("--out", dest="out_file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def flag_overrides(args: argparse.Namespace, cls: type = RunConfig) -> dict:
+    return {f.key: getattr(args, f.key) for f in config_fields(cls)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
             return cmd_report(args.runs_dir, args.out_file)
-        overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS}
-        rc = parse_config(args.config, overrides)
+        rc = parse_config(args.config, flag_overrides(args))
         if args.command == "run":
             return cmd_run(rc)
         methods = (
@@ -609,3 +547,7 @@ def _fail(exc: Exception) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -70,6 +70,7 @@ def child_seed(*parts: int) -> int:
 @dataclass
 class FederationConfig:
     method: Method = Method.HKS
+    granularity: Granularity = Granularity.ALL
     n_clients: int = 20
     rounds: int = 18
     local_epochs: int = 1
@@ -79,12 +80,12 @@ class FederationConfig:
     lr: float = 0.01
     batch_size: int = 8
     kd: KdConfig = field(default_factory=KdConfig)
-    granularity: Granularity = Granularity.ALL
     R: int = 4
     alpha_dir: float = 1.0
     seed: int = 0
     exclude_self: bool = True
     test_fraction: float = 0.2
+    # None resolves to 2 * batch_size: every client can fill two batches.
     min_per_client: int | None = None
     fedavg_tier: CapacityTier = CapacityTier.SMALL
     d_hash: int = 32
@@ -100,6 +101,8 @@ class FederationConfig:
         self.fedavg_tier = CapacityTier(self.fedavg_tier)
         if self.warmup_rounds is None:
             self.warmup_rounds = min(10, self.rounds)
+        if self.min_per_client is None:
+            self.min_per_client = 2 * self.batch_size
 
     def validate(self) -> None:
         checks = [
@@ -113,7 +116,7 @@ class FederationConfig:
             ("alpha_dir", self.alpha_dir > 0),
             ("seed", self.seed >= 0),
             ("test_fraction", 0 < self.test_fraction < 1),
-            ("min_per_client", self.min_per_client is None or self.min_per_client >= 0),
+            ("min_per_client", self.min_per_client >= 0),
             ("d_hash", self.d_hash >= 1),
             ("hnsw_m", self.hnsw_m >= 2),
             ("hnsw_ef_construction", self.hnsw_ef_construction >= 1),
@@ -124,10 +127,6 @@ class FederationConfig:
         for key, ok in checks:
             if not ok:
                 raise ConfigError(f"constraint violation on '{key}' (got {getattr(self, key)!r})")
-
-    @property
-    def resolved_min_per_client(self) -> int:
-        return self.min_per_client if self.min_per_client is not None else 2 * self.batch_size
 
 
 @dataclass
@@ -167,7 +166,7 @@ def init_federation(
         n_clients=cfg.n_clients,
         alpha_dir=cfg.alpha_dir,
         seed=child_seed(cfg.seed, _TAG_PARTITION),
-        min_per_client=cfg.resolved_min_per_client,
+        min_per_client=cfg.min_per_client,
     )
     parts = dirichlet_partition(dataset, spec)
     store_labels = cfg.method in (Method.FEDDISTILL, Method.FEDCACHE)

@@ -1,7 +1,7 @@
 """Server-side knowledge store: logit cache, hash index, cluster hierarchy."""
 from .cache import KnowledgeCache, LogitRecord, SampleId
-from .hashing import RandomProjectionEncoder, encode_hash, HashVector
-from .hierarchy import ClusterPath, ClusterTree, Merge, agglomerate, build_hierarchy, cluster_path
+from .hashing import RandomProjectionEncoder, HashVector
+from .hierarchy import ClusterTree, Merge, agglomerate, build_hierarchy
 from .hnsw import HnswIndex, exact_knn
 from .teachers import Granularity, fedcache_teacher, feddistill_teacher, fetch_teacher
 
@@ -10,14 +10,11 @@ __all__ = [
     "LogitRecord",
     "SampleId",
     "RandomProjectionEncoder",
-    "encode_hash",
     "HashVector",
-    "ClusterPath",
     "ClusterTree",
     "Merge",
     "agglomerate",
     "build_hierarchy",
-    "cluster_path",
     "HnswIndex",
     "exact_knn",
     "Granularity",

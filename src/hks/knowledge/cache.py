@@ -7,7 +7,6 @@ during the server phase of a round; clients read immutable snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -146,16 +145,3 @@ class KnowledgeCache:
                 else np.empty((0, 0))
             )
         return self._hash_ids, self._hash_matrix
-
-    def export_snapshot(self) -> str:
-        """One line per record: sample_id client_id round logits... as decimal text."""
-        lines = []
-        for sid in sorted(self.records):
-            rec = self.records[sid]
-            rnd = rec.round_updated if rec.round_updated is not None else -1
-            logit_text = " ".join(repr(float(v)) for v in rec.logits) if rec.logits is not None else ""
-            lines.append(f"{sid.local_index} {sid.client_id} {rnd} {logit_text}".rstrip())
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_snapshot(self, path: str | Path) -> None:
-        Path(path).write_text(self.export_snapshot(), encoding="ascii")

@@ -7,7 +7,6 @@ experiment, so equal inputs always hash identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,13 +52,3 @@ class RandomProjectionEncoder:
             raise DegenerateInputError("projection collapsed an input to zero")
         return H / norms
 
-
-@lru_cache(maxsize=32)
-def _cached_encoder(input_dim: int, d_hash: int, seed: int) -> RandomProjectionEncoder:
-    return RandomProjectionEncoder(input_dim, d_hash, seed)
-
-
-def encode_hash(x: Array, d_hash: int, encoder_seed: int) -> Array:
-    """Hash one feature vector with the experiment-wide seeded projection."""
-    x = np.asarray(x, dtype=np.float64)
-    return _cached_encoder(x.shape[0], d_hash, encoder_seed).encode(x)

@@ -95,21 +95,6 @@ class ClusterTree:
         return [frozenset(self.members(n)) for n in self.cut_node_ids]
 
 
-@dataclass(frozen=True)
-class ClusterPath:
-    """Strictly nested clusters from a sample's singleton to its cut cluster."""
-
-    tree: ClusterTree
-    node_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.node_ids)
-
-    @property
-    def clusters(self) -> list[frozenset[SampleId]]:
-        return [frozenset(self.tree.members(n)) for n in self.node_ids]
-
-
 def _pairwise_distances(X: Array) -> Array:
     sq = np.einsum("ij,ij->i", X, X)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
@@ -260,7 +245,3 @@ def build_hierarchy(
         raise InvalidInputError(f"space must be 'logits' or 'soft', got {space!r}")
     return agglomerate(X, [r.id for r in records], n_clusters, linkage)
 
-
-def cluster_path(tree: ClusterTree, sid: SampleId) -> ClusterPath:
-    """Nested cluster chain for one sample, singleton first, cut cluster last."""
-    return ClusterPath(tree=tree, node_ids=tuple(tree.path_nodes(sid)))

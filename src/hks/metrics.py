@@ -92,14 +92,6 @@ def maua(reports: Sequence) -> float:
     return float(max(row.mean() for row in _acc_rows(reports)))
 
 
-def global_accuracy(clients: Sequence, global_test: Dataset) -> float:
-    """Unweighted mean over clients of accuracy on the global test set."""
-    models = [c.model if hasattr(c, "model") else c for c in clients]
-    if not models:
-        raise InvalidInputError("no clients to evaluate")
-    return float(np.mean([evaluate(m, global_test) for m in models]))
-
-
 def summarize(reports: Sequence[RoundReport]) -> ExperimentSummary:
     if not reports:
         return ExperimentSummary(maua=None, best_global_acc=None, final_global_acc=None, rounds_run=0)

@@ -9,25 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    FormatError,
-    IncompatibleArchitectureError,
-    InvalidInputError,
-    ShapeError,
-    TruncatedFileError,
-)
+from .errors import IncompatibleArchitectureError, InvalidInputError, ShapeError
 from .numerics import KdConfig, LossBreakdown, log_softmax_rows, softmax_rows
 
 Array = np.ndarray
-
-CHECKPOINT_MAGIC = "HKSMODEL"
-CHECKPOINT_VERSION = "v1"
 
 
 class CapacityTier(str, Enum):
@@ -83,13 +72,6 @@ def architecture_id(layer_dims: Sequence[int]) -> str:
     return "mlp-" + "-".join(str(d) for d in layer_dims)
 
 
-def layer_dims_from_architecture_id(arch: str) -> tuple[int, ...]:
-    prefix, _, dims = arch.partition("-")
-    if prefix != "mlp" or not dims:
-        raise FormatError(f"unrecognized architecture id {arch!r}")
-    return tuple(int(d) for d in dims.split("-"))
-
-
 def _layer_slices(layer_dims: Sequence[int]):
     """Yield (weight_slice, bias_slice, in_dim, out_dim) per layer."""
     off = 0
@@ -142,16 +124,6 @@ def forward_batch(m: Model, X: Array) -> Array:
         raise ShapeError(f"expected (B, {m.input_dim}) inputs, got {X.shape}")
     Z, _, _ = _forward_acts(m, X)
     return Z
-
-
-def forward(m: Model, x: Array) -> Array:
-    """Logits for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != m.input_dim:
-        raise ShapeError(f"expected input of length {m.input_dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("input contains non-finite values")
-    return forward_batch(m, x[None, :])[0]
 
 
 def _teacher_rows(entry, n_classes: int) -> Array | None:
@@ -265,22 +237,6 @@ def train_step(
     return new, bd, Z
 
 
-def train_batch(
-    m: Model,
-    batch: Sequence[tuple[Array, int]],
-    teacher: Sequence | None,
-    cfg: KdConfig,
-    lr: float,
-) -> tuple[Model, LossBreakdown]:
-    """Train on a list of (x, y) pairs with optional index-aligned teachers."""
-    if not batch:
-        raise InvalidInputError("batch must be nonempty")
-    X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-    y = np.asarray([int(t) for _, t in batch])
-    new, bd, _ = train_step(m, X, y, teacher, cfg, lr)
-    return new, bd
-
-
 def aggregate_weights(sizes: Sequence[int]) -> Array:
     """FedAvg weights proportional to client dataset sizes."""
     s = np.asarray(sizes, dtype=np.float64)
@@ -309,27 +265,3 @@ def fedavg_aggregate(models: Sequence[Model], weights: Array) -> Model:
         params += wk * m.params
     return replace(first, params=params)
 
-
-def save_model(m: Model, path: str | Path) -> None:
-    """Checkpoint: one header line, then the flat little-endian float64 params."""
-    with open(path, "wb") as f:
-        header = f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {m.architecture_id} {m.n_params}\n"
-        f.write(header.encode("ascii"))
-        f.write(m.params.astype("<f8").tobytes())
-
-
-def load_model(path: str | Path, seed: int = 0) -> Model:
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii").strip()
-        fields = header.split(" ")
-        if len(fields) != 4 or fields[0] != CHECKPOINT_MAGIC or fields[1] != CHECKPOINT_VERSION:
-            raise FormatError(f"bad checkpoint header {header!r}")
-        arch, count = fields[2], int(fields[3])
-        dims = layer_dims_from_architecture_id(arch)
-        if param_count(dims) != count:
-            raise ConsistencyError(f"header count {count} does not match architecture {arch}")
-        raw = f.read(count * 8)
-        if len(raw) != count * 8:
-            raise TruncatedFileError(f"expected {count * 8} payload bytes, got {len(raw)}")
-        params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return Model(arch, dims, params, seed)

@@ -1,10 +1,28 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from dataclasses import dataclass, fields
+from enum import Enum
+from pathlib import Path
 
 import pytest
 
-from hks.cli import ROUNDS_CSV_COLUMNS, main, parse_config
+import hks
+from hks.cli import (
+    ROUNDS_CSV_COLUMNS,
+    RunConfig,
+    build_parser,
+    config_fields,
+    flag_overrides,
+    main,
+    parse_config,
+)
 from hks.errors import ConfigError
+from hks.federation import FederationConfig, Method
 from hks.knowledge import Granularity
+from hks.models import CapacityTier
 
 
 def fast_flags(out_dir, seed="0"):
@@ -238,3 +256,242 @@ class TestSweepAndReport:
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
+
+
+class TestModuleEntry:
+    """`python -m hks.cli` runs the same command line as the console script."""
+
+    def run_module(self, *args):
+        src = str(Path(hks.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "hks.cli", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    def test_run_writes_rounds_csv(self, tmp_path):
+        out = tmp_path / "run"
+        proc = self.run_module("run", *fast_flags(out))
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "rounds.csv").exists()
+
+    def test_invalid_flag_value_exits_2(self):
+        proc = self.run_module("run", "--synthetic", "3,30,4,0.3", "--alpha-dir", "-1")
+        assert proc.returncode == 2
+        assert "alpha_dir" in proc.stderr
+
+
+def parse_flags(*argv, cls=RunConfig):
+    args = build_parser(cls).parse_args(["run", *argv])
+    return parse_config(args.config, flag_overrides(args, cls), cls=cls)
+
+
+def parse_json(tmp_path, cfg, cls=RunConfig):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return parse_config(str(path), cls=cls)
+
+
+class TestStrictCoercion:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("exclude_self", "false"),
+            ("t_squared_scaling", "no"),
+            ("exclude_self", 0),
+            ("t_squared_scaling", 1),
+            ("exclude_self", None),
+        ],
+    )
+    def test_bool_key_takes_only_json_bools(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"type mismatch on '{key}'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", key: value})
+
+    def test_bool_flags_take_true_and_false(self):
+        rc = parse_flags("--synthetic", "3,10,4,0.3", "--exclude-self", "false")
+        assert rc.federation.exclude_self is False
+        rc = parse_flags("--synthetic", "3,10,4,0.3", "--t-squared-scaling", "true")
+        assert rc.federation.kd.t_squared_scaling is True
+        with pytest.raises(ConfigError, match="type mismatch on 'exclude_self'"):
+            parse_flags("--synthetic", "3,10,4,0.3", "--exclude-self", "no")
+
+    @pytest.mark.parametrize("value", [2.7, True, "2.5", [2]])
+    def test_int_key_rejects_bools_and_fractions(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="type mismatch on 'rounds'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "rounds": value})
+
+    def test_int_key_accepts_integral_float(self, tmp_path):
+        rc = parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "rounds": 2.0, "warmup_rounds": 1})
+        assert rc.federation.rounds == 2 and isinstance(rc.federation.rounds, int)
+
+    def test_float_key_rejects_bool(self, tmp_path):
+        with pytest.raises(ConfigError, match="type mismatch on 'lr'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "lr": True})
+
+    def test_enum_keys_read_lower_cased_values(self, tmp_path):
+        rc = parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "method": "FedCache", "fedavg_tier": "LARGE"})
+        assert rc.federation.method is Method.FEDCACHE
+        assert rc.federation.fedavg_tier is CapacityTier.LARGE
+        with pytest.raises(ConfigError, match="unknown granularity 'coarse'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "granularity": "coarse"})
+
+    def test_existing_flag_spellings_and_choices(self):
+        rc = parse_flags(
+            "--synthetic", "3,10,4,0.3", "--R", "2", "--alpha-dir", "0.5", "--n-clients", "4",
+            "--warmup-rounds", "1", "--batch-size", "4", "--max-train-samples", "20",
+        )
+        fed = rc.federation
+        assert (fed.R, fed.alpha_dir, fed.n_clients, fed.warmup_rounds, fed.batch_size) == (2, 0.5, 4, 1, 4)
+        assert rc.max_train_samples == 20
+        run_p = subcommand_parser("run")
+        for key, enum in (("method", Method), ("granularity", Granularity), ("fedavg_tier", CapacityTier)):
+            assert option(run_p, key).choices == [m.value for m in enum]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--method", "HKS"])
+
+
+# One non-default value per config key, in config.resolved.json order.
+NON_DEFAULT = {
+    "method": "fedcache",
+    "granularity": "middle",
+    "n_clients": 5,
+    "rounds": 7,
+    "local_epochs": 2,
+    "warmup_rounds": 3,
+    "lr": 0.05,
+    "batch_size": 4,
+    "temperature": 2.0,
+    "alpha_kd": 0.5,
+    "t_squared_scaling": False,
+    "R": 2,
+    "alpha_dir": 0.25,
+    "seed": 9,
+    "exclude_self": False,
+    "test_fraction": 0.3,
+    "min_per_client": 5,
+    "fedavg_tier": "large",
+    "d_hash": 16,
+    "hnsw_m": 8,
+    "hnsw_ef_construction": 50,
+    "hnsw_ef_search": 20,
+    "linkage": "single",
+    "cluster_space": "soft",
+    "synthetic": [5, 20, 6, 0.5],
+    "idx_images": "other-images.idx",
+    "idx_labels": "other-labels.idx",
+    "idx_test_images": "test-images.idx",
+    "idx_test_labels": "test-labels.idx",
+    "max_train_samples": 100,
+    "out": "runs/elsewhere",
+}
+KEYS = [f.key for f in config_fields()]
+
+
+def subcommand_parser(name, cls=RunConfig):
+    sub = next(a for a in build_parser(cls)._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def option(parser, dest):
+    (action,) = [a for a in parser._actions if a.dest == dest]
+    return action
+
+
+def attribute(rc, key):
+    """The value of `key` read from whichever config object declares it."""
+    for obj in (rc.federation.kd, rc.federation, rc):
+        if key in {f.name for f in fields(obj)}:
+            value = getattr(obj, key)
+            return value.value if isinstance(value, Enum) else (
+                list(value) if isinstance(value, tuple) else value
+            )
+    raise AssertionError(f"no config object declares {key!r}")
+
+
+def flag_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def dataset_base(key):
+    if key == "synthetic":
+        return {}
+    if key.startswith("idx_"):
+        return {"idx_images": "images.idx", "idx_labels": "labels.idx"}
+    return {"synthetic": "3,10,4,0.3"}
+
+
+@pytest.fixture(scope="module")
+def resolved_pairs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("schema") / "run"
+    assert main(["run", *fast_flags(out)]) == 0
+    return json.loads((out / "config.resolved.json").read_text(), object_pairs_hook=list)
+
+
+class TestSingleSchema:
+    def test_keys_follow_the_field_table(self, resolved_pairs):
+        assert KEYS == list(NON_DEFAULT)
+        assert [k for k, _ in resolved_pairs] == KEYS
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_one_flag_and_one_resolved_key(self, key, resolved_pairs):
+        for command in ("run", "sweep"):
+            action = option(subcommand_parser(command), key)
+            assert action.option_strings == ["--" + key.replace("_", "-")]
+        assert [k for k, _ in resolved_pairs].count(key) == 1
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_json_and_flag_reach_the_attribute(self, key, tmp_path):
+        value = NON_DEFAULT[key]
+        base = dataset_base(key)
+        by_json = parse_json(tmp_path, {**base, key: value})
+        flags = [x for k, v in base.items() for x in ("--" + k.replace("_", "-"), v)]
+        by_flag = parse_flags(*flags, "--" + key.replace("_", "-"), flag_text(value))
+        assert attribute(RunConfig(federation=FederationConfig()), key) != value
+        assert attribute(by_json, key) == value
+        assert attribute(by_flag, key) == value
+        assert by_json.resolved() == by_flag.resolved()
+        assert by_json.resolved()[key] == value
+
+    def test_resolved_config_round_trips(self, tmp_path):
+        out = tmp_path / "run"
+        extra = ["--exclude-self", "false", "--temperature", "2.5", "--linkage", "complete",
+                 "--min-per-client", "3", "--local-epochs", "2", "--test-fraction", "0.25"]
+        assert main(["run", *fast_flags(out), *extra]) == 0
+        first = (out / "config.resolved.json").read_bytes()
+        cfg_file = tmp_path / "resolved.json"
+        cfg_file.write_bytes(first)
+        assert main(["run", "--config", str(cfg_file)]) == 0
+        assert (out / "config.resolved.json").read_bytes() == first
+
+
+@dataclass
+class _ExtendedFederation(FederationConfig):
+    throwaway_knob: float = 0.5
+
+
+@dataclass
+class _ExtendedRun(RunConfig):
+    federation: _ExtendedFederation
+    flavor: int = 3
+
+
+class TestNewFieldNeedsNoOtherEdit:
+    def test_field_gets_json_key_flag_and_resolved_entry(self, tmp_path):
+        keys = [f.key for f in config_fields(_ExtendedRun)]
+        assert keys == [*KEYS[: KEYS.index("synthetic")], "throwaway_knob", *KEYS[KEYS.index("synthetic") :], "flavor"]
+        rc = parse_flags(
+            "--synthetic", "3,10,4,0.3", "--throwaway-knob", "0.25", "--flavor", "7", cls=_ExtendedRun
+        )
+        assert (rc.federation.throwaway_knob, rc.flavor) == (0.25, 7)
+        assert rc.resolved()["throwaway_knob"] == 0.25 and rc.resolved()["flavor"] == 7
+        rc = parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "flavor": 9}, cls=_ExtendedRun)
+        assert rc.flavor == 9
+        with pytest.raises(ConfigError, match="type mismatch on 'flavor'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "flavor": 1.5}, cls=_ExtendedRun)
+        with pytest.raises(ConfigError, match="unknown config key: 'flavor'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "flavor": 9})

@@ -18,8 +18,6 @@ from hks.knowledge import (
     SampleId,
     agglomerate,
     build_hierarchy,
-    cluster_path,
-    encode_hash,
     exact_knn,
     fedcache_teacher,
     feddistill_teacher,
@@ -43,19 +41,21 @@ def make_cache(points, n_classes=2, clients=None, labels=None, round_index=0):
 class TestEncodeHash:
     def test_deterministic(self):
         x = np.arange(6.0)
-        np.testing.assert_array_equal(encode_hash(x, 4, 3), encode_hash(x, 4, 3))
+        a, b = RandomProjectionEncoder(6, 4, seed=3), RandomProjectionEncoder(6, 4, seed=3)
+        np.testing.assert_array_equal(a.encode(x), b.encode(x))
 
     def test_unit_norm(self):
-        h = encode_hash(np.linspace(1, 2, 10), 8, seed := 5)
+        h = RandomProjectionEncoder(10, 8, seed=5).encode(np.linspace(1, 2, 10))
         assert abs(np.linalg.norm(h) - 1.0) < 1e-9
 
     def test_scale_invariance(self):
+        enc = RandomProjectionEncoder(3, 4, seed=1)
         x = np.array([0.5, -1.0, 2.0])
-        np.testing.assert_allclose(encode_hash(x, 4, 1), encode_hash(2 * x, 4, 1), atol=1e-12)
+        np.testing.assert_allclose(enc.encode(x), enc.encode(2 * x), atol=1e-12)
 
     def test_zero_input_degenerates(self):
         with pytest.raises(DegenerateInputError):
-            encode_hash(np.zeros(5), 4, 0)
+            RandomProjectionEncoder(5, 4, seed=0).encode(np.zeros(5))
 
     def test_batched_encode_matches_single(self):
         enc = RandomProjectionEncoder(6, 4, seed=2)
@@ -196,14 +196,6 @@ class TestCache:
             cache.get_label(SampleId(0, 0))
         assert cache.label_reads == 0
 
-    def test_snapshot_export(self):
-        cache = KnowledgeCache(2)
-        cache.register(SampleId(1, 0), np.zeros(2))
-        cache.update_logits(SampleId(1, 0), np.array([0.5, -1.0]), 4)
-        cache.register(SampleId(0, 3), np.zeros(2))
-        text = cache.export_snapshot()
-        assert text.splitlines() == ["3 0 -1", "0 1 4 0.5 -1.0"]
-
 
 class FourPoints:
     """1-D logits {0, 0.1, 10, 10.1}; at a 2-cluster cut the pairs separate."""
@@ -288,26 +280,29 @@ class TestBuildHierarchy(FourPoints):
                 assert merge.height == pytest.approx(height, abs=1e-9)
 
 
+def path_clusters(tree, sid):
+    """Member sets along a sample's path, singleton first, cut cluster last."""
+    return [frozenset(tree.members(node)) for node in tree.path_nodes(sid)]
+
+
 class TestClusterPath(FourPoints):
     def test_four_point_path(self):
         _, tree = self.tree()
-        path = cluster_path(tree, SampleId(0, 0))
-        sets = [frozenset(s.local_index for s in c) for c in path.clusters]
+        sets = [frozenset(s.local_index for s in c) for c in path_clusters(tree, SampleId(0, 0))]
         assert sets == [frozenset({0}), frozenset({0, 1})]
 
     def test_last_element_in_cut(self):
         _, tree = self.tree()
         cut = set(tree.cut_partition())
         for i in range(4):
-            path = cluster_path(tree, SampleId(0, i))
-            assert path.clusters[-1] in cut
+            assert path_clusters(tree, SampleId(0, i))[-1] in cut
 
     def test_strict_nesting(self):
         rng = np.random.default_rng(10)
         cache = make_cache(rng.normal(size=(16, 2)), n_classes=2)
         tree = build_hierarchy(cache, 2)
         for i in range(16):
-            chain = cluster_path(tree, SampleId(0, i)).clusters
+            chain = path_clusters(tree, SampleId(0, i))
             assert chain[0] == frozenset({SampleId(0, i)})
             for small, big in zip(chain, chain[1:]):
                 assert small < big
@@ -315,11 +310,11 @@ class TestClusterPath(FourPoints):
     def test_unknown_leaf(self):
         _, tree = self.tree()
         with pytest.raises(MissingSampleError):
-            cluster_path(tree, SampleId(9, 9))
+            tree.path_nodes(SampleId(9, 9))
 
     def test_single_merge_before_cut_gives_length_two(self):
         _, tree = self.tree()
-        assert len(cluster_path(tree, SampleId(0, 2))) == 2
+        assert len(tree.path_nodes(SampleId(0, 2))) == 2
 
 
 class TestFetchTeacher(FourPoints):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hks.data import Dataset
 from hks.errors import EmptyDatasetError, UndefinedMetricError
-from hks.metrics import RoundReport, evaluate, global_accuracy, maua, summarize
+from hks.metrics import RoundReport, evaluate, maua, summarize
 from hks.models import Model
 
 
@@ -98,21 +98,21 @@ class TestMaua:
         assert maua(rows) == maua(rows[::-1])
 
 
-class _FakeClient:
-    def __init__(self, model):
-        self.model = model
-
-
 class TestGlobalAccuracy:
+    """A round's global accuracy is the unweighted client mean of evaluate scores."""
+
+    def report(self, models, ds):
+        accs = np.array([evaluate(m, ds) for m in models])
+        return RoundReport(0, accs, accs, 0.0, 0.0, False)
+
     def test_shared_model(self):
         ds = labeled([0, 1, 0, 1])
-        clients = [_FakeClient(constant_model(0))] * 3
-        assert global_accuracy(clients, ds) == pytest.approx(0.5)
+        assert self.report([constant_model(0)] * 3, ds).mean_global_acc == pytest.approx(0.5)
 
     def test_two_clients_average(self):
         ds = labeled([0, 0, 1, 1, 1])  # constant-0 scores 0.4, constant-1 scores 0.6
-        clients = [_FakeClient(constant_model(0)), _FakeClient(constant_model(1))]
-        assert global_accuracy(clients, ds) == pytest.approx(0.5)
+        models = [constant_model(0), constant_model(1)]
+        assert self.report(models, ds).mean_global_acc == pytest.approx(0.5)
 
 
 class TestSummarize:

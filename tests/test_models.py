@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from hks.errors import (
-    ConsistencyError,
-    FormatError,
-    IncompatibleArchitectureError,
-    ShapeError,
-)
+from hks.errors import IncompatibleArchitectureError, ShapeError
 from hks.models import (
     CapacityTier,
     Model,
@@ -15,12 +10,9 @@ from hks.models import (
     batch_loss_and_grad,
     build_model,
     fedavg_aggregate,
-    forward,
     forward_batch,
-    load_model,
     param_count,
-    save_model,
-    train_batch,
+    train_step,
 )
 from hks.numerics import KdConfig, finite_diff
 
@@ -49,6 +41,9 @@ class TestBuildModel:
         ]
         assert counts[0] < counts[1] < counts[2]
 
+    def test_param_count_helper(self):
+        assert param_count((4, 32, 3)) == 259
+
     def test_mod3_tier_assignment(self):
         tiers = [CapacityTier.for_client(i) for i in range(6)]
         assert tiers == [
@@ -65,81 +60,80 @@ class TestForward:
     def test_zero_params_give_zero_logits(self):
         m = small_model()
         zeroed = Model(m.architecture_id, m.layer_dims, np.zeros_like(m.params), m.seed)
-        np.testing.assert_array_equal(forward(zeroed, np.ones(4)), np.zeros(3))
+        np.testing.assert_array_equal(forward_batch(zeroed, np.ones((1, 4))), np.zeros((1, 3)))
 
     def test_deterministic(self):
         m = small_model(seed=5)
-        x = np.linspace(-1, 1, 4)
-        np.testing.assert_array_equal(forward(m, x), forward(m, x))
+        X = np.linspace(-1, 1, 8).reshape(2, 4)
+        np.testing.assert_array_equal(forward_batch(m, X), forward_batch(m, X))
 
     def test_identity_single_layer(self):
         # one linear layer, identity weights, zero bias
         params = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
         m = Model("mlp-2-2", (2, 2), params, seed=0)
-        np.testing.assert_allclose(forward(m, np.array([1.0, 2.0])), [1.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(forward_batch(m, np.array([[1.0, 2.0]])), [[1.0, 2.0]], atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            forward(small_model(), np.ones(5))
+            forward_batch(small_model(), np.ones((1, 5)))
 
 
 class TestTrainBatch:
     def batch(self, rng, n=6, input_dim=4, n_classes=3):
-        return [(rng.normal(size=input_dim), int(rng.integers(n_classes))) for _ in range(n)]
+        pairs = [(rng.normal(size=input_dim), int(rng.integers(n_classes))) for _ in range(n)]
+        return np.stack([x for x, _ in pairs]), np.array([t for _, t in pairs])
 
     def test_zero_lr_keeps_params(self):
         rng = np.random.default_rng(0)
         m = small_model()
-        new, bd = train_batch(m, self.batch(rng), None, CFG, lr=0.0)
+        new, bd, _ = train_step(m, *self.batch(rng), None, CFG, lr=0.0)
         np.testing.assert_array_equal(new.params, m.params)
         assert bd.ce > 0
 
     def test_no_teacher_means_no_kd(self):
         rng = np.random.default_rng(1)
-        _, bd = train_batch(small_model(), self.batch(rng), None, CFG, lr=0.01)
+        _, bd, _ = train_step(small_model(), *self.batch(rng), None, CFG, lr=0.01)
         assert bd.kd == 0.0
         assert bd.total == pytest.approx(bd.ce)
 
     def test_teacher_breakdown_identity(self):
         rng = np.random.default_rng(2)
-        batch = self.batch(rng)
-        teachers = [rng.normal(size=3) for _ in batch]
-        _, bd = train_batch(small_model(), batch, teachers, CFG, lr=0.01)
+        X, y = self.batch(rng)
+        teachers = [rng.normal(size=3) for _ in y]
+        _, bd, _ = train_step(small_model(), X, y, teachers, CFG, lr=0.01)
         assert bd.kd > 0
         assert bd.total == pytest.approx(bd.ce + CFG.alpha_kd * bd.kd, abs=1e-9)
 
     def test_unavailable_entries_contribute_zero(self):
         rng = np.random.default_rng(3)
-        batch = self.batch(rng)
-        teachers = [None] * len(batch)
-        _, bd = train_batch(small_model(), batch, teachers, CFG, lr=0.01)
+        X, y = self.batch(rng)
+        _, bd, _ = train_step(small_model(), X, y, [None] * len(y), CFG, lr=0.01)
         assert bd.kd == 0.0
 
     def test_multi_teacher_entry_averages_losses(self):
         rng = np.random.default_rng(4)
-        batch = self.batch(rng, n=1)
+        X, y = self.batch(rng, n=1)
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        _, bd_multi = train_batch(small_model(), batch, [[t1, t2]], CFG, lr=0.0)
-        _, bd_a = train_batch(small_model(), batch, [t1], CFG, lr=0.0)
-        _, bd_b = train_batch(small_model(), batch, [t2], CFG, lr=0.0)
+        _, bd_multi, _ = train_step(small_model(), X, y, [[t1, t2]], CFG, lr=0.0)
+        _, bd_a, _ = train_step(small_model(), X, y, [t1], CFG, lr=0.0)
+        _, bd_b, _ = train_step(small_model(), X, y, [t2], CFG, lr=0.0)
         assert bd_multi.kd == pytest.approx((bd_a.kd + bd_b.kd) / 2, rel=1e-12)
 
     def test_descent_on_fixed_sample(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=4)
-        batch = [(x, 1)]
+        X, y = rng.normal(size=(1, 4)), np.array([1])
         m = build_model(CapacityTier.SMALL, 4, 2, seed=9)
-        _, bd0 = train_batch(m, batch, None, CFG, lr=0.0)
+        _, bd0, _ = train_step(m, X, y, None, CFG, lr=0.0)
         for _ in range(50):
-            m, _ = train_batch(m, batch, None, CFG, lr=0.1)
-        _, bd_end = train_batch(m, batch, None, CFG, lr=0.0)
+            m, _, _ = train_step(m, X, y, None, CFG, lr=0.1)
+        _, bd_end, _ = train_step(m, X, y, None, CFG, lr=0.0)
         assert bd_end.ce < bd0.ce
 
     def test_teacher_length_mismatch(self):
         rng = np.random.default_rng(6)
-        batch = self.batch(rng, n=4)
+        X, y = self.batch(rng, n=4)
         with pytest.raises(ShapeError):
-            train_batch(small_model(), batch, [rng.normal(size=3)] * 3, CFG, lr=0.01)
+            train_step(small_model(), X, y, [rng.normal(size=3)] * 3, CFG, lr=0.01)
 
 
 class TestEndToEndGradient:
@@ -196,50 +190,16 @@ class TestFedavg:
         np.testing.assert_allclose(aggregate_weights([1, 3]), [0.25, 0.75])
 
 
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        m = build_model(CapacityTier.LARGE, 7, 4, seed=21)
-        path = tmp_path / "model.bin"
-        save_model(m, path)
-        loaded = load_model(path, seed=21)
-        assert loaded.architecture_id == m.architecture_id
-        assert loaded.layer_dims == m.layer_dims
-        np.testing.assert_array_equal(loaded.params, m.params)
-
-    def test_header_format(self, tmp_path):
-        m = small_model()
-        path = tmp_path / "model.bin"
-        save_model(m, path)
-        header = path.read_bytes().split(b"\n", 1)[0].decode()
-        assert header == f"HKSMODEL v1 {m.architecture_id} {m.params.shape[0]}"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAMODEL v1 mlp-2-2 8\n" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_model(path)
-
-    def test_inconsistent_count_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"HKSMODEL v1 mlp-2-2 5\n" + b"\x00" * 40)
-        with pytest.raises(ConsistencyError):
-            load_model(path)
-
-    def test_param_count_helper(self):
-        assert param_count((4, 32, 3)) == 259
-
-
 class TestDeterminism:
     def test_identical_training_trajectories(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(8, 4))
         y = rng.integers(3, size=8)
-        batch = list(zip(X, (int(v) for v in y)))
 
         def run():
             m = small_model(seed=7)
             for _ in range(5):
-                m, _ = train_batch(m, batch, None, CFG, lr=0.05)
+                m, _, _ = train_step(m, X, y, None, CFG, lr=0.05)
             return m.params
 
         assert np.array_equal(run(), run())
@@ -249,4 +209,4 @@ class TestDeterminism:
         X = np.random.default_rng(13).normal(size=(4, 4))
         Z = forward_batch(m, X)
         for i in range(4):
-            np.testing.assert_allclose(Z[i], forward(m, X[i]), atol=1e-12)
+            np.testing.assert_allclose(Z[i], forward_batch(m, X[i : i + 1])[0], atol=1e-12)
