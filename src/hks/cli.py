@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DegenerateInputError,
+    DivergenceError,
     EmptyDatasetError,
     EmptyShardError,
     FormatError,
@@ -74,6 +75,7 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (UndefinedMetricError, 15),
     (ShapeError, 16),
     (InvalidInputError, 17),
+    (DivergenceError, 18),
     (HksError, 20),
     (OSError, 21),
 )
@@ -98,8 +100,13 @@ class RunConfig:
             raise ConfigError(
                 "no dataset selected: provide 'synthetic' or both 'idx_images' and 'idx_labels'"
             )
-        if self.synthetic is not None and self.idx_images is not None:
-            raise ConfigError("choose either 'synthetic' or IDX paths, not both")
+        if self.synthetic is not None:
+            for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels",
+                        "max_train_samples"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"'{key}' does not apply to a 'synthetic' dataset")
+        if (self.idx_test_images is None) != (self.idx_test_labels is None):
+            raise ConfigError("give both 'idx_test_images' and 'idx_test_labels', or neither")
         if self.max_train_samples is not None and self.max_train_samples < 1:
             raise ConfigError("constraint violation on 'max_train_samples'")
 
@@ -255,7 +262,7 @@ def load_experiment_data(rc: RunConfig) -> tuple[Dataset, Dataset]:
             n_classes, per_class, dim, spread, child_seed(seed, _TAG_DATA)
         )
     train = load_idx(rc.idx_images, rc.idx_labels)
-    if rc.idx_test_images and rc.idx_test_labels:
+    if rc.idx_test_images is not None:
         global_test = load_idx(rc.idx_test_images, rc.idx_test_labels)
     else:
         # No held-out pair supplied: carve a stratified tenth off the

@@ -67,3 +67,7 @@ class UndefinedMetricError(HksError, ValueError):
 
 class ConfigError(HksError, ValueError):
     """Invalid, unknown, or constraint-violating configuration key."""
+
+
+class DivergenceError(HksError, ArithmeticError):
+    """Local training produced non-finite parameters or logits."""

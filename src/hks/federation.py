@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .data import ClientShard, Dataset, PartitionSpec, batches, dirichlet_partition, split_local_test
-from .errors import ConfigError, InvalidInputError, StaleHierarchyError
+from .errors import ConfigError, DivergenceError, InvalidInputError, StaleHierarchyError
 from .knowledge import (
     Granularity,
     HashVector,
@@ -24,6 +24,7 @@ from .knowledge import (
     RandomProjectionEncoder,
     SampleId,
     build_hierarchy,
+    fedcache_neighbors,
     fedcache_teacher,
     feddistill_teacher,
     fetch_teacher,
@@ -143,10 +144,15 @@ class FederationState:
     clients: list[ClientState]
     cache: KnowledgeCache
     encoder: RandomProjectionEncoder
-    index: HnswIndex
+    # Only fedcache reads the hash index; every other method leaves it None.
+    index: HnswIndex | None
     n_classes: int
-    global_test: Dataset | None = None
+    global_test: Dataset
     tree: ClusterTree | None = None
+    # fedcache's per-sample neighbour ids, queried once at the first
+    # distilling round in which every cached record holds logits. From then
+    # on the lists cannot change: hashes and labels are fixed at init.
+    neighbors: dict[SampleId, list[SampleId]] | None = None
     round: int = 0
 
 
@@ -158,10 +164,13 @@ class ExperimentResult:
 
 
 def init_federation(
-    cfg: FederationConfig, dataset: Dataset, global_test: Dataset | None = None
+    cfg: FederationConfig, dataset: Dataset, global_test: Dataset
 ) -> FederationState:
-    """Partition data, build tiered clients, register hashes, index them."""
+    """Partition data, build tiered clients, register hashes; fedcache also
+    indexes them."""
     cfg.validate()
+    if global_test is None or len(global_test) == 0:
+        raise ConfigError("a nonempty global test set is required to report rounds")
     spec = PartitionSpec(
         n_clients=cfg.n_clients,
         alpha_dir=cfg.alpha_dir,
@@ -172,13 +181,15 @@ def init_federation(
     store_labels = cfg.method in (Method.FEDDISTILL, Method.FEDCACHE)
     encoder = RandomProjectionEncoder(dataset.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER))
     cache = KnowledgeCache(dataset.n_classes, store_labels=store_labels)
-    index = HnswIndex(
-        cfg.d_hash,
-        m=cfg.hnsw_m,
-        ef_construction=cfg.hnsw_ef_construction,
-        ef_search=cfg.hnsw_ef_search,
-        seed=child_seed(cfg.seed, _TAG_HNSW),
-    )
+    index = None
+    if cfg.method is Method.FEDCACHE:
+        index = HnswIndex(
+            cfg.d_hash,
+            m=cfg.hnsw_m,
+            ef_construction=cfg.hnsw_ef_construction,
+            ef_search=cfg.hnsw_ef_search,
+            seed=child_seed(cfg.seed, _TAG_HNSW),
+        )
     clients: list[ClientState] = []
     for k in range(cfg.n_clients):
         shard = split_local_test(
@@ -198,7 +209,8 @@ def init_federation(
             sid = SampleId(k, i)
             label = int(shard.train.labels[i]) if store_labels else None
             cache.register(sid, hashes[i], label=label)
-            index.insert(HashVector(sid, hashes[i]))
+            if index is not None:
+                index.insert(HashVector(sid, hashes[i]))
     return FederationState(
         config=cfg,
         clients=clients,
@@ -225,7 +237,8 @@ def _teacher_entry(state: FederationState, client_id: int, local_index: int, lab
     if cfg.method is Method.FEDDISTILL:
         return feddistill_teacher(state.cache, label, client_id)
     if cfg.method is Method.FEDCACHE:
-        return fedcache_teacher(state.cache, state.index, SampleId(client_id, local_index), cfg.R)
+        sid = SampleId(client_id, local_index)
+        return fedcache_teacher(state.cache, state.neighbors[sid] if state.neighbors else [])
     return None
 
 
@@ -274,6 +287,13 @@ def client_train(
             ce_sum += bd.ce * len(batch_idx)
             kd_sum += bd.kd * len(batch_idx)
             n_samples += len(batch_idx)
+    # One check per client and round keeps the per-batch path free of it;
+    # only the logit methods upload their logits.
+    where = f"client {client.client_id} in round {round_index}"
+    if not np.isfinite(model.params).all():
+        raise DivergenceError(f"training diverged: non-finite parameters at {where}")
+    if cfg.method in LOGIT_METHODS and not np.isfinite(np.stack(list(logits_out.values()))).all():
+        raise DivergenceError(f"training diverged: non-finite logits at {where}")
     ce = ce_sum / n_samples
     kd = kd_sum / n_samples
     breakdown = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
@@ -286,6 +306,17 @@ def run_round(state: FederationState) -> RoundReport:
     t = state.round
     if t >= cfg.rounds:
         raise InvalidInputError(f"round {t} exceeds configured rounds {cfg.rounds}")
+
+    if (
+        cfg.method is Method.FEDCACHE
+        and t >= cfg.warmup_rounds
+        and state.neighbors is None
+        and all(rec.logits is not None for rec in state.cache.records.values())
+    ):
+        state.neighbors = {
+            sid: fedcache_neighbors(state.cache, state.index, sid, cfg.R)
+            for sid in sorted(state.cache.records)
+        }
 
     uploads: list[tuple[int, dict[int, Array]]] = []
     breakdowns: list[LossBreakdown] = []
@@ -321,8 +352,6 @@ def run_round(state: FederationState) -> RoundReport:
         state.tree = tree
         hierarchy_built = True
 
-    if state.global_test is None or len(state.global_test) == 0:
-        raise ConfigError("a nonempty global test set is required to report rounds")
     local_acc = np.array(
         [
             evaluate(c.model, c.shard.local_test) if len(c.shard.local_test) else 0.0

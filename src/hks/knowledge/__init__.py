@@ -3,7 +3,13 @@ from .cache import KnowledgeCache, LogitRecord, SampleId
 from .hashing import RandomProjectionEncoder, HashVector
 from .hierarchy import ClusterTree, Merge, agglomerate, build_hierarchy
 from .hnsw import HnswIndex, exact_knn
-from .teachers import Granularity, fedcache_teacher, feddistill_teacher, fetch_teacher
+from .teachers import (
+    Granularity,
+    fedcache_neighbors,
+    fedcache_teacher,
+    feddistill_teacher,
+    fetch_teacher,
+)
 
 __all__ = [
     "KnowledgeCache",
@@ -20,5 +26,6 @@ __all__ = [
     "Granularity",
     "fetch_teacher",
     "feddistill_teacher",
+    "fedcache_neighbors",
     "fedcache_teacher",
 ]

@@ -2,9 +2,11 @@
 
 Builds the full merge sequence (Euclidean metric, unweighted average linkage
 by default) while recording the partition at the requested cluster count.
-Dissimilarity ties are broken by the lexicographically smallest
-(min member id, max member id) pair, so the tree depends only on the sample
-ids and their vectors, never on insertion order.
+Dissimilarity ties are broken by the lexicographically smallest key
+(min member id of the union, max member id of the union, larger of the two
+clusters' min member ids). Clusters are disjoint, so no two candidate pairs
+share a key: the rule is a total order, and the tree depends only on the
+sample ids and their vectors, never on insertion order.
 """
 from __future__ import annotations
 
@@ -158,7 +160,11 @@ def agglomerate(
         for r in np.flatnonzero(masked == height):
             for c in np.flatnonzero(D[r] == height):
                 i, j = (int(r), int(c)) if r < c else (int(c), int(r))
-                key = (min(slot_min[i], slot_min[j]), max(slot_max[i], slot_max[j]))
+                key = (
+                    min(slot_min[i], slot_min[j]),
+                    max(slot_max[i], slot_max[j]),
+                    max(slot_min[i], slot_min[j]),
+                )
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (i, j)

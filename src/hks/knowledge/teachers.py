@@ -3,12 +3,14 @@
 The hierarchical fetch walks a sample's cluster path and averages member
 logits at the requested level; the two baselines aggregate by class label
 (global mean, or R hash-nearest neighbors) and therefore require the cache's
-label-storing mode.
+label-storing mode. FedCache's neighbour lists are queried once per sample
+(`fedcache_neighbors`); `fedcache_teacher` averages their current logits.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -88,10 +90,10 @@ def feddistill_teacher(cache: KnowledgeCache, y: int, requesting_client: int) ->
     return logits[mask].mean(axis=0)
 
 
-def fedcache_teacher(
+def fedcache_neighbors(
     cache: KnowledgeCache, index: HnswIndex, sid: SampleId, R: int
-) -> Array | None:
-    """Mean logits of the R hash-nearest same-class samples of other clients."""
+) -> list[SampleId]:
+    """The R hash-nearest same-class samples of other clients that hold logits."""
     y = cache.get_label(sid)
     h = cache.hash_of(sid)
     me = sid.client_id
@@ -105,7 +107,11 @@ def fedcache_teacher(
         cache.label_reads += 1
         return rec.label == y
 
-    neighbor_ids = index.query(h, R, same_class_foreign)
+    return index.query(h, R, same_class_foreign)
+
+
+def fedcache_teacher(cache: KnowledgeCache, neighbor_ids: Sequence[SampleId]) -> Array | None:
+    """Mean current logits of a sample's FedCache neighbours, or None."""
     if not neighbor_ids:
         return None
     return np.stack([cache.record(nb).logits for nb in neighbor_ids]).mean(axis=0)

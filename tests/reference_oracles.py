@@ -7,7 +7,8 @@ def naive_linkage(X, cut, linkage="average"):
 
     At every step, every active cluster pair's dissimilarity is recomputed
     straight from the leaf distance matrix (mean/min/max over member pairs).
-    Ties pick the lexicographically smallest (min member, max member) pair.
+    Ties pick the lexicographically smallest (min member, max member, larger
+    of the two clusters' min members) key, which no two pairs share.
     Returns (merges, cut_partition) with merges as
     (frozenset(left), frozenset(right), height) over leaf indices.
     """
@@ -24,10 +25,10 @@ def naive_linkage(X, cut, linkage="average"):
             for b in range(a + 1, len(clusters)):
                 d = float(reducer(D0[np.ix_(clusters[a], clusters[b])]))
                 members = clusters[a] + clusters[b]
-                key = (d, min(members), max(members))
+                key = (d, min(members), max(members), max(min(clusters[a]), min(clusters[b])))
                 if best is None or key < best[0]:
                     best = (key, a, b)
-        (height, _, _), a, b = best
+        (height, *_), a, b = best
         left, right = clusters[a], clusters[b]
         if min(right) < min(left):
             left, right = right, left

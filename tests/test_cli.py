@@ -137,6 +137,13 @@ class TestRunCommand:
         assert code == 2
         assert "alpha_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["hks", "fedavg"])
+    def test_divergent_training_exits_with_its_own_code(self, tmp_path, capsys, method):
+        out = tmp_path / "run"
+        code = main(["run", *fast_flags(out), "--method", method, "--lr", "1e12"])
+        assert code == 18
+        assert "training diverged" in capsys.readouterr().err
+
     def test_resolved_config_reproduces_run(self, tmp_path):
         out_a = tmp_path / "a"
         main(["run", *fast_flags(out_a, seed="7")])
@@ -202,6 +209,41 @@ class TestIdxRuns:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--idx-labels", "nothing.idx"],
+            ["--idx-test-images", "nothing.idx", "--idx-test-labels", "nothing2.idx"],
+            ["--max-train-samples", "5"],
+        ],
+    )
+    def test_synthetic_run_rejects_idx_keys(self, tmp_path, capsys, extra):
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), *extra]) == 2
+        assert "synthetic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--idx-test-images", "--idx-test-labels"])
+    def test_half_a_test_pair_is_rejected(self, tmp_path, capsys, given):
+        self.write_dataset(tmp_path)
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run",
+                "--idx-images", str(tmp_path / "imgs.idx"),
+                "--idx-labels", str(tmp_path / "labs.idx"),
+                given, str(tmp_path / "imgs.idx"),
+                "--method", "local_only",
+                "--n-clients", "3",
+                "--rounds", "2",
+                "--warmup-rounds", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "idx_test_images" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_idx_file_maps_to_io_exit_code(self, tmp_path):
         code = main(
@@ -340,8 +382,9 @@ class TestStrictCoercion:
 
     def test_existing_flag_spellings_and_choices(self):
         rc = parse_flags(
-            "--synthetic", "3,10,4,0.3", "--R", "2", "--alpha-dir", "0.5", "--n-clients", "4",
-            "--warmup-rounds", "1", "--batch-size", "4", "--max-train-samples", "20",
+            "--idx-images", "images.idx", "--idx-labels", "labels.idx", "--R", "2",
+            "--alpha-dir", "0.5", "--n-clients", "4", "--warmup-rounds", "1", "--batch-size", "4",
+            "--max-train-samples", "20",
         )
         fed = rc.federation
         assert (fed.R, fed.alpha_dir, fed.n_clients, fed.warmup_rounds, fed.batch_size) == (2, 0.5, 4, 1, 4)
@@ -418,10 +461,14 @@ def flag_text(value):
 
 
 def dataset_base(key):
+    """A valid dataset selector for a config that sets `key`."""
     if key == "synthetic":
         return {}
-    if key.startswith("idx_"):
-        return {"idx_images": "images.idx", "idx_labels": "labels.idx"}
+    if key.startswith("idx_") or key == "max_train_samples":
+        base = {"idx_images": "images.idx", "idx_labels": "labels.idx"}
+        if key.startswith("idx_test_"):
+            base.update(idx_test_images="test-images.idx", idx_test_labels="test-labels.idx")
+        return base
     return {"synthetic": "3,10,4,0.3"}
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import hks.federation as federation
 from hks.data import synth_train_and_test
-from hks.errors import InvalidInputError, StaleHierarchyError
+from hks.errors import ConfigError, DivergenceError, InvalidInputError, StaleHierarchyError
 from hks.federation import (
     FederationConfig,
     Method,
@@ -11,7 +12,7 @@ from hks.federation import (
     run_experiment,
     run_round,
 )
-from hks.knowledge import Granularity
+from hks.knowledge import Granularity, HnswIndex, fedcache_neighbors, fedcache_teacher
 from hks.metrics import evaluate
 from hks.models import CapacityTier
 from hks.numerics import KdConfig
@@ -54,11 +55,27 @@ class TestInit:
         assert tiers.count(CapacityTier.LARGE) == 6
 
     def test_cache_covers_every_training_sample(self, dataset):
+        # only fedcache reads the hash index, so only fedcache builds it
         train, test = dataset
-        state = init_federation(tiny_cfg(), train, test)
-        total_train = sum(len(c.shard.train) for c in state.clients)
-        assert len(state.cache) == total_train
-        assert len(state.index) == total_train
+        for method in Method:
+            state = init_federation(tiny_cfg(method), train, test)
+            total_train = sum(len(c.shard.train) for c in state.clients)
+            assert len(state.cache) == total_train
+            if method is Method.FEDCACHE:
+                assert len(state.index) == total_train
+            else:
+                assert state.index is None, method
+
+    @pytest.mark.parametrize("global_test", [None, "empty"])
+    def test_global_test_set_required_before_any_training(self, dataset, global_test, monkeypatch):
+        train, _ = dataset
+        if global_test == "empty":
+            global_test = train.subset([])
+        trained = []
+        monkeypatch.setattr(federation, "client_train", lambda *a: trained.append(a))
+        with pytest.raises(ConfigError, match="global test set"):
+            run_experiment(tiny_cfg(), train, global_test)
+        assert trained == []
 
     def test_init_is_deterministic(self, dataset):
         train, test = dataset
@@ -178,6 +195,94 @@ class TestWarmupGate:
         state.tree.built_at_round = state.round  # violates the round barrier
         with pytest.raises(StaleHierarchyError):
             client_train(state.clients[0], state, state.round)
+
+
+class TestFedCacheNeighbourTable:
+    def record_teachers(self, state, monkeypatch):
+        """Run every round; per round, map each teacher the client phase read
+        to the one a fresh per-sample index query gives at the round's start."""
+        entry = federation._teacher_entry
+        seen = {}
+        monkeypatch.setattr(
+            federation,
+            "_teacher_entry",
+            lambda st, k, i, y: seen.setdefault((st.round, k, i), entry(st, k, i, y)),
+        )
+        expected = {}
+        for t in range(state.config.rounds):
+            for sid in sorted(state.cache.records):
+                neighbours = fedcache_neighbors(state.cache, state.index, sid, state.config.R)
+                expected[(t, *sid)] = fedcache_teacher(state.cache, neighbours)
+            run_round(state)
+        return seen, expected
+
+    @pytest.mark.parametrize("warmup_rounds", [0, 2])
+    def test_table_teacher_matches_fresh_query_every_round(self, dataset, warmup_rounds, monkeypatch):
+        train, test = dataset
+        cfg = tiny_cfg(Method.FEDCACHE, rounds=5, warmup_rounds=warmup_rounds)
+        state = init_federation(cfg, train, test)
+        seen, expected = self.record_teachers(state, monkeypatch)
+        n = len(state.cache)
+        assert sorted({key[0] for key in seen}) == list(range(warmup_rounds, 5))
+        assert len(seen) == n * (5 - warmup_rounds)
+        for key, teacher in seen.items():
+            if expected[key] is None:
+                assert teacher is None, key
+            else:
+                np.testing.assert_array_equal(teacher, expected[key], err_msg=str(key))
+        # teachers exist from the first round in which every record holds logits
+        first = max(warmup_rounds, 1)
+        assert all(seen[key] is None for key in seen if key[0] < first)
+        assert sum(seen[key] is not None for key in seen if key[0] == first) > n // 2
+
+    @pytest.mark.parametrize("warmup_rounds", [0, 2])
+    def test_index_queried_once_per_sample_per_run(self, dataset, warmup_rounds, monkeypatch):
+        train, test = dataset
+        query = HnswIndex.query
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return query(self, *args, **kwargs)
+
+        monkeypatch.setattr(HnswIndex, "query", counted)
+        cfg = tiny_cfg(Method.FEDCACHE, rounds=5, warmup_rounds=warmup_rounds)
+        result = run_experiment(cfg, train, test)
+        assert len(calls) == len(result.state.cache)
+        assert len(result.state.neighbors) == len(result.state.cache)
+
+    def test_no_table_before_distilling(self, dataset):
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.FEDCACHE, rounds=4, warmup_rounds=2), train, test)
+        for _ in range(2):
+            run_round(state)
+            assert state.neighbors is None
+        run_round(state)
+        assert state.neighbors is not None
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("method", [Method.HKS, Method.FEDAVG])
+    def test_exploding_learning_rate_raises_typed_error(self, dataset, method):
+        train, test = dataset
+        with pytest.raises(DivergenceError, match="training diverged"):
+            run_experiment(tiny_cfg(method, lr=1e12), train, test)
+
+
+    def test_non_finite_logits_raise_typed_error(self, dataset, monkeypatch):
+        train, test = dataset
+        step = federation.train_step
+
+        def poisoned(*args):
+            model, bd, Z = step(*args)
+            Z = Z.copy()
+            Z[0, 0] = -np.inf
+            return model, bd, Z
+
+        monkeypatch.setattr(federation, "train_step", poisoned)
+        state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
+        with pytest.raises(DivergenceError, match="non-finite logits at client 0 in round 0"):
+            run_round(state)
 
 
 class TestMethodIsolation:

@@ -19,6 +19,7 @@ from hks.knowledge import (
     agglomerate,
     build_hierarchy,
     exact_knn,
+    fedcache_neighbors,
     fedcache_teacher,
     feddistill_teacher,
     fetch_teacher,
@@ -242,6 +243,60 @@ class TestBuildHierarchy(FourPoints):
             got_cut = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
             assert got_cut == set(expected_cut)
 
+    @staticmethod
+    def tie_cases():
+        """Inputs whose dissimilarities tie exactly: duplicate rows, small
+        integer grids and equidistant points."""
+        cases = [
+            np.zeros((5, 2)),
+            np.array([[0.0], [0.0], [1.0], [1.0], [3.0], [3.0], [3.0]]),
+            np.array([[i, j] for i in range(3) for j in range(3)], dtype=np.float64),
+            np.arange(6, dtype=np.float64)[:, None],
+            # the corners of a unit square and its centre, each twice
+            np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]] * 2, dtype=np.float64),
+            # an equilateral triangle
+            np.array([[0.0, 0.0], [2.0, 0.0], [1.0, np.sqrt(3.0)]]),
+        ]
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            n, d = int(rng.integers(3, 10)), int(rng.integers(1, 3))
+            cases.append(rng.integers(0, 3, size=(n, d)).astype(np.float64))
+        return cases
+
+    @staticmethod
+    def merged_sets(tree):
+        return [
+            (
+                frozenset(s.local_index for s in tree.members(m.left)),
+                frozenset(s.local_index for s in tree.members(m.right)),
+            )
+            for m in tree.merges
+        ]
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_ties_match_naive_reference(self, linkage):
+        for X in self.tie_cases():
+            n = len(X)
+            tree = agglomerate(X, [SampleId(0, i) for i in range(n)], cut=2, linkage=linkage)
+            expected_merges, expected_cut = naive_linkage(X, cut=2, linkage=linkage)
+            expected = [(left, right) for left, right, _ in expected_merges]
+            assert self.merged_sets(tree) == expected, X.tolist()
+            heights = [m.height for m in tree.merges]
+            assert heights == pytest.approx([h for _, _, h in expected_merges], abs=1e-9)
+            got_cut = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
+            assert got_cut == set(expected_cut)
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_tie_between_pairs_sharing_min_and_max_member(self, linkage):
+        # 1-D points 1, 0, 2, 0, 1: after {1, 3} and {0, 4} form at height 0,
+        # {0, 4} is at 1.0 from both {1, 3} and {2}, and either union spans
+        # members 0..4; the larger of the two minima (1 < 2) picks {1, 3}
+        X = np.array([[1.0], [0.0], [2.0], [0.0], [1.0]])
+        tree = agglomerate(X, [SampleId(0, i) for i in range(5)], cut=1, linkage=linkage)
+        expected, _ = naive_linkage(X, cut=1, linkage=linkage)
+        assert self.merged_sets(tree) == [(left, right) for left, right, _ in expected]
+        assert self.merged_sets(tree)[2] == (frozenset({0, 4}), frozenset({1, 3}))
+
     def test_exact_tie_break_prefers_smallest_ids(self):
         # 1-D points 0,1,10,11: both candidate pairs sit at exactly 1.0
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -405,6 +460,11 @@ class TestFedDistillTeacher:
             feddistill_teacher(cache, 0, requesting_client=0)
 
 
+def fedcache_query_teacher(cache, index, sid, R):
+    """The fedcache teacher from a fresh per-sample neighbour query."""
+    return fedcache_teacher(cache, fedcache_neighbors(cache, index, sid, R))
+
+
 class TestFedCacheTeacher:
     def crafted(self):
         """Three same-class foreign neighbors at distances 1, 2, 9 from target."""
@@ -424,7 +484,8 @@ class TestFedCacheTeacher:
 
     def test_r1_single_foreign(self):
         cache, index = self.crafted()
-        np.testing.assert_allclose(fedcache_teacher(cache, index, SampleId(0, 0), R=1), [1.0, 1.0])
+        out = fedcache_query_teacher(cache, index, SampleId(0, 0), R=1)
+        np.testing.assert_allclose(out, [1.0, 1.0])
 
     def test_r2_means_two_closest_matching_exact_knn(self):
         cache, index = self.crafted()
@@ -436,11 +497,11 @@ class TestFedCacheTeacher:
             lambda s: s.client_id != 0 and cache.record(s).label == 0,
         )
         assert expected_ids == [SampleId(1, 1), SampleId(2, 2)]
-        np.testing.assert_allclose(fedcache_teacher(cache, index, me, R=2), [2.0, 2.0])
+        np.testing.assert_allclose(fedcache_query_teacher(cache, index, me, R=2), [2.0, 2.0])
 
     def test_r_beyond_population_means_everything_foreign(self):
         cache, index = self.crafted()
-        out = fedcache_teacher(cache, index, SampleId(0, 0), R=50)
+        out = fedcache_query_teacher(cache, index, SampleId(0, 0), R=50)
         np.testing.assert_allclose(out, np.mean([[1.0, 1.0], [3.0, 3.0], [100.0, 100.0]], axis=0))
 
     def test_unavailable_when_no_foreign_same_class(self):
@@ -450,11 +511,21 @@ class TestFedCacheTeacher:
         cache.register(sid, np.array([1.0, 0.0]), label=1)
         cache.update_logits(sid, np.array([0.5, 0.5]), 0)
         index.insert(HashVector(sid, np.array([1.0, 0.0])))
-        assert fedcache_teacher(cache, index, sid, R=3) is None
+        assert fedcache_query_teacher(cache, index, sid, R=3) is None
 
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0, 0.0]])
         index = HnswIndex(2, seed=0)
         index.insert(HashVector(SampleId(0, 0), np.array([1.0, 0.0])))
         with pytest.raises(ModeError):
-            fedcache_teacher(cache, index, SampleId(0, 0), R=1)
+            fedcache_query_teacher(cache, index, SampleId(0, 0), R=1)
+
+    def test_teacher_reads_current_logits_of_stored_neighbours(self):
+        cache, index = self.crafted()
+        neighbours = fedcache_neighbors(cache, index, SampleId(0, 0), 2)
+        cache.update_logits(SampleId(1, 1), np.array([5.0, 7.0]), 1)
+        np.testing.assert_allclose(fedcache_teacher(cache, neighbours), [4.0, 5.0])
+
+    def test_no_neighbours_means_no_teacher(self):
+        cache, _ = self.crafted()
+        assert fedcache_teacher(cache, []) is None
