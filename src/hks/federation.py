@@ -1,5 +1,5 @@
-"""Round engine: warm-up, local training with teacher fetch, logit upload,
-server re-clustering, and method dispatch.
+"""Round engine: warm-up, local training against per-round teacher tables,
+logit upload, server re-clustering, and method dispatch.
 
 A round runs the client phase sequentially in client-id order (clients are
 independent and own their RNG streams, so any scheduling order would produce
@@ -15,7 +15,13 @@ from enum import Enum
 import numpy as np
 
 from .data import ClientShard, Dataset, PartitionSpec, batches, dirichlet_partition, split_local_test
-from .errors import ConfigError, DivergenceError, InvalidInputError, StaleHierarchyError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    EmptyDatasetError,
+    InvalidInputError,
+    StaleHierarchyError,
+)
 from .knowledge import (
     Granularity,
     HashVector,
@@ -39,7 +45,7 @@ from .models import (
     fedavg_aggregate,
     train_step,
 )
-from .numerics import KdConfig, LossBreakdown
+from .numerics import KdConfig, LossBreakdown, TeacherTable, teacher_table
 
 Array = np.ndarray
 
@@ -199,6 +205,10 @@ def init_federation(
             child_seed(cfg.seed, _TAG_LOCAL_SPLIT, k),
             client_id=k,
         )
+        if len(shard.local_test) == 0:
+            raise EmptyDatasetError(
+                f"client {k} has no local test samples, so its local accuracy is undefined"
+            )
         tier = cfg.fedavg_tier if cfg.method is Method.FEDAVG else CapacityTier.for_client(k)
         model = build_model(
             tier, dataset.input_dim, dataset.n_classes, child_seed(cfg.seed, _TAG_MODEL_INIT, k)
@@ -222,48 +232,47 @@ def init_federation(
     )
 
 
-def _teacher_entry(state: FederationState, client_id: int, local_index: int, label: int):
-    """Teacher logits for one sample under the configured method, or None."""
+def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTable | None]:
+    """Each client's teacher table for a round's client phase; None entries
+    when the round does not distill.
+
+    Uploads apply only at the barrier, so every teacher is fixed for the
+    whole round and the tables are built once, before any client trains.
+    """
     cfg = state.config
+    no_teachers = [None] * len(state.clients)
+    if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds:
+        return no_teachers
     if cfg.method is Method.HKS:
-        entries = fetch_teacher(
-            state.cache,
-            state.tree,
-            SampleId(client_id, local_index),
-            cfg.granularity,
-            exclude_self=cfg.exclude_self,
-        )
-        return entries or None
-    if cfg.method is Method.FEDDISTILL:
-        return feddistill_teacher(state.cache, label, client_id)
-    if cfg.method is Method.FEDCACHE:
-        sid = SampleId(client_id, local_index)
-        return fedcache_teacher(state.cache, state.neighbors[sid] if state.neighbors else [])
-    return None
+        if state.tree is None:
+            # The first hierarchy is built at the end of round W, so the
+            # round-W client phase still trains on cross-entropy alone.
+            if round_index > cfg.warmup_rounds:
+                raise StaleHierarchyError(f"round {round_index} has no hierarchy after warm-up")
+            return no_teachers
+        if state.tree.built_at_round is not None and state.tree.built_at_round >= round_index:
+            raise StaleHierarchyError("cluster tree must predate the round's client phase")
+        blocks = fetch_teacher(state.cache, state.tree, cfg.granularity, cfg.exclude_self)
+    elif cfg.method is Method.FEDDISTILL:
+        blocks = feddistill_teacher(state.cache)
+    elif state.neighbors is None:
+        return no_teachers
+    else:
+        blocks = fedcache_teacher(state.cache, state.neighbors)
+    # Every client holds training samples, so block k is client k's.
+    return [teacher_table(logits, mask, cfg.kd.temperature) for logits, mask in blocks]
 
 
 def client_train(
-    client: ClientState, state: FederationState, round_index: int
+    client: ClientState, state: FederationState, round_index: int, teachers: TeacherTable | None
 ) -> tuple[ClientState, LossBreakdown, dict[int, Array]]:
-    """Local epochs on seeded batches; warm-up rounds are pure cross-entropy.
+    """Local epochs on seeded batches; without a teacher table (warm-up
+    rounds) training is pure cross-entropy.
 
     Returns the trained client, the sample-weighted mean loss breakdown, and
     the last forward logits of every training sample for upload.
     """
     cfg = state.config
-    distilling = cfg.method in LOGIT_METHODS and round_index >= cfg.warmup_rounds
-    if cfg.method is Method.HKS and distilling:
-        if state.tree is None:
-            # The first hierarchy is built at the end of round W, so the
-            # round-W client phase still trains on cross-entropy alone.
-            if round_index > cfg.warmup_rounds:
-                raise StaleHierarchyError(
-                    f"round {round_index} has no hierarchy after warm-up"
-                )
-            distilling = False
-        elif state.tree.built_at_round is not None and state.tree.built_at_round >= round_index:
-            raise StaleHierarchyError("cluster tree must predate the round's client phase")
-
     model = client.model
     features = client.shard.train.features
     labels = client.shard.train.labels
@@ -273,15 +282,10 @@ def client_train(
     for e in range(cfg.local_epochs):
         epoch_key = round_index * cfg.local_epochs + e
         for batch_idx in batches(client.shard, cfg.batch_size, cfg.seed, epoch_key):
-            X = features[batch_idx]
-            y = labels[batch_idx]
-            teachers = None
-            if distilling:
-                teachers = [
-                    _teacher_entry(state, client.client_id, int(i), int(labels[i]))
-                    for i in batch_idx
-                ]
-            model, bd, Z = train_step(model, X, y, teachers, cfg.kd, cfg.lr)
+            batch_teachers = None if teachers is None else teachers.take(batch_idx)
+            model, bd, Z = train_step(
+                model, features[batch_idx], labels[batch_idx], batch_teachers, cfg.kd, cfg.lr
+            )
             for row, i in enumerate(batch_idx):
                 logits_out[int(i)] = Z[row]
             ce_sum += bd.ce * len(batch_idx)
@@ -320,8 +324,9 @@ def run_round(state: FederationState) -> RoundReport:
 
     uploads: list[tuple[int, dict[int, Array]]] = []
     breakdowns: list[LossBreakdown] = []
+    tables = teacher_tables(state, t)
     for i, client in enumerate(state.clients):
-        trained, bd, logits = client_train(client, state, t)
+        trained, bd, logits = client_train(client, state, t, tables[i])
         state.clients[i] = trained
         breakdowns.append(bd)
         uploads.append((client.client_id, logits))
@@ -352,12 +357,7 @@ def run_round(state: FederationState) -> RoundReport:
         state.tree = tree
         hierarchy_built = True
 
-    local_acc = np.array(
-        [
-            evaluate(c.model, c.shard.local_test) if len(c.shard.local_test) else 0.0
-            for c in state.clients
-        ]
-    )
+    local_acc = np.array([evaluate(c.model, c.shard.local_test) for c in state.clients])
     global_acc = np.array([evaluate(c.model, state.global_test) for c in state.clients])
     report = RoundReport(
         round=t,

@@ -50,7 +50,6 @@ class KnowledgeCache:
         self.version = 0
         self._hash_matrix: Array | None = None
         self._hash_ids: list[SampleId] | None = None
-        self._label_table: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -101,39 +100,6 @@ class KnowledgeCache:
     def records_with_logits(self) -> list[LogitRecord]:
         """Uploaded records in SampleId order (insertion-order independent)."""
         return [self.records[sid] for sid in sorted(self.records) if self.records[sid].logits is not None]
-
-    def label_table(self) -> tuple[Array, Array, Array, Array]:
-        """Vectorized (clients, labels, logits, has_logits) arrays in id order.
-
-        Only meaningful in the label-storing baseline modes; every call counts
-        as a label read per record so the label-free mode stays auditable.
-        """
-        if not self.store_labels:
-            raise ModeError("cache stores no labels in this mode")
-        if self._label_table is not None and self._label_table[0] == self.version:
-            self.label_reads += 1
-            return self._label_table[1]
-        sids = sorted(self.records)
-        clients = np.array([s.client_id for s in sids], dtype=np.int64)
-        labels = np.array(
-            [self.records[s].label if self.records[s].label is not None else -1 for s in sids],
-            dtype=np.int64,
-        )
-        has_logits = np.array([self.records[s].logits is not None for s in sids], dtype=bool)
-        dim = 0
-        for s in sids:
-            if self.records[s].logits is not None:
-                dim = self.records[s].logits.shape[0]
-                break
-        logits = np.zeros((len(sids), dim), dtype=np.float64)
-        for i, s in enumerate(sids):
-            rec = self.records[s]
-            if rec.logits is not None:
-                logits[i] = rec.logits
-        self.label_reads += len(sids)
-        table = (clients, labels, logits, has_logits)
-        self._label_table = (self.version, table)
-        return table
 
     def hash_table(self) -> tuple[list[SampleId], Array]:
         """All (id, hash) rows as a matrix in SampleId order, cached."""

@@ -37,8 +37,8 @@ class Merge:
 class ClusterTree:
     """Merge hierarchy over n leaves; node i < n is leaf i, node n+t is merge t.
 
-    leaf_vectors snapshots the clustered vectors at build time, so teacher
-    aggregates read a consistent view even while new uploads buffer.
+    The tree holds structure only; teachers average the cache's raw logits
+    over its nodes' members.
     """
 
     leaf_ids: tuple[SampleId, ...]
@@ -46,8 +46,6 @@ class ClusterTree:
     cut_size: int
     parent: Array  # (2n-1,) parent node id, -1 at the root
     node_size: Array  # (2n-1,) member count per node
-    node_vector_sum: Array  # (2n-1, d) sum of member leaf vectors
-    leaf_vectors: Array  # (n, d) build-time snapshot
     cut_node_ids: tuple[int, ...]
     built_at_round: int | None = None
     leaf_index: dict[SampleId, int] = field(default_factory=dict)
@@ -140,8 +138,6 @@ def agglomerate(
     parent = np.full(2 * n - 1, -1, dtype=np.int64)
     node_size = np.zeros(2 * n - 1, dtype=np.int64)
     node_size[:n] = 1
-    node_sum = np.zeros((2 * n - 1, X.shape[1]), dtype=np.float64)
-    node_sum[:n] = X
     merges: list[Merge] = []
     cut_nodes: tuple[int, ...] = ()
     if cut == n:
@@ -178,7 +174,6 @@ def agglomerate(
         parent[slot_node[i]] = node
         parent[slot_node[j]] = node
         node_size[node] = sizes[i] + sizes[j]
-        node_sum[node] = node_sum[slot_node[i]] + node_sum[slot_node[j]]
 
         if linkage == "average":
             new_row = (sizes[i] * D[i] + sizes[j] * D[j]) / (sizes[i] + sizes[j])
@@ -221,8 +216,6 @@ def agglomerate(
         cut_size=cut,
         parent=parent,
         node_size=node_size,
-        node_vector_sum=node_sum,
-        leaf_vectors=X,
         cut_node_ids=cut_nodes,
     )
 
@@ -237,7 +230,8 @@ def build_hierarchy(
     """Cluster every uploaded logit record down to n_clusters at the cut.
 
     space="soft" clusters tempered softmax probabilities instead of raw
-    logits; the default clusters the raw vectors.
+    logits; the default clusters the raw vectors. The space shapes only the
+    tree: teachers always average raw logits.
     """
     records = cache.records_with_logits()
     if len(records) < n_clusters:

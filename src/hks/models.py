@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IncompatibleArchitectureError, InvalidInputError, ShapeError
-from .numerics import KdConfig, LossBreakdown, log_softmax_rows, softmax_rows
+from .numerics import KdConfig, LossBreakdown, TeacherTable, log_softmax_rows, softmax_rows
 
 Array = np.ndarray
 
@@ -126,34 +126,19 @@ def forward_batch(m: Model, X: Array) -> Array:
     return Z
 
 
-def _teacher_rows(entry, n_classes: int) -> Array | None:
-    """Normalize one sample's teacher entry to a (k, C) matrix or None."""
-    if entry is None:
-        return None
-    if isinstance(entry, np.ndarray) and entry.ndim == 1:
-        entry = [entry]
-    rows = [np.asarray(t, dtype=np.float64) for t in entry]
-    if not rows:
-        return None
-    T = np.stack(rows)
-    if T.shape[1] != n_classes:
-        raise ShapeError(f"teacher logits have {T.shape[1]} classes, model has {n_classes}")
-    return T
-
-
 def batch_loss_terms(
     m: Model,
     X: Array,
     y: Array,
-    teachers: Sequence | None,
+    teachers: TeacherTable | None,
     cfg: KdConfig,
 ) -> tuple[LossBreakdown, Array, list[Array], list[Array]]:
     """Loss breakdown plus the activations needed to backpropagate it.
 
     The batch loss is mean cross-entropy plus alpha_kd times the mean
-    per-sample distillation loss; a sample with several teacher entries
-    (one per cluster level) averages its KD losses over them, and a sample
-    with no teacher contributes zero KD.
+    per-sample distillation loss scale * (h - q . log q_s), which is the
+    sample's KL divergence averaged over its teachers; a sample with no
+    teacher contributes zero KD.
     """
     B = X.shape[0]
     Z, pre, post = _forward_acts(m, X)
@@ -161,25 +146,19 @@ def batch_loss_terms(
     ce = float(-log_p[np.arange(B), y].mean())
     kd = 0.0
     if teachers is not None:
-        if len(teachers) != B:
-            raise ShapeError(f"teacher list length {len(teachers)} != batch size {B}")
+        if len(teachers.has) != B:
+            raise ShapeError(f"teacher table has {len(teachers.has)} rows, batch has {B}")
+        if teachers.q.shape[1] != m.n_classes:
+            raise ShapeError(f"teachers have {teachers.q.shape[1]} classes, model has {m.n_classes}")
         T = cfg.temperature
         scale = T * T if cfg.t_squared_scaling else 1.0
-        log_qs = log_softmax_rows(Z / T)
-        for i in range(B):
-            rows = _teacher_rows(teachers[i], m.n_classes)
-            if rows is None:
-                continue
-            log_qt = log_softmax_rows(rows / T)
-            q_t = np.exp(log_qt)
-            kls = (q_t * (log_qt - log_qs[i])).sum(axis=1)
-            kd += scale * float(np.maximum(kls, 0.0).mean())
-        kd /= B
+        kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
+        kd = scale * float(np.maximum(kl, 0.0).sum()) / B
     total = ce + cfg.alpha_kd * kd
     return LossBreakdown(ce=ce, kd=kd, total=total), Z, pre, post
 
 
-def batch_loss(m: Model, X: Array, y: Array, teachers: Sequence | None, cfg: KdConfig) -> float:
+def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
     bd, _, _, _ = batch_loss_terms(m, X, y, teachers, cfg)
     return bd.total
 
@@ -188,7 +167,7 @@ def batch_loss_and_grad(
     m: Model,
     X: Array,
     y: Array,
-    teachers: Sequence | None,
+    teachers: TeacherTable | None,
     cfg: KdConfig,
 ) -> tuple[LossBreakdown, Array, Array]:
     """Batch loss, its gradient w.r.t. the flat parameter vector, and logits."""
@@ -201,13 +180,8 @@ def batch_loss_and_grad(
     if teachers is not None and cfg.alpha_kd != 0.0:
         T = cfg.temperature
         scale = T * T if cfg.t_squared_scaling else 1.0
-        q_s = softmax_rows(Z, T)
-        for i in range(B):
-            rows = _teacher_rows(teachers[i], m.n_classes)
-            if rows is None:
-                continue
-            q_t_mean = softmax_rows(rows / T).mean(axis=0)
-            dZ[i] += (cfg.alpha_kd / B) * (scale / T) * (q_s[i] - q_t_mean)
+        has = teachers.has
+        dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (softmax_rows(Z[has], T) - teachers.q[has])
 
     grads = np.zeros_like(m.params)
     layers = list(_layer_slices(m.layer_dims))
@@ -227,7 +201,7 @@ def train_step(
     m: Model,
     X: Array,
     y: Array,
-    teachers: Sequence | None,
+    teachers: TeacherTable | None,
     cfg: KdConfig,
     lr: float,
 ) -> tuple[Model, LossBreakdown, Array]:

@@ -1,9 +1,9 @@
 """Dense vector math for the training core.
 
 Tempered softmax, cross-entropy and KL distillation losses, their analytic
-gradients, plain SGD, and a central finite-difference oracle. Everything is
-float64 and purely functional, so callers may invoke these from any number of
-workers without coordination.
+gradients, per-round teacher tables, plain SGD, and a central finite-difference
+oracle. Everything is float64 and purely functional, so callers may invoke
+these from any number of workers without coordination.
 """
 from __future__ import annotations
 
@@ -47,6 +47,38 @@ class LossBreakdown:
     total: float
 
 
+@dataclass(frozen=True)
+class TeacherTable:
+    """Per-sample distillation targets, fixed for one round.
+
+    q (n, C) is the mean tempered teacher distribution, h (n,) the mean of
+    sum(q_t log q_t) over a sample's teachers, and has (n,) marks samples
+    with at least one teacher; rows without one are zero.
+    """
+
+    q: Array
+    h: Array
+    has: Array
+
+    def take(self, idx) -> "TeacherTable":
+        return TeacherTable(self.q[idx], self.h[idx], self.has[idx])
+
+
+def teacher_table(logits: Array, mask: Array, temperature: float) -> TeacherTable:
+    """Table from padded teacher logits (n, D, C) and their validity mask (n, D).
+
+    Every valid row is softened at the temperature; a sample's q and h
+    average over its valid rows in row order.
+    """
+    P = softmax_rows(logits, temperature)
+    log_P = log_softmax_rows(logits / temperature)
+    count = mask.sum(axis=1)
+    denom = np.maximum(count, 1)
+    q = np.where(mask[..., None], P, 0.0).sum(axis=1) / denom[:, None]
+    h = np.where(mask, (P * log_P).sum(axis=-1), 0.0).sum(axis=1) / denom
+    return TeacherTable(q, h, count > 0)
+
+
 def _as_vector(z: Vector, name: str = "input") -> Array:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
@@ -76,16 +108,16 @@ def log_softmax(z: Array) -> Array:
 
 
 def softmax_rows(Z: Array, temperature: float = 1.0) -> Array:
-    """Row-wise tempered softmax for (B, C) logit matrices."""
+    """Tempered softmax over the last axis, e.g. of (B, C) logit matrices."""
     S = Z / temperature
-    S = S - S.max(axis=1, keepdims=True)
+    S = S - S.max(axis=-1, keepdims=True)
     E = np.exp(S)
-    return E / E.sum(axis=1, keepdims=True)
+    return E / E.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_rows(Z: Array) -> Array:
-    S = Z - Z.max(axis=1, keepdims=True)
-    return S - np.log(np.exp(S).sum(axis=1, keepdims=True))
+    S = Z - Z.max(axis=-1, keepdims=True)
+    return S - np.log(np.exp(S).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(z: Vector, y: int) -> float:

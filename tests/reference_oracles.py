@@ -1,5 +1,9 @@
 """Brute-force reference implementations used only to validate the package."""
+import math
+
 import numpy as np
+
+from hks.numerics import kd_grad, kd_loss, teacher_table
 
 
 def naive_linkage(X, cut, linkage="average"):
@@ -47,3 +51,68 @@ def knn_by_sorting(points, query, k):
     dists = np.sqrt(((points - query) ** 2).sum(axis=1))
     table = sorted((float(d), i) for i, d in enumerate(dists))
     return [i for _, i in table[:k]]
+
+
+def path_teacher(cache, tree, sid, granularity, exclude_self=True):
+    """Per-sample hks teacher logits: one mean of raw cached member logits
+    per selected node of the sample's cluster path, recomputed from the
+    members. With exclude_self a node holding only the sample gives none."""
+    path = tree.path_nodes(sid)
+    length = len(path)
+    granularity = str(getattr(granularity, "value", granularity))
+    if granularity == "bottom":
+        nodes = path[1:2]
+    elif granularity == "middle":
+        nodes = [path[math.ceil((1 + length) / 2) - 1]] if length >= 2 else []
+    elif granularity == "top":
+        nodes = [path[-1]]
+    else:
+        nodes = path[1:]
+    out = []
+    for node in nodes:
+        members = [m for m in tree.members(node) if not (exclude_self and m == sid)]
+        if members:
+            out.append(np.mean([cache.record(m).logits for m in members], axis=0))
+    return out
+
+
+def feddistill_class_teacher(cache, sid):
+    """Per-sample feddistill teacher: mean logits of the sample's class over
+    every other client's records that hold logits; [] when there are none."""
+    y = cache.record(sid).label
+    rows = [
+        rec.logits
+        for other, rec in sorted(cache.records.items())
+        if other.client_id != sid.client_id and rec.label == y and rec.logits is not None
+    ]
+    return [np.mean(rows, axis=0)] if rows else []
+
+
+def neighbour_teacher(cache, neighbour_ids):
+    """Per-sample fedcache teacher: mean current logits of the neighbours."""
+    if not neighbour_ids:
+        return []
+    return [np.mean([cache.record(nb).logits for nb in neighbour_ids], axis=0)]
+
+
+def mean_kd(z_s, teacher_logits, cfg):
+    """KD loss and its student-logit gradient averaged over a sample's
+    teachers, one numerics.kd_loss/kd_grad call per teacher; (0, 0) without."""
+    if not teacher_logits:
+        return 0.0, np.zeros_like(z_s)
+    loss = np.mean([kd_loss(z_s, z_t, cfg) for z_t in teacher_logits])
+    grad = np.mean([kd_grad(z_s, z_t, cfg) for z_t in teacher_logits], axis=0)
+    return float(loss), grad
+
+
+def table_from_lists(entries, n_classes, temperature):
+    """TeacherTable from per-sample lists of teacher logits ([] for none),
+    padded to the longest list."""
+    depth = max([len(e) for e in entries] + [1])
+    logits = np.zeros((len(entries), depth, n_classes))
+    mask = np.zeros((len(entries), depth), dtype=bool)
+    for i, entry in enumerate(entries):
+        for d, z in enumerate(entry):
+            logits[i, d] = z
+            mask[i, d] = True
+    return teacher_table(logits, mask, temperature)

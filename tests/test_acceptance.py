@@ -27,7 +27,7 @@ from hks.knowledge import (
 from hks.metrics import evaluate, maua
 from hks.models import CapacityTier, Model, batch_loss, batch_loss_and_grad, build_model
 from hks.numerics import KdConfig, ce_grad, cross_entropy, finite_diff, kd_grad, kd_loss
-from reference_oracles import naive_linkage
+from reference_oracles import naive_linkage, table_from_lists
 
 from hks.data import Dataset
 
@@ -74,7 +74,11 @@ def test_criterion_01_gradient_oracle():
         y = rng.integers(3, size=batch)
         teachers = None
         if case % 2:
-            teachers = [rng.normal(size=3) if rng.random() > 0.3 else None for _ in range(batch)]
+            teachers = table_from_lists(
+                [[rng.normal(size=3)] if rng.random() > 0.3 else [] for _ in range(batch)],
+                3,
+                kd_cfg.temperature,
+            )
         _, grads, _ = batch_loss_and_grad(m, X, y, teachers, kd_cfg)
 
         def loss_of(params, m=m, X=X, y=y, teachers=teachers):

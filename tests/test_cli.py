@@ -144,6 +144,19 @@ class TestRunCommand:
         assert code == 18
         assert "training diverged" in capsys.readouterr().err
 
+    def test_client_without_local_test_samples_exits_8(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run", "--synthetic", "10,6,8,0.3", "--method", "fedavg", "--n-clients", "12",
+                "--rounds", "1", "--warmup-rounds", "0", "--min-per-client", "1",
+                "--batch-size", "1", "--alpha-dir", "0.2", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == 8
+        assert "client 3 has no local test samples" in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
     def test_resolved_config_reproduces_run(self, tmp_path):
         out_a = tmp_path / "a"
         main(["run", *fast_flags(out_a, seed="7")])

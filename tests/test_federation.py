@@ -1,21 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hks.federation as federation
 from hks.data import synth_train_and_test
-from hks.errors import ConfigError, DivergenceError, InvalidInputError, StaleHierarchyError
+from hks.errors import (
+    ConfigError,
+    DivergenceError,
+    EmptyDatasetError,
+    InvalidInputError,
+    StaleHierarchyError,
+)
 from hks.federation import (
     FederationConfig,
     Method,
-    client_train,
     init_federation,
     run_experiment,
     run_round,
 )
-from hks.knowledge import Granularity, HnswIndex, fedcache_neighbors, fedcache_teacher
+from hks.knowledge import Granularity, HnswIndex, SampleId, fedcache_neighbors
 from hks.metrics import evaluate
-from hks.models import CapacityTier
-from hks.numerics import KdConfig
+from hks.models import CapacityTier, Model, batch_loss_and_grad
+from hks.numerics import KdConfig, softmax_rows
+
+from reference_oracles import feddistill_class_teacher, mean_kd, neighbour_teacher, path_teacher
 
 
 def tiny_cfg(method=Method.HKS, **kw):
@@ -194,25 +203,32 @@ class TestWarmupGate:
             run_round(state)
         state.tree.built_at_round = state.round  # violates the round barrier
         with pytest.raises(StaleHierarchyError):
-            client_train(state.clients[0], state, state.round)
+            run_round(state)
+
+
+def record_tables(monkeypatch):
+    """Map (round, client) to the teacher table each client phase trained on."""
+    train = federation.client_train
+    seen = {}
+
+    def recording(client, state, round_index, teachers):
+        seen[(round_index, client.client_id)] = teachers
+        return train(client, state, round_index, teachers)
+
+    monkeypatch.setattr(federation, "client_train", recording)
+    return seen
 
 
 class TestFedCacheNeighbourTable:
-    def record_teachers(self, state, monkeypatch):
-        """Run every round; per round, map each teacher the client phase read
-        to the one a fresh per-sample index query gives at the round's start."""
-        entry = federation._teacher_entry
-        seen = {}
-        monkeypatch.setattr(
-            federation,
-            "_teacher_entry",
-            lambda st, k, i, y: seen.setdefault((st.round, k, i), entry(st, k, i, y)),
-        )
+    def run_recording(self, state, monkeypatch):
+        """Run every round; per round, the tables the client phase read and
+        each sample's teacher from a fresh index query at the round's start."""
+        seen = record_tables(monkeypatch)
         expected = {}
         for t in range(state.config.rounds):
             for sid in sorted(state.cache.records):
                 neighbours = fedcache_neighbors(state.cache, state.index, sid, state.config.R)
-                expected[(t, *sid)] = fedcache_teacher(state.cache, neighbours)
+                expected[(t, *sid)] = neighbour_teacher(state.cache, neighbours)
             run_round(state)
         return seen, expected
 
@@ -221,19 +237,24 @@ class TestFedCacheNeighbourTable:
         train, test = dataset
         cfg = tiny_cfg(Method.FEDCACHE, rounds=5, warmup_rounds=warmup_rounds)
         state = init_federation(cfg, train, test)
-        seen, expected = self.record_teachers(state, monkeypatch)
+        seen, expected = self.run_recording(state, monkeypatch)
         n = len(state.cache)
-        assert sorted({key[0] for key in seen}) == list(range(warmup_rounds, 5))
-        assert len(seen) == n * (5 - warmup_rounds)
-        for key, teacher in seen.items():
-            if expected[key] is None:
-                assert teacher is None, key
-            else:
-                np.testing.assert_array_equal(teacher, expected[key], err_msg=str(key))
         # teachers exist from the first round in which every record holds logits
         first = max(warmup_rounds, 1)
         assert all(seen[key] is None for key in seen if key[0] < first)
-        assert sum(seen[key] is not None for key in seen if key[0] == first) > n // 2
+        assert sorted({key[0] for key in seen if seen[key] is not None}) == list(range(first, 5))
+        T = cfg.kd.temperature
+        for (t, k), table in seen.items():
+            if table is None:
+                continue
+            for i in range(len(table.has)):
+                teacher = expected[(t, k, i)]
+                assert table.has[i] == bool(teacher), (t, k, i)
+                if teacher:
+                    np.testing.assert_array_equal(
+                        table.q[i], softmax_rows(teacher[0][None], T)[0], err_msg=str((t, k, i))
+                    )
+        assert sum(seen[(first, k)].has.sum() for k in range(3)) > n // 2
 
     @pytest.mark.parametrize("warmup_rounds", [0, 2])
     def test_index_queried_once_per_sample_per_run(self, dataset, warmup_rounds, monkeypatch):
@@ -259,6 +280,108 @@ class TestFedCacheNeighbourTable:
             assert state.neighbors is None
         run_round(state)
         assert state.neighbors is not None
+
+
+def probe_kd(teachers, z_s, cfg):
+    """The KD loss and its student-logit gradient that a training step takes
+    from a one-row teacher table, read through an identity model whose
+    logits are its inputs (its bias gradient is the logit gradient)."""
+    C = z_s.shape[0]
+    params = np.concatenate([np.eye(C).ravel(), np.zeros(C)])
+    probe = Model(f"mlp-{C}-{C}", (C, C), params, seed=0)
+    X, y, unit = z_s[None], np.array([0]), replace(cfg, alpha_kd=1.0)
+    bd, grads, _ = batch_loss_and_grad(probe, X, y, teachers, unit)
+    _, ce_grads, _ = batch_loss_and_grad(probe, X, y, None, unit)
+    return bd.kd, (grads - ce_grads)[C * C :]
+
+
+def oracle_teachers(state):
+    """Every sample's teacher logits from the per-sample oracles, as the
+    round about to run would read them; None when the method has none yet."""
+    cfg, cache = state.config, state.cache
+    sids = sorted(cache.records)
+    if cfg.method is Method.HKS:
+        if state.tree is None:
+            return None
+        return {
+            sid: path_teacher(cache, state.tree, sid, cfg.granularity, cfg.exclude_self)
+            for sid in sids
+        }
+    if cfg.method is Method.FEDDISTILL:
+        return {sid: feddistill_class_teacher(cache, sid) for sid in sids}
+    return {
+        sid: neighbour_teacher(cache, fedcache_neighbors(cache, state.index, sid, cfg.R))
+        for sid in sids
+    }
+
+
+ORACLE_CASES = [
+    *[(Method.HKS, g, e, "logits") for g in Granularity for e in (True, False)],
+    (Method.HKS, Granularity.ALL, True, "soft"),
+    (Method.FEDDISTILL, Granularity.ALL, True, "logits"),
+    (Method.FEDCACHE, Granularity.ALL, True, "logits"),
+]
+
+
+class TestTeacherTableOracle:
+    @pytest.mark.parametrize("warmup_rounds", [0, 2])
+    @pytest.mark.parametrize("method,granularity,exclude_self,space", ORACLE_CASES)
+    def test_per_sample_kd_matches_oracle_every_round(
+        self, dataset, method, granularity, exclude_self, space, warmup_rounds, monkeypatch
+    ):
+        train, test = dataset
+        cfg = tiny_cfg(
+            method,
+            rounds=4,
+            warmup_rounds=warmup_rounds,
+            granularity=granularity,
+            exclude_self=exclude_self,
+            cluster_space=space,
+        )
+        state = init_federation(cfg, train, test)
+        seen = record_tables(monkeypatch)
+        expected = []
+        for _ in range(cfg.rounds):
+            expected.append(oracle_teachers(state))
+            run_round(state)
+        first = {Method.HKS: warmup_rounds + 1, Method.FEDDISTILL: warmup_rounds}.get(
+            method, max(warmup_rounds, 1)
+        )
+        distilled = sorted({t for (t, _), table in seen.items() if table is not None})
+        assert distilled == list(range(first, cfg.rounds))
+        rng = np.random.default_rng(0)
+        for (t, k), table in seen.items():
+            if table is None:
+                continue
+            for i in range(len(table.has)):
+                teachers = expected[t][SampleId(k, i)]
+                assert table.has[i] == bool(teachers), (t, k, i)
+                z_s = rng.normal(scale=2.0, size=state.n_classes)
+                loss, grad = probe_kd(table.take([i]), z_s, cfg.kd)
+                want_loss, want_grad = mean_kd(z_s, teachers, cfg.kd)
+                assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12), (t, k, i)
+                np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+
+class TestEmptyLocalTest:
+    CFG = dict(
+        method="fedavg",
+        n_clients=12,
+        rounds=1,
+        warmup_rounds=0,
+        min_per_client=1,
+        batch_size=1,
+        alpha_dir=0.2,
+        seed=0,
+    )
+
+    def test_client_without_local_test_samples_rejected_before_training(self, monkeypatch):
+        train, test = synth_train_and_test(10, 6, 8, 0.3, seed=0)
+        trained = []
+        monkeypatch.setattr(federation, "client_train", lambda *a: trained.append(a))
+        with pytest.raises(EmptyDatasetError, match="client 3 has no local test samples"):
+            run_experiment(FederationConfig(**self.CFG), train, test)
+        assert trained == []
 
 
 class TestDivergence:

@@ -24,7 +24,9 @@ from hks.knowledge import (
     feddistill_teacher,
     fetch_teacher,
 )
-from reference_oracles import knn_by_sorting, naive_linkage
+from hks.numerics import softmax_rows, teacher_table
+
+from reference_oracles import knn_by_sorting, naive_linkage, path_teacher, table_from_lists
 
 
 def make_cache(points, n_classes=2, clients=None, labels=None, round_index=0):
@@ -372,28 +374,53 @@ class TestClusterPath(FourPoints):
         assert len(tree.path_nodes(SampleId(0, 2))) == 2
 
 
+def teacher_rows(blocks, row):
+    """The valid teacher logits a builder's blocks give the sample in the
+    row-th place of SampleId order."""
+    logits = np.concatenate([b[0] for b in blocks])
+    mask = np.concatenate([b[1] for b in blocks])
+    return list(logits[row][mask[row]])
+
+
+def path_teacher_rows(cache, tree, sid, granularity, exclude_self=True):
+    blocks = fetch_teacher(cache, tree, granularity, exclude_self=exclude_self)
+    return teacher_rows(blocks, tree.leaf_index[sid])
+
+
 class TestFetchTeacher(FourPoints):
     def test_singleton_path_bottom_unavailable(self):
         # three points, cut at 2: the far point stays a singleton
         cache = make_cache([0.0, 0.1, 10.0])
         tree = build_hierarchy(cache, 2)
-        assert fetch_teacher(cache, tree, SampleId(0, 2), Granularity.BOTTOM) == []
+        assert path_teacher_rows(cache, tree, SampleId(0, 2), Granularity.BOTTOM) == []
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_singleton_cut_cluster_has_no_teacher_without_self(self, granularity):
+        cache = make_cache([0.0, 0.1, 10.0])
+        tree = build_hierarchy(cache, 2)
+        assert path_teacher_rows(cache, tree, SampleId(0, 2), granularity, exclude_self=True) == []
+
+    def test_singleton_cut_cluster_top_with_self_is_own_logits(self):
+        cache = make_cache([0.0, 0.1, 10.0])
+        tree = build_hierarchy(cache, 2)
+        out = path_teacher_rows(cache, tree, SampleId(0, 2), Granularity.TOP, exclude_self=False)
+        np.testing.assert_allclose(out, [[10.0]])
 
     def test_top_aggregates_cut_cluster_excluding_self(self):
         cache, tree = self.tree()
-        out = fetch_teacher(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=True)
+        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=True)
         assert len(out) == 1
         np.testing.assert_allclose(out[0], [0.1])
 
     def test_top_without_exclusion_is_cluster_mean(self):
         cache, tree = self.tree()
-        out = fetch_teacher(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=False)
+        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=False)
         np.testing.assert_allclose(out[0], [0.05])
 
     def test_top_identical_across_cluster_without_exclusion(self):
         cache, tree = self.tree()
-        a = fetch_teacher(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=False)
-        b = fetch_teacher(cache, tree, SampleId(0, 1), Granularity.TOP, exclude_self=False)
+        a = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=False)
+        b = path_teacher_rows(cache, tree, SampleId(0, 1), Granularity.TOP, exclude_self=False)
         np.testing.assert_allclose(a[0], b[0])
 
     def chain_tree(self):
@@ -403,7 +430,7 @@ class TestFetchTeacher(FourPoints):
 
     def test_all_on_length_three_path_yields_two_entries(self):
         cache, tree = self.chain_tree()
-        out = fetch_teacher(cache, tree, SampleId(0, 2), Granularity.ALL, exclude_self=False)
+        out = path_teacher_rows(cache, tree, SampleId(0, 2), Granularity.ALL, exclude_self=False)
         assert len(out) == 2
         np.testing.assert_allclose(out[0], [(0.0 + 1.0 + 4.0) / 3])
         np.testing.assert_allclose(out[1], [(0.0 + 1.0 + 4.0 + 16.0) / 4])
@@ -411,58 +438,93 @@ class TestFetchTeacher(FourPoints):
     def test_middle_of_length_four_path(self):
         cache, tree = self.chain_tree()
         # leaf 0 path: {0} < {0,1} < {0,1,4} < {0,1,4,16}; middle = ceil(5/2) = 3rd
-        out = fetch_teacher(cache, tree, SampleId(0, 0), Granularity.MIDDLE, exclude_self=False)
+        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.MIDDLE, exclude_self=False)
         np.testing.assert_allclose(out[0], [(0.0 + 1.0 + 4.0) / 3])
 
     def test_bottom_is_first_merge(self):
         cache, tree = self.chain_tree()
-        out = fetch_teacher(cache, tree, SampleId(0, 0), Granularity.BOTTOM, exclude_self=True)
+        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.BOTTOM, exclude_self=True)
         np.testing.assert_allclose(out[0], [1.0])
 
     def test_missing_tree(self):
         cache, _ = self.tree()
         with pytest.raises(StaleHierarchyError):
-            fetch_teacher(cache, None, SampleId(0, 0), Granularity.TOP)
+            fetch_teacher(cache, None, Granularity.TOP)
 
     def test_stale_tree_for_new_sample(self):
         cache, tree = self.tree()
         cache.register(SampleId(0, 99), np.array([1.0]))
         cache.update_logits(SampleId(0, 99), np.array([1.0]), 1)
         with pytest.raises(StaleHierarchyError):
-            fetch_teacher(cache, tree, SampleId(0, 99), Granularity.TOP)
+            fetch_teacher(cache, tree, Granularity.TOP)
 
     def test_unknown_sample(self):
-        cache, tree = self.tree()
-        with pytest.raises(MissingSampleError):
-            fetch_teacher(cache, tree, SampleId(7, 7), Granularity.TOP)
+        # the tree holds a sample this cache never registered
+        _, tree = self.tree()
+        with pytest.raises(StaleHierarchyError):
+            fetch_teacher(make_cache(self.values[:3]), tree, Granularity.TOP)
+
+    def test_one_block_per_client_in_sample_order(self):
+        cache = make_cache([0.0, 0.1, 10.0, 10.1, 5.0], clients=[0, 0, 1, 1, 2])
+        blocks = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.ALL)
+        assert [len(logits) for logits, _ in blocks] == [2, 2, 1]
+        assert [len(mask) for _, mask in blocks] == [2, 2, 1]
+
+
+class TestSoftClusterSpace:
+    def test_teachers_average_raw_logits_not_clustered_probabilities(self):
+        rng = np.random.default_rng(7)
+        logits = rng.normal(scale=3.0, size=(24, 4))
+        cache = make_cache(logits, n_classes=4)
+        tree = build_hierarchy(cache, 3, space="soft", temperature=3.0)
+        blocks = fetch_teacher(cache, tree, Granularity.ALL)
+        tables = [teacher_table(z, mask, 3.0) for z, mask in blocks]
+        q = np.concatenate([t.q for t in tables])
+        h = np.concatenate([t.h for t in tables])
+        raw = [path_teacher(cache, tree, sid, Granularity.ALL) for sid in tree.leaf_ids]
+        expected = table_from_lists(raw, 4, 3.0)
+        np.testing.assert_allclose(q, expected.q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, expected.h, rtol=0, atol=1e-12)
+        # softening the mean clustered probabilities again gives far flatter targets
+        probs = make_cache(softmax_rows(logits, 3.0), n_classes=4)
+        soft = [path_teacher(probs, tree, sid, Granularity.ALL) for sid in tree.leaf_ids]
+        assert np.abs(table_from_lists(soft, 4, 3.0).q - q).max() > 0.1
 
 
 class TestFedDistillTeacher:
     def test_single_foreign_holder(self):
         cache = make_cache(
-            [[1.0, 2.0], [9.0, 9.0]], clients=[1, 0], labels=[0, 1], n_classes=2
+            [[1.0, 2.0], [9.0, 9.0]], clients=[1, 0], labels=[0, 0], n_classes=2
         )
-        np.testing.assert_allclose(feddistill_teacher(cache, 0, requesting_client=0), [1.0, 2.0])
+        # rows in SampleId order: (0, 1) first, then (1, 0)
+        np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
 
     def test_only_requester_holds_class(self):
         cache = make_cache([[1.0, 2.0]], clients=[0], labels=[0], n_classes=2)
-        assert feddistill_teacher(cache, 0, requesting_client=0) is None
+        assert teacher_rows(feddistill_teacher(cache), 0) == []
 
     def test_mean_of_two_foreign_records(self):
         cache = make_cache(
             [[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]], clients=[1, 2, 0], labels=[0, 0, 0], n_classes=1
         )
-        np.testing.assert_allclose(feddistill_teacher(cache, 0, requesting_client=0), [1.0, 1.0])
+        np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 1.0]])
+
+    def test_other_classes_are_ignored(self):
+        cache = make_cache(
+            [[1.0, 2.0], [9.0, 9.0], [4.0, 4.0]], clients=[1, 1, 0], labels=[0, 1, 0], n_classes=2
+        )
+        np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
 
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0]])
         with pytest.raises(ModeError):
-            feddistill_teacher(cache, 0, requesting_client=0)
+            feddistill_teacher(cache)
 
 
 def fedcache_query_teacher(cache, index, sid, R):
-    """The fedcache teacher from a fresh per-sample neighbour query."""
-    return fedcache_teacher(cache, fedcache_neighbors(cache, index, sid, R))
+    """The fedcache teacher from a fresh per-sample neighbour query, or None."""
+    rows = teacher_rows(fedcache_teacher(cache, {sid: fedcache_neighbors(cache, index, sid, R)}), 0)
+    return rows[0] if rows else None
 
 
 class TestFedCacheTeacher:
@@ -524,8 +586,9 @@ class TestFedCacheTeacher:
         cache, index = self.crafted()
         neighbours = fedcache_neighbors(cache, index, SampleId(0, 0), 2)
         cache.update_logits(SampleId(1, 1), np.array([5.0, 7.0]), 1)
-        np.testing.assert_allclose(fedcache_teacher(cache, neighbours), [4.0, 5.0])
+        blocks = fedcache_teacher(cache, {SampleId(0, 0): neighbours})
+        np.testing.assert_allclose(teacher_rows(blocks, 0), [[4.0, 5.0]])
 
     def test_no_neighbours_means_no_teacher(self):
         cache, _ = self.crafted()
-        assert fedcache_teacher(cache, []) is None
+        assert teacher_rows(fedcache_teacher(cache, {SampleId(0, 0): []}), 0) == []

@@ -16,11 +16,17 @@ from hks.models import (
 )
 from hks.numerics import KdConfig, finite_diff
 
+from reference_oracles import table_from_lists
+
 CFG = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=True)
 
 
 def small_model(seed=0, input_dim=4, n_classes=3):
     return build_model(CapacityTier.SMALL, input_dim, n_classes, seed)
+
+
+def table(entries, n_classes=3):
+    return table_from_lists(entries, n_classes, CFG.temperature)
 
 
 class TestBuildModel:
@@ -99,7 +105,7 @@ class TestTrainBatch:
     def test_teacher_breakdown_identity(self):
         rng = np.random.default_rng(2)
         X, y = self.batch(rng)
-        teachers = [rng.normal(size=3) for _ in y]
+        teachers = table([[rng.normal(size=3)] for _ in y])
         _, bd, _ = train_step(small_model(), X, y, teachers, CFG, lr=0.01)
         assert bd.kd > 0
         assert bd.total == pytest.approx(bd.ce + CFG.alpha_kd * bd.kd, abs=1e-9)
@@ -107,16 +113,18 @@ class TestTrainBatch:
     def test_unavailable_entries_contribute_zero(self):
         rng = np.random.default_rng(3)
         X, y = self.batch(rng)
-        _, bd, _ = train_step(small_model(), X, y, [None] * len(y), CFG, lr=0.01)
+        new, bd, _ = train_step(small_model(), X, y, table([[]] * len(y)), CFG, lr=0.01)
         assert bd.kd == 0.0
+        plain, _, _ = train_step(small_model(), X, y, None, CFG, lr=0.01)
+        np.testing.assert_array_equal(new.params, plain.params)
 
     def test_multi_teacher_entry_averages_losses(self):
         rng = np.random.default_rng(4)
         X, y = self.batch(rng, n=1)
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        _, bd_multi, _ = train_step(small_model(), X, y, [[t1, t2]], CFG, lr=0.0)
-        _, bd_a, _ = train_step(small_model(), X, y, [t1], CFG, lr=0.0)
-        _, bd_b, _ = train_step(small_model(), X, y, [t2], CFG, lr=0.0)
+        _, bd_multi, _ = train_step(small_model(), X, y, table([[t1, t2]]), CFG, lr=0.0)
+        _, bd_a, _ = train_step(small_model(), X, y, table([[t1]]), CFG, lr=0.0)
+        _, bd_b, _ = train_step(small_model(), X, y, table([[t2]]), CFG, lr=0.0)
         assert bd_multi.kd == pytest.approx((bd_a.kd + bd_b.kd) / 2, rel=1e-12)
 
     def test_descent_on_fixed_sample(self):
@@ -133,7 +141,13 @@ class TestTrainBatch:
         rng = np.random.default_rng(6)
         X, y = self.batch(rng, n=4)
         with pytest.raises(ShapeError):
-            train_step(small_model(), X, y, [rng.normal(size=3)] * 3, CFG, lr=0.01)
+            train_step(small_model(), X, y, table([[rng.normal(size=3)]] * 3), CFG, lr=0.01)
+
+    def test_teacher_class_count_mismatch(self):
+        rng = np.random.default_rng(7)
+        X, y = self.batch(rng, n=2)
+        with pytest.raises(ShapeError):
+            train_step(small_model(), X, y, table([[rng.normal(size=4)]] * 2, n_classes=4), CFG, lr=0.01)
 
 
 class TestEndToEndGradient:
@@ -143,7 +157,7 @@ class TestEndToEndGradient:
         m = small_model(seed=3)
         X = rng.normal(size=(5, 4))
         y = rng.integers(3, size=5)
-        teachers = [rng.normal(size=3) for _ in range(5)] if with_teacher else None
+        teachers = table([[rng.normal(size=3)] for _ in range(5)]) if with_teacher else None
         _, grads, _ = batch_loss_and_grad(m, X, y, teachers, CFG)
 
         def loss_of(params):
