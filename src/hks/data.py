@@ -8,6 +8,7 @@ construction and safe to read from concurrent workers.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,8 +167,8 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.n_clients < 1:
             raise InvalidInputError("n_clients must be >= 1")
-        if not self.alpha_dir > 0:
-            raise InvalidInputError("alpha_dir must be > 0")
+        if not 0 < self.alpha_dir < math.inf:
+            raise InvalidInputError(f"alpha_dir must be finite and > 0, got {self.alpha_dir}")
         if self.min_per_client < 0:
             raise InvalidInputError("min_per_client must be >= 0")
 

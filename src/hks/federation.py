@@ -9,6 +9,7 @@ the snapshot built at the end of an earlier round.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .knowledge import (
     Granularity,
-    HashVector,
     HnswIndex,
     KnowledgeCache,
     RandomProjectionEncoder,
@@ -112,15 +112,16 @@ class FederationConfig:
             self.min_per_client = 2 * self.batch_size
 
     def validate(self) -> None:
+        # chained comparisons are False for NaN, so they reject it too
         checks = [
             ("n_clients", self.n_clients >= 1),
             ("rounds", self.rounds >= 0),
             ("local_epochs", self.local_epochs >= 1),
             ("warmup_rounds", 0 <= self.warmup_rounds <= self.rounds),
-            ("lr", self.lr > 0),
+            ("lr", 0 < self.lr < math.inf),
             ("batch_size", self.batch_size >= 1),
             ("R", self.R >= 1),
-            ("alpha_dir", self.alpha_dir > 0),
+            ("alpha_dir", 0 < self.alpha_dir < math.inf),
             ("seed", self.seed >= 0),
             ("test_fraction", 0 < self.test_fraction < 1),
             ("min_per_client", self.min_per_client >= 0),
@@ -149,16 +150,15 @@ class FederationState:
     config: FederationConfig
     clients: list[ClientState]
     cache: KnowledgeCache
-    encoder: RandomProjectionEncoder
     # Only fedcache reads the hash index; every other method leaves it None.
     index: HnswIndex | None
     n_classes: int
     global_test: Dataset
     tree: ClusterTree | None = None
-    # fedcache's per-sample neighbour ids, queried once at the first
-    # distilling round in which every cached record holds logits. From then
-    # on the lists cannot change: hashes and labels are fixed at init.
-    neighbors: dict[SampleId, list[SampleId]] | None = None
+    # fedcache's (n, R) neighbour rows, queried once at the first distilling
+    # round in which every cached row holds logits. From then on they cannot
+    # change: hashes and labels are fixed at init.
+    neighbors: Array | None = None
     round: int = 0
 
 
@@ -172,8 +172,8 @@ class ExperimentResult:
 def init_federation(
     cfg: FederationConfig, dataset: Dataset, global_test: Dataset
 ) -> FederationState:
-    """Partition data, build tiered clients, register hashes; fedcache also
-    indexes them."""
+    """Partition data, build tiered clients and the knowledge cache; fedcache
+    also hashes and indexes every training sample."""
     cfg.validate()
     if global_test is None or len(global_test) == 0:
         raise ConfigError("a nonempty global test set is required to report rounds")
@@ -184,18 +184,6 @@ def init_federation(
         min_per_client=cfg.min_per_client,
     )
     parts = dirichlet_partition(dataset, spec)
-    store_labels = cfg.method in (Method.FEDDISTILL, Method.FEDCACHE)
-    encoder = RandomProjectionEncoder(dataset.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER))
-    cache = KnowledgeCache(dataset.n_classes, store_labels=store_labels)
-    index = None
-    if cfg.method is Method.FEDCACHE:
-        index = HnswIndex(
-            cfg.d_hash,
-            m=cfg.hnsw_m,
-            ef_construction=cfg.hnsw_ef_construction,
-            ef_search=cfg.hnsw_ef_search,
-            seed=child_seed(cfg.seed, _TAG_HNSW),
-        )
     clients: list[ClientState] = []
     for k in range(cfg.n_clients):
         shard = split_local_test(
@@ -214,18 +202,30 @@ def init_federation(
             tier, dataset.input_dim, dataset.n_classes, child_seed(cfg.seed, _TAG_MODEL_INIT, k)
         )
         clients.append(ClientState(k, tier, model, shard))
-        hashes = encoder.encode_rows(shard.train.features)
-        for i in range(len(shard.train)):
-            sid = SampleId(k, i)
-            label = int(shard.train.labels[i]) if store_labels else None
-            cache.register(sid, hashes[i], label=label)
-            if index is not None:
-                index.insert(HashVector(sid, hashes[i]))
+    trains = [c.shard.train for c in clients]
+    labels = hashes = index = None
+    if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE):
+        labels = np.concatenate([train.labels for train in trains])
+    if cfg.method is Method.FEDCACHE:
+        encoder = RandomProjectionEncoder(
+            dataset.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER)
+        )
+        hashes = np.concatenate([encoder.encode_rows(train.features) for train in trains])
+        index = HnswIndex(
+            cfg.d_hash,
+            m=cfg.hnsw_m,
+            ef_construction=cfg.hnsw_ef_construction,
+            ef_search=cfg.hnsw_ef_search,
+            seed=child_seed(cfg.seed, _TAG_HNSW),
+        )
+        for row, h in enumerate(hashes):
+            index.insert(row, h)
+    ids = [SampleId(k, i) for k, train in enumerate(trains) for i in range(len(train))]
+    cache = KnowledgeCache(ids, dataset.n_classes, labels=labels, hashes=hashes)
     return FederationState(
         config=cfg,
         clients=clients,
         cache=cache,
-        encoder=encoder,
         index=index,
         n_classes=dataset.n_classes,
         global_test=global_test,
@@ -265,18 +265,19 @@ def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTabl
 
 def client_train(
     client: ClientState, state: FederationState, round_index: int, teachers: TeacherTable | None
-) -> tuple[ClientState, LossBreakdown, dict[int, Array]]:
+) -> tuple[ClientState, LossBreakdown, Array]:
     """Local epochs on seeded batches; without a teacher table (warm-up
     rounds) training is pure cross-entropy.
 
     Returns the trained client, the sample-weighted mean loss breakdown, and
-    the last forward logits of every training sample for upload.
+    the last forward logits of every training sample for upload, (n_k, C) in
+    local index order.
     """
     cfg = state.config
     model = client.model
     features = client.shard.train.features
     labels = client.shard.train.labels
-    logits_out: dict[int, Array] = {}
+    logits_out = np.empty((len(labels), state.n_classes))
     ce_sum = kd_sum = 0.0
     n_samples = 0
     for e in range(cfg.local_epochs):
@@ -286,8 +287,7 @@ def client_train(
             model, bd, Z = train_step(
                 model, features[batch_idx], labels[batch_idx], batch_teachers, cfg.kd, cfg.lr
             )
-            for row, i in enumerate(batch_idx):
-                logits_out[int(i)] = Z[row]
+            logits_out[batch_idx] = Z
             ce_sum += bd.ce * len(batch_idx)
             kd_sum += bd.kd * len(batch_idx)
             n_samples += len(batch_idx)
@@ -296,7 +296,7 @@ def client_train(
     where = f"client {client.client_id} in round {round_index}"
     if not np.isfinite(model.params).all():
         raise DivergenceError(f"training diverged: non-finite parameters at {where}")
-    if cfg.method in LOGIT_METHODS and not np.isfinite(np.stack(list(logits_out.values()))).all():
+    if cfg.method in LOGIT_METHODS and not np.isfinite(logits_out).all():
         raise DivergenceError(f"training diverged: non-finite logits at {where}")
     ce = ce_sum / n_samples
     kd = kd_sum / n_samples
@@ -315,14 +315,11 @@ def run_round(state: FederationState) -> RoundReport:
         cfg.method is Method.FEDCACHE
         and t >= cfg.warmup_rounds
         and state.neighbors is None
-        and all(rec.logits is not None for rec in state.cache.records.values())
+        and (state.cache.updated_round >= 0).all()
     ):
-        state.neighbors = {
-            sid: fedcache_neighbors(state.cache, state.index, sid, cfg.R)
-            for sid in sorted(state.cache.records)
-        }
+        state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
 
-    uploads: list[tuple[int, dict[int, Array]]] = []
+    uploads: list[tuple[int, Array]] = []
     breakdowns: list[LossBreakdown] = []
     tables = teacher_tables(state, t)
     for i, client in enumerate(state.clients):
@@ -333,8 +330,7 @@ def run_round(state: FederationState) -> RoundReport:
 
     if cfg.method in LOGIT_METHODS:
         for client_id, logits in uploads:
-            for local_index in sorted(logits):
-                state.cache.update_logits(SampleId(client_id, local_index), logits[local_index], t)
+            state.cache.update_logits(client_id, logits, t)
 
     if cfg.method is Method.FEDAVG:
         weights = aggregate_weights([len(c.shard.train) for c in state.clients])

@@ -1,6 +1,6 @@
 """Server-side knowledge store: logit cache, hash index, cluster hierarchy."""
-from .cache import KnowledgeCache, LogitRecord, SampleId
-from .hashing import RandomProjectionEncoder, HashVector
+from .cache import KnowledgeCache, SampleId
+from .hashing import RandomProjectionEncoder
 from .hierarchy import ClusterTree, Merge, agglomerate, build_hierarchy
 from .hnsw import HnswIndex, exact_knn
 from .teachers import (
@@ -13,10 +13,8 @@ from .teachers import (
 
 __all__ = [
     "KnowledgeCache",
-    "LogitRecord",
     "SampleId",
     "RandomProjectionEncoder",
-    "HashVector",
     "ClusterTree",
     "Merge",
     "agglomerate",

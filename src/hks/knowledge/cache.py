@@ -1,17 +1,20 @@
 """Per-sample knowledge cache held by the server.
 
-Stores each training sample's hash, latest uploaded logits, and (only in the
-label-using baseline modes) its class label. The cache is single-writer
-during the server phase of a round; clients read immutable snapshots.
+One columnar table with a row per training sample, in SampleId order, so
+each client's rows form one contiguous block: the latest uploaded logits,
+the round of that upload, and, only for the methods that read them, class
+labels (feddistill, fedcache) and hashes (fedcache). The cache is
+single-writer during the server phase of a round; clients read immutable
+snapshots.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from bisect import bisect_left, bisect_right
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError, MissingSampleError, ModeError
+from ..errors import InvalidInputError, MissingSampleError, ModeError, ShapeError
 
 Array = np.ndarray
 
@@ -23,91 +26,54 @@ class SampleId(NamedTuple):
     local_index: int
 
 
-@dataclass
-class LogitRecord:
-    """Latest knowledge for one sample; logits are None until first upload."""
-
-    id: SampleId
-    logits: Array | None = None
-    label: int | None = None
-    round_updated: int | None = None
-
-
 class KnowledgeCache:
-    """Hash + logit store over all registered samples.
+    """Logits (n, C), upload rounds (n,) (-1 before the first upload) and
+    optional labels (n,) and hashes (n, d_hash), row i belonging to ids[i].
 
-    Labels are only stored when store_labels is on (the label-using
-    baselines); label reads are counted so tests can assert the
-    label-free mode never touches them server-side.
+    Label reads are counted so tests can assert the label-free mode never
+    touches them server-side.
     """
 
-    def __init__(self, n_classes: int, store_labels: bool = False):
-        self.n_classes = n_classes
-        self.store_labels = store_labels
-        self.records: dict[SampleId, LogitRecord] = {}
-        self._hashes: dict[SampleId, Array] = {}
+    def __init__(
+        self,
+        ids: Sequence[SampleId],
+        n_classes: int,
+        labels: Array | None = None,
+        hashes: Array | None = None,
+    ):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = tuple(ids[i] for i in order)
+        if len(set(self.ids)) != len(self.ids):
+            raise InvalidInputError("duplicate sample ids")
+        n = len(self.ids)
+        self.logits = np.zeros((n, n_classes))
+        self.updated_round = np.full(n, -1, dtype=np.int64)
+        self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)[order]
+        self.hashes = None if hashes is None else np.asarray(hashes, dtype=np.float64)[order]
         self.label_reads = 0
-        self.version = 0
-        self._hash_matrix: Array | None = None
-        self._hash_ids: list[SampleId] | None = None
+        clients = [sid.client_id for sid in self.ids]
+        self.rows = {
+            k: slice(bisect_left(clients, k), bisect_right(clients, k)) for k in sorted(set(clients))
+        }
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def __contains__(self, sid: SampleId) -> bool:
-        return sid in self.records
+    def update_logits(self, client_id: int, Z: Array, round_index: int) -> None:
+        """Overwrite one client's rows with its newest upload, (n_k, C) in
+        SampleId order."""
+        rows = self.rows.get(client_id)
+        if rows is None:
+            raise MissingSampleError(f"client {client_id} holds no cached samples")
+        Z = np.asarray(Z, dtype=np.float64)
+        if Z.shape != self.logits[rows].shape:
+            raise ShapeError(f"client {client_id} uploaded {Z.shape}, expected {self.logits[rows].shape}")
+        self.logits[rows] = Z
+        self.updated_round[rows] = round_index
 
-    def register(self, sid: SampleId, h: Array, label: int | None = None) -> None:
-        if sid in self.records:
-            raise InvalidInputError(f"sample {sid} already registered")
-        self.records[sid] = LogitRecord(id=sid, label=label if self.store_labels else None)
-        self._hashes[sid] = np.asarray(h, dtype=np.float64)
-        self.version += 1
-        self._hash_matrix = None
-        self._hash_ids = None
-
-    def update_logits(self, sid: SampleId, z: Array, round_index: int) -> None:
-        """Overwrite a sample's cached logits with its newest upload."""
-        rec = self.records.get(sid)
-        if rec is None:
-            raise MissingSampleError(f"sample {sid} was never registered")
-        rec.logits = np.asarray(z, dtype=np.float64).copy()
-        rec.round_updated = round_index
-        self.version += 1
-
-    def record(self, sid: SampleId) -> LogitRecord:
-        rec = self.records.get(sid)
-        if rec is None:
-            raise MissingSampleError(f"unknown sample {sid}")
-        return rec
-
-    def hash_of(self, sid: SampleId) -> Array:
-        h = self._hashes.get(sid)
-        if h is None:
-            raise MissingSampleError(f"unknown sample {sid}")
-        return h
-
-    def get_label(self, sid: SampleId) -> int:
-        """Label lookup for baseline aggregation; counted, mode-gated."""
-        if not self.store_labels:
+    def read_labels(self) -> Array:
+        """Every row's label for the label-using baselines; counted, mode-gated."""
+        if self.labels is None:
             raise ModeError("cache stores no labels in this mode")
-        self.label_reads += 1
-        rec = self.record(sid)
-        if rec.label is None:
-            raise ModeError(f"sample {sid} has no label")
-        return rec.label
-
-    def records_with_logits(self) -> list[LogitRecord]:
-        """Uploaded records in SampleId order (insertion-order independent)."""
-        return [self.records[sid] for sid in sorted(self.records) if self.records[sid].logits is not None]
-
-    def hash_table(self) -> tuple[list[SampleId], Array]:
-        """All (id, hash) rows as a matrix in SampleId order, cached."""
-        if self._hash_matrix is None:
-            self._hash_ids = sorted(self._hashes)
-            self._hash_matrix = (
-                np.stack([self._hashes[sid] for sid in self._hash_ids])
-                if self._hash_ids
-                else np.empty((0, 0))
-            )
-        return self._hash_ids, self._hash_matrix
+        self.label_reads += len(self.labels)
+        return self.labels

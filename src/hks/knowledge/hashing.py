@@ -6,20 +6,11 @@ experiment, so equal inputs always hash identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DegenerateInputError, InvalidInputError
-from .cache import SampleId
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class HashVector:
-    id: SampleId
-    h: Array
 
 
 class RandomProjectionEncoder:

@@ -233,15 +233,15 @@ def build_hierarchy(
     logits; the default clusters the raw vectors. The space shapes only the
     tree: teachers always average raw logits.
     """
-    records = cache.records_with_logits()
-    if len(records) < n_clusters:
+    rows = np.flatnonzero(cache.updated_round >= 0)
+    if len(rows) < n_clusters:
         raise InsufficientDataError(
-            f"cache holds {len(records)} logit records, need at least {n_clusters}"
+            f"cache holds {len(rows)} logit records, need at least {n_clusters}"
         )
-    X = np.stack([r.logits for r in records])
+    X = cache.logits[rows]
     if space == "soft":
         X = softmax_rows(X, temperature)
     elif space != "logits":
         raise InvalidInputError(f"space must be 'logits' or 'soft', got {space!r}")
-    return agglomerate(X, [r.id for r in records], n_clusters, linkage)
+    return agglomerate(X, [cache.ids[r] for r in rows], n_clusters, linkage)
 

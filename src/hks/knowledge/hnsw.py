@@ -3,22 +3,23 @@
 A layered navigable-small-world graph: every node lives at layer 0, a
 geometrically thinning subset at higher layers. Search greedily descends the
 layers, then runs a best-first scan with an ef-sized candidate pool at the
-bottom. exact_knn is the exhaustive oracle the index is validated against.
+bottom. Ids are any orderable keys: the federation indexes cache rows,
+which follow SampleId order. exact_knn is the exhaustive oracle the index is
+validated against.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, ModeError
 from .cache import KnowledgeCache, SampleId
-from .hashing import HashVector
 
 Array = np.ndarray
-Predicate = Callable[[SampleId], bool]
+Predicate = Callable[[Hashable], bool]
 
 
 class HnswIndex:
@@ -46,8 +47,8 @@ class HnswIndex:
         self.ef_search = ef_search
         self._level_factor = 1.0 / math.log(m)
         self._rng = np.random.default_rng([seed, 40991])
-        self.ids: list[SampleId] = []
-        self._id_to_node: dict[SampleId, int] = {}
+        self.ids: list[Hashable] = []
+        self._id_to_node: dict[Hashable, int] = {}
         self.levels: list[int] = []
         self.neighbors: list[list[list[int]]] = []  # node -> layer -> neighbor nodes
         self.entry_point: int | None = None
@@ -57,7 +58,7 @@ class HnswIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, sid: SampleId) -> bool:
+    def __contains__(self, sid: Hashable) -> bool:
         return sid in self._id_to_node
 
     def _vec(self, node: int) -> Array:
@@ -140,11 +141,10 @@ class HnswIndex:
             out.append(node)
         return out
 
-    def insert(self, hv: HashVector) -> None:
-        sid = hv.id
+    def insert(self, sid: Hashable, h: Array) -> None:
         if sid in self._id_to_node:
             raise InvalidInputError(f"sample {sid} already indexed")
-        h = np.asarray(hv.h, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64)
         node = len(self.ids)
         if node == self._vectors.shape[0]:
             grown = np.empty((2 * self._vectors.shape[0], self.dim), dtype=np.float64)
@@ -184,7 +184,7 @@ class HnswIndex:
             self.entry_point = node
             self.top_level = level
 
-    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[SampleId]:
+    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[Hashable]:
         """Up to k ids passing the filter, ascending Euclidean distance."""
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
@@ -208,16 +208,14 @@ class HnswIndex:
 def exact_knn(
     store: KnowledgeCache, h: Array, k: int, predicate: Predicate | None = None
 ) -> list[SampleId]:
-    """Exhaustive scan over all registered hashes; ties break by SampleId order."""
-    ids, matrix = store.hash_table()
-    if not ids:
-        return []
-    h = np.asarray(h, dtype=np.float64)
-    diff = matrix - h
+    """Exhaustive scan over the cache's hashes; ties break by SampleId order."""
+    if store.hashes is None:
+        raise ModeError("cache stores no hashes in this mode")
+    diff = store.hashes - np.asarray(h, dtype=np.float64)
     d2 = np.einsum("ij,ij->i", diff, diff)
     out: list[SampleId] = []
     for i in np.argsort(d2, kind="stable"):
-        sid = ids[i]
+        sid = store.ids[i]
         if predicate is None or predicate(sid):
             out.append(sid)
             if len(out) == k:

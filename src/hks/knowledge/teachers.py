@@ -7,18 +7,17 @@ Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path; the two
 baselines aggregate by class label (global mean, or R hash-nearest
 neighbours) and therefore require the cache's label-storing mode. FedCache's
-neighbour lists are queried once per sample (`fedcache_neighbors`);
+neighbour rows are queried once per sample (`fedcache_neighbors`);
 `fedcache_teacher` averages their current logits.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import StaleHierarchyError
-from .cache import KnowledgeCache, SampleId
+from .cache import KnowledgeCache
 from .hierarchy import ClusterTree
 from .hnsw import HnswIndex
 
@@ -32,12 +31,6 @@ class Granularity(str, Enum):
     MIDDLE = "middle"
     BOTTOM = "bottom"
     ALL = "all"
-
-
-def _client_rows(clients: Array) -> list[slice]:
-    """Row range of each client in rows sorted by client id."""
-    starts = np.flatnonzero(np.r_[True, clients[1:] != clients[:-1]])
-    return [slice(a, b) for a, b in zip(starts, np.r_[starts[1:], len(clients)])]
 
 
 def fetch_teacher(
@@ -56,10 +49,10 @@ def fetch_teacher(
     """
     if tree is None:
         raise StaleHierarchyError("no cluster hierarchy has been built yet")
-    if tuple(sorted(cache.records)) != tree.leaf_ids:
+    if cache.ids != tree.leaf_ids:
         raise StaleHierarchyError("cluster tree does not cover exactly the cached samples")
     n = tree.n_leaves
-    X = np.stack([cache.records[sid].logits for sid in tree.leaf_ids])
+    X = cache.logits
     # Node sums replay the merges below the cut over the raw logits.
     top = n + (n - tree.cut_size)
     sums = np.empty((top, X.shape[1]))
@@ -87,7 +80,7 @@ def fetch_teacher(
     # Filled per client: one (n, D, C) array for every sample would stay
     # resident through the next hierarchy build and raise the peak memory.
     blocks = []
-    for rows in _client_rows(np.array([sid.client_id for sid in tree.leaf_ids])):
+    for rows in cache.rows.values():
         logits = sums[nodes[rows]]
         if exclude_self:
             logits -= X[rows, None, :]
@@ -99,56 +92,48 @@ def fetch_teacher(
 
 def feddistill_teacher(cache: KnowledgeCache) -> Blocks:
     """Per sample, the mean cached logits of its class held by other clients."""
-    sids = sorted(cache.records)
-    clients = np.array([sid.client_id for sid in sids])
-    labels = np.array([cache.get_label(sid) for sid in sids])
-    cached = [cache.records[sid].logits for sid in sids]
-    valid = np.array([z is not None for z in cached], dtype=bool)
-    logits = np.stack([np.zeros(cache.n_classes) if z is None else z for z in cached])
-    out = np.zeros((len(labels), 1, logits.shape[1]))
-    has = np.zeros((len(labels), 1), dtype=bool)
-    for k, y in sorted(set(zip(clients.tolist(), labels.tolist()))):
-        foreign = valid & (labels == y) & (clients != k)
-        if foreign.any():
-            mine = (clients == k) & (labels == y)
-            out[mine, 0] = logits[foreign].mean(axis=0)
-            has[mine, 0] = True
-    return [(out[rows], has[rows]) for rows in _client_rows(clients)]
+    labels = cache.read_labels()
+    valid = cache.updated_round >= 0
+    out = np.zeros((len(cache), 1, cache.logits.shape[1]))
+    has = np.zeros((len(cache), 1), dtype=bool)
+    for rows in cache.rows.values():
+        foreign = valid.copy()
+        foreign[rows] = False
+        for y in np.unique(labels[rows]):
+            pool = foreign & (labels == y)
+            if pool.any():
+                mine = labels[rows] == y
+                out[rows][mine, 0] = cache.logits[pool].mean(axis=0)
+                has[rows][mine, 0] = True
+    return [(out[rows], has[rows]) for rows in cache.rows.values()]
 
 
-def fedcache_neighbors(
-    cache: KnowledgeCache, index: HnswIndex, sid: SampleId, R: int
-) -> list[SampleId]:
-    """The R hash-nearest same-class samples of other clients that hold logits."""
-    y = cache.get_label(sid)
-    h = cache.hash_of(sid)
-    me = sid.client_id
+def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array:
+    """Each row's R hash-nearest same-class rows of other clients that hold
+    logits, nearest first, as an (n, R) table padded with -1. The index must
+    be keyed by cache row."""
+    labels = cache.read_labels()
+    clients = [sid.client_id for sid in cache.ids]
+    out = np.full((len(cache), R), -1, dtype=np.int64)
+    for row in range(len(cache)):
 
-    def same_class_foreign(other: SampleId) -> bool:
-        if other.client_id == me:
-            return False
-        rec = cache.record(other)
-        if rec.logits is None or rec.label is None:
-            return False
-        cache.label_reads += 1
-        return rec.label == y
+        def same_class_foreign(other: int) -> bool:
+            if clients[other] == clients[row] or cache.updated_round[other] < 0:
+                return False
+            cache.label_reads += 1
+            return labels[other] == labels[row]
 
-    return index.query(h, R, same_class_foreign)
+        found = index.query(cache.hashes[row], R, same_class_foreign)
+        out[row, : len(found)] = found
+    return out
 
 
-def fedcache_teacher(
-    cache: KnowledgeCache, neighbors: dict[SampleId, Sequence[SampleId]]
-) -> Blocks:
-    """Mean current logits of each sample's FedCache neighbours.
-
-    Rows follow the samples of `neighbors` in SampleId order; a sample with
-    no neighbour has no teacher.
-    """
-    sids = sorted(neighbors)
-    out = np.zeros((len(sids), 1, cache.n_classes))
-    for row, sid in enumerate(sids):
-        if neighbors[sid]:
-            out[row, 0] = np.stack([cache.record(nb).logits for nb in neighbors[sid]]).mean(axis=0)
-    has = np.array([bool(neighbors[sid]) for sid in sids], dtype=bool)[:, None]
-    clients = np.array([sid.client_id for sid in sids])
-    return [(out[rows], has[rows]) for rows in _client_rows(clients)]
+def fedcache_teacher(cache: KnowledgeCache, neighbors: Array) -> Blocks:
+    """Mean current logits of each row's FedCache neighbour rows; a row with
+    no neighbour has no teacher."""
+    valid = neighbors >= 0
+    count = valid.sum(axis=1)
+    gathered = np.where(valid[..., None], cache.logits[neighbors], 0.0)
+    out = (gathered.sum(axis=1) / np.maximum(count, 1)[:, None])[:, None, :]
+    has = (count > 0)[:, None]
+    return [(out[rows], has[rows]) for rows in cache.rows.values()]

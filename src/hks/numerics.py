@@ -7,6 +7,7 @@ these from any number of workers without coordination.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,10 +33,11 @@ class KdConfig:
     t_squared_scaling: bool = True
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise InvalidInputError(f"temperature must be > 0, got {self.temperature}")
-        if self.alpha_kd < 0:
-            raise InvalidInputError(f"alpha_kd must be >= 0, got {self.alpha_kd}")
+        # chained comparisons are False for NaN, so they reject it too
+        if not 0 < self.temperature < math.inf:
+            raise InvalidInputError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not 0 <= self.alpha_kd < math.inf:
+            raise InvalidInputError(f"alpha_kd must be finite and >= 0, got {self.alpha_kd}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,29 @@ import math
 
 import numpy as np
 
+from hks.knowledge import KnowledgeCache
 from hks.numerics import kd_grad, kd_loss, teacher_table
+
+
+def cache_from_rows(ids, logits=None, labels=None, hashes=None, n_classes=None, round_index=0):
+    """KnowledgeCache over `ids` (any order) with row-aligned labels and
+    hashes; the given logits rows are uploaded one block per client at
+    `round_index`. Without logits every row stays before its first upload."""
+    ids = list(ids)
+    if logits is not None:
+        logits = np.asarray(logits, dtype=np.float64).reshape(len(ids), -1)
+        n_classes = logits.shape[1]
+    cache = KnowledgeCache(ids, n_classes, labels=labels, hashes=hashes)
+    if logits is not None:
+        for k in cache.rows:
+            mine = sorted((sid, i) for i, sid in enumerate(ids) if sid.client_id == k)
+            cache.update_logits(k, logits[[i for _, i in mine]], round_index)
+    return cache
+
+
+def row_of(cache):
+    """SampleId -> cache row."""
+    return {sid: row for row, sid in enumerate(cache.ids)}
 
 
 def naive_linkage(X, cut, linkage="average"):
@@ -68,31 +90,36 @@ def path_teacher(cache, tree, sid, granularity, exclude_self=True):
         nodes = [path[-1]]
     else:
         nodes = path[1:]
+    rows = row_of(cache)
     out = []
     for node in nodes:
         members = [m for m in tree.members(node) if not (exclude_self and m == sid)]
         if members:
-            out.append(np.mean([cache.record(m).logits for m in members], axis=0))
+            out.append(np.mean([cache.logits[rows[m]] for m in members], axis=0))
     return out
 
 
 def feddistill_class_teacher(cache, sid):
     """Per-sample feddistill teacher: mean logits of the sample's class over
-    every other client's records that hold logits; [] when there are none."""
-    y = cache.record(sid).label
+    every other client's samples that hold logits; [] when there are none."""
+    y = cache.labels[row_of(cache)[sid]]
     rows = [
-        rec.logits
-        for other, rec in sorted(cache.records.items())
-        if other.client_id != sid.client_id and rec.label == y and rec.logits is not None
+        cache.logits[row]
+        for row, other in enumerate(cache.ids)
+        if other.client_id != sid.client_id
+        and cache.labels[row] == y
+        and cache.updated_round[row] >= 0
     ]
     return [np.mean(rows, axis=0)] if rows else []
 
 
-def neighbour_teacher(cache, neighbour_ids):
-    """Per-sample fedcache teacher: mean current logits of the neighbours."""
-    if not neighbour_ids:
+def neighbour_teacher(cache, neighbour_rows):
+    """Per-sample fedcache teacher: mean current logits of the neighbour
+    rows (-1 pads nothing)."""
+    rows = [row for row in neighbour_rows if row >= 0]
+    if not rows:
         return []
-    return [np.mean([cache.record(nb).logits for nb in neighbour_ids], axis=0)]
+    return [np.mean([cache.logits[row] for row in rows], axis=0)]
 
 
 def mean_kd(z_s, teacher_logits, cfg):

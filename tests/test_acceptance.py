@@ -16,9 +16,7 @@ from hks.data import dirichlet_partition, PartitionSpec, stratified_subsample, s
 from hks.federation import FederationConfig, Method, init_federation, run_experiment, run_round
 from hks.knowledge import (
     Granularity,
-    HashVector,
     HnswIndex,
-    KnowledgeCache,
     SampleId,
     agglomerate,
     build_hierarchy,
@@ -27,7 +25,7 @@ from hks.knowledge import (
 from hks.metrics import evaluate, maua
 from hks.models import CapacityTier, Model, batch_loss, batch_loss_and_grad, build_model
 from hks.numerics import KdConfig, ce_grad, cross_entropy, finite_diff, kd_grad, kd_loss
-from reference_oracles import naive_linkage, table_from_lists
+from reference_oracles import cache_from_rows, naive_linkage, table_from_lists
 
 from hks.data import Dataset
 
@@ -110,10 +108,7 @@ def test_criterion_02_clustering_oracle():
         assert got_cut == set(expected_cut), f"case {case}"
         checked += 1
 
-    cache = KnowledgeCache(1)
-    for i, v in enumerate([0.0, 0.1, 10.0, 10.1]):
-        cache.register(SampleId(0, i), np.array([v]))
-        cache.update_logits(SampleId(0, i), np.array([v]), 0)
+    cache = cache_from_rows([SampleId(0, i) for i in range(4)], [0.0, 0.1, 10.0, 10.1])
     tree = build_hierarchy(cache, 2)
     partition = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
     assert partition == {frozenset({0, 1}), frozenset({2, 3})}
@@ -124,12 +119,11 @@ def test_criterion_03_ann_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
     points = rng.normal(size=(1000, 32))
-    cache = KnowledgeCache(1)
+    ids = [SampleId(0, i) for i in range(len(points))]
+    cache = cache_from_rows(ids, n_classes=1, hashes=points)
     index = HnswIndex(32, m=16, ef_construction=200, ef_search=64, seed=303)
-    for i, p in enumerate(points):
-        sid = SampleId(0, i)
-        cache.register(sid, p)
-        index.insert(HashVector(sid, p))
+    for sid, p in zip(ids, points):
+        index.insert(sid, p)
     hits = 0
     for q in rng.normal(size=(100, 32)):
         truth = set(exact_knn(cache, q, 10))

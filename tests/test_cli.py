@@ -137,6 +137,39 @@ class TestRunCommand:
         assert code == 2
         assert "alpha_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--alpha-dir", "inf"),
+            ("--alpha-dir", "nan"),
+            ("--alpha-kd", "nan"),
+            ("--alpha-kd", "inf"),
+            ("--temperature", "inf"),
+            ("--lr", "inf"),
+            ("--test-fraction", "nan"),
+        ],
+    )
+    def test_non_finite_flag_exits_2_before_training(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("temperature", float("inf")), ("alpha_kd", float("nan")), ("lr", float("inf")),
+         ("alpha_dir", float("-inf"))],
+    )
+    def test_non_finite_json_value_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        # json writes these as the non-standard tokens Infinity / NaN, which it also reads
+        cfg.write_text(json.dumps({"synthetic": "3,30,4,0.3", "n_clients": 3, "rounds": 2,
+                                   "warmup_rounds": 1, "out": str(out), key: value}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
     @pytest.mark.parametrize("method", ["hks", "fedavg"])
     def test_divergent_training_exits_with_its_own_code(self, tmp_path, capsys, method):
         out = tmp_path / "run"

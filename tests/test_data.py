@@ -164,6 +164,11 @@ class TestDirichletPartition:
         with pytest.raises(InfeasiblePartitionError):
             dirichlet_partition(ds, PartitionSpec(4, 1.0, seed=0, min_per_client=5))
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidInputError, match="alpha_dir"):
+            PartitionSpec(4, alpha, seed=0)
+
     def test_lower_alpha_is_more_skewed(self):
         # mean per-client label entropy: alpha=0.5 strictly below alpha=1000
         ds = synth_blobs(5, 200, 2, 1.0, seed=8)

@@ -19,7 +19,7 @@ from hks.federation import (
     run_experiment,
     run_round,
 )
-from hks.knowledge import Granularity, HnswIndex, SampleId, fedcache_neighbors
+from hks.knowledge import Granularity, HnswIndex, KnowledgeCache, SampleId, fedcache_neighbors
 from hks.metrics import evaluate
 from hks.models import CapacityTier, Model, batch_loss_and_grad
 from hks.numerics import KdConfig, softmax_rows
@@ -110,18 +110,47 @@ class TestInit:
             (Method.FEDCACHE, True),
         ]:
             state = init_federation(tiny_cfg(method), train, test)
-            has_labels = any(r.label is not None for r in state.cache.records.values())
-            assert has_labels == expect, method
+            assert (state.cache.labels is not None) == expect, method
+
+    def test_hashes_only_for_fedcache(self, dataset):
+        train, test = dataset
+        for method in Method:
+            state = init_federation(tiny_cfg(method, d_hash=5), train, test)
+            if method is Method.FEDCACHE:
+                assert state.cache.hashes.shape == (len(state.cache), 5)
+                np.testing.assert_allclose(np.linalg.norm(state.cache.hashes, axis=1), 1.0)
+            else:
+                assert state.cache.hashes is None, method
+
+    def test_cache_rows_are_client_blocks_in_sample_id_order(self, dataset):
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
+        cache = state.cache
+        assert list(cache.ids) == sorted(cache.ids)
+        for client in state.clients:
+            rows = cache.rows[client.client_id]
+            assert cache.ids[rows] == tuple(
+                SampleId(client.client_id, i) for i in range(len(client.shard.train))
+            )
+            np.testing.assert_array_equal(cache.labels[rows], client.shard.train.labels)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("key", ["lr", "alpha_dir", "test_fraction"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_settings_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tiny_cfg(**{key: value}).validate()
 
 
 class TestRunRound:
     def test_local_only_never_touches_cache(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.LOCAL_ONLY), train, test)
-        before = state.cache.version
+        before = state.cache.logits.copy()
         run_round(state)
-        assert state.cache.version == before
-        assert all(r.round_updated is None for r in state.cache.records.values())
+        assert np.array_equal(state.cache.logits, before)
+        assert (state.cache.updated_round == -1).all()
 
     def test_fedavg_broadcast_synchronizes_clients(self, dataset):
         train, test = dataset
@@ -135,14 +164,42 @@ class TestRunRound:
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDAVG), train, test)
         run_round(state)
-        assert all(r.round_updated is None for r in state.cache.records.values())
+        assert (state.cache.updated_round == -1).all()
 
     def test_upload_completeness_each_round(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
         for t in range(3):
             run_round(state)
-            assert all(r.round_updated == t for r in state.cache.records.values())
+            assert (state.cache.updated_round == t).all()
+
+    @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
+    def test_one_upload_per_client_and_round(self, dataset, method, monkeypatch):
+        train, test = dataset
+        update = KnowledgeCache.update_logits
+        calls = []
+
+        def counted(cache, client_id, Z, round_index):
+            calls.append((round_index, client_id, Z.shape))
+            return update(cache, client_id, Z, round_index)
+
+        monkeypatch.setattr(KnowledgeCache, "update_logits", counted)
+        result = run_experiment(tiny_cfg(method, rounds=3, warmup_rounds=1), train, test)
+        assert calls == [
+            (t, c.client_id, (len(c.shard.train), result.state.n_classes))
+            for t in range(3)
+            for c in result.state.clients
+        ]
+
+    def test_feddistill_reads_each_label_once_per_distilling_round(self, dataset):
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.FEDDISTILL, rounds=5, warmup_rounds=2), train, test)
+        n = len(state.cache)
+        reads = []
+        for _ in range(5):
+            run_round(state)
+            reads.append(state.cache.label_reads)
+        assert reads == [0, 0, n, 2 * n, 3 * n]
 
     def test_hierarchy_built_first_at_warmup_round(self, dataset):
         train, test = dataset
@@ -226,9 +283,9 @@ class TestFedCacheNeighbourTable:
         seen = record_tables(monkeypatch)
         expected = {}
         for t in range(state.config.rounds):
-            for sid in sorted(state.cache.records):
-                neighbours = fedcache_neighbors(state.cache, state.index, sid, state.config.R)
-                expected[(t, *sid)] = neighbour_teacher(state.cache, neighbours)
+            neighbours = fedcache_neighbors(state.cache, state.index, state.config.R)
+            for row, sid in enumerate(state.cache.ids):
+                expected[(t, *sid)] = neighbour_teacher(state.cache, neighbours[row])
             run_round(state)
         return seen, expected
 
@@ -299,7 +356,7 @@ def oracle_teachers(state):
     """Every sample's teacher logits from the per-sample oracles, as the
     round about to run would read them; None when the method has none yet."""
     cfg, cache = state.config, state.cache
-    sids = sorted(cache.records)
+    sids = cache.ids
     if cfg.method is Method.HKS:
         if state.tree is None:
             return None
@@ -309,10 +366,8 @@ def oracle_teachers(state):
         }
     if cfg.method is Method.FEDDISTILL:
         return {sid: feddistill_class_teacher(cache, sid) for sid in sids}
-    return {
-        sid: neighbour_teacher(cache, fedcache_neighbors(cache, state.index, sid, cfg.R))
-        for sid in sids
-    }
+    neighbours = fedcache_neighbors(cache, state.index, cfg.R)
+    return {sid: neighbour_teacher(cache, neighbours[row]) for row, sid in enumerate(sids)}
 
 
 ORACLE_CASES = [
@@ -414,7 +469,7 @@ class TestMethodIsolation:
         cfg = tiny_cfg(Method.HKS, rounds=4, warmup_rounds=1)
         result = run_experiment(cfg, train, test)
         assert result.state.cache.label_reads == 0
-        assert all(r.label is None for r in result.state.cache.records.values())
+        assert result.state.cache.labels is None
 
 
 class TestAblationIdentity:

@@ -7,11 +7,11 @@ from hks.errors import (
     InvalidInputError,
     MissingSampleError,
     ModeError,
+    ShapeError,
     StaleHierarchyError,
 )
 from hks.knowledge import (
     Granularity,
-    HashVector,
     HnswIndex,
     KnowledgeCache,
     RandomProjectionEncoder,
@@ -26,19 +26,21 @@ from hks.knowledge import (
 )
 from hks.numerics import softmax_rows, teacher_table
 
-from reference_oracles import knn_by_sorting, naive_linkage, path_teacher, table_from_lists
+from reference_oracles import (
+    cache_from_rows,
+    knn_by_sorting,
+    naive_linkage,
+    path_teacher,
+    table_from_lists,
+)
 
 
-def make_cache(points, n_classes=2, clients=None, labels=None, round_index=0):
-    """Cache of 1-per-point records; hashes mirror the logit vectors."""
-    points = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points]
-    cache = KnowledgeCache(n_classes, store_labels=labels is not None)
-    for i, p in enumerate(points):
-        client = clients[i] if clients else 0
-        sid = SampleId(client, i)
-        cache.register(sid, p, label=labels[i] if labels else None)
-        cache.update_logits(sid, p, round_index)
-    return cache
+def make_cache(points, clients=None, labels=None, round_index=0):
+    """Cache of one uploaded row per point, SampleId(client, i); hashes
+    mirror the logit vectors."""
+    points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+    ids = [SampleId(clients[i] if clients else 0, i) for i in range(len(points))]
+    return cache_from_rows(ids, points, labels=labels, hashes=points, round_index=round_index)
 
 
 class TestEncodeHash:
@@ -81,7 +83,7 @@ class TestExactKnn:
     def test_matches_independent_sorted_table(self):
         rng = np.random.default_rng(17)
         points = rng.normal(size=(200, 6))
-        cache = make_cache(points, n_classes=1)
+        cache = make_cache(points)
         q = rng.normal(size=6)
         mine = exact_knn(cache, q, 10)
         reference = knn_by_sorting(points, q, 10)
@@ -97,7 +99,7 @@ class TestHnsw:
     def build(self, points, seed=0, **kwargs):
         index = HnswIndex(points.shape[1], seed=seed, **kwargs)
         for i, p in enumerate(points):
-            index.insert(HashVector(SampleId(0, i), p))
+            index.insert(SampleId(0, i), p)
         return index
 
     def test_query_of_indexed_vector_returns_itself_first(self):
@@ -144,7 +146,7 @@ class TestHnsw:
     def test_recall_against_exact(self):
         rng = np.random.default_rng(4)
         points = rng.normal(size=(400, 16))
-        cache = make_cache(points, n_classes=1)
+        cache = make_cache(points)
         index = self.build(points, m=16, ef_construction=100, ef_search=64)
         hits = total = 0
         for q in rng.normal(size=(50, 16)):
@@ -163,41 +165,74 @@ class TestHnsw:
 
     def test_duplicate_insert_rejected(self):
         index = HnswIndex(3)
-        index.insert(HashVector(SampleId(0, 0), np.ones(3)))
+        index.insert(SampleId(0, 0), np.ones(3))
         with pytest.raises(InvalidInputError):
-            index.insert(HashVector(SampleId(0, 0), np.ones(3)))
+            index.insert(SampleId(0, 0), np.ones(3))
 
 
 class TestCache:
     def test_update_then_read(self):
         cache = make_cache([[1.0, 2.0]])
-        cache.update_logits(SampleId(0, 0), np.array([5.0, 6.0]), round_index=3)
-        rec = cache.record(SampleId(0, 0))
-        np.testing.assert_array_equal(rec.logits, [5.0, 6.0])
-        assert rec.round_updated == 3
+        cache.update_logits(0, np.array([[5.0, 6.0]]), round_index=3)
+        np.testing.assert_array_equal(cache.logits[0], [5.0, 6.0])
+        assert cache.updated_round[0] == 3
 
     def test_last_update_wins(self):
         cache = make_cache([[0.0]])
-        cache.update_logits(SampleId(0, 0), np.array([1.0]), 1)
-        cache.update_logits(SampleId(0, 0), np.array([2.0]), 1)
-        np.testing.assert_array_equal(cache.record(SampleId(0, 0)).logits, [2.0])
+        cache.update_logits(0, np.array([[1.0]]), 1)
+        cache.update_logits(0, np.array([[2.0]]), 1)
+        np.testing.assert_array_equal(cache.logits[0], [2.0])
 
     def test_update_is_isolated(self):
-        cache = make_cache([[1.0], [2.0]])
-        cache.update_logits(SampleId(0, 0), np.array([9.0]), 1)
-        np.testing.assert_array_equal(cache.record(SampleId(0, 1)).logits, [2.0])
+        cache = make_cache([[1.0], [2.0]], clients=[0, 1])
+        cache.update_logits(0, np.array([[9.0]]), 1)
+        np.testing.assert_array_equal(cache.logits[1], [2.0])
+        assert cache.updated_round.tolist() == [1, 0]
 
     def test_unknown_id_rejected(self):
         cache = make_cache([[1.0]])
         with pytest.raises(MissingSampleError):
-            cache.update_logits(SampleId(5, 5), np.array([1.0]), 0)
+            cache.update_logits(5, np.array([[1.0]]), 0)
 
     def test_label_free_mode_has_no_labels(self):
         cache = make_cache([[1.0], [2.0]])
-        assert all(rec.label is None for rec in cache.records.values())
+        assert cache.labels is None
         with pytest.raises(ModeError):
-            cache.get_label(SampleId(0, 0))
+            cache.read_labels()
         assert cache.label_reads == 0
+
+    def test_rows_in_sample_id_order_whatever_the_input_order(self):
+        ids = [SampleId(2, 0), SampleId(0, 1), SampleId(1, 0), SampleId(0, 0), SampleId(2, 1)]
+        logits = np.arange(10.0).reshape(5, 2)
+        cache = cache_from_rows(ids, logits, labels=[4, 1, 2, 0, 5], hashes=-logits)
+        assert list(cache.ids) == sorted(ids)
+        order = [3, 1, 2, 0, 4]  # input position of each sorted id
+        np.testing.assert_array_equal(cache.logits, logits[order])
+        np.testing.assert_array_equal(cache.hashes, -logits[order])
+        assert cache.labels.tolist() == [0, 1, 2, 4, 5]
+        assert cache.rows == {0: slice(0, 2), 1: slice(2, 3), 2: slice(3, 5)}
+
+    def test_rows_wait_for_their_first_upload(self):
+        cache = KnowledgeCache([SampleId(0, 0), SampleId(1, 0)], 3)
+        assert cache.updated_round.tolist() == [-1, -1]
+        assert cache.logits.shape == (2, 3)
+        assert cache.labels is None and cache.hashes is None
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3), (2,)])
+    def test_block_of_the_wrong_shape_rejected(self, shape):
+        cache = make_cache([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], clients=[0, 0, 1])
+        with pytest.raises(ShapeError):
+            cache.update_logits(0, np.zeros(shape), 1)
+        assert cache.updated_round.tolist() == [0, 0, 0]
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(InvalidInputError):
+            KnowledgeCache([SampleId(0, 0), SampleId(0, 0)], 2)
+
+    def test_label_reads_count_every_row(self):
+        cache = make_cache([[1.0], [2.0], [3.0]], labels=[0, 1, 0])
+        assert cache.read_labels().tolist() == [0, 1, 0]
+        assert cache.label_reads == 3
 
 
 class FourPoints:
@@ -218,7 +253,7 @@ class TestBuildHierarchy(FourPoints):
 
     def test_heights_nondecreasing(self):
         rng = np.random.default_rng(6)
-        cache = make_cache(rng.normal(size=(20, 3)), n_classes=3)
+        cache = make_cache(rng.normal(size=(20, 3)))
         tree = build_hierarchy(cache, 3)
         heights = [m.height for m in tree.merges]
         assert all(b >= a - 1e-9 for a, b in zip(heights, heights[1:]))
@@ -315,10 +350,7 @@ class TestBuildHierarchy(FourPoints):
         ids = [SampleId(0, i) for i in range(12)]
 
         def build(order):
-            cache = KnowledgeCache(2)
-            for i in order:
-                cache.register(ids[i], points[i])
-                cache.update_logits(ids[i], points[i], 0)
+            cache = cache_from_rows([ids[i] for i in order], points[list(order)])
             tree = build_hierarchy(cache, 3)
             return {frozenset(c) for c in tree.cut_partition()}
 
@@ -356,7 +388,7 @@ class TestClusterPath(FourPoints):
 
     def test_strict_nesting(self):
         rng = np.random.default_rng(10)
-        cache = make_cache(rng.normal(size=(16, 2)), n_classes=2)
+        cache = make_cache(rng.normal(size=(16, 2)))
         tree = build_hierarchy(cache, 2)
         for i in range(16):
             chain = path_clusters(tree, SampleId(0, i))
@@ -425,7 +457,7 @@ class TestFetchTeacher(FourPoints):
 
     def chain_tree(self):
         # 1-D points 0,1,4,16 merge as ({0,1}), ({0,1},4), (.,16); cut at 1
-        cache = make_cache([0.0, 1.0, 4.0, 16.0], n_classes=1)
+        cache = make_cache([0.0, 1.0, 4.0, 16.0])
         return cache, build_hierarchy(cache, 1)
 
     def test_all_on_length_three_path_yields_two_entries(self):
@@ -452,11 +484,10 @@ class TestFetchTeacher(FourPoints):
             fetch_teacher(cache, None, Granularity.TOP)
 
     def test_stale_tree_for_new_sample(self):
-        cache, tree = self.tree()
-        cache.register(SampleId(0, 99), np.array([1.0]))
-        cache.update_logits(SampleId(0, 99), np.array([1.0]), 1)
+        # the cache holds a sample the tree was built without
+        _, tree = self.tree()
         with pytest.raises(StaleHierarchyError):
-            fetch_teacher(cache, tree, Granularity.TOP)
+            fetch_teacher(make_cache(self.values + [1.0]), tree, Granularity.TOP)
 
     def test_unknown_sample(self):
         # the tree holds a sample this cache never registered
@@ -475,7 +506,7 @@ class TestSoftClusterSpace:
     def test_teachers_average_raw_logits_not_clustered_probabilities(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(scale=3.0, size=(24, 4))
-        cache = make_cache(logits, n_classes=4)
+        cache = make_cache(logits)
         tree = build_hierarchy(cache, 3, space="soft", temperature=3.0)
         blocks = fetch_teacher(cache, tree, Granularity.ALL)
         tables = [teacher_table(z, mask, 3.0) for z, mask in blocks]
@@ -486,7 +517,7 @@ class TestSoftClusterSpace:
         np.testing.assert_allclose(q, expected.q, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h, expected.h, rtol=0, atol=1e-12)
         # softening the mean clustered probabilities again gives far flatter targets
-        probs = make_cache(softmax_rows(logits, 3.0), n_classes=4)
+        probs = make_cache(softmax_rows(logits, 3.0))
         soft = [path_teacher(probs, tree, sid, Granularity.ALL) for sid in tree.leaf_ids]
         assert np.abs(table_from_lists(soft, 4, 3.0).q - q).max() > 0.1
 
@@ -494,24 +525,24 @@ class TestSoftClusterSpace:
 class TestFedDistillTeacher:
     def test_single_foreign_holder(self):
         cache = make_cache(
-            [[1.0, 2.0], [9.0, 9.0]], clients=[1, 0], labels=[0, 0], n_classes=2
+            [[1.0, 2.0], [9.0, 9.0]], clients=[1, 0], labels=[0, 0]
         )
         # rows in SampleId order: (0, 1) first, then (1, 0)
         np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
 
     def test_only_requester_holds_class(self):
-        cache = make_cache([[1.0, 2.0]], clients=[0], labels=[0], n_classes=2)
+        cache = make_cache([[1.0, 2.0]], clients=[0], labels=[0])
         assert teacher_rows(feddistill_teacher(cache), 0) == []
 
     def test_mean_of_two_foreign_records(self):
         cache = make_cache(
-            [[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]], clients=[1, 2, 0], labels=[0, 0, 0], n_classes=1
+            [[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]], clients=[1, 2, 0], labels=[0, 0, 0]
         )
         np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 1.0]])
 
     def test_other_classes_are_ignored(self):
         cache = make_cache(
-            [[1.0, 2.0], [9.0, 9.0], [4.0, 4.0]], clients=[1, 1, 0], labels=[0, 1, 0], n_classes=2
+            [[1.0, 2.0], [9.0, 9.0], [4.0, 4.0]], clients=[1, 1, 0], labels=[0, 1, 0]
         )
         np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
 
@@ -521,74 +552,78 @@ class TestFedDistillTeacher:
             feddistill_teacher(cache)
 
 
-def fedcache_query_teacher(cache, index, sid, R):
-    """The fedcache teacher from a fresh per-sample neighbour query, or None."""
-    rows = teacher_rows(fedcache_teacher(cache, {sid: fedcache_neighbors(cache, index, sid, R)}), 0)
+def index_rows(cache):
+    """HNSW index over the cache's hashes, keyed by cache row as the
+    federation builds it."""
+    index = HnswIndex(cache.hashes.shape[1], seed=0)
+    for row, h in enumerate(cache.hashes):
+        index.insert(row, h)
+    return index
+
+
+def fedcache_query_teacher(cache, index, row, R):
+    """A row's fedcache teacher from a fresh neighbour query, or None."""
+    rows = teacher_rows(fedcache_teacher(cache, fedcache_neighbors(cache, index, R)), row)
     return rows[0] if rows else None
 
 
 class TestFedCacheTeacher:
     def crafted(self):
-        """Three same-class foreign neighbors at distances 1, 2, 9 from target."""
-        hashes = np.array(
-            [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [9.0, 0.0]], dtype=np.float64
-        )
+        """Three same-class foreign neighbors at distances 1, 2, 9 from row 0."""
+        hashes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [9.0, 0.0]])
         logits = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [100.0, 100.0]])
-        cache = KnowledgeCache(2, store_labels=True)
-        index = HnswIndex(2, seed=0)
-        clients = [0, 1, 2, 3]
-        for i in range(4):
-            sid = SampleId(clients[i], i)
-            cache.register(sid, hashes[i], label=0)
-            cache.update_logits(sid, logits[i], 0)
-            index.insert(HashVector(sid, hashes[i]))
-        return cache, index
+        ids = [SampleId(i, i) for i in range(4)]
+        cache = cache_from_rows(ids, logits, labels=[0, 0, 0, 0], hashes=hashes)
+        return cache, index_rows(cache)
 
     def test_r1_single_foreign(self):
         cache, index = self.crafted()
-        out = fedcache_query_teacher(cache, index, SampleId(0, 0), R=1)
+        out = fedcache_query_teacher(cache, index, 0, R=1)
         np.testing.assert_allclose(out, [1.0, 1.0])
 
     def test_r2_means_two_closest_matching_exact_knn(self):
         cache, index = self.crafted()
-        me = SampleId(0, 0)
         expected_ids = exact_knn(
             cache,
-            cache.hash_of(me),
+            cache.hashes[0],
             2,
-            lambda s: s.client_id != 0 and cache.record(s).label == 0,
+            lambda s: s.client_id != 0 and cache.labels[cache.ids.index(s)] == 0,
         )
         assert expected_ids == [SampleId(1, 1), SampleId(2, 2)]
-        np.testing.assert_allclose(fedcache_query_teacher(cache, index, me, R=2), [2.0, 2.0])
+        assert fedcache_neighbors(cache, index, 2)[0].tolist() == [1, 2]
+        np.testing.assert_allclose(fedcache_query_teacher(cache, index, 0, R=2), [2.0, 2.0])
 
     def test_r_beyond_population_means_everything_foreign(self):
         cache, index = self.crafted()
-        out = fedcache_query_teacher(cache, index, SampleId(0, 0), R=50)
+        assert fedcache_neighbors(cache, index, 5)[0].tolist() == [1, 2, 3, -1, -1]
+        out = fedcache_query_teacher(cache, index, 0, R=50)
         np.testing.assert_allclose(out, np.mean([[1.0, 1.0], [3.0, 3.0], [100.0, 100.0]], axis=0))
 
     def test_unavailable_when_no_foreign_same_class(self):
-        cache = KnowledgeCache(2, store_labels=True)
-        index = HnswIndex(2, seed=0)
-        sid = SampleId(0, 0)
-        cache.register(sid, np.array([1.0, 0.0]), label=1)
-        cache.update_logits(sid, np.array([0.5, 0.5]), 0)
-        index.insert(HashVector(sid, np.array([1.0, 0.0])))
-        assert fedcache_query_teacher(cache, index, sid, R=3) is None
+        cache = cache_from_rows(
+            [SampleId(0, 0)], [[0.5, 0.5]], labels=[1], hashes=np.array([[1.0, 0.0]])
+        )
+        assert fedcache_query_teacher(cache, index_rows(cache), 0, R=3) is None
+
+    def test_rows_without_logits_are_no_neighbours(self):
+        ids = [SampleId(0, 0), SampleId(1, 0)]
+        cache = KnowledgeCache(ids, 2, labels=[0, 0], hashes=np.eye(2))
+        cache.update_logits(0, np.ones((1, 2)), 0)
+        assert fedcache_neighbors(cache, index_rows(cache), 1).tolist() == [[-1], [0]]
 
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0, 0.0]])
-        index = HnswIndex(2, seed=0)
-        index.insert(HashVector(SampleId(0, 0), np.array([1.0, 0.0])))
         with pytest.raises(ModeError):
-            fedcache_query_teacher(cache, index, SampleId(0, 0), R=1)
+            fedcache_query_teacher(cache, index_rows(cache), 0, R=1)
 
     def test_teacher_reads_current_logits_of_stored_neighbours(self):
         cache, index = self.crafted()
-        neighbours = fedcache_neighbors(cache, index, SampleId(0, 0), 2)
-        cache.update_logits(SampleId(1, 1), np.array([5.0, 7.0]), 1)
-        blocks = fedcache_teacher(cache, {SampleId(0, 0): neighbours})
+        neighbours = fedcache_neighbors(cache, index, 2)
+        cache.update_logits(1, np.array([[5.0, 7.0]]), 1)
+        blocks = fedcache_teacher(cache, neighbours)
         np.testing.assert_allclose(teacher_rows(blocks, 0), [[4.0, 5.0]])
 
     def test_no_neighbours_means_no_teacher(self):
         cache, _ = self.crafted()
-        assert teacher_rows(fedcache_teacher(cache, {SampleId(0, 0): []}), 0) == []
+        blocks = fedcache_teacher(cache, np.full((4, 2), -1))
+        assert all(teacher_rows(blocks, row) == [] for row in range(4))

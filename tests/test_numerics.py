@@ -214,6 +214,12 @@ class TestKdConfig:
         with pytest.raises(InvalidInputError):
             KdConfig(alpha_kd=-0.5)
 
+    @pytest.mark.parametrize("key", ["temperature", "alpha_kd"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, key, value):
+        with pytest.raises(InvalidInputError, match=key):
+            KdConfig(**{key: value})
+
     def test_defaults(self):
         cfg = KdConfig()
         assert cfg.temperature == 3.0
