@@ -7,21 +7,29 @@ Dissimilarity ties are broken by the lexicographically smallest key
 clusters' min member ids). Clusters are disjoint, so no two candidate pairs
 share a key: the rule is a total order, and the tree depends only on the
 sample ids and their vectors, never on insertion order.
+
+The dissimilarities live in one N x N float64 matrix, built in place. Each
+time the live clusters fall to half its side, their rows and columns are
+copied, in order, into a matrix of the live count, so later steps cost the
+live count rather than N. Slot order is kept, so every step picks the same
+pair and computes the same Lance-Williams row as over the full matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import InsufficientDataError, InvalidInputError, MissingSampleError
+from ..errors import InsufficientDataError, InvalidInputError
 from ..numerics import softmax_rows
 from .cache import KnowledgeCache, SampleId
 
 Array = np.ndarray
 
 LINKAGES = ("average", "single", "complete")
+# Rows of the distance matrix finished per pass over a (block, N) temporary.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -48,60 +56,29 @@ class ClusterTree:
     node_size: Array  # (2n-1,) member count per node
     cut_node_ids: tuple[int, ...]
     built_at_round: int | None = None
-    leaf_index: dict[SampleId, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.leaf_index:
-            self.leaf_index = {sid: i for i, sid in enumerate(self.leaf_ids)}
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_ids)
 
-    def children(self, node: int) -> tuple[int, int] | None:
-        if node < self.n_leaves:
-            return None
-        merge = self.merges[node - self.n_leaves]
-        return merge.left, merge.right
-
-    def members(self, node: int) -> list[SampleId]:
-        """Leaf ids under a node, in SampleId order."""
-        stack = [node]
-        leaves: list[int] = []
-        while stack:
-            cur = stack.pop()
-            kids = self.children(cur)
-            if kids is None:
-                leaves.append(cur)
-            else:
-                stack.extend(kids)
-        leaves.sort()
-        return [self.leaf_ids[i] for i in leaves]
-
-    def path_nodes(self, sid: SampleId) -> list[int]:
-        """Node chain from the singleton leaf up to the cut-level cluster."""
-        leaf = self.leaf_index.get(sid)
-        if leaf is None:
-            raise MissingSampleError(f"{sid} is not a leaf of this tree")
-        cut_boundary = self.n_leaves + (self.n_leaves - self.cut_size)
-        path = [leaf]
-        p = int(self.parent[leaf])
-        while p != -1 and p < cut_boundary:
-            path.append(p)
-            p = int(self.parent[p])
-        return path
-
-    def cut_partition(self) -> list[frozenset[SampleId]]:
-        return [frozenset(self.members(n)) for n in self.cut_node_ids]
-
 
 def _pairwise_distances(X: Array) -> Array:
+    """Euclidean distances with an inf diagonal, in one (n, n) buffer.
+
+    Bit for bit sqrt(max(sq_i + sq_j - 2 X_i.X_j, 0)): negation and
+    commutation are exact, and X @ X.T is a symmetric rank-k product, so the
+    matrix is exactly symmetric without a transposed pass.
+    """
     sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    d2 = np.maximum(d2, 0.0)
-    d2 = (d2 + d2.T) / 2.0
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    D = X @ X.T
+    D *= -2.0
+    for lo in range(0, len(X), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        D[lo:hi] += sq[lo:hi, None] + sq[None, :]
+    np.maximum(D, 0.0, out=D)
+    np.sqrt(D, out=D)
+    np.fill_diagonal(D, np.inf)
+    return D
 
 
 def agglomerate(
@@ -123,13 +100,19 @@ def agglomerate(
     n = len(ids)
     if cut < 1 or n < cut:
         raise InsufficientDataError(f"{n} records cannot be cut into {cut} clusters")
+    if not np.isfinite(X).all():
+        raise InvalidInputError("vectors must be finite")
+    # With every squared norm at most max/4, no squared distance, distance or
+    # Lance-Williams update can overflow (Cauchy-Schwarz bounds |X_i.X_j|).
+    with np.errstate(over="ignore"):
+        if np.einsum("ij,ij->i", X, X).max() > np.finfo(np.float64).max / 4:
+            raise InvalidInputError("vectors are too large: squared distances overflow")
 
     order = sorted(range(n), key=lambda i: ids[i])
     ids = [ids[i] for i in order]
     X = X[order]
 
     D = _pairwise_distances(X)
-    np.fill_diagonal(D, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     slot_node = list(range(n))  # matrix slot -> current tree node id
     slot_min = list(ids)  # min member id per slot
@@ -144,16 +127,29 @@ def agglomerate(
         cut_nodes = tuple(range(n))
 
     # Per-row minima let each step find the global minimum in O(n); only rows
-    # whose nearest neighbor was one of the merged slots are rescanned.
-    row_min = D.min(axis=1)
+    # whose nearest neighbor was one of the merged slots are rescanned. A dead
+    # slot's row_min stays inf.
     row_arg = D.argmin(axis=1)
+    row_min = D[np.arange(n), row_arg]
 
     for t in range(n - 1):
-        masked = np.where(active, row_min, np.inf)
-        height = float(masked.min())
+        live = n - t
+        if 2 * live <= len(D):
+            keep = np.flatnonzero(active)
+            slot_of = np.full(len(D), -1, dtype=np.int64)
+            slot_of[keep] = np.arange(live)
+            D = D[np.ix_(keep, keep)]
+            sizes, row_min = sizes[keep], row_min[keep]
+            row_arg = slot_of[row_arg[keep]]
+            slot_node = [slot_node[s] for s in keep]
+            slot_min = [slot_min[s] for s in keep]
+            slot_max = [slot_max[s] for s in keep]
+            active = np.ones(live, dtype=bool)
+
+        height = float(row_min.min())
         best = None
         best_key = None
-        for r in np.flatnonzero(masked == height):
+        for r in np.flatnonzero(row_min == height):
             for c in np.flatnonzero(D[r] == height):
                 i, j = (int(r), int(c)) if r < c else (int(c), int(r))
                 key = (
@@ -181,10 +177,10 @@ def agglomerate(
             new_row = np.minimum(D[i], D[j])
         else:
             new_row = np.maximum(D[i], D[j])
+        # A dead slot's column reads inf; its row is never read again.
+        new_row[i] = new_row[j] = np.inf
         D[i, :] = new_row
         D[:, i] = new_row
-        D[i, i] = np.inf
-        D[j, :] = np.inf
         D[:, j] = np.inf
 
         sizes[i] += sizes[j]
@@ -194,20 +190,17 @@ def agglomerate(
         active[j] = False
 
         row_min[j] = np.inf
-        row_min[i] = D[i].min()
-        row_arg[i] = D[i].argmin()
-        col_i = D[:, i]
-        improved = active & (col_i < row_min)
-        improved[i] = False
-        row_min[improved] = col_i[improved]
+        row_arg[i] = new_row.argmin()
+        row_min[i] = new_row[row_arg[i]]
+        improved = active & (new_row < row_min)
+        row_min[improved] = new_row[improved]
         row_arg[improved] = i
         stale = active & ~improved & ((row_arg == i) | (row_arg == j))
-        stale[i] = False
         for r in np.flatnonzero(stale):
-            row_min[r] = D[r].min()
             row_arg[r] = D[r].argmin()
+            row_min[r] = D[r, row_arg[r]]
 
-        if n - (t + 1) == cut:
+        if live - 1 == cut:
             cut_nodes = tuple(sorted(slot_node[s] for s in np.flatnonzero(active)))
 
     return ClusterTree(

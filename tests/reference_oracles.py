@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 
-from hks.knowledge import KnowledgeCache
+from hks.errors import InsufficientDataError, InvalidInputError, MissingSampleError
+from hks.knowledge import ClusterTree, KnowledgeCache, Merge
+from hks.knowledge.hierarchy import LINKAGES
 from hks.numerics import kd_grad, kd_loss, teacher_table
 
 
@@ -67,6 +69,177 @@ def naive_linkage(X, cut, linkage="average"):
     return merges, cut_partition
 
 
+def reference_pairwise_distances(X):
+    """Euclidean distances by the textbook formula with a symmetrise pass and
+    a zero diagonal: the distances `agglomerate` started from before it built
+    them in place."""
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = np.maximum(d2, 0.0)
+    d2 = (d2 + d2.T) / 2.0
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(d2)
+
+
+def dense_linkage(vectors, ids, cut, linkage="average"):
+    """The generic Lance-Williams agglomeration over one fixed N x N matrix,
+    as `agglomerate` ran before it compacted the matrix; the exact oracle
+    for its merges, heights, parents, node sizes and cut."""
+    if linkage not in LINKAGES:
+        raise InvalidInputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
+    X = np.asarray(vectors, dtype=np.float64)
+    ids = list(ids)
+    if X.ndim != 2 or X.shape[0] != len(ids):
+        raise InvalidInputError("vectors must be (n, d) aligned with ids")
+    if len(set(ids)) != len(ids):
+        raise InvalidInputError("duplicate sample ids")
+    n = len(ids)
+    if cut < 1 or n < cut:
+        raise InsufficientDataError(f"{n} records cannot be cut into {cut} clusters")
+
+    order = sorted(range(n), key=lambda i: ids[i])
+    ids = [ids[i] for i in order]
+    X = X[order]
+
+    D = reference_pairwise_distances(X)
+    np.fill_diagonal(D, np.inf)
+    sizes = np.ones(n, dtype=np.int64)
+    slot_node = list(range(n))  # matrix slot -> current tree node id
+    slot_min = list(ids)  # min member id per slot
+    slot_max = list(ids)
+    active = np.ones(n, dtype=bool)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    node_size = np.zeros(2 * n - 1, dtype=np.int64)
+    node_size[:n] = 1
+    merges: list[Merge] = []
+    cut_nodes: tuple[int, ...] = ()
+    if cut == n:
+        cut_nodes = tuple(range(n))
+
+    # Per-row minima let each step find the global minimum in O(n); only rows
+    # whose nearest neighbor was one of the merged slots are rescanned.
+    row_min = D.min(axis=1)
+    row_arg = D.argmin(axis=1)
+
+    for t in range(n - 1):
+        masked = np.where(active, row_min, np.inf)
+        height = float(masked.min())
+        best = None
+        best_key = None
+        for r in np.flatnonzero(masked == height):
+            for c in np.flatnonzero(D[r] == height):
+                i, j = (int(r), int(c)) if r < c else (int(c), int(r))
+                key = (
+                    min(slot_min[i], slot_min[j]),
+                    max(slot_max[i], slot_max[j]),
+                    max(slot_min[i], slot_min[j]),
+                )
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (i, j)
+        assert best is not None
+        i, j = best
+        node = n + t
+        left_node, right_node = slot_node[i], slot_node[j]
+        if slot_min[j] < slot_min[i]:
+            left_node, right_node = right_node, left_node
+        merges.append(Merge(left_node, right_node, height))
+        parent[slot_node[i]] = node
+        parent[slot_node[j]] = node
+        node_size[node] = sizes[i] + sizes[j]
+
+        if linkage == "average":
+            new_row = (sizes[i] * D[i] + sizes[j] * D[j]) / (sizes[i] + sizes[j])
+        elif linkage == "single":
+            new_row = np.minimum(D[i], D[j])
+        else:
+            new_row = np.maximum(D[i], D[j])
+        D[i, :] = new_row
+        D[:, i] = new_row
+        D[i, i] = np.inf
+        D[j, :] = np.inf
+        D[:, j] = np.inf
+
+        sizes[i] += sizes[j]
+        slot_node[i] = node
+        slot_min[i] = min(slot_min[i], slot_min[j])
+        slot_max[i] = max(slot_max[i], slot_max[j])
+        active[j] = False
+
+        row_min[j] = np.inf
+        row_min[i] = D[i].min()
+        row_arg[i] = D[i].argmin()
+        col_i = D[:, i]
+        improved = active & (col_i < row_min)
+        improved[i] = False
+        row_min[improved] = col_i[improved]
+        row_arg[improved] = i
+        stale = active & ~improved & ((row_arg == i) | (row_arg == j))
+        stale[i] = False
+        for r in np.flatnonzero(stale):
+            row_min[r] = D[r].min()
+            row_arg[r] = D[r].argmin()
+
+        if n - (t + 1) == cut:
+            cut_nodes = tuple(sorted(slot_node[s] for s in np.flatnonzero(active)))
+
+    return ClusterTree(
+        leaf_ids=tuple(ids),
+        merges=tuple(merges),
+        cut_size=cut,
+        parent=parent,
+        node_size=node_size,
+        cut_node_ids=cut_nodes,
+    )
+
+
+def leaf_index(tree):
+    """SampleId -> leaf node id."""
+    return {sid: i for i, sid in enumerate(tree.leaf_ids)}
+
+
+def children(tree, node):
+    """The two child node ids of a merge node; None for a leaf."""
+    if node < tree.n_leaves:
+        return None
+    merge = tree.merges[node - tree.n_leaves]
+    return merge.left, merge.right
+
+
+def members(tree, node):
+    """Leaf ids under a node, in SampleId order."""
+    stack = [node]
+    leaves = []
+    while stack:
+        cur = stack.pop()
+        kids = children(tree, cur)
+        if kids is None:
+            leaves.append(cur)
+        else:
+            stack.extend(kids)
+    leaves.sort()
+    return [tree.leaf_ids[i] for i in leaves]
+
+
+def path_nodes(tree, sid):
+    """Node chain from a sample's singleton leaf up to its cut-level cluster."""
+    leaf = leaf_index(tree).get(sid)
+    if leaf is None:
+        raise MissingSampleError(f"{sid} is not a leaf of this tree")
+    cut_boundary = tree.n_leaves + (tree.n_leaves - tree.cut_size)
+    path = [leaf]
+    p = int(tree.parent[leaf])
+    while p != -1 and p < cut_boundary:
+        path.append(p)
+        p = int(tree.parent[p])
+    return path
+
+
+def cut_partition(tree):
+    """The member sets of the cut-level clusters."""
+    return [frozenset(members(tree, node)) for node in tree.cut_node_ids]
+
+
 def knn_by_sorting(points, query, k):
     """Independent distance-table kNN: full sort of (distance, index) rows."""
     points = np.asarray(points, dtype=np.float64)
@@ -79,7 +252,7 @@ def path_teacher(cache, tree, sid, granularity, exclude_self=True):
     """Per-sample hks teacher logits: one mean of raw cached member logits
     per selected node of the sample's cluster path, recomputed from the
     members. With exclude_self a node holding only the sample gives none."""
-    path = tree.path_nodes(sid)
+    path = path_nodes(tree, sid)
     length = len(path)
     granularity = str(getattr(granularity, "value", granularity))
     if granularity == "bottom":
@@ -93,9 +266,9 @@ def path_teacher(cache, tree, sid, granularity, exclude_self=True):
     rows = row_of(cache)
     out = []
     for node in nodes:
-        members = [m for m in tree.members(node) if not (exclude_self and m == sid)]
-        if members:
-            out.append(np.mean([cache.logits[rows[m]] for m in members], axis=0))
+        kept = [m for m in members(tree, node) if not (exclude_self and m == sid)]
+        if kept:
+            out.append(np.mean([cache.logits[rows[m]] for m in kept], axis=0))
     return out
 
 

@@ -25,7 +25,13 @@ from hks.knowledge import (
 from hks.metrics import evaluate, maua
 from hks.models import CapacityTier, Model, batch_loss, batch_loss_and_grad, build_model
 from hks.numerics import KdConfig, ce_grad, cross_entropy, finite_diff, kd_grad, kd_loss
-from reference_oracles import cache_from_rows, naive_linkage, table_from_lists
+from reference_oracles import (
+    cache_from_rows,
+    cut_partition,
+    members,
+    naive_linkage,
+    table_from_lists,
+)
 
 from hks.data import Dataset
 
@@ -100,17 +106,17 @@ def test_criterion_02_clustering_oracle():
         tree = agglomerate(X, [SampleId(0, i) for i in range(n)], cut=2)
         expected_merges, expected_cut = naive_linkage(X, cut=2)
         for merge, (left, right, height) in zip(tree.merges, expected_merges):
-            got_left = frozenset(s.local_index for s in tree.members(merge.left))
-            got_right = frozenset(s.local_index for s in tree.members(merge.right))
+            got_left = frozenset(s.local_index for s in members(tree, merge.left))
+            got_right = frozenset(s.local_index for s in members(tree, merge.right))
             assert (got_left, got_right) == (left, right), f"case {case}"
             assert abs(merge.height - height) <= 1e-9, f"case {case}"
-        got_cut = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
+        got_cut = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
         assert got_cut == set(expected_cut), f"case {case}"
         checked += 1
 
     cache = cache_from_rows([SampleId(0, i) for i in range(4)], [0.0, 0.1, 10.0, 10.1])
     tree = build_hierarchy(cache, 2)
-    partition = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
+    partition = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
     assert partition == {frozenset({0, 1}), frozenset({2, 3})}
     _report("criterion 2 clustering oracle", "PASS", f"{checked} instances exact")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,20 @@ from hks.knowledge import (
     feddistill_teacher,
     fetch_teacher,
 )
+from hks.knowledge.hierarchy import _pairwise_distances
 from hks.numerics import softmax_rows, teacher_table
 
 from reference_oracles import (
     cache_from_rows,
+    cut_partition,
+    dense_linkage,
     knn_by_sorting,
+    leaf_index,
+    members,
     naive_linkage,
+    path_nodes,
     path_teacher,
+    reference_pairwise_distances,
     table_from_lists,
 )
 
@@ -248,7 +257,7 @@ class FourPoints:
 class TestBuildHierarchy(FourPoints):
     def test_four_point_cut(self):
         _, tree = self.tree()
-        partition = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
+        partition = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
         assert partition == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_heights_nondecreasing(self):
@@ -273,11 +282,11 @@ class TestBuildHierarchy(FourPoints):
             expected_merges, expected_cut = naive_linkage(X, cut=2)
             assert len(tree.merges) == len(expected_merges)
             for merge, (left, right, height) in zip(tree.merges, expected_merges):
-                got_left = frozenset(s.local_index for s in tree.members(merge.left))
-                got_right = frozenset(s.local_index for s in tree.members(merge.right))
+                got_left = frozenset(s.local_index for s in members(tree, merge.left))
+                got_right = frozenset(s.local_index for s in members(tree, merge.right))
                 assert (got_left, got_right) == (left, right)
                 assert merge.height == pytest.approx(height, abs=1e-9)
-            got_cut = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
+            got_cut = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
             assert got_cut == set(expected_cut)
 
     @staticmethod
@@ -304,8 +313,8 @@ class TestBuildHierarchy(FourPoints):
     def merged_sets(tree):
         return [
             (
-                frozenset(s.local_index for s in tree.members(m.left)),
-                frozenset(s.local_index for s in tree.members(m.right)),
+                frozenset(s.local_index for s in members(tree, m.left)),
+                frozenset(s.local_index for s in members(tree, m.right)),
             )
             for m in tree.merges
         ]
@@ -320,7 +329,7 @@ class TestBuildHierarchy(FourPoints):
             assert self.merged_sets(tree) == expected, X.tolist()
             heights = [m.height for m in tree.merges]
             assert heights == pytest.approx([h for _, _, h in expected_merges], abs=1e-9)
-            got_cut = {frozenset(s.local_index for s in c) for c in tree.cut_partition()}
+            got_cut = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
             assert got_cut == set(expected_cut)
 
     @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
@@ -339,10 +348,10 @@ class TestBuildHierarchy(FourPoints):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         tree = agglomerate(X, [SampleId(0, i) for i in range(4)], cut=2)
         first = tree.merges[0]
-        members = {s.local_index for s in tree.members(first.left)} | {
-            s.local_index for s in tree.members(first.right)
+        merged = {s.local_index for s in members(tree, first.left)} | {
+            s.local_index for s in members(tree, first.right)
         }
-        assert members == {0, 1}
+        assert merged == {0, 1}
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -352,7 +361,7 @@ class TestBuildHierarchy(FourPoints):
         def build(order):
             cache = cache_from_rows([ids[i] for i in order], points[list(order)])
             tree = build_hierarchy(cache, 3)
-            return {frozenset(c) for c in tree.cut_partition()}
+            return {frozenset(c) for c in cut_partition(tree)}
 
         base = build(range(12))
         shuffled = list(range(12))
@@ -369,9 +378,82 @@ class TestBuildHierarchy(FourPoints):
                 assert merge.height == pytest.approx(height, abs=1e-9)
 
 
+def compaction_cases():
+    """Inputs large enough that the matrix is compacted several times
+    (n >= 65 halves at least twice): random normals, and small-integer grids
+    whose dissimilarities tie exactly."""
+    for n in (65, 130, 300):
+        rng = np.random.default_rng(n)
+        yield pytest.param(rng.normal(size=(n, 4)), id=f"normal-{n}")
+        yield pytest.param(rng.integers(0, 6, size=(n, 3)).astype(np.float64), id=f"grid-{n}")
+
+
+class TestCompactedLinkage:
+    """`agglomerate` compacts its matrix as clusters merge; the dense
+    full-matrix loop is its exact oracle."""
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @pytest.mark.parametrize("X", compaction_cases())
+    def test_matches_dense_linkage_exactly(self, X, linkage):
+        n = len(X)
+        rng = np.random.default_rng(n)
+        ids = [SampleId(int(c), i) for i, c in enumerate(rng.integers(0, 5, size=n))]
+        for cut in (1, 2, n // 2, n // 2 + 1, n):
+            tree = agglomerate(X, ids, cut, linkage)
+            expected = dense_linkage(X, ids, cut, linkage)
+            assert tree.leaf_ids == expected.leaf_ids
+            assert tree.merges == expected.merges  # heights included, bit for bit
+            np.testing.assert_array_equal(tree.parent, expected.parent)
+            np.testing.assert_array_equal(tree.node_size, expected.node_size)
+            assert tree.cut_node_ids == expected.cut_node_ids
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 256, 300, 513])
+    def test_distances_match_textbook_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 5))
+        X[n // 2 :: 3] = X[0]  # duplicate rows sit at distance 0
+        expected = reference_pairwise_distances(X)
+        np.fill_diagonal(expected, np.inf)
+        assert _pairwise_distances(X).tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_near_one_matrix(self):
+        n = 1500
+        X = np.random.default_rng(0).normal(size=(n, 10))
+        ids = [SampleId(0, i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            agglomerate(X, ids, cut=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 N^2 bytes"
+
+
+class TestRejectsUnclusterableVectors:
+    """Vectors whose distances are not finite floats end in InvalidInputError
+    before any clustering."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row(self, bad):
+        X = np.array([[0.0, 1.0], [2.0, bad], [1.0, 1.0], [3.0, 0.0]])
+        with pytest.raises(InvalidInputError):
+            agglomerate(X, [SampleId(0, i) for i in range(4)], cut=2)
+
+    def test_non_finite_cached_logits(self):
+        cache = make_cache([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
+        with pytest.raises(InvalidInputError):
+            build_hierarchy(cache, 2)
+
+    def test_squared_distances_that_overflow(self):
+        # 1e200 squared overflows: every distance to it would read inf
+        X = np.array([[0.0], [1e200], [1.0], [2.0]])
+        with pytest.raises(InvalidInputError):
+            agglomerate(X, [SampleId(0, i) for i in range(4)], cut=2)
+
+
 def path_clusters(tree, sid):
     """Member sets along a sample's path, singleton first, cut cluster last."""
-    return [frozenset(tree.members(node)) for node in tree.path_nodes(sid)]
+    return [frozenset(members(tree, node)) for node in path_nodes(tree, sid)]
 
 
 class TestClusterPath(FourPoints):
@@ -382,7 +464,7 @@ class TestClusterPath(FourPoints):
 
     def test_last_element_in_cut(self):
         _, tree = self.tree()
-        cut = set(tree.cut_partition())
+        cut = set(cut_partition(tree))
         for i in range(4):
             assert path_clusters(tree, SampleId(0, i))[-1] in cut
 
@@ -399,11 +481,11 @@ class TestClusterPath(FourPoints):
     def test_unknown_leaf(self):
         _, tree = self.tree()
         with pytest.raises(MissingSampleError):
-            tree.path_nodes(SampleId(9, 9))
+            path_nodes(tree, SampleId(9, 9))
 
     def test_single_merge_before_cut_gives_length_two(self):
         _, tree = self.tree()
-        assert len(tree.path_nodes(SampleId(0, 2))) == 2
+        assert len(path_nodes(tree, SampleId(0, 2))) == 2
 
 
 def teacher_rows(blocks, row):
@@ -416,7 +498,7 @@ def teacher_rows(blocks, row):
 
 def path_teacher_rows(cache, tree, sid, granularity, exclude_self=True):
     blocks = fetch_teacher(cache, tree, granularity, exclude_self=exclude_self)
-    return teacher_rows(blocks, tree.leaf_index[sid])
+    return teacher_rows(blocks, leaf_index(tree)[sid])
 
 
 class TestFetchTeacher(FourPoints):
