@@ -4,7 +4,7 @@
 Sweeps every method (FedAvg homogeneous, FedDistill, FedCache over R, the
 hierarchical method over all four granularities, plus the local-only control)
 across seeds on one synthetic task, then renders the MAUA / global-accuracy
-table from the stored per-run CSVs.
+table from the stored per-run summaries.
 
 Usage:
     python scripts/compare_methods.py [--out runs/comparison] [--seeds 0,1,2]

@@ -4,7 +4,7 @@ Subcommands:
   run     one experiment -> rounds.csv, summary.json, config.resolved.json
   sweep   cross-product of methods/granularities/R values/seeds -> run dirs
           plus one comparison.csv
-  report  re-render a comparison table from the stored per-run CSVs
+  report  re-render a comparison table from the stored per-run summaries
 
 Every run directory is self-describing: config.resolved.json plus the seed
 reproduce it byte-for-byte (wall_seconds aside).
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -101,6 +102,9 @@ class RunConfig:
                 "no dataset selected: provide 'synthetic' or both 'idx_images' and 'idx_labels'"
             )
         if self.synthetic is not None:
+            n_classes, per_class, dim, spread = self.synthetic
+            if not (min(n_classes, per_class, dim) >= 1 and 0 <= spread < math.inf):
+                raise ConfigError(f"constraint violation on 'synthetic' (got {self.synthetic!r})")
             for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels",
                         "max_train_samples"):
                 if getattr(self, key) is not None:
@@ -321,19 +325,21 @@ def write_run_outputs(out_dir: Path, rc: RunConfig, result, wall_seconds: float)
     )
 
 
-def cmd_run(rc: RunConfig) -> int:
+def _run_and_write(rc: RunConfig):
+    """Load, run and write one experiment; its wall_seconds excludes the write."""
     start = time.perf_counter()
     train, global_test = load_experiment_data(rc)
     result = run_experiment(rc.federation, train, global_test)
-    wall = time.perf_counter() - start
-    out_dir = Path(rc.out)
-    write_run_outputs(out_dir, rc, result, wall)
-    summary = result.summary
-    maua_txt = "undefined" if summary.maua is None else f"{summary.maua:.4f}"
-    final_txt = "undefined" if summary.final_global_acc is None else f"{summary.final_global_acc:.4f}"
+    write_run_outputs(Path(rc.out), rc, result, time.perf_counter() - start)
+    return result
+
+
+def cmd_run(rc: RunConfig) -> int:
+    summary = _run_and_write(rc).summary
     print(
-        f"run {rc.federation.method.value}: maua={maua_txt} "
-        f"final_global={final_txt} rounds={summary.rounds_run} -> {out_dir}"
+        f"run {rc.federation.method.value}: maua={_fmt_opt(summary.maua)} "
+        f"final_global={_fmt_opt(summary.final_global_acc)} "
+        f"rounds={summary.rounds_run} -> {Path(rc.out)}"
     )
     return 0
 
@@ -377,11 +383,7 @@ def cmd_sweep(rc: RunConfig, methods, granularities, r_values, seeds) -> int:
     rows = []
     for name, fed in _sweep_cases(rc, methods, granularities, r_values, seeds):
         case = replace(rc, federation=fed, out=str(sweep_dir / name))
-        start = time.perf_counter()
-        train, global_test = load_experiment_data(case)
-        result = run_experiment(case.federation, train, global_test)
-        wall = time.perf_counter() - start
-        write_run_outputs(Path(case.out), case, result, wall)
+        result = _run_and_write(case)
         rows.append(
             {
                 "method": fed.method.value,
@@ -407,38 +409,25 @@ def _fmt_opt(v) -> str:
     return "undefined" if v is None else f"{v:.4f}"
 
 
-def _read_rounds_csv(path: Path) -> list[dict]:
-    rows = []
-    with open(path, newline="", encoding="ascii") as f:
-        first = f.readline()
-        if not first.startswith("#"):
-            raise FormatError(f"{path} is missing the schema comment line")
-        for row in csv.DictReader(f):
-            rows.append(row)
-    return rows
+_REPORT_METRICS = ("maua", "best_global_acc", "final_global_acc")
 
 
 def cmd_report(runs_dir: str, out_file: str | None) -> int:
-    """Rebuild the comparison table from every run directory's rounds.csv."""
+    """Rebuild the comparison table from every run directory's summary.json."""
     base = Path(runs_dir)
-    run_dirs = sorted(p.parent for p in base.glob("*/rounds.csv"))
-    if (base / "rounds.csv").exists():
+    run_dirs = sorted(p.parent for p in base.glob("*/summary.json"))
+    if (base / "summary.json").exists():
         run_dirs.insert(0, base)
     if not run_dirs:
-        raise ConfigError(f"no run directories with rounds.csv under {runs_dir}")
+        raise ConfigError(f"no run directories with summary.json under {runs_dir}")
     grouped: dict[tuple[str, str], list[dict]] = {}
     for run_dir in run_dirs:
         resolved = json.loads((run_dir / "config.resolved.json").read_text(encoding="ascii"))
-        rows = _read_rounds_csv(run_dir / "rounds.csv")
-        if rows:
-            maua = max(float(r["mean_local_acc"]) for r in rows)
-            best_global = max(float(r["mean_global_acc"]) for r in rows)
-            final_global = float(rows[-1]["mean_global_acc"])
-        else:
-            maua = best_global = final_global = float("nan")
+        summary = json.loads((run_dir / "summary.json").read_text(encoding="ascii"))
         key = (resolved["method"], _hyperparameter_label(resolved["method"], resolved))
+        # a run without rounds stores null for each metric
         grouped.setdefault(key, []).append(
-            {"seed": resolved["seed"], "maua": maua, "best": best_global, "final": final_global}
+            {k: math.nan if summary[k] is None else summary[k] for k in _REPORT_METRICS}
         )
 
     header = f"{'method':<12} {'hyperparameters':<20} {'seeds':>5} {'MAUA':>8} {'global(best)':>13} {'global(final)':>14}"
@@ -446,9 +435,9 @@ def cmd_report(runs_dir: str, out_file: str | None) -> int:
     print("-" * len(header))
     table_rows = []
     for (method, hyper), entries in sorted(grouped.items()):
-        maua_mean = sum(e["maua"] for e in entries) / len(entries)
-        best_mean = sum(e["best"] for e in entries) / len(entries)
-        final_mean = sum(e["final"] for e in entries) / len(entries)
+        maua_mean, best_mean, final_mean = (
+            sum(e[k] for e in entries) / len(entries) for k in _REPORT_METRICS
+        )
         print(
             f"{method:<12} {hyper:<20} {len(entries):>5} {maua_mean:>8.4f} "
             f"{best_mean:>13.4f} {final_mean:>14.4f}"
@@ -506,6 +495,19 @@ def build_parser(cls: type = RunConfig) -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_list(text: str | None, flag: str, parse, default) -> list:
+    """Parsed entries of a comma-separated sweep flag; an entry given twice is rejected."""
+    if not text:
+        return [default]
+    values = []
+    for token in text.split(","):
+        value = parse(token.strip())
+        if value in values:
+            raise ConfigError(f"{flag} repeats {token.strip()!r}")
+        values.append(value)
+    return values
+
+
 def flag_overrides(args: argparse.Namespace, cls: type = RunConfig) -> dict:
     return {f.key: getattr(args, f.key) for f in config_fields(cls)}
 
@@ -518,22 +520,13 @@ def main(argv: list[str] | None = None) -> int:
         rc = parse_config(args.config, flag_overrides(args))
         if args.command == "run":
             return cmd_run(rc)
-        methods = (
-            [Method(m.strip().lower()) for m in args.methods.split(",")]
-            if args.methods
-            else [rc.federation.method]
+        fed = rc.federation
+        methods = _sweep_list(args.methods, "--methods", lambda t: Method(t.lower()), fed.method)
+        granularities = _sweep_list(
+            args.granularities, "--granularities", lambda t: Granularity(t.lower()), fed.granularity
         )
-        granularities = (
-            [Granularity(g.strip().lower()) for g in args.granularities.split(",")]
-            if args.granularities
-            else [rc.federation.granularity]
-        )
-        r_values = (
-            [int(r) for r in args.r_values.split(",")] if args.r_values else [rc.federation.R]
-        )
-        seeds = (
-            [int(s) for s in args.seeds.split(",")] if args.seeds else [rc.federation.seed]
-        )
+        r_values = _sweep_list(args.r_values, "--R-values", int, fed.R)
+        seeds = _sweep_list(args.seeds, "--seeds", int, fed.seed)
         return cmd_sweep(rc, methods, granularities, r_values, seeds)
     except ValueError as exc:
         if not isinstance(exc, HksError):

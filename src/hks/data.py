@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -102,18 +102,6 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     labels = labels.astype(np.int64)
     n_classes = int(labels.max()) + 1 if n else 1
     return Dataset(features, labels, n_classes)
-
-
-def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
-    """Inverse of load_idx, emitting each sample as a 1 x input_dim u8 image."""
-    n, d = ds.features.shape
-    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 1, d))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def synth_blobs(n_classes: int, per_class: int, input_dim: int, spread: float, seed: int) -> Dataset:
@@ -217,8 +205,6 @@ class ClientShard:
     client_id: int
     train: Dataset
     local_test: Dataset
-    train_indices: Array = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    test_indices: Array = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def split_local_test(
@@ -260,8 +246,6 @@ def split_local_test(
         local_test=ds.subset(test_idx) if test_idx else Dataset(
             np.empty((0, ds.input_dim)), np.empty(0, dtype=np.int64), ds.n_classes
         ),
-        train_indices=np.asarray(train_idx, dtype=np.int64),
-        test_indices=np.asarray(test_idx, dtype=np.int64),
     )
 
 

@@ -2,7 +2,7 @@
 from .cache import KnowledgeCache, SampleId
 from .hashing import RandomProjectionEncoder
 from .hierarchy import ClusterTree, Merge, agglomerate, build_hierarchy
-from .hnsw import HnswIndex, exact_knn
+from .hnsw import HnswIndex
 from .teachers import (
     Granularity,
     fedcache_neighbors,
@@ -20,7 +20,6 @@ __all__ = [
     "agglomerate",
     "build_hierarchy",
     "HnswIndex",
-    "exact_knn",
     "Granularity",
     "fetch_teacher",
     "feddistill_teacher",

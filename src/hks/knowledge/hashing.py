@@ -25,18 +25,8 @@ class RandomProjectionEncoder:
         rng = np.random.default_rng([seed, 7477])
         self.projection = rng.standard_normal((d_hash, input_dim))
 
-    def encode(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("cannot hash non-finite features")
-        h = self.projection @ x
-        norm = np.linalg.norm(h)
-        if norm == 0.0:
-            raise DegenerateInputError("projection collapsed the input to zero")
-        return h / norm
-
     def encode_rows(self, X: Array) -> Array:
-        """Batched encode; raises on any zero-norm row."""
+        """Unit-normalized projection of each row of X; raises on any zero-norm row."""
         H = X @ self.projection.T
         norms = np.linalg.norm(H, axis=1, keepdims=True)
         if np.any(norms == 0.0):

@@ -4,8 +4,7 @@ A layered navigable-small-world graph: every node lives at layer 0, a
 geometrically thinning subset at higher layers. Search greedily descends the
 layers, then runs a best-first scan with an ef-sized candidate pool at the
 bottom. Ids are any orderable keys: the federation indexes cache rows,
-which follow SampleId order. exact_knn is the exhaustive oracle the index is
-validated against.
+which follow SampleId order.
 """
 from __future__ import annotations
 
@@ -15,8 +14,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError, ModeError
-from .cache import KnowledgeCache, SampleId
+from ..errors import InvalidInputError
 
 Array = np.ndarray
 Predicate = Callable[[Hashable], bool]
@@ -57,12 +55,6 @@ class HnswIndex:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __contains__(self, sid: Hashable) -> bool:
-        return sid in self._id_to_node
-
-    def _vec(self, node: int) -> Array:
-        return self._vectors[node]
 
     def _dist_sq(self, q: Array, nodes: Sequence[int]) -> Array:
         diff = self._vectors[nodes] - q
@@ -176,7 +168,7 @@ class HnswIndex:
                 if len(self.neighbors[nb][layer]) > cap:
                     # overflow prune keeps the cap nearest links
                     others = self.neighbors[nb][layer]
-                    dists = self._dist_sq(self._vec(nb), others)
+                    dists = self._dist_sq(self._vectors[nb], others)
                     ranked = sorted((float(di), o) for di, o in zip(dists, others))
                     self.neighbors[nb][layer] = [o for _, o in ranked[:cap]]
             entries = [n for _, n in candidates]
@@ -203,21 +195,3 @@ class HnswIndex:
                 hits.append((dist, sid))
         hits.sort()
         return [sid for _, sid in hits[:k]]
-
-
-def exact_knn(
-    store: KnowledgeCache, h: Array, k: int, predicate: Predicate | None = None
-) -> list[SampleId]:
-    """Exhaustive scan over the cache's hashes; ties break by SampleId order."""
-    if store.hashes is None:
-        raise ModeError("cache stores no hashes in this mode")
-    diff = store.hashes - np.asarray(h, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    out: list[SampleId] = []
-    for i in np.argsort(d2, kind="stable"):
-        sid = store.ids[i]
-        if predicate is None or predicate(sid):
-            out.append(sid)
-            if len(out) == k:
-                break
-    return out

@@ -52,20 +52,12 @@ class Model:
     seed: int
 
     @property
-    def n_params(self) -> int:
-        return param_count(self.layer_dims)
-
-    @property
     def n_classes(self) -> int:
         return self.layer_dims[-1]
 
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-
-def param_count(layer_dims: Sequence[int]) -> int:
-    return sum((i + 1) * o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def architecture_id(layer_dims: Sequence[int]) -> str:
@@ -158,11 +150,6 @@ def batch_loss_terms(
     return LossBreakdown(ce=ce, kd=kd, total=total), Z, pre, post
 
 
-def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
-    bd, _, _, _ = batch_loss_terms(m, X, y, teachers, cfg)
-    return bd.total
-
-
 def batch_loss_and_grad(
     m: Model,
     X: Array,
@@ -238,4 +225,3 @@ def fedavg_aggregate(models: Sequence[Model], weights: Array) -> Model:
     for m, wk in zip(models, w):
         params += wk * m.params
     return replace(first, params=params)
-

@@ -1,12 +1,27 @@
 """Brute-force reference implementations used only to validate the package."""
 import math
+import struct
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
-from hks.errors import InsufficientDataError, InvalidInputError, MissingSampleError
-from hks.knowledge import ClusterTree, KnowledgeCache, Merge
+from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
+from hks.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    MissingSampleError,
+    ModeError,
+    ShapeError,
+)
+from hks.knowledge import ClusterTree, KnowledgeCache, Merge, SampleId
 from hks.knowledge.hierarchy import LINKAGES
-from hks.numerics import kd_grad, kd_loss, teacher_table
+from hks.knowledge.hnsw import Predicate
+from hks.models import Model, batch_loss_terms
+from hks.numerics import KdConfig, TeacherTable, teacher_table
+
+Array = np.ndarray
+Vector = Sequence[float] | Array
 
 
 def cache_from_rows(ids, logits=None, labels=None, hashes=None, n_classes=None, round_index=0):
@@ -240,6 +255,24 @@ def cut_partition(tree):
     return [frozenset(members(tree, node)) for node in tree.cut_node_ids]
 
 
+def exact_knn(
+    store: KnowledgeCache, h: Array, k: int, predicate: Predicate | None = None
+) -> list[SampleId]:
+    """Exhaustive scan over the cache's hashes; ties break by SampleId order."""
+    if store.hashes is None:
+        raise ModeError("cache stores no hashes in this mode")
+    diff = store.hashes - np.asarray(h, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    out: list[SampleId] = []
+    for i in np.argsort(d2, kind="stable"):
+        sid = store.ids[i]
+        if predicate is None or predicate(sid):
+            out.append(sid)
+            if len(out) == k:
+                break
+    return out
+
+
 def knn_by_sorting(points, query, k):
     """Independent distance-table kNN: full sort of (distance, index) rows."""
     points = np.asarray(points, dtype=np.float64)
@@ -295,9 +328,119 @@ def neighbour_teacher(cache, neighbour_rows):
     return [np.mean([cache.logits[row] for row in rows], axis=0)]
 
 
+def _as_vector(z: Vector, name: str = "input") -> Array:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ShapeError(f"{name} must be 1-D, got shape {z.shape}")
+    return z
+
+
+def _require_finite(z: Array, name: str) -> None:
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+
+
+def softmax_t(z: Vector, temperature: float) -> Array:
+    """Softened distribution exp(z_i/T) / sum_j exp(z_j/T), max-subtracted."""
+    z = _as_vector(z, "logits")
+    _require_finite(z, "logits")
+    if not temperature > 0:
+        raise InvalidInputError(f"temperature must be > 0, got {temperature}")
+    s = z / temperature
+    s -= s.max()
+    e = np.exp(s)
+    return e / e.sum()
+
+
+def log_softmax(z: Array) -> Array:
+    s = z - z.max()
+    return s - np.log(np.exp(s).sum())
+
+
+def cross_entropy(z: Vector, y: int) -> float:
+    """-log softmax(z)[y], computed on the log-sum-exp path."""
+    z = _as_vector(z, "logits")
+    _require_finite(z, "logits")
+    if not 0 <= y < z.shape[0]:
+        raise IndexError(f"class index {y} out of range for {z.shape[0]} classes")
+    m = z.max()
+    lse = m + np.log(np.exp(z - m).sum())
+    return float(lse - z[y])
+
+
+def ce_grad(z: Vector, y: int) -> Array:
+    """Analytic gradient of cross_entropy: softmax(z) - onehot(y)."""
+    z = _as_vector(z, "logits")
+    _require_finite(z, "logits")
+    if not 0 <= y < z.shape[0]:
+        raise IndexError(f"class index {y} out of range for {z.shape[0]} classes")
+    g = softmax_t(z, 1.0)
+    g[y] -= 1.0
+    return g
+
+
+def _paired(z_s: Vector, z_t: Vector) -> tuple[Array, Array]:
+    z_s = _as_vector(z_s, "student logits")
+    z_t = _as_vector(z_t, "teacher logits")
+    if z_s.shape != z_t.shape:
+        raise ShapeError(f"student/teacher length mismatch: {z_s.shape} vs {z_t.shape}")
+    _require_finite(z_s, "student logits")
+    _require_finite(z_t, "teacher logits")
+    return z_s, z_t
+
+
+def kd_loss(z_s: Vector, z_t: Vector, cfg: KdConfig) -> float:
+    """Teacher-weighted KL divergence KL(q_t || q_s) at temperature T.
+
+    Both distributions are softened with cfg.temperature; the result is
+    multiplied by T^2 when cfg.t_squared_scaling is on. Terms where the
+    teacher probability underflows to zero contribute nothing.
+    """
+    z_s, z_t = _paired(z_s, z_t)
+    T = cfg.temperature
+    log_qs = log_softmax(z_s / T)
+    log_qt = log_softmax(z_t / T)
+    q_t = np.exp(log_qt)
+    kl = float(np.dot(q_t, log_qt - log_qs))
+    kl = max(kl, 0.0)
+    if cfg.t_squared_scaling:
+        kl *= T * T
+    return kl
+
+
+def kd_grad(z_s: Vector, z_t: Vector, cfg: KdConfig) -> Array:
+    """Gradient of kd_loss w.r.t. the student logits: (scale/T) (q_s - q_t)."""
+    z_s, z_t = _paired(z_s, z_t)
+    T = cfg.temperature
+    scale = T * T if cfg.t_squared_scaling else 1.0
+    return (scale / T) * (softmax_t(z_s, T) - softmax_t(z_t, T))
+
+
+def sgd_step(params: Vector, grads: Vector, lr: float) -> Array:
+    """One plain gradient step: params - lr * grads."""
+    params = _as_vector(params, "params")
+    grads = _as_vector(grads, "grads")
+    if params.shape != grads.shape:
+        raise ShapeError(f"params/grads length mismatch: {params.shape} vs {grads.shape}")
+    return params - lr * grads
+
+
+def finite_diff(f: Callable[[Array], float], x: Vector, eps: float = 1e-5) -> Array:
+    """Central-difference gradient oracle: (f(x+eps e_i) - f(x-eps e_i)) / 2 eps."""
+    x = _as_vector(x, "x")
+    g = np.empty_like(x)
+    for i in range(x.shape[0]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        g[i] = (f(xp) - f(xm)) / (2.0 * eps)
+    return g
+
+
 def mean_kd(z_s, teacher_logits, cfg):
     """KD loss and its student-logit gradient averaged over a sample's
-    teachers, one numerics.kd_loss/kd_grad call per teacher; (0, 0) without."""
+    teachers, one kd_loss/kd_grad call per teacher; (0, 0) without."""
     if not teacher_logits:
         return 0.0, np.zeros_like(z_s)
     loss = np.mean([kd_loss(z_s, z_t, cfg) for z_t in teacher_logits])
@@ -316,3 +459,24 @@ def table_from_lists(entries, n_classes, temperature):
             logits[i, d] = z
             mask[i, d] = True
     return teacher_table(logits, mask, temperature)
+
+
+def param_count(layer_dims: Sequence[int]) -> int:
+    return sum((i + 1) * o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
+
+
+def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
+    bd, _, _, _ = batch_loss_terms(m, X, y, teachers, cfg)
+    return bd.total
+
+
+def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
+    """Inverse of load_idx, emitting each sample as a 1 x input_dim u8 image."""
+    n, d = ds.features.shape
+    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 1, d))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
+        f.write(ds.labels.astype(np.uint8).tobytes())

@@ -20,14 +20,20 @@ from hks.knowledge import (
     SampleId,
     agglomerate,
     build_hierarchy,
-    exact_knn,
 )
 from hks.metrics import evaluate, maua
-from hks.models import CapacityTier, Model, batch_loss, batch_loss_and_grad, build_model
-from hks.numerics import KdConfig, ce_grad, cross_entropy, finite_diff, kd_grad, kd_loss
+from hks.models import CapacityTier, Model, batch_loss_and_grad, build_model
+from hks.numerics import KdConfig
 from reference_oracles import (
+    batch_loss,
     cache_from_rows,
+    ce_grad,
+    cross_entropy,
     cut_partition,
+    exact_knn,
+    finite_diff,
+    kd_grad,
+    kd_loss,
     members,
     naive_linkage,
     table_from_lists,

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import hks
 from hks.cli import (
     ROUNDS_CSV_COLUMNS,
     RunConfig,
+    _fmt,
     build_parser,
     config_fields,
     flag_overrides,
@@ -147,6 +149,8 @@ class TestRunCommand:
             ("--temperature", "inf"),
             ("--lr", "inf"),
             ("--test-fraction", "nan"),
+            ("--synthetic", "3,10,4,nan"),
+            ("--synthetic", "3,10,4,inf"),
         ],
     )
     def test_non_finite_flag_exits_2_before_training(self, tmp_path, capsys, flag, value):
@@ -158,7 +162,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "key, value",
         [("temperature", float("inf")), ("alpha_kd", float("nan")), ("lr", float("inf")),
-         ("alpha_dir", float("-inf"))],
+         ("alpha_dir", float("-inf")), ("synthetic", [3, 10, 4, float("nan")]),
+         ("synthetic", [3, 10, 4, float("inf")])],
     )
     def test_non_finite_json_value_exits_2(self, tmp_path, capsys, key, value):
         out = tmp_path / "run"
@@ -168,6 +173,14 @@ class TestRunCommand:
                                    "warmup_rounds": 1, "out": str(out), key: value}))
         assert main(["run", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0,10,4,0.3", "3,0,4,0.3", "3,10,0,0.3", "3,10,4,-1",
+                                       "3,10,4,-inf"])
+    def test_out_of_range_synthetic_exits_2_before_training(self, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), "--synthetic", value]) == 2
+        assert "synthetic" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
     @pytest.mark.parametrize("method", ["hks", "fedavg"])
@@ -205,7 +218,8 @@ class TestIdxRuns:
     def write_dataset(self, tmp_path, n=150, seed=0):
         import numpy as np
 
-        from hks.data import Dataset, write_idx
+        from hks.data import Dataset
+        from reference_oracles import write_idx
 
         rng = np.random.default_rng(seed)
         feats = rng.integers(0, 256, size=(n, 16)).astype(float) / 255.0
@@ -344,6 +358,48 @@ class TestSweepAndReport:
 
     def test_report_on_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
+
+    def test_report_means_the_run_summaries(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        sweep = ["sweep", *fast_flags(out), "--methods", "local_only,hks", "--granularities",
+                 "middle", "--seeds", "0,1"]
+        assert main(sweep) == 0
+        # a run without rounds has null summary values, which report as nan
+        assert main(["run", *fast_flags(out / "no_rounds"), "--method", "feddistill",
+                     "--rounds", "0", "--warmup-rounds", "0"]) == 0
+        report_file = tmp_path / "report.csv"
+        assert main(["report", str(out), "--out", str(report_file)]) == 0
+        capsys.readouterr()
+
+        by_method: dict[str, list[dict]] = {}
+        for summary_file in sorted(out.glob("*/summary.json")):
+            summary = json.loads(summary_file.read_text())
+            by_method.setdefault(summary["method"], []).append(summary)
+        rows = list(csv.DictReader(report_file.read_text().splitlines()))
+        assert sorted(row["method"] for row in rows) == sorted(by_method)
+        assert [len(by_method[m]) for m in ("local_only", "hks", "feddistill")] == [2, 2, 1]
+        for row in rows:
+            runs = by_method[row["method"]]
+            assert row["n_seeds"] == str(len(runs))
+            for column, key in (("maua_mean", "maua"), ("best_global_acc_mean", "best_global_acc"),
+                                ("final_global_acc_mean", "final_global_acc")):
+                values = [float("nan") if r[key] is None else r[key] for r in runs]
+                assert row[column] == _fmt(sum(values) / len(values)), (row["method"], column)
+        assert [row["maua_mean"] for row in rows if row["method"] == "feddistill"] == ["nan"]
+
+    @pytest.mark.parametrize(
+        "flag, value, repeated",
+        [("--methods", "fedcache,local_only,FedCache", "FedCache"),
+         ("--granularities", "top,middle,top", "top"),
+         ("--R-values", "2,2", "2"),
+         ("--seeds", "0,1,0", "0")],
+    )
+    def test_repeated_sweep_entry_exits_2_before_any_run(self, tmp_path, capsys, flag, value, repeated):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *fast_flags(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(repeated) in err
+        assert not out.exists()
 
 
 class TestModuleEntry:

@@ -92,7 +92,8 @@ class TestInit:
         b = init_federation(tiny_cfg(), train, test)
         for ca, cb in zip(a.clients, b.clients):
             assert np.array_equal(ca.model.params, cb.model.params)
-            assert np.array_equal(ca.shard.train_indices, cb.shard.train_indices)
+            assert np.array_equal(ca.shard.train.features, cb.shard.train.features)
+            assert np.array_equal(ca.shard.train.labels, cb.shard.train.labels)
 
     def test_fedavg_uses_one_tier(self, dataset):
         train, test = dataset

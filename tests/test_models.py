@@ -6,17 +6,15 @@ from hks.models import (
     CapacityTier,
     Model,
     aggregate_weights,
-    batch_loss,
     batch_loss_and_grad,
     build_model,
     fedavg_aggregate,
     forward_batch,
-    param_count,
     train_step,
 )
-from hks.numerics import KdConfig, finite_diff
+from hks.numerics import KdConfig
 
-from reference_oracles import table_from_lists
+from reference_oracles import batch_loss, finite_diff, param_count, table_from_lists
 
 CFG = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=True)
 
