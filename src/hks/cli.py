@@ -421,10 +421,20 @@ def cmd_report(runs_dir: str, out_file: str | None) -> int:
     if not run_dirs:
         raise ConfigError(f"no run directories with summary.json under {runs_dir}")
     grouped: dict[tuple[str, str], list[dict]] = {}
+    row_settings: dict[tuple[str, str], tuple[Path, dict]] = {}
     for run_dir in run_dirs:
         resolved = json.loads((run_dir / "config.resolved.json").read_text(encoding="ascii"))
         summary = json.loads((run_dir / "summary.json").read_text(encoding="ascii"))
         key = (resolved["method"], _hyperparameter_label(resolved["method"], resolved))
+        # one row averages seeds of one configuration, never two configurations
+        settings = {k: v for k, v in resolved.items() if k not in ("seed", "out")}
+        first_dir, first = row_settings.setdefault(key, (run_dir, settings))
+        differing = sorted(k for k in first.keys() | settings.keys() if first.get(k) != settings.get(k))
+        if differing:
+            raise ConfigError(
+                f"runs {first_dir} and {run_dir} fall into one report row {key} but differ "
+                f"in {', '.join(repr(k) for k in differing)}"
+            )
         # a run without rounds stores null for each metric
         grouped.setdefault(key, []).append(
             {k: math.nan if summary[k] is None else summary[k] for k in _REPORT_METRICS}

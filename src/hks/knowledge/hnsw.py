@@ -3,8 +3,10 @@
 A layered navigable-small-world graph: every node lives at layer 0, a
 geometrically thinning subset at higher layers. Search greedily descends the
 layers, then runs a best-first scan with an ef-sized candidate pool at the
-bottom. Ids are any orderable keys: the federation indexes cache rows,
-which follow SampleId order.
+bottom. Each insert and each query first computes its squared distances to
+every indexed node in one numpy pass; the best-first search then reads that
+list, so a search step costs no numpy call. Ids are any orderable keys: the
+federation indexes cache rows, which follow SampleId order.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, ShapeError
 
 Array = np.ndarray
 Predicate = Callable[[Hashable], bool]
@@ -56,9 +58,17 @@ class HnswIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _dist_sq(self, q: Array, nodes: Sequence[int]) -> Array:
+    def _dist_sq(self, q: Array, nodes: Sequence[int] | slice) -> Array:
         diff = self._vectors[nodes] - q
         return np.einsum("ij,ij->i", diff, diff)
+
+    def _hash_vector(self, h: Array) -> Array:
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (self.dim,):
+            raise ShapeError(f"hash vector must have shape ({self.dim},), got {h.shape}")
+        if not np.isfinite(h).all():
+            raise InvalidInputError("hash vector must be finite")
+        return h
 
     def _draw_level(self) -> int:
         u = self._rng.random()
@@ -67,35 +77,33 @@ class HnswIndex:
         return int(-math.log(u) * self._level_factor)
 
     def _search_layer(
-        self, q: Array, entries: list[int], layer: int, ef: int
+        self, dist: list[float], entries: list[int], layer: int, ef: int
     ) -> list[tuple[float, int]]:
-        """Best-first search; returns up to ef (distance^2, node) ascending."""
+        """Best-first search over the query's squared distances to every node
+        (`dist[node]`); returns up to ef (distance^2, node) ascending."""
         visited = set(entries)
-        d = self._dist_sq(q, entries)
-        candidates = [(float(di), n) for di, n in zip(d, entries)]
+        candidates = [(dist[n], n) for n in entries]
         heapq.heapify(candidates)
-        pool = [(-di, n) for di, n in candidates]
+        pool = [(-d, n) for d, n in candidates]
         heapq.heapify(pool)
         while candidates:
-            dist, node = heapq.heappop(candidates)
-            if len(pool) >= ef and dist > -pool[0][0]:
+            d, node = heapq.heappop(candidates)
+            if len(pool) >= ef and d > -pool[0][0]:
                 break
             layer_nbrs = self.neighbors[node]
             if layer >= len(layer_nbrs):
                 continue
-            fresh = [x for x in layer_nbrs[layer] if x not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            nd = self._dist_sq(q, fresh)
-            for di, nn in zip(nd, fresh):
-                di = float(di)
+            for nn in layer_nbrs[layer]:
+                if nn in visited:
+                    continue
+                visited.add(nn)
+                dn = dist[nn]
                 if len(pool) < ef:
-                    heapq.heappush(candidates, (di, nn))
-                    heapq.heappush(pool, (-di, nn))
-                elif di < -pool[0][0]:
-                    heapq.heappush(candidates, (di, nn))
-                    heapq.heappushpop(pool, (-di, nn))
+                    heapq.heappush(candidates, (dn, nn))
+                    heapq.heappush(pool, (-dn, nn))
+                elif dn < -pool[0][0]:
+                    heapq.heappush(candidates, (dn, nn))
+                    heapq.heappushpop(pool, (-dn, nn))
         return sorted((-negd, n) for negd, n in pool)
 
     def _select_neighbors(self, candidates: list[tuple[float, int]], m: int) -> list[int]:
@@ -134,9 +142,9 @@ class HnswIndex:
         return out
 
     def insert(self, sid: Hashable, h: Array) -> None:
+        h = self._hash_vector(h)
         if sid in self._id_to_node:
             raise InvalidInputError(f"sample {sid} already indexed")
-        h = np.asarray(h, dtype=np.float64)
         node = len(self.ids)
         if node == self._vectors.shape[0]:
             grown = np.empty((2 * self._vectors.shape[0], self.dim), dtype=np.float64)
@@ -154,12 +162,15 @@ class HnswIndex:
             self.top_level = level
             return
 
+        # the new node is linked at a layer only after that layer's search,
+        # so no search reaches it
+        dist_sq = self._dist_sq(h, slice(0, node)).tolist()
         entries = [self.entry_point]
         for layer in range(self.top_level, level, -1):
-            found = self._search_layer(h, entries, layer, 1)
+            found = self._search_layer(dist_sq, entries, layer, 1)
             entries = [found[0][1]]
         for layer in range(min(level, self.top_level), -1, -1):
-            candidates = self._search_layer(h, entries, layer, self.ef_construction)
+            candidates = self._search_layer(dist_sq, entries, layer, self.ef_construction)
             cap = self.m0 if layer == 0 else self.m
             chosen = self._select_neighbors(candidates, self.m)
             for nb in chosen:
@@ -178,16 +189,17 @@ class HnswIndex:
 
     def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[Hashable]:
         """Up to k ids passing the filter, ascending Euclidean distance."""
+        h = self._hash_vector(h)
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         if not self.ids:
             return []
-        h = np.asarray(h, dtype=np.float64)
+        dist_sq = self._dist_sq(h, slice(0, len(self.ids))).tolist()
         entries = [self.entry_point]
         for layer in range(self.top_level, 0, -1):
-            found = self._search_layer(h, entries, layer, 1)
+            found = self._search_layer(dist_sq, entries, layer, 1)
             entries = [found[0][1]]
-        pool = self._search_layer(h, entries, 0, max(self.ef_search, k))
+        pool = self._search_layer(dist_sq, entries, 0, max(self.ef_search, k))
         hits = []
         for dist, node in pool:
             sid = self.ids[node]

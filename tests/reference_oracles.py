@@ -1,8 +1,9 @@
 """Brute-force reference implementations used only to validate the package."""
+import heapq
 import math
 import struct
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from hks.errors import (
     ModeError,
     ShapeError,
 )
-from hks.knowledge import ClusterTree, KnowledgeCache, Merge, SampleId
+from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge, SampleId
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
 from hks.models import Model, batch_loss_terms
@@ -480,3 +481,106 @@ def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> 
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         f.write(ds.labels.astype(np.uint8).tobytes())
+
+
+class ReferenceHnsw(HnswIndex):
+    """`HnswIndex` with its search and insert path as it ran before each
+    insert and query computed all its distances in one pass: one
+    `_dist_sq` call per expanded node. The exact oracle for the graph
+    (`neighbors`, `levels`, `entry_point`), every query result and the
+    order of predicate calls."""
+
+    def _search_layer(
+        self, q: Array, entries: list[int], layer: int, ef: int
+    ) -> list[tuple[float, int]]:
+        """Best-first search; returns up to ef (distance^2, node) ascending."""
+        visited = set(entries)
+        d = self._dist_sq(q, entries)
+        candidates = [(float(di), n) for di, n in zip(d, entries)]
+        heapq.heapify(candidates)
+        pool = [(-di, n) for di, n in candidates]
+        heapq.heapify(pool)
+        while candidates:
+            dist, node = heapq.heappop(candidates)
+            if len(pool) >= ef and dist > -pool[0][0]:
+                break
+            layer_nbrs = self.neighbors[node]
+            if layer >= len(layer_nbrs):
+                continue
+            fresh = [x for x in layer_nbrs[layer] if x not in visited]
+            if not fresh:
+                continue
+            visited.update(fresh)
+            nd = self._dist_sq(q, fresh)
+            for di, nn in zip(nd, fresh):
+                di = float(di)
+                if len(pool) < ef:
+                    heapq.heappush(candidates, (di, nn))
+                    heapq.heappush(pool, (-di, nn))
+                elif di < -pool[0][0]:
+                    heapq.heappush(candidates, (di, nn))
+                    heapq.heappushpop(pool, (-di, nn))
+        return sorted((-negd, n) for negd, n in pool)
+
+    def insert(self, sid: Hashable, h: Array) -> None:
+        if sid in self._id_to_node:
+            raise InvalidInputError(f"sample {sid} already indexed")
+        h = np.asarray(h, dtype=np.float64)
+        node = len(self.ids)
+        if node == self._vectors.shape[0]:
+            grown = np.empty((2 * self._vectors.shape[0], self.dim), dtype=np.float64)
+            grown[:node] = self._vectors
+            self._vectors = grown
+        self._vectors[node] = h
+        self.ids.append(sid)
+        self._id_to_node[sid] = node
+        level = self._draw_level()
+        self.levels.append(level)
+        self.neighbors.append([[] for _ in range(level + 1)])
+
+        if self.entry_point is None:
+            self.entry_point = node
+            self.top_level = level
+            return
+
+        entries = [self.entry_point]
+        for layer in range(self.top_level, level, -1):
+            found = self._search_layer(h, entries, layer, 1)
+            entries = [found[0][1]]
+        for layer in range(min(level, self.top_level), -1, -1):
+            candidates = self._search_layer(h, entries, layer, self.ef_construction)
+            cap = self.m0 if layer == 0 else self.m
+            chosen = self._select_neighbors(candidates, self.m)
+            for nb in chosen:
+                self.neighbors[node][layer].append(nb)
+                self.neighbors[nb][layer].append(node)
+                if len(self.neighbors[nb][layer]) > cap:
+                    # overflow prune keeps the cap nearest links
+                    others = self.neighbors[nb][layer]
+                    dists = self._dist_sq(self._vectors[nb], others)
+                    ranked = sorted((float(di), o) for di, o in zip(dists, others))
+                    self.neighbors[nb][layer] = [o for _, o in ranked[:cap]]
+            entries = [n for _, n in candidates]
+        if level > self.top_level:
+            self.entry_point = node
+            self.top_level = level
+
+    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[Hashable]:
+        """Up to k ids passing the filter, ascending Euclidean distance."""
+        if k < 1:
+            raise InvalidInputError(f"k must be >= 1, got {k}")
+        if not self.ids:
+            return []
+        h = np.asarray(h, dtype=np.float64)
+        entries = [self.entry_point]
+        for layer in range(self.top_level, 0, -1):
+            found = self._search_layer(h, entries, layer, 1)
+            entries = [found[0][1]]
+        pool = self._search_layer(h, entries, 0, max(self.ef_search, k))
+        hits = []
+        for dist, node in pool:
+            sid = self.ids[node]
+            if predicate is None or predicate(sid):
+                hits.append((dist, sid))
+        hits.sort()
+        return [sid for _, sid in hits[:k]]

@@ -356,6 +356,18 @@ class TestSweepAndReport:
         assert rows[0].startswith("method,hyperparameter,n_seeds")
         assert len(rows) == 3  # header + hks + local_only
 
+    def test_report_rejects_different_configurations_in_one_row(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        for alpha in ("1.0", "0.1"):
+            run = ["run", *fast_flags(out / f"alpha{alpha}"), "--method", "local_only", "--alpha-dir", alpha]
+            assert main(run) == 0
+        capsys.readouterr()
+        report_file = tmp_path / "report.csv"
+        assert main(["report", str(out), "--out", str(report_file)]) == 2
+        err = capsys.readouterr().err
+        assert "'alpha_dir'" in err and "local_only" in err
+        assert not report_file.exists()
+
     def test_report_on_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 

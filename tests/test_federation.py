@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hks.federation as federation
+from hks.cli import load_experiment_data, parse_config
 from hks.data import synth_train_and_test
 from hks.errors import (
     ConfigError,
@@ -24,7 +25,13 @@ from hks.metrics import evaluate
 from hks.models import CapacityTier, Model, batch_loss_and_grad
 from hks.numerics import KdConfig, softmax_rows
 
-from reference_oracles import feddistill_class_teacher, mean_kd, neighbour_teacher, path_teacher
+from reference_oracles import (
+    ReferenceHnsw,
+    feddistill_class_teacher,
+    mean_kd,
+    neighbour_teacher,
+    path_teacher,
+)
 
 
 def tiny_cfg(method=Method.HKS, **kw):
@@ -277,6 +284,20 @@ def record_tables(monkeypatch):
     return seen
 
 
+class RecordingIndex:
+    """Index wrapper that appends every id a query's predicate is asked about."""
+
+    def __init__(self, index, calls):
+        self.index, self.calls = index, calls
+
+    def query(self, h, k, predicate):
+        def recorded(other):
+            self.calls.append(other)
+            return predicate(other)
+
+        return self.index.query(h, k, recorded)
+
+
 class TestFedCacheNeighbourTable:
     def run_recording(self, state, monkeypatch):
         """Run every round; per round, the tables the client phase read and
@@ -329,6 +350,37 @@ class TestFedCacheNeighbourTable:
         result = run_experiment(cfg, train, test)
         assert len(calls) == len(result.state.cache)
         assert len(result.state.neighbors) == len(result.state.cache)
+
+    def test_benchmark_scale_table_matches_the_reference_index(self, monkeypatch):
+        # the fedcache benchmark's federation: 638 indexed samples, R=4
+        rc = parse_config(
+            overrides=dict(synthetic="4,200,16,0.3", method="fedcache", R=4, n_clients=10, alpha_dir=0.5)
+        )
+        train, test = load_experiment_data(rc)
+        state = init_federation(rc.federation, train, test)
+        monkeypatch.setattr(federation, "HnswIndex", ReferenceHnsw)
+        reference = init_federation(rc.federation, train, test).index
+        assert isinstance(reference, ReferenceHnsw) and type(state.index) is HnswIndex
+        assert state.index.neighbors == reference.neighbors
+        assert state.index.levels == reference.levels
+        assert state.index.entry_point == reference.entry_point
+
+        cache = state.cache
+        assert len(cache) == 638
+        for k, rows in cache.rows.items():
+            cache.update_logits(k, np.zeros_like(cache.logits[rows]), 0)
+
+        def neighbours(index):
+            calls, reads = [], cache.label_reads
+            table = fedcache_neighbors(cache, RecordingIndex(index, calls), rc.federation.R)
+            return table, calls, cache.label_reads - reads
+
+        table, calls, reads = neighbours(state.index)
+        reference_table, reference_calls, reference_reads = neighbours(reference)
+        np.testing.assert_array_equal(table, reference_table)
+        assert calls == reference_calls
+        assert reads == reference_reads
+        assert (table >= 0).all()
 
     def test_no_table_before_distilling(self, dataset):
         train, test = dataset

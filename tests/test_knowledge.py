@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from reference_oracles import (
     members,
     naive_linkage,
     path_nodes,
+    ReferenceHnsw,
     path_teacher,
     reference_pairwise_distances,
     table_from_lists,
@@ -174,6 +176,108 @@ class TestHnsw:
         index.insert(SampleId(0, 0), np.ones(3))
         with pytest.raises(InvalidInputError):
             index.insert(SampleId(0, 0), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda index: index.insert(99, 0.25),
+            lambda index: index.insert(99, np.ones(5)),
+            lambda index: index.insert(99, np.ones((1, 4))),
+            lambda index: index.query(0.5, 3),
+            lambda index: index.query(np.array([0.5]), 3),
+        ],
+        ids=["insert-scalar", "insert-width-5", "insert-row-matrix", "query-scalar", "query-width-1"],
+    )
+    def test_hash_vector_of_the_wrong_shape_rejected(self, call):
+        points = np.random.default_rng(6).normal(size=(10, 4))
+        index = self.build(points)
+        graph = copy.deepcopy(index.neighbors)
+        with pytest.raises(ShapeError):
+            call(index)
+        assert len(index) == 10 and 99 not in index.ids
+        assert index.neighbors == graph
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["insert", "query"])
+    def test_non_finite_hash_vector_rejected(self, method, bad):
+        points = np.random.default_rng(7).normal(size=(10, 4))
+        index = self.build(points)
+        h = np.zeros(4)
+        h[2] = bad
+        with pytest.raises(InvalidInputError):
+            index.insert(99, h) if method == "insert" else index.query(h, 3)
+        assert len(index) == 10 and 99 not in index.ids
+
+
+def tie_heavy_points(n, dim, seed):
+    """Normal rows, a quarter of them replaced by points of the integer grid
+    {-1, 0, 1}^dim and a fifth by copies of other rows, so equal distances
+    (and so heap ties) are common."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dim))
+    X[: n // 4] = rng.integers(-1, 2, size=(n // 4, dim))
+    X[rng.integers(0, n, size=n // 5)] = X[rng.integers(0, n, size=n // 5)]
+    return X
+
+
+def recording(calls, keep):
+    """Predicate that appends every id it is asked about to `calls`."""
+
+    def predicate(sid):
+        calls.append(sid)
+        return keep(sid)
+
+    return predicate
+
+
+class TestHnswMatchesReference:
+    """The one-pass index builds the same graph as the per-expansion
+    reference, and every query returns the same ids after asking the
+    predicate about the same ids in the same order."""
+
+    @pytest.mark.parametrize(
+        "n, dim, m, ef_construction, ef_search, seed",
+        [
+            (40, 2, 2, 1, 1, 0),
+            (150, 3, 3, 8, 4, 1),
+            (200, 4, 5, 300, 500, 2),
+            (300, 8, 8, 40, 16, 3),
+            (400, 16, 16, 200, 64, 4),
+        ],
+    )
+    def test_same_graph_and_queries(self, n, dim, m, ef_construction, ef_search, seed):
+        X = tie_heavy_points(n, dim, seed)
+        params = dict(m=m, ef_construction=ef_construction, ef_search=ef_search, seed=seed)
+        index, reference = HnswIndex(dim, **params), ReferenceHnsw(dim, **params)
+        for i, x in enumerate(X):
+            index.insert(i, x)
+            reference.insert(i, x)
+        assert index.neighbors == reference.neighbors
+        assert index.levels == reference.levels
+        assert index.entry_point == reference.entry_point
+        assert index.top_level == reference.top_level
+
+        def keep(sid):
+            return sid % 3 != 1
+
+        queries = np.vstack([X[::7], tie_heavy_points(30, dim, seed + 100)])
+        for q in queries:
+            for k in (1, 5, n + 10):
+                assert index.query(q, k) == reference.query(q, k)
+                calls, reference_calls = [], []
+                found = index.query(q, k, recording(calls, keep))
+                assert found == reference.query(q, k, recording(reference_calls, keep))
+                assert calls == reference_calls
+
+    def test_growing_index_answers_like_the_reference_after_every_insert(self):
+        X = tie_heavy_points(60, 3, 5)
+        index, reference = HnswIndex(3, m=3, seed=5), ReferenceHnsw(3, m=3, seed=5)
+        for i, x in enumerate(X):
+            index.insert(i, x)
+            reference.insert(i, x)
+            q = X[(7 * i) % (i + 1)]
+            assert index.query(q, 4) == reference.query(q, 4)
+        assert index.neighbors == reference.neighbors
 
 
 class TestCache:
