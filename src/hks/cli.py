@@ -422,6 +422,7 @@ def cmd_report(runs_dir: str, out_file: str | None) -> int:
         raise ConfigError(f"no run directories with summary.json under {runs_dir}")
     grouped: dict[tuple[str, str], list[dict]] = {}
     row_settings: dict[tuple[str, str], tuple[Path, dict]] = {}
+    row_seeds: dict[tuple[str, str], dict[int, Path]] = {}
     for run_dir in run_dirs:
         resolved = json.loads((run_dir / "config.resolved.json").read_text(encoding="ascii"))
         summary = json.loads((run_dir / "summary.json").read_text(encoding="ascii"))
@@ -434,6 +435,13 @@ def cmd_report(runs_dir: str, out_file: str | None) -> int:
             raise ConfigError(
                 f"runs {first_dir} and {run_dir} fall into one report row {key} but differ "
                 f"in {', '.join(repr(k) for k in differing)}"
+            )
+        # so the row's run count is its number of distinct seeds
+        seed_dir = row_seeds.setdefault(key, {}).setdefault(resolved["seed"], run_dir)
+        if seed_dir != run_dir:
+            raise ConfigError(
+                f"runs {seed_dir} and {run_dir} are both seed {resolved['seed']} "
+                f"of report row {key}"
             )
         # a run without rounds stores null for each metric
         grouped.setdefault(key, []).append(

@@ -1,11 +1,13 @@
-"""Round engine: warm-up, local training against per-round teacher tables,
-logit upload, server re-clustering, and method dispatch.
+"""Round engine: warm-up, a server phase that builds each round's teacher
+tables, local training against them, logit upload, and method dispatch.
 
-A round runs the client phase sequentially in client-id order (clients are
-independent and own their RNG streams, so any scheduling order would produce
-the same result), then applies buffered uploads and server-side aggregation
-at a single barrier. The cluster tree clients read during a round is always
-the snapshot built at the end of an earlier round.
+A round has three phases. The server phase (`teacher_tables`) builds every
+structure the round's teachers read from the cache as the previous round's
+barrier left it: hks clusters it into this round's tree, which is never kept,
+and fedcache queries its neighbour rows once. The client phase runs
+sequentially in client-id order (clients are independent and own their RNG
+streams, so any scheduling order would produce the same result). A single
+barrier then applies the buffered uploads and, for fedavg, the averaging.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .errors import (
     DivergenceError,
     EmptyDatasetError,
     InvalidInputError,
-    StaleHierarchyError,
 )
 from .knowledge import (
     Granularity,
@@ -35,7 +36,6 @@ from .knowledge import (
     feddistill_teacher,
     fetch_teacher,
 )
-from .knowledge.hierarchy import ClusterTree
 from .metrics import ExperimentSummary, RoundReport, evaluate, summarize
 from .models import (
     CapacityTier,
@@ -154,7 +154,6 @@ class FederationState:
     index: HnswIndex | None
     n_classes: int
     global_test: Dataset
-    tree: ClusterTree | None = None
     # fedcache's (n, R) neighbour rows, queried once at the first distilling
     # round in which every cached row holds logits. From then on they cannot
     # change: hashes and labels are fixed at init.
@@ -233,31 +232,37 @@ def init_federation(
 
 
 def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTable | None]:
-    """Each client's teacher table for a round's client phase; None entries
-    when the round does not distill.
+    """The server phase: each client's teacher table for a round's client
+    phase; None entries when the round does not distill.
 
     Uploads apply only at the barrier, so every teacher is fixed for the
-    whole round and the tables are built once, before any client trains.
+    whole round and the tables are built once, before any client trains,
+    from the cache as the previous round left it.
     """
     cfg = state.config
     no_teachers = [None] * len(state.clients)
     if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds:
         return no_teachers
     if cfg.method is Method.HKS:
-        if state.tree is None:
-            # The first hierarchy is built at the end of round W, so the
-            # round-W client phase still trains on cross-entropy alone.
-            if round_index > cfg.warmup_rounds:
-                raise StaleHierarchyError(f"round {round_index} has no hierarchy after warm-up")
+        # The first tree clusters round W's uploads, so the round-W client
+        # phase still trains on cross-entropy alone.
+        if round_index == cfg.warmup_rounds:
             return no_teachers
-        if state.tree.built_at_round is not None and state.tree.built_at_round >= round_index:
-            raise StaleHierarchyError("cluster tree must predate the round's client phase")
-        blocks = fetch_teacher(state.cache, state.tree, cfg.granularity, cfg.exclude_self)
+        tree = build_hierarchy(
+            state.cache,
+            state.n_classes,
+            linkage=cfg.linkage,
+            space=cfg.cluster_space,
+            temperature=cfg.kd.temperature,
+        )
+        blocks = fetch_teacher(state.cache, tree, cfg.granularity, cfg.exclude_self)
     elif cfg.method is Method.FEDDISTILL:
         blocks = feddistill_teacher(state.cache)
-    elif state.neighbors is None:
-        return no_teachers
     else:
+        if state.neighbors is None and (state.cache.updated_round >= 0).all():
+            state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
+        if state.neighbors is None:
+            return no_teachers
         blocks = fedcache_teacher(state.cache, state.neighbors)
     # Every client holds training samples, so block k is client k's.
     return [teacher_table(logits, mask, cfg.kd.temperature) for logits, mask in blocks]
@@ -305,19 +310,11 @@ def client_train(
 
 
 def run_round(state: FederationState) -> RoundReport:
-    """One communication round: client phase, barrier, server phase, report."""
+    """One communication round: server phase, client phase, barrier, report."""
     cfg = state.config
     t = state.round
     if t >= cfg.rounds:
         raise InvalidInputError(f"round {t} exceeds configured rounds {cfg.rounds}")
-
-    if (
-        cfg.method is Method.FEDCACHE
-        and t >= cfg.warmup_rounds
-        and state.neighbors is None
-        and (state.cache.updated_round >= 0).all()
-    ):
-        state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
 
     uploads: list[tuple[int, Array]] = []
     breakdowns: list[LossBreakdown] = []
@@ -340,19 +337,6 @@ def run_round(state: FederationState) -> RoundReport:
                 client, model=replace(merged, params=merged.params.copy(), seed=client.model.seed)
             )
 
-    hierarchy_built = False
-    if cfg.method is Method.HKS and t >= cfg.warmup_rounds:
-        tree = build_hierarchy(
-            state.cache,
-            state.n_classes,
-            linkage=cfg.linkage,
-            space=cfg.cluster_space,
-            temperature=cfg.kd.temperature,
-        )
-        tree.built_at_round = t
-        state.tree = tree
-        hierarchy_built = True
-
     local_acc = np.array([evaluate(c.model, c.shard.local_test) for c in state.clients])
     global_acc = np.array([evaluate(c.model, state.global_test) for c in state.clients])
     report = RoundReport(
@@ -361,7 +345,7 @@ def run_round(state: FederationState) -> RoundReport:
         global_acc_per_client=global_acc,
         mean_ce=float(np.mean([b.ce for b in breakdowns])),
         mean_kd=float(np.mean([b.kd for b in breakdowns])),
-        hierarchy_built=hierarchy_built,
+        hierarchy_built=cfg.method is Method.HKS and tables[0] is not None,
     )
     state.round = t + 1
     return report

@@ -1,7 +1,7 @@
 """Bottom-up agglomerative clustering over cached logits.
 
 Builds the full merge sequence (Euclidean metric, unweighted average linkage
-by default) while recording the partition at the requested cluster count.
+by default); the requested cluster count marks the cut.
 Dissimilarity ties are broken by the lexicographically smallest key
 (min member id of the union, max member id of the union, larger of the two
 clusters' min member ids). Clusters are disjoint, so no two candidate pairs
@@ -45,8 +45,9 @@ class Merge:
 class ClusterTree:
     """Merge hierarchy over n leaves; node i < n is leaf i, node n+t is merge t.
 
-    The tree holds structure only; teachers average the cache's raw logits
-    over its nodes' members.
+    The cut clusters are the nodes below 2n - cut_size whose parent is at or
+    above that bound, or -1. The tree holds structure only; teachers average
+    the cache's raw logits over its nodes' members.
     """
 
     leaf_ids: tuple[SampleId, ...]
@@ -54,8 +55,6 @@ class ClusterTree:
     cut_size: int
     parent: Array  # (2n-1,) parent node id, -1 at the root
     node_size: Array  # (2n-1,) member count per node
-    cut_node_ids: tuple[int, ...]
-    built_at_round: int | None = None
 
     @property
     def n_leaves(self) -> int:
@@ -84,7 +83,7 @@ def _pairwise_distances(X: Array) -> Array:
 def agglomerate(
     vectors: Array, ids: Sequence[SampleId], cut: int, linkage: str = "average"
 ) -> ClusterTree:
-    """Merge to a single cluster, recording the cut at `cut` clusters.
+    """Merge to a single cluster; the tree's cut holds `cut` clusters.
 
     Rows are reordered by SampleId before clustering, which makes the result
     independent of input order.
@@ -122,9 +121,6 @@ def agglomerate(
     node_size = np.zeros(2 * n - 1, dtype=np.int64)
     node_size[:n] = 1
     merges: list[Merge] = []
-    cut_nodes: tuple[int, ...] = ()
-    if cut == n:
-        cut_nodes = tuple(range(n))
 
     # Per-row minima let each step find the global minimum in O(n); only rows
     # whose nearest neighbor was one of the merged slots are rescanned. A dead
@@ -200,16 +196,12 @@ def agglomerate(
             row_arg[r] = D[r].argmin()
             row_min[r] = D[r, row_arg[r]]
 
-        if live - 1 == cut:
-            cut_nodes = tuple(sorted(slot_node[s] for s in np.flatnonzero(active)))
-
     return ClusterTree(
         leaf_ids=tuple(ids),
         merges=tuple(merges),
         cut_size=cut,
         parent=parent,
         node_size=node_size,
-        cut_node_ids=cut_nodes,
     )
 
 

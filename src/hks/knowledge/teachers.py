@@ -35,7 +35,7 @@ class Granularity(str, Enum):
 
 def fetch_teacher(
     cache: KnowledgeCache,
-    tree: ClusterTree | None,
+    tree: ClusterTree,
     granularity: Granularity,
     exclude_self: bool = True,
 ) -> Blocks:
@@ -47,8 +47,6 @@ def fetch_teacher(
     element. With exclude_self a node's mean leaves out the sample's own
     logits, so a node holding only the sample gives no teacher.
     """
-    if tree is None:
-        raise StaleHierarchyError("no cluster hierarchy has been built yet")
     if cache.ids != tree.leaf_ids:
         raise StaleHierarchyError("cluster tree does not cover exactly the cached samples")
     n = tree.n_leaves

@@ -128,9 +128,6 @@ def dense_linkage(vectors, ids, cut, linkage="average"):
     node_size = np.zeros(2 * n - 1, dtype=np.int64)
     node_size[:n] = 1
     merges: list[Merge] = []
-    cut_nodes: tuple[int, ...] = ()
-    if cut == n:
-        cut_nodes = tuple(range(n))
 
     # Per-row minima let each step find the global minimum in O(n); only rows
     # whose nearest neighbor was one of the merged slots are rescanned.
@@ -196,16 +193,12 @@ def dense_linkage(vectors, ids, cut, linkage="average"):
             row_min[r] = D[r].min()
             row_arg[r] = D[r].argmin()
 
-        if n - (t + 1) == cut:
-            cut_nodes = tuple(sorted(slot_node[s] for s in np.flatnonzero(active)))
-
     return ClusterTree(
         leaf_ids=tuple(ids),
         merges=tuple(merges),
         cut_size=cut,
         parent=parent,
         node_size=node_size,
-        cut_node_ids=cut_nodes,
     )
 
 
@@ -252,8 +245,12 @@ def path_nodes(tree, sid):
 
 
 def cut_partition(tree):
-    """The member sets of the cut-level clusters."""
-    return [frozenset(members(tree, node)) for node in tree.cut_node_ids]
+    """The member sets of the cut-level clusters: the nodes below
+    2n - cut_size whose parent is at or above that bound, or -1."""
+    bound = 2 * tree.n_leaves - tree.cut_size
+    parent = tree.parent[:bound]
+    nodes = np.flatnonzero((parent >= bound) | (parent == -1))
+    return [frozenset(members(tree, int(node))) for node in nodes]
 
 
 def exact_knn(

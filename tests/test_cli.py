@@ -368,6 +368,17 @@ class TestSweepAndReport:
         assert "'alpha_dir'" in err and "local_only" in err
         assert not report_file.exists()
 
+    def test_report_rejects_one_seed_twice_in_one_row(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        for name in ("first", "second"):
+            assert main(["run", *fast_flags(out / name), "--method", "local_only"]) == 0
+        capsys.readouterr()
+        report_file = tmp_path / "report.csv"
+        assert main(["report", str(out), "--out", str(report_file)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "first") in err and str(out / "second") in err and "seed 0" in err
+        assert not report_file.exists()
+
     def test_report_on_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 

@@ -11,7 +11,6 @@ from hks.errors import (
     DivergenceError,
     EmptyDatasetError,
     InvalidInputError,
-    StaleHierarchyError,
 )
 from hks.federation import (
     FederationConfig,
@@ -20,7 +19,14 @@ from hks.federation import (
     run_experiment,
     run_round,
 )
-from hks.knowledge import Granularity, HnswIndex, KnowledgeCache, SampleId, fedcache_neighbors
+from hks.knowledge import (
+    Granularity,
+    HnswIndex,
+    KnowledgeCache,
+    SampleId,
+    build_hierarchy,
+    fedcache_neighbors,
+)
 from hks.metrics import evaluate
 from hks.models import CapacityTier, Model, batch_loss_and_grad
 from hks.numerics import KdConfig, softmax_rows
@@ -209,13 +215,34 @@ class TestRunRound:
             reads.append(state.cache.label_reads)
         assert reads == [0, 0, n, 2 * n, 3 * n]
 
-    def test_hierarchy_built_first_at_warmup_round(self, dataset):
+    def test_hierarchy_built_first_for_the_round_after_warmup(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.HKS, warmup_rounds=2), train, test)
         flags = [run_round(state).hierarchy_built for _ in range(4)]
-        assert flags == [False, False, True, True]
-        assert state.tree is not None
-        assert state.tree.built_at_round == 3
+        assert flags == [False, False, False, True]
+
+    @pytest.mark.parametrize("rounds,warmup_rounds", [(4, 0), (4, 2), (4, 3), (4, 4), (0, 0)])
+    def test_one_tree_per_distilling_round_and_none_after_the_last(
+        self, dataset, rounds, warmup_rounds, monkeypatch
+    ):
+        train, test = dataset
+        build = federation.build_hierarchy
+        built_in = []
+
+        def counting(cache, *args, **kwargs):
+            # the round a tree serves follows the last upload it clusters
+            built_in.append(int(cache.updated_round.max()) + 1)
+            return build(cache, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "build_hierarchy", counting)
+        seen = record_tables(monkeypatch)
+        cfg = tiny_cfg(Method.HKS, rounds=rounds, warmup_rounds=warmup_rounds)
+        result = run_experiment(cfg, train, test)
+        distilling = sorted({t for (t, _), table in seen.items() if table is not None})
+        assert len(built_in) == max(0, rounds - warmup_rounds - 1)
+        assert built_in == distilling
+        flags = [r.hierarchy_built for r in result.reports]
+        assert flags == [t in distilling for t in range(rounds)]
 
     def test_round_limit_enforced(self, dataset):
         train, test = dataset
@@ -243,32 +270,14 @@ class TestWarmupGate:
             assert any(r.mean_kd > 0 for r in result.reports[2:]), method
 
     def test_hks_round_w_trains_without_tree(self, dataset):
-        # the first hierarchy appears at the END of round W, so the round-W
+        # the first hierarchy clusters round W's uploads, so the round-W
         # client phase itself is still cross-entropy only
         train, test = dataset
         cfg = tiny_cfg(Method.HKS, rounds=4, warmup_rounds=2)
         result = run_experiment(cfg, train, test)
         assert result.reports[2].mean_kd == 0.0
-        assert result.reports[2].hierarchy_built
+        assert not result.reports[2].hierarchy_built
         assert result.reports[3].mean_kd > 0.0
-
-    def test_stale_tree_after_warmup_raises(self, dataset):
-        train, test = dataset
-        state = init_federation(tiny_cfg(Method.HKS, rounds=6, warmup_rounds=1), train, test)
-        for _ in range(3):
-            run_round(state)
-        state.tree = None
-        with pytest.raises(StaleHierarchyError):
-            run_round(state)
-
-    def test_same_round_tree_rejected_as_snapshot(self, dataset):
-        train, test = dataset
-        state = init_federation(tiny_cfg(Method.HKS, rounds=6, warmup_rounds=1), train, test)
-        for _ in range(3):
-            run_round(state)
-        state.tree.built_at_round = state.round  # violates the round barrier
-        with pytest.raises(StaleHierarchyError):
-            run_round(state)
 
 
 def record_tables(monkeypatch):
@@ -411,11 +420,13 @@ def oracle_teachers(state):
     cfg, cache = state.config, state.cache
     sids = cache.ids
     if cfg.method is Method.HKS:
-        if state.tree is None:
+        if state.round <= cfg.warmup_rounds:
             return None
+        tree = build_hierarchy(
+            cache, state.n_classes, cfg.linkage, cfg.cluster_space, cfg.kd.temperature
+        )
         return {
-            sid: path_teacher(cache, state.tree, sid, cfg.granularity, cfg.exclude_self)
-            for sid in sids
+            sid: path_teacher(cache, tree, sid, cfg.granularity, cfg.exclude_self) for sid in sids
         }
     if cfg.method is Method.FEDDISTILL:
         return {sid: feddistill_class_teacher(cache, sid) for sid in sids}

@@ -39,7 +39,8 @@ def test_tracer_install_then_uninstall_restores_every_name(monkeypatch):
     patched = {key for key, value in during.items() if value is not before.get(key)}
     # the round engine calls every traced teacher builder and layer by name
     for name in (
-        "fetch_teacher", "feddistill_teacher", "fedcache_teacher", "client_train", "train_step",
+        "fetch_teacher", "feddistill_teacher", "fedcache_teacher", "build_hierarchy",
+        "client_train", "train_step",
     ):
         assert ("hks.federation", name) in patched, name
     assert after.keys() == before.keys()
