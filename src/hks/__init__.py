@@ -15,7 +15,7 @@ from .federation import (
     run_experiment,
     run_round,
 )
-from .knowledge import Granularity, KnowledgeCache, SampleId
+from .knowledge import Granularity, KnowledgeCache
 from .metrics import ExperimentSummary, RoundReport, evaluate, maua
 from .models import CapacityTier, Model, build_model, fedavg_aggregate
 from .numerics import KdConfig, LossBreakdown
@@ -39,7 +39,6 @@ __all__ = [
     "run_round",
     "Granularity",
     "KnowledgeCache",
-    "SampleId",
     "ExperimentSummary",
     "RoundReport",
     "evaluate",

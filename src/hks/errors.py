@@ -42,7 +42,7 @@ class DegenerateInputError(HksError, ValueError):
 
 
 class MissingSampleError(HksError, KeyError):
-    """Sample id not present in the cache or tree."""
+    """Client or row not present in the cache or tree."""
 
 
 class InsufficientDataError(HksError, ValueError):

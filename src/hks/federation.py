@@ -29,7 +29,6 @@ from .knowledge import (
     HnswIndex,
     KnowledgeCache,
     RandomProjectionEncoder,
-    SampleId,
     build_hierarchy,
     fedcache_neighbors,
     fedcache_teacher,
@@ -103,9 +102,12 @@ class FederationConfig:
     cluster_space: str = "logits"
 
     def __post_init__(self) -> None:
-        self.method = Method(self.method)
-        self.granularity = Granularity(self.granularity)
-        self.fedavg_tier = CapacityTier(self.fedavg_tier)
+        enums = (("method", Method), ("granularity", Granularity), ("fedavg_tier", CapacityTier))
+        for key, kind in enums:
+            try:
+                setattr(self, key, kind(getattr(self, key)))
+            except ValueError:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}") from None
         if self.warmup_rounds is None:
             self.warmup_rounds = min(10, self.rounds)
         if self.min_per_client is None:
@@ -217,10 +219,11 @@ def init_federation(
             ef_search=cfg.hnsw_ef_search,
             seed=child_seed(cfg.seed, _TAG_HNSW),
         )
-        for row, h in enumerate(hashes):
-            index.insert(row, h)
-    ids = [SampleId(k, i) for k, train in enumerate(trains) for i in range(len(train))]
-    cache = KnowledgeCache(ids, dataset.n_classes, labels=labels, hashes=hashes)
+        for h in hashes:
+            index.insert(h)
+    cache = KnowledgeCache(
+        [len(train) for train in trains], dataset.n_classes, labels=labels, hashes=hashes
+    )
     return FederationState(
         config=cfg,
         clients=clients,
@@ -264,7 +267,6 @@ def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTabl
         if state.neighbors is None:
             return no_teachers
         blocks = fedcache_teacher(state.cache, state.neighbors)
-    # Every client holds training samples, so block k is client k's.
     return [teacher_table(logits, mask, cfg.kd.temperature) for logits, mask in blocks]
 
 

@@ -1,5 +1,5 @@
 """Server-side knowledge store: logit cache, hash index, cluster hierarchy."""
-from .cache import KnowledgeCache, SampleId
+from .cache import KnowledgeCache
 from .hashing import RandomProjectionEncoder
 from .hierarchy import ClusterTree, Merge, agglomerate, build_hierarchy
 from .hnsw import HnswIndex
@@ -13,7 +13,6 @@ from .teachers import (
 
 __all__ = [
     "KnowledgeCache",
-    "SampleId",
     "RandomProjectionEncoder",
     "ClusterTree",
     "Merge",

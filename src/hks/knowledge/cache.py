@@ -1,16 +1,16 @@
 """Per-sample knowledge cache held by the server.
 
-One columnar table with a row per training sample, in SampleId order, so
-each client's rows form one contiguous block: the latest uploaded logits,
-the round of that upload, and, only for the methods that read them, class
-labels (feddistill, fedcache) and hashes (fedcache). The cache is
-single-writer during the server phase of a round; clients read immutable
-snapshots.
+One columnar table with a row per training sample, laid out client by
+client and, within a client, by local index, so client k's rows form block
+k: the latest uploaded logits, the round of that upload, and, only for the
+methods that read them, class labels (feddistill, fedcache) and hashes
+(fedcache). The row is the server's only sample key: the cluster tree's
+leaves and the hash index's nodes are cache rows. The round's barrier is
+the only writer; the server phase and the clients only read.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,16 +19,18 @@ from ..errors import InvalidInputError, MissingSampleError, ModeError, ShapeErro
 Array = np.ndarray
 
 
-class SampleId(NamedTuple):
-    """Globally unique sample identity: owning client plus local index."""
-
-    client_id: int
-    local_index: int
+def _column(values, dtype, n: int, name: str) -> Array:
+    col = np.asarray(values, dtype=dtype)
+    if col.shape[:1] != (n,):
+        raise ShapeError(f"{name} must have {n} rows, got shape {col.shape}")
+    return col
 
 
 class KnowledgeCache:
     """Logits (n, C), upload rounds (n,) (-1 before the first upload) and
-    optional labels (n,) and hashes (n, d_hash), row i belonging to ids[i].
+    optional labels (n,) and hashes (n, d_hash) for clients holding
+    `sizes[k]` samples each. `rows[k]` is client k's row slice and
+    `owner[i]` the client of row i.
 
     Label reads are counted so tests can assert the label-free mode never
     touches them server-side.
@@ -36,35 +38,32 @@ class KnowledgeCache:
 
     def __init__(
         self,
-        ids: Sequence[SampleId],
+        sizes: Sequence[int],
         n_classes: int,
         labels: Array | None = None,
         hashes: Array | None = None,
     ):
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids = tuple(ids[i] for i in order)
-        if len(set(self.ids)) != len(self.ids):
-            raise InvalidInputError("duplicate sample ids")
-        n = len(self.ids)
+        if any(size < 0 for size in sizes):
+            raise InvalidInputError(f"client sizes must be >= 0, got {list(sizes)}")
+        bounds = np.cumsum([0, *sizes])
+        self.rows = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(self.owner)
         self.logits = np.zeros((n, n_classes))
         self.updated_round = np.full(n, -1, dtype=np.int64)
-        self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)[order]
-        self.hashes = None if hashes is None else np.asarray(hashes, dtype=np.float64)[order]
+        self.labels = None if labels is None else _column(labels, np.int64, n, "labels")
+        self.hashes = None if hashes is None else _column(hashes, np.float64, n, "hashes")
         self.label_reads = 0
-        clients = [sid.client_id for sid in self.ids]
-        self.rows = {
-            k: slice(bisect_left(clients, k), bisect_right(clients, k)) for k in sorted(set(clients))
-        }
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.owner)
 
     def update_logits(self, client_id: int, Z: Array, round_index: int) -> None:
         """Overwrite one client's rows with its newest upload, (n_k, C) in
-        SampleId order."""
-        rows = self.rows.get(client_id)
-        if rows is None:
-            raise MissingSampleError(f"client {client_id} holds no cached samples")
+        local index order."""
+        if not 0 <= client_id < len(self.rows):
+            raise MissingSampleError(f"the cache holds no client {client_id}")
+        rows = self.rows[client_id]
         Z = np.asarray(Z, dtype=np.float64)
         if Z.shape != self.logits[rows].shape:
             raise ShapeError(f"client {client_id} uploaded {Z.shape}, expected {self.logits[rows].shape}")

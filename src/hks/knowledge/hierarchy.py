@@ -2,11 +2,13 @@
 
 Builds the full merge sequence (Euclidean metric, unweighted average linkage
 by default); the requested cluster count marks the cut.
-Dissimilarity ties are broken by the lexicographically smallest key
-(min member id of the union, max member id of the union, larger of the two
-clusters' min member ids). Clusters are disjoint, so no two candidate pairs
-share a key: the rule is a total order, and the tree depends only on the
-sample ids and their vectors, never on insertion order.
+Leaf i is row i of the input, and dissimilarity ties are broken by the
+lexicographically smallest key over row indices (min member row of the
+union, max member row of the union, larger of the two clusters' min member
+rows). Clusters are disjoint, so no two candidate pairs share a key: the
+rule is a total order, and the tree is a function of the rows in their
+given order. Reordering rows can change which of two tied pairs merges
+first; the cache fixes the order (client by client, then local index).
 
 The dissimilarities live in one N x N float64 matrix, built in place. Each
 time the live clusters fall to half its side, their rows and columns are
@@ -17,13 +19,12 @@ pair and computes the same Lance-Williams row as over the full matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import InsufficientDataError, InvalidInputError
 from ..numerics import softmax_rows
-from .cache import KnowledgeCache, SampleId
+from .cache import KnowledgeCache
 
 Array = np.ndarray
 
@@ -50,7 +51,6 @@ class ClusterTree:
     the cache's raw logits over its nodes' members.
     """
 
-    leaf_ids: tuple[SampleId, ...]
     merges: tuple[Merge, ...]
     cut_size: int
     parent: Array  # (2n-1,) parent node id, -1 at the root
@@ -58,7 +58,7 @@ class ClusterTree:
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_ids)
+        return (len(self.parent) + 1) // 2
 
 
 def _pairwise_distances(X: Array) -> Array:
@@ -80,23 +80,15 @@ def _pairwise_distances(X: Array) -> Array:
     return D
 
 
-def agglomerate(
-    vectors: Array, ids: Sequence[SampleId], cut: int, linkage: str = "average"
-) -> ClusterTree:
-    """Merge to a single cluster; the tree's cut holds `cut` clusters.
-
-    Rows are reordered by SampleId before clustering, which makes the result
-    independent of input order.
-    """
+def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTree:
+    """Merge the rows of `vectors` (leaf i is row i) to a single cluster;
+    the tree's cut holds `cut` clusters."""
     if linkage not in LINKAGES:
         raise InvalidInputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     X = np.asarray(vectors, dtype=np.float64)
-    ids = list(ids)
-    if X.ndim != 2 or X.shape[0] != len(ids):
-        raise InvalidInputError("vectors must be (n, d) aligned with ids")
-    if len(set(ids)) != len(ids):
-        raise InvalidInputError("duplicate sample ids")
-    n = len(ids)
+    if X.ndim != 2:
+        raise InvalidInputError(f"vectors must be (n, d), got shape {X.shape}")
+    n = len(X)
     if cut < 1 or n < cut:
         raise InsufficientDataError(f"{n} records cannot be cut into {cut} clusters")
     if not np.isfinite(X).all():
@@ -107,15 +99,11 @@ def agglomerate(
         if np.einsum("ij,ij->i", X, X).max() > np.finfo(np.float64).max / 4:
             raise InvalidInputError("vectors are too large: squared distances overflow")
 
-    order = sorted(range(n), key=lambda i: ids[i])
-    ids = [ids[i] for i in order]
-    X = X[order]
-
     D = _pairwise_distances(X)
     sizes = np.ones(n, dtype=np.int64)
     slot_node = list(range(n))  # matrix slot -> current tree node id
-    slot_min = list(ids)  # min member id per slot
-    slot_max = list(ids)
+    slot_min = list(range(n))  # min member row per slot
+    slot_max = list(range(n))
     active = np.ones(n, dtype=bool)
     parent = np.full(2 * n - 1, -1, dtype=np.int64)
     node_size = np.zeros(2 * n - 1, dtype=np.int64)
@@ -197,7 +185,6 @@ def agglomerate(
             row_min[r] = D[r, row_arg[r]]
 
     return ClusterTree(
-        leaf_ids=tuple(ids),
         merges=tuple(merges),
         cut_size=cut,
         parent=parent,
@@ -212,21 +199,20 @@ def build_hierarchy(
     space: str = "logits",
     temperature: float = 3.0,
 ) -> ClusterTree:
-    """Cluster every uploaded logit record down to n_clusters at the cut.
+    """Cluster every cache row's logits down to n_clusters at the cut; leaf
+    i is cache row i, so every row must hold logits.
 
     space="soft" clusters tempered softmax probabilities instead of raw
     logits; the default clusters the raw vectors. The space shapes only the
     tree: teachers always average raw logits.
     """
-    rows = np.flatnonzero(cache.updated_round >= 0)
-    if len(rows) < n_clusters:
-        raise InsufficientDataError(
-            f"cache holds {len(rows)} logit records, need at least {n_clusters}"
-        )
-    X = cache.logits[rows]
+    missing = int((cache.updated_round < 0).sum())
+    if missing:
+        raise InsufficientDataError(f"{missing} of {len(cache)} cache rows hold no logits yet")
+    X = cache.logits
     if space == "soft":
         X = softmax_rows(X, temperature)
     elif space != "logits":
         raise InvalidInputError(f"space must be 'logits' or 'soft', got {space!r}")
-    return agglomerate(X, [cache.ids[r] for r in rows], n_clusters, linkage)
+    return agglomerate(X, n_clusters, linkage)
 

@@ -5,21 +5,22 @@ geometrically thinning subset at higher layers. Search greedily descends the
 layers, then runs a best-first scan with an ef-sized candidate pool at the
 bottom. Each insert and each query first computes its squared distances to
 every indexed node in one numpy pass; the best-first search then reads that
-list, so a search step costs no numpy call. Ids are any orderable keys: the
-federation indexes cache rows, which follow SampleId order.
+list, so a search step costs no numpy call. The i-th inserted vector is
+node i, and queries return nodes: the federation inserts the cache's hashes
+in row order, so a node is a cache row.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError
 
 Array = np.ndarray
-Predicate = Callable[[Hashable], bool]
+Predicate = Callable[[int], bool]
 
 
 class HnswIndex:
@@ -47,8 +48,6 @@ class HnswIndex:
         self.ef_search = ef_search
         self._level_factor = 1.0 / math.log(m)
         self._rng = np.random.default_rng([seed, 40991])
-        self.ids: list[Hashable] = []
-        self._id_to_node: dict[Hashable, int] = {}
         self.levels: list[int] = []
         self.neighbors: list[list[list[int]]] = []  # node -> layer -> neighbor nodes
         self.entry_point: int | None = None
@@ -56,7 +55,7 @@ class HnswIndex:
         self._vectors = np.empty((256, dim), dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.levels)
 
     def _dist_sq(self, q: Array, nodes: Sequence[int] | slice) -> Array:
         diff = self._vectors[nodes] - q
@@ -141,18 +140,15 @@ class HnswIndex:
             out.append(node)
         return out
 
-    def insert(self, sid: Hashable, h: Array) -> None:
+    def insert(self, h: Array) -> None:
+        """Index h as node len(self)."""
         h = self._hash_vector(h)
-        if sid in self._id_to_node:
-            raise InvalidInputError(f"sample {sid} already indexed")
-        node = len(self.ids)
+        node = len(self.levels)
         if node == self._vectors.shape[0]:
             grown = np.empty((2 * self._vectors.shape[0], self.dim), dtype=np.float64)
             grown[:node] = self._vectors
             self._vectors = grown
         self._vectors[node] = h
-        self.ids.append(sid)
-        self._id_to_node[sid] = node
         level = self._draw_level()
         self.levels.append(level)
         self.neighbors.append([[] for _ in range(level + 1)])
@@ -187,23 +183,19 @@ class HnswIndex:
             self.entry_point = node
             self.top_level = level
 
-    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[Hashable]:
-        """Up to k ids passing the filter, ascending Euclidean distance."""
+    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[int]:
+        """Up to k nodes passing the filter, by ascending (distance, node);
+        the filter is asked about every node of the search pool, in that
+        order."""
         h = self._hash_vector(h)
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        if not self.ids:
+        if self.entry_point is None:
             return []
-        dist_sq = self._dist_sq(h, slice(0, len(self.ids))).tolist()
+        dist_sq = self._dist_sq(h, slice(0, len(self.levels))).tolist()
         entries = [self.entry_point]
         for layer in range(self.top_level, 0, -1):
             found = self._search_layer(dist_sq, entries, layer, 1)
             entries = [found[0][1]]
         pool = self._search_layer(dist_sq, entries, 0, max(self.ef_search, k))
-        hits = []
-        for dist, node in pool:
-            sid = self.ids[node]
-            if predicate is None or predicate(sid):
-                hits.append((dist, sid))
-        hits.sort()
-        return [sid for _, sid in hits[:k]]
+        return [node for _, node in pool if predicate is None or predicate(node)][:k]

@@ -1,8 +1,9 @@
 """Whole-round teacher knowledge: cluster-path granularity plus baselines.
 
-Each builder returns, for every sample in SampleId order, padded teacher
-logits (n, D, C) and their validity mask (n, D), split into one block per
-client; `numerics.teacher_table` turns a block into distillation targets.
+Each builder returns, for every cache row, padded teacher logits (n, D, C)
+and their validity mask (n, D), split into one block per client (block k is
+client k's rows); `numerics.teacher_table` turns a block into distillation
+targets.
 Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path; the two
 baselines aggregate by class label (global mean, or R hash-nearest
@@ -22,7 +23,7 @@ from .hierarchy import ClusterTree
 from .hnsw import HnswIndex
 
 Array = np.ndarray
-# One (logits (n, D, C), mask (n, D)) block per client, in client-id order.
+# One (logits (n_k, D, C), mask (n_k, D)) block per client, in client-id order.
 Blocks = list[tuple[Array, Array]]
 
 
@@ -47,9 +48,9 @@ def fetch_teacher(
     element. With exclude_self a node's mean leaves out the sample's own
     logits, so a node holding only the sample gives no teacher.
     """
-    if cache.ids != tree.leaf_ids:
-        raise StaleHierarchyError("cluster tree does not cover exactly the cached samples")
-    n = tree.n_leaves
+    n = len(cache)
+    if tree.n_leaves != n:
+        raise StaleHierarchyError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
     X = cache.logits
     # Node sums replay the merges below the cut over the raw logits.
     top = n + (n - tree.cut_size)
@@ -78,7 +79,7 @@ def fetch_teacher(
     # Filled per client: one (n, D, C) array for every sample would stay
     # resident through the next hierarchy build and raise the peak memory.
     blocks = []
-    for rows in cache.rows.values():
+    for rows in cache.rows:
         logits = sums[nodes[rows]]
         if exclude_self:
             logits -= X[rows, None, :]
@@ -94,7 +95,7 @@ def feddistill_teacher(cache: KnowledgeCache) -> Blocks:
     valid = cache.updated_round >= 0
     out = np.zeros((len(cache), 1, cache.logits.shape[1]))
     has = np.zeros((len(cache), 1), dtype=bool)
-    for rows in cache.rows.values():
+    for rows in cache.rows:
         foreign = valid.copy()
         foreign[rows] = False
         for y in np.unique(labels[rows]):
@@ -103,20 +104,20 @@ def feddistill_teacher(cache: KnowledgeCache) -> Blocks:
                 mine = labels[rows] == y
                 out[rows][mine, 0] = cache.logits[pool].mean(axis=0)
                 has[rows][mine, 0] = True
-    return [(out[rows], has[rows]) for rows in cache.rows.values()]
+    return [(out[rows], has[rows]) for rows in cache.rows]
 
 
 def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array:
     """Each row's R hash-nearest same-class rows of other clients that hold
-    logits, nearest first, as an (n, R) table padded with -1. The index must
-    be keyed by cache row."""
+    logits, nearest first, as an (n, R) table padded with -1. Node i of
+    the index must be cache row i."""
     labels = cache.read_labels()
-    clients = [sid.client_id for sid in cache.ids]
+    owner = cache.owner.tolist()
     out = np.full((len(cache), R), -1, dtype=np.int64)
     for row in range(len(cache)):
 
         def same_class_foreign(other: int) -> bool:
-            if clients[other] == clients[row] or cache.updated_round[other] < 0:
+            if owner[other] == owner[row] or cache.updated_round[other] < 0:
                 return False
             cache.label_reads += 1
             return labels[other] == labels[row]
@@ -134,4 +135,4 @@ def fedcache_teacher(cache: KnowledgeCache, neighbors: Array) -> Blocks:
     gathered = np.where(valid[..., None], cache.logits[neighbors], 0.0)
     out = (gathered.sum(axis=1) / np.maximum(count, 1)[:, None])[:, None, :]
     has = (count > 0)[:, None]
-    return [(out[rows], has[rows]) for rows in cache.rows.values()]
+    return [(out[rows], has[rows]) for rows in cache.rows]

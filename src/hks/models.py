@@ -118,14 +118,14 @@ def forward_batch(m: Model, X: Array) -> Array:
     return Z
 
 
-def batch_loss_terms(
+def batch_loss_and_grad(
     m: Model,
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
     cfg: KdConfig,
-) -> tuple[LossBreakdown, Array, list[Array], list[Array]]:
-    """Loss breakdown plus the activations needed to backpropagate it.
+) -> tuple[LossBreakdown, Array, Array]:
+    """Batch loss, its gradient w.r.t. the flat parameter vector, and logits.
 
     The batch loss is mean cross-entropy plus alpha_kd times the mean
     per-sample distillation loss scale * (h - q . log q_s), which is the
@@ -146,27 +146,12 @@ def batch_loss_terms(
         scale = T * T if cfg.t_squared_scaling else 1.0
         kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
         kd = scale * float(np.maximum(kl, 0.0).sum()) / B
-    total = ce + cfg.alpha_kd * kd
-    return LossBreakdown(ce=ce, kd=kd, total=total), Z, pre, post
-
-
-def batch_loss_and_grad(
-    m: Model,
-    X: Array,
-    y: Array,
-    teachers: TeacherTable | None,
-    cfg: KdConfig,
-) -> tuple[LossBreakdown, Array, Array]:
-    """Batch loss, its gradient w.r.t. the flat parameter vector, and logits."""
-    B = X.shape[0]
-    bd, Z, pre, post = batch_loss_terms(m, X, y, teachers, cfg)
+    bd = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.alpha_kd * kd)
 
     dZ = softmax_rows(Z)
     dZ[np.arange(B), y] -= 1.0
     dZ /= B
     if teachers is not None and cfg.alpha_kd != 0.0:
-        T = cfg.temperature
-        scale = T * T if cfg.t_squared_scaling else 1.0
         has = teachers.has
         dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (softmax_rows(Z[has], T) - teachers.q[has])
 

@@ -3,7 +3,7 @@ import heapq
 import math
 import struct
 from pathlib import Path
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -15,35 +15,30 @@ from hks.errors import (
     ModeError,
     ShapeError,
 )
-from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge, SampleId
+from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
-from hks.models import Model, batch_loss_terms
+from hks.models import Model, batch_loss_and_grad
 from hks.numerics import KdConfig, TeacherTable, teacher_table
 
 Array = np.ndarray
 Vector = Sequence[float] | Array
 
 
-def cache_from_rows(ids, logits=None, labels=None, hashes=None, n_classes=None, round_index=0):
-    """KnowledgeCache over `ids` (any order) with row-aligned labels and
-    hashes; the given logits rows are uploaded one block per client at
-    `round_index`. Without logits every row stays before its first upload."""
-    ids = list(ids)
+def cache_from_rows(sizes, logits=None, labels=None, hashes=None, n_classes=None, round_index=0):
+    """KnowledgeCache of clients holding `sizes[k]` rows each, client by
+    client, with row-aligned labels and hashes; the given logits rows are
+    uploaded one block per client at `round_index`. Without logits every
+    row stays before its first upload."""
+    n = sum(sizes)
     if logits is not None:
-        logits = np.asarray(logits, dtype=np.float64).reshape(len(ids), -1)
+        logits = np.asarray(logits, dtype=np.float64).reshape(n, -1)
         n_classes = logits.shape[1]
-    cache = KnowledgeCache(ids, n_classes, labels=labels, hashes=hashes)
+    cache = KnowledgeCache(sizes, n_classes, labels=labels, hashes=hashes)
     if logits is not None:
-        for k in cache.rows:
-            mine = sorted((sid, i) for i, sid in enumerate(ids) if sid.client_id == k)
-            cache.update_logits(k, logits[[i for _, i in mine]], round_index)
+        for k, block in enumerate(np.split(logits, np.cumsum(sizes)[:-1])):
+            cache.update_logits(k, block, round_index)
     return cache
-
-
-def row_of(cache):
-    """SampleId -> cache row."""
-    return {sid: row for row, sid in enumerate(cache.ids)}
 
 
 def naive_linkage(X, cut, linkage="average"):
@@ -52,7 +47,8 @@ def naive_linkage(X, cut, linkage="average"):
     At every step, every active cluster pair's dissimilarity is recomputed
     straight from the leaf distance matrix (mean/min/max over member pairs).
     Ties pick the lexicographically smallest (min member, max member, larger
-    of the two clusters' min members) key, which no two pairs share.
+    of the two clusters' min members) key over row indices, which no two
+    pairs share.
     Returns (merges, cut_partition) with merges as
     (frozenset(left), frozenset(right), height) over leaf indices.
     """
@@ -97,32 +93,25 @@ def reference_pairwise_distances(X):
     return np.sqrt(d2)
 
 
-def dense_linkage(vectors, ids, cut, linkage="average"):
+def dense_linkage(vectors, cut, linkage="average"):
     """The generic Lance-Williams agglomeration over one fixed N x N matrix,
     as `agglomerate` ran before it compacted the matrix; the exact oracle
-    for its merges, heights, parents, node sizes and cut."""
+    for its merges, heights, parents, node sizes and cut. Leaf i is row i."""
     if linkage not in LINKAGES:
         raise InvalidInputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     X = np.asarray(vectors, dtype=np.float64)
-    ids = list(ids)
-    if X.ndim != 2 or X.shape[0] != len(ids):
-        raise InvalidInputError("vectors must be (n, d) aligned with ids")
-    if len(set(ids)) != len(ids):
-        raise InvalidInputError("duplicate sample ids")
-    n = len(ids)
+    if X.ndim != 2:
+        raise InvalidInputError(f"vectors must be (n, d), got shape {X.shape}")
+    n = len(X)
     if cut < 1 or n < cut:
         raise InsufficientDataError(f"{n} records cannot be cut into {cut} clusters")
-
-    order = sorted(range(n), key=lambda i: ids[i])
-    ids = [ids[i] for i in order]
-    X = X[order]
 
     D = reference_pairwise_distances(X)
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     slot_node = list(range(n))  # matrix slot -> current tree node id
-    slot_min = list(ids)  # min member id per slot
-    slot_max = list(ids)
+    slot_min = list(range(n))  # min member row per slot
+    slot_max = list(range(n))
     active = np.ones(n, dtype=bool)
     parent = np.full(2 * n - 1, -1, dtype=np.int64)
     node_size = np.zeros(2 * n - 1, dtype=np.int64)
@@ -194,17 +183,11 @@ def dense_linkage(vectors, ids, cut, linkage="average"):
             row_arg[r] = D[r].argmin()
 
     return ClusterTree(
-        leaf_ids=tuple(ids),
         merges=tuple(merges),
         cut_size=cut,
         parent=parent,
         node_size=node_size,
     )
-
-
-def leaf_index(tree):
-    """SampleId -> leaf node id."""
-    return {sid: i for i, sid in enumerate(tree.leaf_ids)}
 
 
 def children(tree, node):
@@ -216,7 +199,7 @@ def children(tree, node):
 
 
 def members(tree, node):
-    """Leaf ids under a node, in SampleId order."""
+    """Leaves (cache rows) under a node, ascending."""
     stack = [node]
     leaves = []
     while stack:
@@ -226,15 +209,13 @@ def members(tree, node):
             leaves.append(cur)
         else:
             stack.extend(kids)
-    leaves.sort()
-    return [tree.leaf_ids[i] for i in leaves]
+    return sorted(leaves)
 
 
-def path_nodes(tree, sid):
-    """Node chain from a sample's singleton leaf up to its cut-level cluster."""
-    leaf = leaf_index(tree).get(sid)
-    if leaf is None:
-        raise MissingSampleError(f"{sid} is not a leaf of this tree")
+def path_nodes(tree, leaf):
+    """Node chain from a row's singleton leaf up to its cut-level cluster."""
+    if not 0 <= leaf < tree.n_leaves:
+        raise MissingSampleError(f"row {leaf} is not a leaf of this tree")
     cut_boundary = tree.n_leaves + (tree.n_leaves - tree.cut_size)
     path = [leaf]
     p = int(tree.parent[leaf])
@@ -255,17 +236,17 @@ def cut_partition(tree):
 
 def exact_knn(
     store: KnowledgeCache, h: Array, k: int, predicate: Predicate | None = None
-) -> list[SampleId]:
-    """Exhaustive scan over the cache's hashes; ties break by SampleId order."""
+) -> list[int]:
+    """Exhaustive scan over the cache's hashes; the k nearest rows passing
+    the filter, ties broken by row order."""
     if store.hashes is None:
         raise ModeError("cache stores no hashes in this mode")
     diff = store.hashes - np.asarray(h, dtype=np.float64)
     d2 = np.einsum("ij,ij->i", diff, diff)
-    out: list[SampleId] = []
-    for i in np.argsort(d2, kind="stable"):
-        sid = store.ids[i]
-        if predicate is None or predicate(sid):
-            out.append(sid)
+    out: list[int] = []
+    for row in np.argsort(d2, kind="stable").tolist():
+        if predicate is None or predicate(row):
+            out.append(row)
             if len(out) == k:
                 break
     return out
@@ -279,11 +260,11 @@ def knn_by_sorting(points, query, k):
     return [i for _, i in table[:k]]
 
 
-def path_teacher(cache, tree, sid, granularity, exclude_self=True):
+def path_teacher(cache, tree, row, granularity, exclude_self=True):
     """Per-sample hks teacher logits: one mean of raw cached member logits
-    per selected node of the sample's cluster path, recomputed from the
-    members. With exclude_self a node holding only the sample gives none."""
-    path = path_nodes(tree, sid)
+    per selected node of the row's cluster path, recomputed from the
+    members. With exclude_self a node holding only the row gives none."""
+    path = path_nodes(tree, row)
     length = len(path)
     granularity = str(getattr(granularity, "value", granularity))
     if granularity == "bottom":
@@ -294,27 +275,25 @@ def path_teacher(cache, tree, sid, granularity, exclude_self=True):
         nodes = [path[-1]]
     else:
         nodes = path[1:]
-    rows = row_of(cache)
     out = []
     for node in nodes:
-        kept = [m for m in members(tree, node) if not (exclude_self and m == sid)]
+        kept = [m for m in members(tree, node) if not (exclude_self and m == row)]
         if kept:
-            out.append(np.mean([cache.logits[rows[m]] for m in kept], axis=0))
+            out.append(np.mean([cache.logits[m] for m in kept], axis=0))
     return out
 
 
-def feddistill_class_teacher(cache, sid):
-    """Per-sample feddistill teacher: mean logits of the sample's class over
-    every other client's samples that hold logits; [] when there are none."""
-    y = cache.labels[row_of(cache)[sid]]
-    rows = [
-        cache.logits[row]
-        for row, other in enumerate(cache.ids)
-        if other.client_id != sid.client_id
-        and cache.labels[row] == y
-        and cache.updated_round[row] >= 0
+def feddistill_class_teacher(cache, row):
+    """Per-sample feddistill teacher: mean logits of the row's class over
+    every other client's rows that hold logits; [] when there are none."""
+    pool = [
+        cache.logits[other]
+        for other in range(len(cache))
+        if cache.owner[other] != cache.owner[row]
+        and cache.labels[other] == cache.labels[row]
+        and cache.updated_round[other] >= 0
     ]
-    return [np.mean(rows, axis=0)] if rows else []
+    return [np.mean(pool, axis=0)] if pool else []
 
 
 def neighbour_teacher(cache, neighbour_rows):
@@ -464,7 +443,7 @@ def param_count(layer_dims: Sequence[int]) -> int:
 
 
 def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
-    bd, _, _, _ = batch_loss_terms(m, X, y, teachers, cfg)
+    bd, _, _ = batch_loss_and_grad(m, X, y, teachers, cfg)
     return bd.total
 
 
@@ -519,18 +498,14 @@ class ReferenceHnsw(HnswIndex):
                     heapq.heappushpop(pool, (-di, nn))
         return sorted((-negd, n) for negd, n in pool)
 
-    def insert(self, sid: Hashable, h: Array) -> None:
-        if sid in self._id_to_node:
-            raise InvalidInputError(f"sample {sid} already indexed")
+    def insert(self, h: Array) -> None:
         h = np.asarray(h, dtype=np.float64)
-        node = len(self.ids)
+        node = len(self.levels)
         if node == self._vectors.shape[0]:
             grown = np.empty((2 * self._vectors.shape[0], self.dim), dtype=np.float64)
             grown[:node] = self._vectors
             self._vectors = grown
         self._vectors[node] = h
-        self.ids.append(sid)
-        self._id_to_node[sid] = node
         level = self._draw_level()
         self.levels.append(level)
         self.neighbors.append([[] for _ in range(level + 1)])
@@ -562,11 +537,11 @@ class ReferenceHnsw(HnswIndex):
             self.entry_point = node
             self.top_level = level
 
-    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[Hashable]:
-        """Up to k ids passing the filter, ascending Euclidean distance."""
+    def query(self, h: Array, k: int, predicate: Predicate | None = None) -> list[int]:
+        """Up to k nodes passing the filter, ascending Euclidean distance."""
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        if not self.ids:
+        if not self.levels:
             return []
         h = np.asarray(h, dtype=np.float64)
         entries = [self.entry_point]
@@ -576,8 +551,7 @@ class ReferenceHnsw(HnswIndex):
         pool = self._search_layer(h, entries, 0, max(self.ef_search, k))
         hits = []
         for dist, node in pool:
-            sid = self.ids[node]
-            if predicate is None or predicate(sid):
-                hits.append((dist, sid))
+            if predicate is None or predicate(node):
+                hits.append((dist, node))
         hits.sort()
-        return [sid for _, sid in hits[:k]]
+        return [node for _, node in hits[:k]]

@@ -17,7 +17,6 @@ from hks.federation import FederationConfig, Method, init_federation, run_experi
 from hks.knowledge import (
     Granularity,
     HnswIndex,
-    SampleId,
     agglomerate,
     build_hierarchy,
 )
@@ -109,20 +108,20 @@ def test_criterion_02_clustering_oracle():
         dim = (2, 10)[case % 2]
         n = int(rng.integers(4, 33))
         X = rng.normal(size=(n, dim))
-        tree = agglomerate(X, [SampleId(0, i) for i in range(n)], cut=2)
+        tree = agglomerate(X, cut=2)
         expected_merges, expected_cut = naive_linkage(X, cut=2)
         for merge, (left, right, height) in zip(tree.merges, expected_merges):
-            got_left = frozenset(s.local_index for s in members(tree, merge.left))
-            got_right = frozenset(s.local_index for s in members(tree, merge.right))
+            got_left = frozenset(members(tree, merge.left))
+            got_right = frozenset(members(tree, merge.right))
             assert (got_left, got_right) == (left, right), f"case {case}"
             assert abs(merge.height - height) <= 1e-9, f"case {case}"
-        got_cut = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
+        got_cut = set(cut_partition(tree))
         assert got_cut == set(expected_cut), f"case {case}"
         checked += 1
 
-    cache = cache_from_rows([SampleId(0, i) for i in range(4)], [0.0, 0.1, 10.0, 10.1])
+    cache = cache_from_rows([4], [0.0, 0.1, 10.0, 10.1])
     tree = build_hierarchy(cache, 2)
-    partition = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
+    partition = set(cut_partition(tree))
     assert partition == {frozenset({0, 1}), frozenset({2, 3})}
     _report("criterion 2 clustering oracle", "PASS", f"{checked} instances exact")
 
@@ -131,11 +130,10 @@ def test_criterion_03_ann_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
     points = rng.normal(size=(1000, 32))
-    ids = [SampleId(0, i) for i in range(len(points))]
-    cache = cache_from_rows(ids, n_classes=1, hashes=points)
+    cache = cache_from_rows([len(points)], n_classes=1, hashes=points)
     index = HnswIndex(32, m=16, ef_construction=200, ef_search=64, seed=303)
-    for sid, p in zip(ids, points):
-        index.insert(sid, p)
+    for p in points:
+        index.insert(p)
     hits = 0
     for q in rng.normal(size=(100, 32)):
         truth = set(exact_knn(cache, q, 10))

@@ -23,7 +23,6 @@ from hks.knowledge import (
     Granularity,
     HnswIndex,
     KnowledgeCache,
-    SampleId,
     build_hierarchy,
     fedcache_neighbors,
 )
@@ -136,17 +135,18 @@ class TestInit:
             else:
                 assert state.cache.hashes is None, method
 
-    def test_cache_rows_are_client_blocks_in_sample_id_order(self, dataset):
+    def test_cache_rows_are_client_blocks_in_local_index_order(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
         cache = state.cache
-        assert list(cache.ids) == sorted(cache.ids)
+        start = 0
         for client in state.clients:
             rows = cache.rows[client.client_id]
-            assert cache.ids[rows] == tuple(
-                SampleId(client.client_id, i) for i in range(len(client.shard.train))
-            )
+            assert rows == slice(start, start + len(client.shard.train))
+            assert (cache.owner[rows] == client.client_id).all()
             np.testing.assert_array_equal(cache.labels[rows], client.shard.train.labels)
+            start = rows.stop
+        assert start == len(cache)
 
 
 class TestValidate:
@@ -155,6 +155,11 @@ class TestValidate:
     def test_non_finite_float_settings_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             tiny_cfg(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key", ["method", "granularity", "fedavg_tier"])
+    def test_unknown_enum_value_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            FederationConfig(**{key: "bogus"})
 
 
 class TestRunRound:
@@ -315,8 +320,8 @@ class TestFedCacheNeighbourTable:
         expected = {}
         for t in range(state.config.rounds):
             neighbours = fedcache_neighbors(state.cache, state.index, state.config.R)
-            for row, sid in enumerate(state.cache.ids):
-                expected[(t, *sid)] = neighbour_teacher(state.cache, neighbours[row])
+            for row in range(len(state.cache)):
+                expected[(t, row)] = neighbour_teacher(state.cache, neighbours[row])
             run_round(state)
         return seen, expected
 
@@ -336,7 +341,7 @@ class TestFedCacheNeighbourTable:
             if table is None:
                 continue
             for i in range(len(table.has)):
-                teacher = expected[(t, k, i)]
+                teacher = expected[(t, state.cache.rows[k].start + i)]
                 assert table.has[i] == bool(teacher), (t, k, i)
                 if teacher:
                     np.testing.assert_array_equal(
@@ -376,7 +381,7 @@ class TestFedCacheNeighbourTable:
 
         cache = state.cache
         assert len(cache) == 638
-        for k, rows in cache.rows.items():
+        for k, rows in enumerate(cache.rows):
             cache.update_logits(k, np.zeros_like(cache.logits[rows]), 0)
 
         def neighbours(index):
@@ -415,23 +420,21 @@ def probe_kd(teachers, z_s, cfg):
 
 
 def oracle_teachers(state):
-    """Every sample's teacher logits from the per-sample oracles, as the
+    """Every cache row's teacher logits from the per-sample oracles, as the
     round about to run would read them; None when the method has none yet."""
     cfg, cache = state.config, state.cache
-    sids = cache.ids
+    rows = range(len(cache))
     if cfg.method is Method.HKS:
         if state.round <= cfg.warmup_rounds:
             return None
         tree = build_hierarchy(
             cache, state.n_classes, cfg.linkage, cfg.cluster_space, cfg.kd.temperature
         )
-        return {
-            sid: path_teacher(cache, tree, sid, cfg.granularity, cfg.exclude_self) for sid in sids
-        }
+        return [path_teacher(cache, tree, row, cfg.granularity, cfg.exclude_self) for row in rows]
     if cfg.method is Method.FEDDISTILL:
-        return {sid: feddistill_class_teacher(cache, sid) for sid in sids}
+        return [feddistill_class_teacher(cache, row) for row in rows]
     neighbours = fedcache_neighbors(cache, state.index, cfg.R)
-    return {sid: neighbour_teacher(cache, neighbours[row]) for row, sid in enumerate(sids)}
+    return [neighbour_teacher(cache, neighbours[row]) for row in rows]
 
 
 ORACLE_CASES = [
@@ -473,7 +476,7 @@ class TestTeacherTableOracle:
             if table is None:
                 continue
             for i in range(len(table.has)):
-                teachers = expected[t][SampleId(k, i)]
+                teachers = expected[t][state.cache.rows[k].start + i]
                 assert table.has[i] == bool(teachers), (t, k, i)
                 z_s = rng.normal(scale=2.0, size=state.n_classes)
                 loss, grad = probe_kd(table.take([i]), z_s, cfg.kd)

@@ -18,7 +18,6 @@ from hks.knowledge import (
     HnswIndex,
     KnowledgeCache,
     RandomProjectionEncoder,
-    SampleId,
     agglomerate,
     build_hierarchy,
     fedcache_neighbors,
@@ -35,7 +34,6 @@ from reference_oracles import (
     dense_linkage,
     exact_knn,
     knn_by_sorting,
-    leaf_index,
     members,
     naive_linkage,
     path_nodes,
@@ -47,11 +45,14 @@ from reference_oracles import (
 
 
 def make_cache(points, clients=None, labels=None, round_index=0):
-    """Cache of one uploaded row per point, SampleId(client, i); hashes
-    mirror the logit vectors."""
+    """Cache of one uploaded row per point, row i held by client clients[i]
+    (nondecreasing; all client 0 by default); hashes mirror the logit
+    vectors."""
     points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
-    ids = [SampleId(clients[i] if clients else 0, i) for i in range(len(points))]
-    return cache_from_rows(ids, points, labels=labels, hashes=points, round_index=round_index)
+    clients = [0] * len(points) if clients is None else clients
+    assert clients == sorted(clients), "rows run client by client"
+    sizes = np.bincount(clients).tolist()
+    return cache_from_rows(sizes, points, labels=labels, hashes=points, round_index=round_index)
 
 
 def encode(enc, x):
@@ -81,12 +82,12 @@ class TestEncodeHash:
 class TestExactKnn:
     def test_singleton(self):
         cache = make_cache([[1.0, 0.0]])
-        assert exact_knn(cache, np.array([0.0, 0.0]), 3) == [SampleId(0, 0)]
+        assert exact_knn(cache, np.array([0.0, 0.0]), 3) == [0]
 
     def test_tie_break_by_sample_id(self):
         cache = make_cache([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         out = exact_knn(cache, np.array([1.0, 0.0]), 3)
-        assert out == [SampleId(0, 0), SampleId(0, 1), SampleId(0, 2)]
+        assert out == [0, 1, 2]
 
     def test_matches_independent_sorted_table(self):
         rng = np.random.default_rng(17)
@@ -95,26 +96,26 @@ class TestExactKnn:
         q = rng.normal(size=6)
         mine = exact_knn(cache, q, 10)
         reference = knn_by_sorting(points, q, 10)
-        assert [sid.local_index for sid in mine] == reference
+        assert mine == reference
 
     def test_filter(self):
         cache = make_cache([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
-        out = exact_knn(cache, np.array([0.0, 0.0]), 2, lambda s: s.local_index != 0)
-        assert out == [SampleId(0, 1), SampleId(0, 2)]
+        out = exact_knn(cache, np.array([0.0, 0.0]), 2, lambda row: row != 0)
+        assert out == [1, 2]
 
 
 class TestHnsw:
     def build(self, points, seed=0, **kwargs):
         index = HnswIndex(points.shape[1], seed=seed, **kwargs)
-        for i, p in enumerate(points):
-            index.insert(SampleId(0, i), p)
+        for p in points:
+            index.insert(p)
         return index
 
     def test_query_of_indexed_vector_returns_itself_first(self):
         rng = np.random.default_rng(0)
         points = rng.normal(size=(50, 8))
         index = self.build(points)
-        assert index.query(points[17], 5)[0] == SampleId(0, 17)
+        assert index.query(points[17], 5)[0] == 17
 
     def test_k_larger_than_index(self):
         rng = np.random.default_rng(1)
@@ -168,21 +169,15 @@ class TestHnsw:
         rng = np.random.default_rng(5)
         points = rng.normal(size=(40, 4))
         index = self.build(points)
-        out = index.query(points[0], 5, lambda s: s.local_index % 2 == 1)
-        assert out and all(s.local_index % 2 == 1 for s in out)
-
-    def test_duplicate_insert_rejected(self):
-        index = HnswIndex(3)
-        index.insert(SampleId(0, 0), np.ones(3))
-        with pytest.raises(InvalidInputError):
-            index.insert(SampleId(0, 0), np.ones(3))
+        out = index.query(points[0], 5, lambda node: node % 2 == 1)
+        assert out and all(node % 2 == 1 for node in out)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda index: index.insert(99, 0.25),
-            lambda index: index.insert(99, np.ones(5)),
-            lambda index: index.insert(99, np.ones((1, 4))),
+            lambda index: index.insert(0.25),
+            lambda index: index.insert(np.ones(5)),
+            lambda index: index.insert(np.ones((1, 4))),
             lambda index: index.query(0.5, 3),
             lambda index: index.query(np.array([0.5]), 3),
         ],
@@ -194,7 +189,7 @@ class TestHnsw:
         graph = copy.deepcopy(index.neighbors)
         with pytest.raises(ShapeError):
             call(index)
-        assert len(index) == 10 and 99 not in index.ids
+        assert len(index) == 10 and len(index.neighbors) == 10
         assert index.neighbors == graph
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -205,8 +200,8 @@ class TestHnsw:
         h = np.zeros(4)
         h[2] = bad
         with pytest.raises(InvalidInputError):
-            index.insert(99, h) if method == "insert" else index.query(h, 3)
-        assert len(index) == 10 and 99 not in index.ids
+            index.insert(h) if method == "insert" else index.query(h, 3)
+        assert len(index) == 10 and len(index.neighbors) == 10
 
 
 def tie_heavy_points(n, dim, seed):
@@ -221,19 +216,19 @@ def tie_heavy_points(n, dim, seed):
 
 
 def recording(calls, keep):
-    """Predicate that appends every id it is asked about to `calls`."""
+    """Predicate that appends every node it is asked about to `calls`."""
 
-    def predicate(sid):
-        calls.append(sid)
-        return keep(sid)
+    def predicate(node):
+        calls.append(node)
+        return keep(node)
 
     return predicate
 
 
 class TestHnswMatchesReference:
     """The one-pass index builds the same graph as the per-expansion
-    reference, and every query returns the same ids after asking the
-    predicate about the same ids in the same order."""
+    reference, and every query returns the same nodes after asking the
+    predicate about the same nodes in the same order."""
 
     @pytest.mark.parametrize(
         "n, dim, m, ef_construction, ef_search, seed",
@@ -249,16 +244,16 @@ class TestHnswMatchesReference:
         X = tie_heavy_points(n, dim, seed)
         params = dict(m=m, ef_construction=ef_construction, ef_search=ef_search, seed=seed)
         index, reference = HnswIndex(dim, **params), ReferenceHnsw(dim, **params)
-        for i, x in enumerate(X):
-            index.insert(i, x)
-            reference.insert(i, x)
+        for x in X:
+            index.insert(x)
+            reference.insert(x)
         assert index.neighbors == reference.neighbors
         assert index.levels == reference.levels
         assert index.entry_point == reference.entry_point
         assert index.top_level == reference.top_level
 
-        def keep(sid):
-            return sid % 3 != 1
+        def keep(node):
+            return node % 3 != 1
 
         queries = np.vstack([X[::7], tie_heavy_points(30, dim, seed + 100)])
         for q in queries:
@@ -273,8 +268,8 @@ class TestHnswMatchesReference:
         X = tie_heavy_points(60, 3, 5)
         index, reference = HnswIndex(3, m=3, seed=5), ReferenceHnsw(3, m=3, seed=5)
         for i, x in enumerate(X):
-            index.insert(i, x)
-            reference.insert(i, x)
+            index.insert(x)
+            reference.insert(x)
             q = X[(7 * i) % (i + 1)]
             assert index.query(q, 4) == reference.query(q, 4)
         assert index.neighbors == reference.neighbors
@@ -304,6 +299,13 @@ class TestCache:
         with pytest.raises(MissingSampleError):
             cache.update_logits(5, np.array([[1.0]]), 0)
 
+    def test_negative_client_id_rejected(self):
+        # -1 must not index the last client's block
+        cache = make_cache([[1.0], [2.0]], clients=[0, 1])
+        with pytest.raises(MissingSampleError):
+            cache.update_logits(-1, np.array([[9.0]]), 1)
+        assert cache.updated_round.tolist() == [0, 0]
+
     def test_label_free_mode_has_no_labels(self):
         cache = make_cache([[1.0], [2.0]])
         assert cache.labels is None
@@ -311,19 +313,48 @@ class TestCache:
             cache.read_labels()
         assert cache.label_reads == 0
 
-    def test_rows_in_sample_id_order_whatever_the_input_order(self):
-        ids = [SampleId(2, 0), SampleId(0, 1), SampleId(1, 0), SampleId(0, 0), SampleId(2, 1)]
+    def test_client_blocks_follow_the_sizes(self):
         logits = np.arange(10.0).reshape(5, 2)
-        cache = cache_from_rows(ids, logits, labels=[4, 1, 2, 0, 5], hashes=-logits)
-        assert list(cache.ids) == sorted(ids)
-        order = [3, 1, 2, 0, 4]  # input position of each sorted id
-        np.testing.assert_array_equal(cache.logits, logits[order])
-        np.testing.assert_array_equal(cache.hashes, -logits[order])
-        assert cache.labels.tolist() == [0, 1, 2, 4, 5]
-        assert cache.rows == {0: slice(0, 2), 1: slice(2, 3), 2: slice(3, 5)}
+        cache = cache_from_rows([2, 0, 1, 2], logits, labels=[4, 1, 2, 0, 5], hashes=-logits)
+        assert len(cache) == 5
+        assert cache.rows == [slice(0, 2), slice(2, 2), slice(2, 3), slice(3, 5)]
+        assert cache.owner.tolist() == [0, 0, 2, 3, 3]
+        # labels and hashes stay in the given row order
+        np.testing.assert_array_equal(cache.logits, logits)
+        np.testing.assert_array_equal(cache.hashes, -logits)
+        assert cache.labels.tolist() == [4, 1, 2, 0, 5]
+
+    def test_zero_size_client_uploads_an_empty_block(self):
+        cache = KnowledgeCache([1, 0, 1], 2)
+        cache.update_logits(1, np.zeros((0, 2)), 4)
+        assert cache.updated_round.tolist() == [-1, -1]
+        cache.update_logits(2, np.ones((1, 2)), 4)
+        assert cache.updated_round.tolist() == [-1, 4]
+        with pytest.raises(ShapeError):
+            cache.update_logits(1, np.ones((1, 2)), 4)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(InvalidInputError):
+            KnowledgeCache([2, -1, 1], 2)
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("labels", [0, 1]),
+            ("labels", [0, 1, 0, 1]),
+            ("labels", 0),
+            ("hashes", np.zeros((2, 2))),
+            ("hashes", np.zeros((4, 2))),
+            ("hashes", 0.0),
+        ],
+    )
+    def test_column_with_the_wrong_row_count_rejected(self, column, values):
+        # nothing reorders labels or hashes, so a wrong count is never cut to fit
+        with pytest.raises(ShapeError):
+            KnowledgeCache([1, 2], 2, **{column: values})
 
     def test_rows_wait_for_their_first_upload(self):
-        cache = KnowledgeCache([SampleId(0, 0), SampleId(1, 0)], 3)
+        cache = KnowledgeCache([1, 1], 3)
         assert cache.updated_round.tolist() == [-1, -1]
         assert cache.logits.shape == (2, 3)
         assert cache.labels is None and cache.hashes is None
@@ -334,10 +365,6 @@ class TestCache:
         with pytest.raises(ShapeError):
             cache.update_logits(0, np.zeros(shape), 1)
         assert cache.updated_round.tolist() == [0, 0, 0]
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(InvalidInputError):
-            KnowledgeCache([SampleId(0, 0), SampleId(0, 0)], 2)
 
     def test_label_reads_count_every_row(self):
         cache = make_cache([[1.0], [2.0], [3.0]], labels=[0, 1, 0])
@@ -358,7 +385,7 @@ class FourPoints:
 class TestBuildHierarchy(FourPoints):
     def test_four_point_cut(self):
         _, tree = self.tree()
-        partition = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
+        partition = set(cut_partition(tree))
         assert partition == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_heights_nondecreasing(self):
@@ -373,21 +400,28 @@ class TestBuildHierarchy(FourPoints):
         with pytest.raises(InsufficientDataError):
             build_hierarchy(cache, 3)
 
+    def test_row_without_logits_rejected(self):
+        # leaf i is cache row i, so a row that never uploaded cannot be clustered
+        cache = cache_from_rows([2, 1], n_classes=1)
+        cache.update_logits(0, np.array([[0.0], [1.0]]), 0)
+        with pytest.raises(InsufficientDataError):
+            build_hierarchy(cache, 2)
+
     @pytest.mark.parametrize("dim", [2, 10])
     def test_matches_naive_reference(self, dim):
         rng = np.random.default_rng(70 + dim)
         for _ in range(6):
             n = int(rng.integers(4, 33))
             X = rng.normal(size=(n, dim))
-            tree = agglomerate(X, [SampleId(0, i) for i in range(n)], cut=2)
+            tree = agglomerate(X, cut=2)
             expected_merges, expected_cut = naive_linkage(X, cut=2)
             assert len(tree.merges) == len(expected_merges)
             for merge, (left, right, height) in zip(tree.merges, expected_merges):
-                got_left = frozenset(s.local_index for s in members(tree, merge.left))
-                got_right = frozenset(s.local_index for s in members(tree, merge.right))
+                got_left = frozenset(members(tree, merge.left))
+                got_right = frozenset(members(tree, merge.right))
                 assert (got_left, got_right) == (left, right)
                 assert merge.height == pytest.approx(height, abs=1e-9)
-            got_cut = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
+            got_cut = set(cut_partition(tree))
             assert got_cut == set(expected_cut)
 
     @staticmethod
@@ -413,10 +447,7 @@ class TestBuildHierarchy(FourPoints):
     @staticmethod
     def merged_sets(tree):
         return [
-            (
-                frozenset(s.local_index for s in members(tree, m.left)),
-                frozenset(s.local_index for s in members(tree, m.right)),
-            )
+            (frozenset(members(tree, m.left)), frozenset(members(tree, m.right)))
             for m in tree.merges
         ]
 
@@ -424,14 +455,13 @@ class TestBuildHierarchy(FourPoints):
     def test_ties_match_naive_reference(self, linkage):
         for X in self.tie_cases():
             n = len(X)
-            tree = agglomerate(X, [SampleId(0, i) for i in range(n)], cut=2, linkage=linkage)
+            tree = agglomerate(X, cut=2, linkage=linkage)
             expected_merges, expected_cut = naive_linkage(X, cut=2, linkage=linkage)
             expected = [(left, right) for left, right, _ in expected_merges]
             assert self.merged_sets(tree) == expected, X.tolist()
             heights = [m.height for m in tree.merges]
             assert heights == pytest.approx([h for _, _, h in expected_merges], abs=1e-9)
-            got_cut = {frozenset(s.local_index for s in c) for c in cut_partition(tree)}
-            assert got_cut == set(expected_cut)
+            assert set(cut_partition(tree)) == set(expected_cut)
 
     @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
     def test_tie_between_pairs_sharing_min_and_max_member(self, linkage):
@@ -439,7 +469,7 @@ class TestBuildHierarchy(FourPoints):
         # {0, 4} is at 1.0 from both {1, 3} and {2}, and either union spans
         # members 0..4; the larger of the two minima (1 < 2) picks {1, 3}
         X = np.array([[1.0], [0.0], [2.0], [0.0], [1.0]])
-        tree = agglomerate(X, [SampleId(0, i) for i in range(5)], cut=1, linkage=linkage)
+        tree = agglomerate(X, cut=1, linkage=linkage)
         expected, _ = naive_linkage(X, cut=1, linkage=linkage)
         assert self.merged_sets(tree) == [(left, right) for left, right, _ in expected]
         assert self.merged_sets(tree)[2] == (frozenset({0, 4}), frozenset({1, 3}))
@@ -447,33 +477,15 @@ class TestBuildHierarchy(FourPoints):
     def test_exact_tie_break_prefers_smallest_ids(self):
         # 1-D points 0,1,10,11: both candidate pairs sit at exactly 1.0
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
-        tree = agglomerate(X, [SampleId(0, i) for i in range(4)], cut=2)
+        tree = agglomerate(X, cut=2)
         first = tree.merges[0]
-        merged = {s.local_index for s in members(tree, first.left)} | {
-            s.local_index for s in members(tree, first.right)
-        }
-        assert merged == {0, 1}
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(8)
-        points = rng.normal(size=(12, 2))
-        ids = [SampleId(0, i) for i in range(12)]
-
-        def build(order):
-            cache = cache_from_rows([ids[i] for i in order], points[list(order)])
-            tree = build_hierarchy(cache, 3)
-            return {frozenset(c) for c in cut_partition(tree)}
-
-        base = build(range(12))
-        shuffled = list(range(12))
-        rng.shuffle(shuffled)
-        assert build(shuffled) == base
+        assert set(members(tree, first.left)) | set(members(tree, first.right)) == {0, 1}
 
     def test_single_and_complete_linkage_match_reference(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, 2))
         for linkage in ("single", "complete"):
-            tree = agglomerate(X, [SampleId(0, i) for i in range(10)], cut=2, linkage=linkage)
+            tree = agglomerate(X, cut=2, linkage=linkage)
             expected, _ = naive_linkage(X, cut=2, linkage=linkage)
             for merge, (_, _, height) in zip(tree.merges, expected):
                 assert merge.height == pytest.approx(height, abs=1e-9)
@@ -497,12 +509,13 @@ class TestCompactedLinkage:
     @pytest.mark.parametrize("X", compaction_cases())
     def test_matches_dense_linkage_exactly(self, X, linkage):
         n = len(X)
-        rng = np.random.default_rng(n)
-        ids = [SampleId(int(c), i) for i, c in enumerate(rng.integers(0, 5, size=n))]
+        # rows regrouped into five seeded client blocks, as a cache lays them out
+        clients = np.random.default_rng(n).integers(0, 5, size=n)
+        X = X[np.argsort(clients, kind="stable")]
         for cut in (1, 2, n // 2, n // 2 + 1, n):
-            tree = agglomerate(X, ids, cut, linkage)
-            expected = dense_linkage(X, ids, cut, linkage)
-            assert tree.leaf_ids == expected.leaf_ids
+            tree = agglomerate(X, cut, linkage)
+            expected = dense_linkage(X, cut, linkage)
+            assert tree.n_leaves == expected.n_leaves == n
             assert tree.merges == expected.merges  # heights included, bit for bit
             np.testing.assert_array_equal(tree.parent, expected.parent)
             np.testing.assert_array_equal(tree.node_size, expected.node_size)
@@ -521,10 +534,9 @@ class TestCompactedLinkage:
     def test_peak_memory_stays_near_one_matrix(self):
         n = 1500
         X = np.random.default_rng(0).normal(size=(n, 10))
-        ids = [SampleId(0, i) for i in range(n)]
         tracemalloc.start()
         try:
-            agglomerate(X, ids, cut=4)
+            agglomerate(X, cut=4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -539,7 +551,7 @@ class TestRejectsUnclusterableVectors:
     def test_non_finite_row(self, bad):
         X = np.array([[0.0, 1.0], [2.0, bad], [1.0, 1.0], [3.0, 0.0]])
         with pytest.raises(InvalidInputError):
-            agglomerate(X, [SampleId(0, i) for i in range(4)], cut=2)
+            agglomerate(X, cut=2)
 
     def test_non_finite_cached_logits(self):
         cache = make_cache([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
@@ -550,57 +562,56 @@ class TestRejectsUnclusterableVectors:
         # 1e200 squared overflows: every distance to it would read inf
         X = np.array([[0.0], [1e200], [1.0], [2.0]])
         with pytest.raises(InvalidInputError):
-            agglomerate(X, [SampleId(0, i) for i in range(4)], cut=2)
+            agglomerate(X, cut=2)
 
 
-def path_clusters(tree, sid):
-    """Member sets along a sample's path, singleton first, cut cluster last."""
-    return [frozenset(members(tree, node)) for node in path_nodes(tree, sid)]
+def path_clusters(tree, row):
+    """Member sets along a row's path, singleton first, cut cluster last."""
+    return [frozenset(members(tree, node)) for node in path_nodes(tree, row)]
 
 
 class TestClusterPath(FourPoints):
     def test_four_point_path(self):
         _, tree = self.tree()
-        sets = [frozenset(s.local_index for s in c) for c in path_clusters(tree, SampleId(0, 0))]
+        sets = path_clusters(tree, 0)
         assert sets == [frozenset({0}), frozenset({0, 1})]
 
     def test_last_element_in_cut(self):
         _, tree = self.tree()
         cut = set(cut_partition(tree))
         for i in range(4):
-            assert path_clusters(tree, SampleId(0, i))[-1] in cut
+            assert path_clusters(tree, i)[-1] in cut
 
     def test_strict_nesting(self):
         rng = np.random.default_rng(10)
         cache = make_cache(rng.normal(size=(16, 2)))
         tree = build_hierarchy(cache, 2)
         for i in range(16):
-            chain = path_clusters(tree, SampleId(0, i))
-            assert chain[0] == frozenset({SampleId(0, i)})
+            chain = path_clusters(tree, i)
+            assert chain[0] == frozenset({i})
             for small, big in zip(chain, chain[1:]):
                 assert small < big
 
     def test_unknown_leaf(self):
         _, tree = self.tree()
         with pytest.raises(MissingSampleError):
-            path_nodes(tree, SampleId(9, 9))
+            path_nodes(tree, 9)
 
     def test_single_merge_before_cut_gives_length_two(self):
         _, tree = self.tree()
-        assert len(path_nodes(tree, SampleId(0, 2))) == 2
+        assert len(path_nodes(tree, 2)) == 2
 
 
 def teacher_rows(blocks, row):
-    """The valid teacher logits a builder's blocks give the sample in the
-    row-th place of SampleId order."""
+    """The valid teacher logits a builder's blocks give cache row `row`."""
     logits = np.concatenate([b[0] for b in blocks])
     mask = np.concatenate([b[1] for b in blocks])
     return list(logits[row][mask[row]])
 
 
-def path_teacher_rows(cache, tree, sid, granularity, exclude_self=True):
+def path_teacher_rows(cache, tree, row, granularity, exclude_self=True):
     blocks = fetch_teacher(cache, tree, granularity, exclude_self=exclude_self)
-    return teacher_rows(blocks, leaf_index(tree)[sid])
+    return teacher_rows(blocks, row)
 
 
 class TestFetchTeacher(FourPoints):
@@ -608,35 +619,35 @@ class TestFetchTeacher(FourPoints):
         # three points, cut at 2: the far point stays a singleton
         cache = make_cache([0.0, 0.1, 10.0])
         tree = build_hierarchy(cache, 2)
-        assert path_teacher_rows(cache, tree, SampleId(0, 2), Granularity.BOTTOM) == []
+        assert path_teacher_rows(cache, tree, 2, Granularity.BOTTOM) == []
 
     @pytest.mark.parametrize("granularity", list(Granularity))
     def test_singleton_cut_cluster_has_no_teacher_without_self(self, granularity):
         cache = make_cache([0.0, 0.1, 10.0])
         tree = build_hierarchy(cache, 2)
-        assert path_teacher_rows(cache, tree, SampleId(0, 2), granularity, exclude_self=True) == []
+        assert path_teacher_rows(cache, tree, 2, granularity, exclude_self=True) == []
 
     def test_singleton_cut_cluster_top_with_self_is_own_logits(self):
         cache = make_cache([0.0, 0.1, 10.0])
         tree = build_hierarchy(cache, 2)
-        out = path_teacher_rows(cache, tree, SampleId(0, 2), Granularity.TOP, exclude_self=False)
+        out = path_teacher_rows(cache, tree, 2, Granularity.TOP, exclude_self=False)
         np.testing.assert_allclose(out, [[10.0]])
 
     def test_top_aggregates_cut_cluster_excluding_self(self):
         cache, tree = self.tree()
-        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=True)
+        out = path_teacher_rows(cache, tree, 0, Granularity.TOP, exclude_self=True)
         assert len(out) == 1
         np.testing.assert_allclose(out[0], [0.1])
 
     def test_top_without_exclusion_is_cluster_mean(self):
         cache, tree = self.tree()
-        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=False)
+        out = path_teacher_rows(cache, tree, 0, Granularity.TOP, exclude_self=False)
         np.testing.assert_allclose(out[0], [0.05])
 
     def test_top_identical_across_cluster_without_exclusion(self):
         cache, tree = self.tree()
-        a = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.TOP, exclude_self=False)
-        b = path_teacher_rows(cache, tree, SampleId(0, 1), Granularity.TOP, exclude_self=False)
+        a = path_teacher_rows(cache, tree, 0, Granularity.TOP, exclude_self=False)
+        b = path_teacher_rows(cache, tree, 1, Granularity.TOP, exclude_self=False)
         np.testing.assert_allclose(a[0], b[0])
 
     def chain_tree(self):
@@ -646,7 +657,7 @@ class TestFetchTeacher(FourPoints):
 
     def test_all_on_length_three_path_yields_two_entries(self):
         cache, tree = self.chain_tree()
-        out = path_teacher_rows(cache, tree, SampleId(0, 2), Granularity.ALL, exclude_self=False)
+        out = path_teacher_rows(cache, tree, 2, Granularity.ALL, exclude_self=False)
         assert len(out) == 2
         np.testing.assert_allclose(out[0], [(0.0 + 1.0 + 4.0) / 3])
         np.testing.assert_allclose(out[1], [(0.0 + 1.0 + 4.0 + 16.0) / 4])
@@ -654,22 +665,22 @@ class TestFetchTeacher(FourPoints):
     def test_middle_of_length_four_path(self):
         cache, tree = self.chain_tree()
         # leaf 0 path: {0} < {0,1} < {0,1,4} < {0,1,4,16}; middle = ceil(5/2) = 3rd
-        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.MIDDLE, exclude_self=False)
+        out = path_teacher_rows(cache, tree, 0, Granularity.MIDDLE, exclude_self=False)
         np.testing.assert_allclose(out[0], [(0.0 + 1.0 + 4.0) / 3])
 
     def test_bottom_is_first_merge(self):
         cache, tree = self.chain_tree()
-        out = path_teacher_rows(cache, tree, SampleId(0, 0), Granularity.BOTTOM, exclude_self=True)
+        out = path_teacher_rows(cache, tree, 0, Granularity.BOTTOM, exclude_self=True)
         np.testing.assert_allclose(out[0], [1.0])
 
     def test_stale_tree_for_new_sample(self):
-        # the cache holds a sample the tree was built without
+        # the cache holds a row the tree was built without: fewer leaves than rows
         _, tree = self.tree()
         with pytest.raises(StaleHierarchyError):
             fetch_teacher(make_cache(self.values + [1.0]), tree, Granularity.TOP)
 
     def test_unknown_sample(self):
-        # the tree holds a sample this cache never registered
+        # the tree holds a leaf this cache has no row for: more leaves than rows
         _, tree = self.tree()
         with pytest.raises(StaleHierarchyError):
             fetch_teacher(make_cache(self.values[:3]), tree, Granularity.TOP)
@@ -679,6 +690,12 @@ class TestFetchTeacher(FourPoints):
         blocks = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.ALL)
         assert [len(logits) for logits, _ in blocks] == [2, 2, 1]
         assert [len(mask) for _, mask in blocks] == [2, 2, 1]
+
+    def test_zero_size_client_gets_an_empty_block_in_its_place(self):
+        cache = make_cache([0.0, 0.1, 10.0, 10.1], clients=[0, 0, 2, 2])
+        blocks = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.TOP)
+        assert [len(logits) for logits, _ in blocks] == [2, 0, 2]
+        np.testing.assert_allclose(teacher_rows(blocks, 2), [[10.1]])
 
 
 class TestSoftClusterSpace:
@@ -691,22 +708,19 @@ class TestSoftClusterSpace:
         tables = [teacher_table(z, mask, 3.0) for z, mask in blocks]
         q = np.concatenate([t.q for t in tables])
         h = np.concatenate([t.h for t in tables])
-        raw = [path_teacher(cache, tree, sid, Granularity.ALL) for sid in tree.leaf_ids]
+        raw = [path_teacher(cache, tree, row, Granularity.ALL) for row in range(len(cache))]
         expected = table_from_lists(raw, 4, 3.0)
         np.testing.assert_allclose(q, expected.q, rtol=0, atol=1e-12)
         np.testing.assert_allclose(h, expected.h, rtol=0, atol=1e-12)
         # softening the mean clustered probabilities again gives far flatter targets
         probs = make_cache(softmax_rows(logits, 3.0))
-        soft = [path_teacher(probs, tree, sid, Granularity.ALL) for sid in tree.leaf_ids]
+        soft = [path_teacher(probs, tree, row, Granularity.ALL) for row in range(len(cache))]
         assert np.abs(table_from_lists(soft, 4, 3.0).q - q).max() > 0.1
 
 
 class TestFedDistillTeacher:
     def test_single_foreign_holder(self):
-        cache = make_cache(
-            [[1.0, 2.0], [9.0, 9.0]], clients=[1, 0], labels=[0, 0]
-        )
-        # rows in SampleId order: (0, 1) first, then (1, 0)
+        cache = make_cache([[9.0, 9.0], [1.0, 2.0]], clients=[0, 1], labels=[0, 0])
         np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
 
     def test_only_requester_holds_class(self):
@@ -714,15 +728,11 @@ class TestFedDistillTeacher:
         assert teacher_rows(feddistill_teacher(cache), 0) == []
 
     def test_mean_of_two_foreign_records(self):
-        cache = make_cache(
-            [[0.0, 2.0], [2.0, 0.0], [5.0, 5.0]], clients=[1, 2, 0], labels=[0, 0, 0]
-        )
+        cache = make_cache([[5.0, 5.0], [0.0, 2.0], [2.0, 0.0]], clients=[0, 1, 2], labels=[0, 0, 0])
         np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 1.0]])
 
     def test_other_classes_are_ignored(self):
-        cache = make_cache(
-            [[1.0, 2.0], [9.0, 9.0], [4.0, 4.0]], clients=[1, 1, 0], labels=[0, 1, 0]
-        )
+        cache = make_cache([[4.0, 4.0], [1.0, 2.0], [9.0, 9.0]], clients=[0, 1, 1], labels=[0, 0, 1])
         np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
 
     def test_mode_error_without_labels(self):
@@ -735,8 +745,8 @@ def index_rows(cache):
     """HNSW index over the cache's hashes, keyed by cache row as the
     federation builds it."""
     index = HnswIndex(cache.hashes.shape[1], seed=0)
-    for row, h in enumerate(cache.hashes):
-        index.insert(row, h)
+    for h in cache.hashes:
+        index.insert(h)
     return index
 
 
@@ -751,8 +761,7 @@ class TestFedCacheTeacher:
         """Three same-class foreign neighbors at distances 1, 2, 9 from row 0."""
         hashes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [9.0, 0.0]])
         logits = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [100.0, 100.0]])
-        ids = [SampleId(i, i) for i in range(4)]
-        cache = cache_from_rows(ids, logits, labels=[0, 0, 0, 0], hashes=hashes)
+        cache = cache_from_rows([1, 1, 1, 1], logits, labels=[0, 0, 0, 0], hashes=hashes)
         return cache, index_rows(cache)
 
     def test_r1_single_foreign(self):
@@ -762,13 +771,10 @@ class TestFedCacheTeacher:
 
     def test_r2_means_two_closest_matching_exact_knn(self):
         cache, index = self.crafted()
-        expected_ids = exact_knn(
-            cache,
-            cache.hashes[0],
-            2,
-            lambda s: s.client_id != 0 and cache.labels[cache.ids.index(s)] == 0,
+        expected_rows = exact_knn(
+            cache, cache.hashes[0], 2, lambda row: cache.owner[row] != 0 and cache.labels[row] == 0
         )
-        assert expected_ids == [SampleId(1, 1), SampleId(2, 2)]
+        assert expected_rows == [1, 2]
         assert fedcache_neighbors(cache, index, 2)[0].tolist() == [1, 2]
         np.testing.assert_allclose(fedcache_query_teacher(cache, index, 0, R=2), [2.0, 2.0])
 
@@ -779,14 +785,11 @@ class TestFedCacheTeacher:
         np.testing.assert_allclose(out, np.mean([[1.0, 1.0], [3.0, 3.0], [100.0, 100.0]], axis=0))
 
     def test_unavailable_when_no_foreign_same_class(self):
-        cache = cache_from_rows(
-            [SampleId(0, 0)], [[0.5, 0.5]], labels=[1], hashes=np.array([[1.0, 0.0]])
-        )
+        cache = cache_from_rows([1], [[0.5, 0.5]], labels=[1], hashes=np.array([[1.0, 0.0]]))
         assert fedcache_query_teacher(cache, index_rows(cache), 0, R=3) is None
 
     def test_rows_without_logits_are_no_neighbours(self):
-        ids = [SampleId(0, 0), SampleId(1, 0)]
-        cache = KnowledgeCache(ids, 2, labels=[0, 0], hashes=np.eye(2))
+        cache = KnowledgeCache([1, 1], 2, labels=[0, 0], hashes=np.eye(2))
         cache.update_logits(0, np.ones((1, 2)), 0)
         assert fedcache_neighbors(cache, index_rows(cache), 1).tolist() == [[-1], [0]]
 

@@ -1,12 +1,19 @@
 """The traced benchmark (`perfbench/tracer.py`) wraps functions of `hks` by
-name from outside the package. Installing and uninstalling it against the
-current sources must succeed and leave every name as it was, so a renamed or
-removed traced function fails here instead of in every traced repetition."""
+name from outside the package and reads their arguments and results.
+Installing and uninstalling it against the current sources must succeed and
+leave every name as it was, and a traced run must yield well-nested spans
+and the layer counts the run implies, so a renamed or removed traced
+function, attribute or argument fails here instead of in every traced
+repetition."""
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import hks.cli  # noqa: F401  (loads every module the tracer patches)
+from hks.data import synth_train_and_test
+from hks.federation import FederationConfig, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +52,28 @@ def test_tracer_install_then_uninstall_restores_every_name(monkeypatch):
         assert ("hks.federation", name) in patched, name
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+@pytest.mark.parametrize("method", ["hks", "fedcache"])
+def test_traced_run_yields_nested_spans_and_the_layer_counts_it_implies(method, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_module = importlib.import_module("tracer")
+    train, test = synth_train_and_test(3, 40, 6, 0.3, seed=0, test_per_class=10)
+    cfg = FederationConfig(
+        method=method, n_clients=3, rounds=5, warmup_rounds=2, alpha_dir=1000.0, R=2, seed=0
+    )
+    tracer = tracer_module.Tracer().install()
+    try:
+        result = run_experiment(cfg, train, test)
+    finally:
+        tracer.uninstall()
+    cache = result.state.cache
+    assert tracer_module.check_spans(tracer.spans) == []
+    metrics = tracer_module.layer_metrics(tracer.spans, cache.label_reads)
+    if method == "hks":
+        assert metrics["hierarchy.n_leaves"] == len(cache)
+        assert metrics["hierarchy.build_calls"] == cfg.rounds - cfg.warmup_rounds - 1
+        assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == 0
+    else:
+        assert metrics["hierarchy.build_calls"] == 0
+        assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == len(cache)
