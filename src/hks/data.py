@@ -249,14 +249,13 @@ def split_local_test(
     )
 
 
-def batches(shard: ClientShard, batch_size: int, seed: int, epoch: int) -> list[Array]:
-    """Shuffled index batches over the shard's train set, keyed by (seed, client, epoch)."""
-    if batch_size < 1:
-        raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
+def epoch_order(shard: ClientShard, seed: int, epoch: int) -> Array:
+    """The shard's train indices shuffled for one epoch, keyed by (seed,
+    client, epoch); batch j is entries j*B:(j+1)*B for batch size B."""
     order = np.arange(len(shard.train))
     rng = np.random.default_rng([seed, shard.client_id, epoch])
     rng.shuffle(order)
-    return [order[i : i + batch_size] for i in range(0, order.size, batch_size)]
+    return order
 
 
 def stratified_subsample(ds: Dataset, n_samples: int, seed: int) -> Dataset:

@@ -4,10 +4,12 @@ tables, local training against them, logit upload, and method dispatch.
 A round has three phases. The server phase (`teacher_tables`) builds every
 structure the round's teachers read from the cache as the previous round's
 barrier left it: hks clusters it into this round's tree, which is never kept,
-and fedcache queries its neighbour rows once. The client phase runs
-sequentially in client-id order (clients are independent and own their RNG
-streams, so any scheduling order would produce the same result). A single
-barrier then applies the buffered uploads and, for fedavg, the averaging.
+and fedcache queries its neighbour rows once. The client phase trains one
+capacity tier at a time, all of the tier's clients in lockstep as one stack
+of models. Clients are independent, and each keeps its own batch order, RNG
+stream and teacher rows, so every client ends the phase as it would training
+alone, bit for bit. A single barrier then checks every client in client-id
+order and applies the buffered uploads and, for fedavg, the averaging.
 """
 from __future__ import annotations
 
@@ -17,7 +19,14 @@ from enum import Enum
 
 import numpy as np
 
-from .data import ClientShard, Dataset, PartitionSpec, batches, dirichlet_partition, split_local_test
+from .data import (
+    ClientShard,
+    Dataset,
+    PartitionSpec,
+    dirichlet_partition,
+    epoch_order,
+    split_local_test,
+)
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -39,6 +48,7 @@ from .metrics import ExperimentSummary, RoundReport, evaluate, summarize
 from .models import (
     CapacityTier,
     Model,
+    ModelStack,
     aggregate_weights,
     build_model,
     fedavg_aggregate,
@@ -270,45 +280,95 @@ def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTabl
     return [teacher_table(logits, mask, cfg.kd.temperature) for logits, mask in blocks]
 
 
-def client_train(
-    client: ClientState, state: FederationState, round_index: int, teachers: TeacherTable | None
-) -> tuple[ClientState, LossBreakdown, Array]:
-    """Local epochs on seeded batches; without a teacher table (warm-up
-    rounds) training is pure cross-entropy.
+def lockstep_stacks(sizes: Array, batch_size: int) -> list[tuple[int, int, int, int]]:
+    """The steps of one epoch of lockstep training over shards of nonincreasing
+    `sizes`, as (position, first row, end row, batch size).
 
-    Returns the trained client, the sample-weighted mean loss breakdown, and
-    the last forward logits of every training sample for upload, (n_k, C) in
-    local index order.
+    Each shard is cut into batches in its own order; a step at a position
+    stacks the rows whose batch there has one size. Rows with a full batch
+    come first and each short size forms the next block, because the sizes
+    do not increase.
+    """
+    steps = []
+    for start in range(0, int(sizes[0]), batch_size):
+        widths = np.minimum(sizes - start, batch_size)
+        row = 0
+        while row < len(widths) and widths[row] > 0:
+            end = row + int(np.count_nonzero(widths[row:] == widths[row]))
+            steps.append((start, row, end, int(widths[row])))
+            row = end
+    return steps
+
+
+def client_train(
+    clients: list[ClientState],
+    state: FederationState,
+    round_index: int,
+    tables: list[TeacherTable | None],
+) -> list[tuple[ClientState, LossBreakdown, Array]]:
+    """The client phase of one capacity tier: local epochs on seeded batches,
+    every client of the tier stepped in lockstep as one `ModelStack`; without
+    teacher tables (warm-up rounds) training is pure cross-entropy.
+
+    Stack row r holds the r-th largest shard (ties in the given order), so
+    every step of `lockstep_stacks` trains one block of rows. Each client
+    keeps its own batch order, teacher rows and loss sums, and a stacked step
+    computes each model as a step of that model alone would, so every client
+    ends as it would training by itself.
+
+    Returns, per client in the given order, the trained client, its
+    sample-weighted mean loss breakdown, and the last forward logits of every
+    training sample for upload, (n_k, C) in local index order.
     """
     cfg = state.config
-    model = client.model
-    features = client.shard.train.features
-    labels = client.shard.train.labels
-    logits_out = np.empty((len(labels), state.n_classes))
-    ce_sum = kd_sum = 0.0
-    n_samples = 0
+    sizes = [len(c.shard.train) for c in clients]
+    order = sorted(range(len(clients)), key=lambda k: -sizes[k])
+    trains = [clients[k].shard.train for k in order]
+    row_sizes = np.array([sizes[k] for k in order])
+    # row r's samples are rows offsets[r]:offsets[r + 1] of the tier's arrays
+    offsets = np.concatenate([[0], np.cumsum(row_sizes)])
+    features = np.concatenate([train.features for train in trains])
+    labels = np.concatenate([train.labels for train in trains])
+    teachers = None
+    if tables[0] is not None:
+        teachers = TeacherTable(
+            *(np.concatenate([getattr(tables[k], f) for k in order]) for f in ("q", "h", "has"))
+        )
+    first = clients[order[0]].model
+    stack = ModelStack(
+        first.architecture_id, first.layer_dims, np.stack([clients[k].model.params for k in order])
+    )
+    logits = np.empty((len(labels), state.n_classes))
+    ce_sum = np.zeros(len(order))
+    kd_sum = np.zeros(len(order))
+    steps = lockstep_stacks(row_sizes, cfg.batch_size)
     for e in range(cfg.local_epochs):
         epoch_key = round_index * cfg.local_epochs + e
-        for batch_idx in batches(client.shard, cfg.batch_size, cfg.seed, epoch_key):
-            batch_teachers = None if teachers is None else teachers.take(batch_idx)
-            model, bd, Z = train_step(
-                model, features[batch_idx], labels[batch_idx], batch_teachers, cfg.kd, cfg.lr
+        # sample_order[r, j] is the tier-array row of row r's j-th sample this epoch
+        sample_order = np.zeros((len(order), row_sizes[0]), dtype=np.intp)
+        for r, k in enumerate(order):
+            shuffled = epoch_order(clients[k].shard, cfg.seed, epoch_key)
+            sample_order[r, : row_sizes[r]] = offsets[r] + shuffled
+        for start, a, b, width in steps:
+            idx = sample_order[a:b, start : start + width]
+            batch_teachers = None if teachers is None else teachers.take(idx)
+            bd, Z = train_step(
+                replace(stack, params=stack.params[a:b]),
+                features[idx], labels[idx], batch_teachers, cfg.kd, cfg.lr,
             )
-            logits_out[batch_idx] = Z
-            ce_sum += bd.ce * len(batch_idx)
-            kd_sum += bd.kd * len(batch_idx)
-            n_samples += len(batch_idx)
-    # One check per client and round keeps the per-batch path free of it;
-    # only the logit methods upload their logits.
-    where = f"client {client.client_id} in round {round_index}"
-    if not np.isfinite(model.params).all():
-        raise DivergenceError(f"training diverged: non-finite parameters at {where}")
-    if cfg.method in LOGIT_METHODS and not np.isfinite(logits_out).all():
-        raise DivergenceError(f"training diverged: non-finite logits at {where}")
-    ce = ce_sum / n_samples
-    kd = kd_sum / n_samples
-    breakdown = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
-    return replace(client, model=model), breakdown, logits_out
+            logits[idx] = Z
+            ce_sum[a:b] += bd.ce * width
+            kd_sum[a:b] += bd.kd * width
+    results: list = [None] * len(clients)
+    for r, k in enumerate(order):
+        n_samples = row_sizes[r] * cfg.local_epochs
+        ce = float(ce_sum[r] / n_samples)
+        kd = float(kd_sum[r] / n_samples)
+        breakdown = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
+        model = replace(clients[k].model, params=stack.params[r].copy())
+        upload = logits[offsets[r] : offsets[r + 1]]
+        results[k] = (replace(clients[k], model=model), breakdown, upload)
+    return results
 
 
 def run_round(state: FederationState) -> RoundReport:
@@ -318,14 +378,31 @@ def run_round(state: FederationState) -> RoundReport:
     if t >= cfg.rounds:
         raise InvalidInputError(f"round {t} exceeds configured rounds {cfg.rounds}")
 
+    tables = teacher_tables(state, t)
+    results: list = [None] * len(state.clients)
+    for tier in CapacityTier:
+        members = [i for i, c in enumerate(state.clients) if c.tier is tier]
+        if members:
+            trained = client_train(
+                [state.clients[i] for i in members], state, t, [tables[i] for i in members]
+            )
+            for i, out in zip(members, trained):
+                results[i] = out
+
+    # One check per client and round keeps the steps free of it; in client-id
+    # order, so a divergent run names its lowest diverged client. Only the
+    # logit methods upload their logits.
     uploads: list[tuple[int, Array]] = []
     breakdowns: list[LossBreakdown] = []
-    tables = teacher_tables(state, t)
-    for i, client in enumerate(state.clients):
-        trained, bd, logits = client_train(client, state, t, tables[i])
+    for i, (trained, bd, logits) in enumerate(results):
+        where = f"client {trained.client_id} in round {t}"
+        if not np.isfinite(trained.model.params).all():
+            raise DivergenceError(f"training diverged: non-finite parameters at {where}")
+        if cfg.method in LOGIT_METHODS and not np.isfinite(logits).all():
+            raise DivergenceError(f"training diverged: non-finite logits at {where}")
         state.clients[i] = trained
         breakdowns.append(bd)
-        uploads.append((client.client_id, logits))
+        uploads.append((trained.client_id, logits))
 
     if cfg.method in LOGIT_METHODS:
         for client_id, logits in uploads:

@@ -1,7 +1,10 @@
 """Pluggable small-model zoo: three MLP capacity tiers, backprop, FedAvg.
 
-Models are value-like: parameters live in one flat float64 vector, training
-returns a fresh model, and nothing here holds hidden state. The tier layout
+Models are value-like: parameters live in one flat float64 vector and
+nothing here holds hidden state. Training works on a `ModelStack`, the
+parameters of K models of one architecture as one (K, P) array, and steps
+every model on its own batch at once, updating the stack in place; callers
+build a stack from copies and write fresh models back. The tier layout
 stands in for the three backbone depths of the reference setting; the
 build/forward/train surface is the extension point for richer architectures.
 """
@@ -91,15 +94,35 @@ def build_model(tier: CapacityTier, input_dim: int, n_classes: int, seed: int) -
     return Model(architecture_id(dims), dims, np.concatenate(parts), seed)
 
 
-def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
-    """Batched forward pass keeping pre/post activations for backprop."""
+@dataclass(frozen=True)
+class ModelStack:
+    """K models of one architecture, trained together.
+
+    Row k of the (K, P) params array is model k's flat parameter vector, in
+    `Model`'s layout. A training step updates the rows in place, so a stack
+    holds copies of its models' parameters, never the arrays of `Model`s
+    handed out elsewhere.
+    """
+
+    architecture_id: str
+    layer_dims: tuple[int, ...]
+    params: Array
+
+    @property
+    def n_classes(self) -> int:
+        return self.layer_dims[-1]
+
+
+def _forward_acts(m: Model | ModelStack, X: Array) -> tuple[Array, list[Array], list[Array]]:
+    """Forward pass keeping pre/post activations for backprop: (B, d) inputs
+    for a model, (K, B, d) for a stack, one batch per model."""
     pre: list[Array] = []
     post: list[Array] = []
     H = X
     layers = list(_layer_slices(m.layer_dims))
     for li, (ws, bs, i, o) in enumerate(layers):
-        W = m.params[ws].reshape(i, o)
-        b = m.params[bs]
+        W = m.params[..., ws].reshape(*m.params.shape[:-1], i, o)
+        b = m.params[..., None, bs]
         A = H @ W + b
         if li < len(layers) - 1:
             pre.append(A)
@@ -119,68 +142,83 @@ def forward_batch(m: Model, X: Array) -> Array:
 
 
 def batch_loss_and_grad(
-    m: Model,
+    stack: ModelStack,
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
     cfg: KdConfig,
 ) -> tuple[LossBreakdown, Array, Array]:
-    """Batch loss, its gradient w.r.t. the flat parameter vector, and logits.
+    """Each model's batch loss, its gradient w.r.t. the model's flat
+    parameters, and its logits.
 
-    The batch loss is mean cross-entropy plus alpha_kd times the mean
-    per-sample distillation loss scale * (h - q . log q_s), which is the
-    sample's KL divergence averaged over its teachers; a sample with no
-    teacher contributes zero KD.
+    Model k of the stack sees the batch X[k] (B, d) with labels y[k] and,
+    with teachers, the table rows q[k], h[k], has[k]. Its batch loss is mean
+    cross-entropy plus alpha_kd times the mean per-sample distillation loss
+    scale * (h - q . log q_s), which is the sample's KL divergence averaged
+    over its teachers; a sample with no teacher contributes zero KD. Returns
+    (K,) loss arrays, (K, P) gradients and (K, B, C) logits.
     """
-    B = X.shape[0]
-    Z, pre, post = _forward_acts(m, X)
+    K, B = y.shape
+    Z, pre, post = _forward_acts(stack, X)
     log_p = log_softmax_rows(Z)
-    ce = float(-log_p[np.arange(B), y].mean())
-    kd = 0.0
+    picked = (np.arange(K)[:, None], np.arange(B), y)
+    ce = -log_p[picked].mean(axis=1)
+    kd = np.zeros(K)
     if teachers is not None:
-        if len(teachers.has) != B:
-            raise ShapeError(f"teacher table has {len(teachers.has)} rows, batch has {B}")
-        if teachers.q.shape[1] != m.n_classes:
-            raise ShapeError(f"teachers have {teachers.q.shape[1]} classes, model has {m.n_classes}")
+        if teachers.has.shape != (K, B):
+            raise ShapeError(f"teacher table has {teachers.has.shape} rows, batch has {(K, B)}")
+        if teachers.q.shape[-1] != stack.n_classes:
+            raise ShapeError(
+                f"teachers have {teachers.q.shape[-1]} classes, model has {stack.n_classes}"
+            )
         T = cfg.temperature
         scale = T * T if cfg.t_squared_scaling else 1.0
-        kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
-        kd = scale * float(np.maximum(kl, 0.0).sum()) / B
+        kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=-1)
+        kd = scale * np.maximum(kl, 0.0).sum(axis=1) / B
     bd = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.alpha_kd * kd)
 
     dZ = softmax_rows(Z)
-    dZ[np.arange(B), y] -= 1.0
+    dZ[picked] -= 1.0
     dZ /= B
     if teachers is not None and cfg.alpha_kd != 0.0:
         has = teachers.has
         dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (softmax_rows(Z[has], T) - teachers.q[has])
 
-    grads = np.zeros_like(m.params)
-    layers = list(_layer_slices(m.layer_dims))
+    grads = np.empty_like(stack.params)
+    layers = list(_layer_slices(stack.layer_dims))
     delta = dZ
     for li in range(len(layers) - 1, -1, -1):
         ws, bs, i, o = layers[li]
         A_prev = post[li - 1] if li > 0 else X
-        grads[ws] = (A_prev.T @ delta).ravel()
-        grads[bs] = delta.sum(axis=0)
+        grads[:, ws] = (A_prev.transpose(0, 2, 1) @ delta).reshape(K, i * o)
+        grads[:, bs] = delta.sum(axis=1)
         if li > 0:
-            W = m.params[ws].reshape(i, o)
-            delta = (delta @ W.T) * (pre[li - 1] > 0.0)
+            W = stack.params[:, ws].reshape(K, i, o)
+            delta = (delta @ W.transpose(0, 2, 1)) * (pre[li - 1] > 0.0)
     return bd, grads, Z
 
 
 def train_step(
-    m: Model,
+    stack: ModelStack,
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
     cfg: KdConfig,
     lr: float,
-) -> tuple[Model, LossBreakdown, Array]:
-    """One SGD step on the batch-mean loss; returns (model, losses, logits)."""
-    bd, grads, Z = batch_loss_and_grad(m, X, y, teachers, cfg)
-    new = replace(m, params=m.params - lr * grads)
-    return new, bd, Z
+) -> tuple[LossBreakdown, Array]:
+    """One SGD step of each model of the stack on the batch-mean loss of its
+    own batch, in place on `stack.params`; returns (losses, logits) as
+    `batch_loss_and_grad` does.
+
+    Overflow to inf or NaN raises no floating-point warning: the client
+    phase checks every trained model for non-finite values once per round.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bd, grads, Z = batch_loss_and_grad(stack, X, y, teachers, cfg)
+        grads *= lr
+        params = stack.params
+        params -= grads
+    return bd, Z
 
 
 def aggregate_weights(sizes: Sequence[int]) -> Array:

@@ -40,7 +40,8 @@ class KdConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Cross-entropy, distillation, and combined loss for one step or round."""
+    """Cross-entropy, distillation, and combined loss for one step or round;
+    a stacked training step holds one (K,) array entry per model."""
 
     ce: float
     kd: float

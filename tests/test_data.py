@@ -10,8 +10,8 @@ from hks.data import (
     ClientShard,
     Dataset,
     PartitionSpec,
-    batches,
     dirichlet_partition,
+    epoch_order,
     load_idx,
     split_local_test,
     stratified_subsample,
@@ -237,36 +237,31 @@ class TestSplitLocalTest:
             split_local_test(range(10), ds, 1.0, seed=0)
 
 
-class TestBatches:
+class TestEpochOrder:
     def make_shard(self, n=10):
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(size=(n, 2)), np.zeros(n, dtype=np.int64), 1)
         return ClientShard(client_id=3, train=ds, local_test=ds)
 
-    def test_batch_sizes(self):
-        sizes = [len(b) for b in batches(self.make_shard(), 8, seed=0, epoch=0)]
-        assert sizes == [8, 2]
-
     def test_same_key_same_order(self):
         shard = self.make_shard()
-        a = batches(shard, 4, seed=7, epoch=2)
-        b = batches(shard, 4, seed=7, epoch=2)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = epoch_order(shard, seed=7, epoch=2)
+        b = epoch_order(shard, seed=7, epoch=2)
+        assert np.array_equal(a, b)
 
     def test_epochs_reshuffle(self):
         shard = self.make_shard(20)
         differing = 0
         for seed in range(20):
-            a = np.concatenate(batches(shard, 8, seed=seed, epoch=0))
-            b = np.concatenate(batches(shard, 8, seed=seed, epoch=1))
+            a = epoch_order(shard, seed=seed, epoch=0)
+            b = epoch_order(shard, seed=seed, epoch=1)
             if not np.array_equal(a, b):
                 differing += 1
         assert differing >= 19
 
-    def test_batches_cover_shard(self):
+    def test_order_covers_shard(self):
         shard = self.make_shard(13)
-        flat = np.concatenate(batches(shard, 5, seed=1, epoch=0))
-        assert sorted(flat.tolist()) == list(range(13))
+        assert sorted(epoch_order(shard, seed=1, epoch=0).tolist()) == list(range(13))
 
 
 class TestSubsample:

@@ -16,6 +16,7 @@ from hks.federation import (
     FederationConfig,
     Method,
     init_federation,
+    lockstep_stacks,
     run_experiment,
     run_round,
 )
@@ -27,7 +28,7 @@ from hks.knowledge import (
     fedcache_neighbors,
 )
 from hks.metrics import evaluate
-from hks.models import CapacityTier, Model, batch_loss_and_grad
+from hks.models import CapacityTier, Model
 from hks.numerics import KdConfig, softmax_rows
 
 from reference_oracles import (
@@ -35,7 +36,9 @@ from reference_oracles import (
     feddistill_class_teacher,
     mean_kd,
     neighbour_teacher,
+    one_model_loss_and_grad,
     path_teacher,
+    reference_client_phase,
 )
 
 
@@ -290,9 +293,10 @@ def record_tables(monkeypatch):
     train = federation.client_train
     seen = {}
 
-    def recording(client, state, round_index, teachers):
-        seen[(round_index, client.client_id)] = teachers
-        return train(client, state, round_index, teachers)
+    def recording(clients, state, round_index, tables):
+        for client, teachers in zip(clients, tables):
+            seen[(round_index, client.client_id)] = teachers
+        return train(clients, state, round_index, tables)
 
     monkeypatch.setattr(federation, "client_train", recording)
     return seen
@@ -414,8 +418,8 @@ def probe_kd(teachers, z_s, cfg):
     params = np.concatenate([np.eye(C).ravel(), np.zeros(C)])
     probe = Model(f"mlp-{C}-{C}", (C, C), params, seed=0)
     X, y, unit = z_s[None], np.array([0]), replace(cfg, alpha_kd=1.0)
-    bd, grads, _ = batch_loss_and_grad(probe, X, y, teachers, unit)
-    _, ce_grads, _ = batch_loss_and_grad(probe, X, y, None, unit)
+    bd, grads, _ = one_model_loss_and_grad(probe, X, y, teachers, unit)
+    _, ce_grads, _ = one_model_loss_and_grad(probe, X, y, None, unit)
     return bd.kd, (grads - ce_grads)[C * C :]
 
 
@@ -519,15 +523,101 @@ class TestDivergence:
         step = federation.train_step
 
         def poisoned(*args):
-            model, bd, Z = step(*args)
+            # every stacked client's first logit row: the error names client 0
+            bd, Z = step(*args)
             Z = Z.copy()
-            Z[0, 0] = -np.inf
-            return model, bd, Z
+            Z[:, 0, 0] = -np.inf
+            return bd, Z
 
         monkeypatch.setattr(federation, "train_step", poisoned)
         state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
         with pytest.raises(DivergenceError, match="non-finite logits at client 0 in round 0"):
             run_round(state)
+
+    def test_lowest_diverged_client_is_named_whatever_its_tier(self, dataset):
+        # tiers are trained one after another, small first; the error must
+        # still name the lowest client id that went non-finite
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.HKS, n_clients=6), train, test)
+        for client_id in (3, 1):
+            state.clients[client_id].shard.train.features[:] = 1e300
+        assert [state.clients[i].tier for i in (1, 3)] == [CapacityTier.MEDIUM, CapacityTier.SMALL]
+        with pytest.raises(DivergenceError, match="non-finite parameters at client 1 in round 0"):
+            run_round(state)
+
+
+class TestLockstepStacks:
+    def test_one_shard_is_cut_into_full_batches_then_the_rest(self):
+        assert lockstep_stacks(np.array([10]), 8) == [(0, 0, 1, 8), (8, 0, 1, 2)]
+
+    def test_full_batches_then_one_stack_per_short_size(self):
+        assert lockstep_stacks(np.array([10, 10, 9, 6, 2]), 4) == [
+            (0, 0, 4, 4), (0, 4, 5, 2),
+            (4, 0, 3, 4), (4, 3, 4, 2),
+            (8, 0, 2, 2), (8, 2, 3, 1),
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_row_gets_its_own_batches_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = np.sort(rng.integers(1, 40, size=int(rng.integers(1, 9))))[::-1]
+        batch_size = int(rng.integers(1, 9))
+        seen = [[] for _ in sizes]
+        for start, first, end, width in lockstep_stacks(sizes, batch_size):
+            assert 0 <= first < end <= len(sizes)
+            for row in range(first, end):
+                seen[row].append((start, width))
+        for row, n in enumerate(sizes):
+            want = [(i, min(batch_size, n - i)) for i in range(0, n, batch_size)]
+            assert seen[row] == want
+
+
+class TestClientPhaseMatchesReference:
+    """The lockstep client phase leaves every client where training it alone,
+    one model at a time, would: over whole runs with unequal shards, so short
+    batches fall at different positions, and all three tiers."""
+
+    @staticmethod
+    def assert_same_report(got, want):
+        assert got.round == want.round
+        assert np.array_equal(got.per_client_local_acc, want.per_client_local_acc)
+        assert np.array_equal(got.global_acc_per_client, want.global_acc_per_client)
+        assert (got.mean_ce, got.mean_kd, got.hierarchy_built) == (
+            want.mean_ce, want.mean_kd, want.hierarchy_built
+        )
+
+    @pytest.mark.parametrize(
+        "method, fedavg_tier",
+        [
+            (Method.LOCAL_ONLY, "small"),
+            (Method.FEDAVG, "small"),
+            (Method.FEDAVG, "large"),
+            (Method.FEDDISTILL, "small"),
+            (Method.FEDCACHE, "small"),
+            (Method.HKS, "small"),
+        ],
+    )
+    def test_whole_run_equals_the_reference_client_phase(self, method, fedavg_tier, monkeypatch):
+        train, test = synth_train_and_test(4, 60, 6, 0.3, seed=1, test_per_class=10)
+        cfg = dict(
+            method=method, n_clients=7, rounds=4, warmup_rounds=1, local_epochs=2, lr=0.05,
+            batch_size=5, alpha_dir=0.3, R=2, seed=0, fedavg_tier=fedavg_tier,
+        )
+        state = init_federation(FederationConfig(**cfg), train, test)
+        reference = init_federation(FederationConfig(**cfg), train, test)
+        sizes = [len(c.shard.train) for c in state.clients]
+        assert len({n // 5 for n in sizes}) > 2 and len({n % 5 for n in sizes}) > 2, sizes
+        for _ in range(cfg["rounds"]):
+            got = run_round(state)
+            with monkeypatch.context() as patch:
+                patch.setattr(federation, "client_train", reference_client_phase)
+                want = run_round(reference)
+            self.assert_same_report(got, want)
+            assert np.array_equal(state.cache.logits, reference.cache.logits)
+            for a, b in zip(state.clients, reference.clients):
+                assert np.array_equal(a.model.params, b.model.params), a.client_id
+        if method in (Method.FEDDISTILL, Method.FEDCACHE, Method.HKS):
+            assert got.mean_kd > 0.0
 
 
 class TestMethodIsolation:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,24 @@ from hks.models import (
     CapacityTier,
     Model,
     aggregate_weights,
-    batch_loss_and_grad,
     build_model,
     fedavg_aggregate,
     forward_batch,
     train_step,
 )
-from hks.numerics import KdConfig
+from hks.numerics import KdConfig, LossBreakdown
 
-from reference_oracles import batch_loss, finite_diff, param_count, table_from_lists
+from reference_oracles import (
+    batch_loss,
+    finite_diff,
+    one_model_loss_and_grad,
+    one_model_step,
+    param_count,
+    reference_train_step,
+    stack_of,
+    stacked_table,
+    table_from_lists,
+)
 
 CFG = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=True)
 
@@ -90,13 +101,13 @@ class TestTrainBatch:
     def test_zero_lr_keeps_params(self):
         rng = np.random.default_rng(0)
         m = small_model()
-        new, bd, _ = train_step(m, *self.batch(rng), None, CFG, lr=0.0)
+        new, bd, _ = one_model_step(m, *self.batch(rng), None, CFG, lr=0.0)
         np.testing.assert_array_equal(new.params, m.params)
         assert bd.ce > 0
 
     def test_no_teacher_means_no_kd(self):
         rng = np.random.default_rng(1)
-        _, bd, _ = train_step(small_model(), *self.batch(rng), None, CFG, lr=0.01)
+        _, bd, _ = one_model_step(small_model(), *self.batch(rng), None, CFG, lr=0.01)
         assert bd.kd == 0.0
         assert bd.total == pytest.approx(bd.ce)
 
@@ -104,48 +115,49 @@ class TestTrainBatch:
         rng = np.random.default_rng(2)
         X, y = self.batch(rng)
         teachers = table([[rng.normal(size=3)] for _ in y])
-        _, bd, _ = train_step(small_model(), X, y, teachers, CFG, lr=0.01)
+        _, bd, _ = one_model_step(small_model(), X, y, teachers, CFG, lr=0.01)
         assert bd.kd > 0
         assert bd.total == pytest.approx(bd.ce + CFG.alpha_kd * bd.kd, abs=1e-9)
 
     def test_unavailable_entries_contribute_zero(self):
         rng = np.random.default_rng(3)
         X, y = self.batch(rng)
-        new, bd, _ = train_step(small_model(), X, y, table([[]] * len(y)), CFG, lr=0.01)
+        new, bd, _ = one_model_step(small_model(), X, y, table([[]] * len(y)), CFG, lr=0.01)
         assert bd.kd == 0.0
-        plain, _, _ = train_step(small_model(), X, y, None, CFG, lr=0.01)
+        plain, _, _ = one_model_step(small_model(), X, y, None, CFG, lr=0.01)
         np.testing.assert_array_equal(new.params, plain.params)
 
     def test_multi_teacher_entry_averages_losses(self):
         rng = np.random.default_rng(4)
         X, y = self.batch(rng, n=1)
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        _, bd_multi, _ = train_step(small_model(), X, y, table([[t1, t2]]), CFG, lr=0.0)
-        _, bd_a, _ = train_step(small_model(), X, y, table([[t1]]), CFG, lr=0.0)
-        _, bd_b, _ = train_step(small_model(), X, y, table([[t2]]), CFG, lr=0.0)
+        _, bd_multi, _ = one_model_step(small_model(), X, y, table([[t1, t2]]), CFG, lr=0.0)
+        _, bd_a, _ = one_model_step(small_model(), X, y, table([[t1]]), CFG, lr=0.0)
+        _, bd_b, _ = one_model_step(small_model(), X, y, table([[t2]]), CFG, lr=0.0)
         assert bd_multi.kd == pytest.approx((bd_a.kd + bd_b.kd) / 2, rel=1e-12)
 
     def test_descent_on_fixed_sample(self):
         rng = np.random.default_rng(5)
         X, y = rng.normal(size=(1, 4)), np.array([1])
         m = build_model(CapacityTier.SMALL, 4, 2, seed=9)
-        _, bd0, _ = train_step(m, X, y, None, CFG, lr=0.0)
+        _, bd0, _ = one_model_step(m, X, y, None, CFG, lr=0.0)
         for _ in range(50):
-            m, _, _ = train_step(m, X, y, None, CFG, lr=0.1)
-        _, bd_end, _ = train_step(m, X, y, None, CFG, lr=0.0)
+            m, _, _ = one_model_step(m, X, y, None, CFG, lr=0.1)
+        _, bd_end, _ = one_model_step(m, X, y, None, CFG, lr=0.0)
         assert bd_end.ce < bd0.ce
 
     def test_teacher_length_mismatch(self):
         rng = np.random.default_rng(6)
         X, y = self.batch(rng, n=4)
         with pytest.raises(ShapeError):
-            train_step(small_model(), X, y, table([[rng.normal(size=3)]] * 3), CFG, lr=0.01)
+            one_model_step(small_model(), X, y, table([[rng.normal(size=3)]] * 3), CFG, lr=0.01)
 
     def test_teacher_class_count_mismatch(self):
         rng = np.random.default_rng(7)
         X, y = self.batch(rng, n=2)
+        teachers = table([[rng.normal(size=4)]] * 2, n_classes=4)
         with pytest.raises(ShapeError):
-            train_step(small_model(), X, y, table([[rng.normal(size=4)]] * 2, n_classes=4), CFG, lr=0.01)
+            one_model_step(small_model(), X, y, teachers, CFG, lr=0.01)
 
 
 class TestEndToEndGradient:
@@ -156,7 +168,7 @@ class TestEndToEndGradient:
         X = rng.normal(size=(5, 4))
         y = rng.integers(3, size=5)
         teachers = table([[rng.normal(size=3)] for _ in range(5)]) if with_teacher else None
-        _, grads, _ = batch_loss_and_grad(m, X, y, teachers, CFG)
+        _, grads, _ = one_model_loss_and_grad(m, X, y, teachers, CFG)
 
         def loss_of(params):
             probe = Model(m.architecture_id, m.layer_dims, params, m.seed)
@@ -211,7 +223,7 @@ class TestDeterminism:
         def run():
             m = small_model(seed=7)
             for _ in range(5):
-                m, _, _ = train_step(m, X, y, None, CFG, lr=0.05)
+                m, _, _ = one_model_step(m, X, y, None, CFG, lr=0.05)
             return m.params
 
         assert np.array_equal(run(), run())
@@ -222,3 +234,65 @@ class TestDeterminism:
         Z = forward_batch(m, X)
         for i in range(4):
             np.testing.assert_allclose(Z[i], forward_batch(m, X[i : i + 1])[0], atol=1e-12)
+
+
+class TestStackedStepMatchesReference:
+    """A stacked step computes each model exactly as a step of that model
+    alone: parameters, logits and losses are bit-identical to the
+    per-model oracle."""
+
+    INPUT_DIM, N_CLASSES = 6, 4
+
+    def tables(self, rng, K, B, mode):
+        """Per-member (B,)-row teacher tables, or None; the members' `has`
+        masks differ, and one member may have no teacher at all."""
+        if mode == "none":
+            return None
+        tables = []
+        for k in range(K):
+            entries = [
+                [rng.normal(scale=2.0, size=self.N_CLASSES) for _ in range(int(rng.integers(1, 3)))]
+                if (b + k) % 3 != 1 else []
+                for b in range(B)
+            ]
+            tables.append(table_from_lists(entries, self.N_CLASSES, CFG.temperature))
+        return tables
+
+    @pytest.mark.parametrize("tier", list(CapacityTier))
+    @pytest.mark.parametrize("K", [1, 3, 7])
+    @pytest.mark.parametrize("B", [1, 5, 8])
+    @pytest.mark.parametrize("mode", ["none", "teachers", "alpha_kd=0"])
+    def test_bit_identical_to_one_model_steps(self, tier, K, B, mode):
+        rng = np.random.default_rng([K, B, len(mode)])
+        cfg = KdConfig(temperature=3.0, alpha_kd=0.0) if mode == "alpha_kd=0" else CFG
+        models = [build_model(tier, self.INPUT_DIM, self.N_CLASSES, seed=k) for k in range(K)]
+        stack = stack_of(*models)
+        for step in range(2):
+            X = rng.normal(size=(K, B, self.INPUT_DIM))
+            y = rng.integers(self.N_CLASSES, size=(K, B))
+            tables = self.tables(rng, K, B, mode)
+            bd, Z = train_step(
+                stack, X, y, None if tables is None else stacked_table(*tables), cfg, lr=0.05
+            )
+            for k in range(K):
+                teachers = None if tables is None else tables[k]
+                models[k], want, want_Z = reference_train_step(
+                    models[k], X[k], y[k], teachers, cfg, 0.05
+                )
+                assert np.array_equal(stack.params[k], models[k].params), (step, k)
+                assert np.array_equal(Z[k], want_Z), (step, k)
+                got = LossBreakdown(bd.ce[k], bd.kd[k], bd.total[k])
+                assert np.array_equal(astuple(got), astuple(want)), (step, k)
+            if mode == "teachers":
+                assert bd.kd.max() > 0.0
+
+    def test_step_updates_only_its_own_stack(self):
+        rng = np.random.default_rng(0)
+        models = [small_model(seed=s) for s in range(3)]
+        stack = stack_of(*models)
+        before = [m.params.copy() for m in models]
+        X, y = rng.normal(size=(3, 2, 4)), rng.integers(3, size=(3, 2))
+        train_step(stack, X, y, None, CFG, lr=0.1)
+        assert not np.array_equal(stack.params[0], before[0])
+        for m, params in zip(models, before):
+            assert np.array_equal(m.params, params)

@@ -54,7 +54,7 @@ def test_tracer_install_then_uninstall_restores_every_name(monkeypatch):
     assert [key for key in before if after[key] is not before[key]] == []
 
 
-@pytest.mark.parametrize("method", ["hks", "fedcache"])
+@pytest.mark.parametrize("method", ["hks", "fedcache", "fedavg"])
 def test_traced_run_yields_nested_spans_and_the_layer_counts_it_implies(method, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer_module = importlib.import_module("tracer")
@@ -70,10 +70,22 @@ def test_traced_run_yields_nested_spans_and_the_layer_counts_it_implies(method, 
     cache = result.state.cache
     assert tracer_module.check_spans(tracer.spans) == []
     metrics = tracer_module.layer_metrics(tracer.spans, cache.label_reads)
+    assert metrics["models.train_step_calls"] > 0
+    # each stacked step runs inside the client phase of its tier
+    for span in tracer.spans:
+        if span[2] == "models.train_step":
+            parents = []
+            while span[1] is not None:
+                span = tracer.spans[span[1]]
+                parents.append(span[2])
+            assert "federation.client_train" in parents
     if method == "hks":
         assert metrics["hierarchy.n_leaves"] == len(cache)
         assert metrics["hierarchy.build_calls"] == cfg.rounds - cfg.warmup_rounds - 1
         assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == 0
-    else:
+    elif method == "fedcache":
         assert metrics["hierarchy.build_calls"] == 0
         assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == len(cache)
+    else:
+        assert metrics["hierarchy.build_calls"] == metrics["teachers.fetch_calls"] == 0
+        assert metrics["models.fedavg_aggregate_s"] > 0
