@@ -9,12 +9,26 @@ rows). Clusters are disjoint, so no two candidate pairs share a key: the
 rule is a total order, and the tree is a function of the rows in their
 given order. Reordering rows can change which of two tied pairs merges
 first; the cache fixes the order (client by client, then local index).
+A tie is settled by enumerating every pair at the minimum under that key,
+never by slot order; when exactly two rows hold the minimum they are the
+only such pair.
 
 The dissimilarities live in one N x N float64 matrix, built in place. Each
 time the live clusters fall to half its side, their rows and columns are
 copied, in order, into a matrix of the live count, so later steps cost the
 live count rather than N. Slot order is kept, so every step picks the same
 pair and computes the same Lance-Williams row as over the full matrix.
+A merge of slots i < j writes the new row into row i and column i, and
+nothing else: column j, like every dead slot's column, keeps stale values,
+and a penalty vector (0 on a live slot, inf on a dead one) masks them
+wherever a row is read whole, in the tie scan, the row-minimum rescans and
+the next Lance-Williams row.
+
+Known gap: the Lance-Williams average update and a fresh mean over member
+pairs (`naive_linkage` in the tests) can round an exact real tie
+differently, so on rare inputs average linkage merges one of two tied pairs
+where the fresh mean merges the other. Single and complete linkage update
+by min and max, which add no rounding.
 """
 from __future__ import annotations
 
@@ -104,22 +118,21 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     slot_node = list(range(n))  # matrix slot -> current tree node id
     slot_min = list(range(n))  # min member row per slot
     slot_max = list(range(n))
-    active = np.ones(n, dtype=bool)
+    pen = np.zeros(n)  # 0 on a live slot, inf on a dead one
     parent = np.full(2 * n - 1, -1, dtype=np.int64)
     node_size = np.zeros(2 * n - 1, dtype=np.int64)
     node_size[:n] = 1
     merges: list[Merge] = []
 
-    # Per-row minima let each step find the global minimum in O(n); only rows
-    # whose nearest neighbor was one of the merged slots are rescanned. A dead
-    # slot's row_min stays inf.
+    # Per-row minima over the live columns let each step find the global
+    # minimum in O(n); a dead slot's row_min stays inf.
     row_arg = D.argmin(axis=1)
     row_min = D[np.arange(n), row_arg]
 
     for t in range(n - 1):
         live = n - t
         if 2 * live <= len(D):
-            keep = np.flatnonzero(active)
+            keep = np.flatnonzero(pen == 0.0)
             slot_of = np.full(len(D), -1, dtype=np.int64)
             slot_of[keep] = np.arange(live)
             D = D[np.ix_(keep, keep)]
@@ -128,24 +141,29 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
             slot_node = [slot_node[s] for s in keep]
             slot_min = [slot_min[s] for s in keep]
             slot_max = [slot_max[s] for s in keep]
-            active = np.ones(live, dtype=bool)
+            pen = np.zeros(live)
 
         height = float(row_min.min())
-        best = None
-        best_key = None
-        for r in np.flatnonzero(row_min == height):
-            for c in np.flatnonzero(D[r] == height):
-                i, j = (int(r), int(c)) if r < c else (int(c), int(r))
-                key = (
-                    min(slot_min[i], slot_min[j]),
-                    max(slot_max[i], slot_max[j]),
-                    max(slot_min[i], slot_min[j]),
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        assert best is not None
-        i, j = best
+        tied = np.flatnonzero(row_min == height)
+        if len(tied) == 2:
+            # Two rows at the minimum can only be each other's pair.
+            i, j = int(tied[0]), int(tied[1])
+        else:
+            best = None
+            best_key = None
+            for r in tied:
+                for c in np.flatnonzero(D[r] + pen == height):
+                    a, b = (int(r), int(c)) if r < c else (int(c), int(r))
+                    key = (
+                        min(slot_min[a], slot_min[b]),
+                        max(slot_max[a], slot_max[b]),
+                        max(slot_min[a], slot_min[b]),
+                    )
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = (a, b)
+            assert best is not None
+            i, j = best
         node = n + t
         left_node, right_node = slot_node[i], slot_node[j]
         if slot_min[j] < slot_min[i]:
@@ -155,34 +173,43 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
         parent[slot_node[j]] = node
         node_size[node] = sizes[i] + sizes[j]
 
+        # The merged row is built in place in row i (a view of D); adding
+        # pen with i and j at inf puts inf at i, j and every dead slot.
+        pen[i] = pen[j] = np.inf
+        row = D[i]
         if linkage == "average":
-            new_row = (sizes[i] * D[i] + sizes[j] * D[j]) / (sizes[i] + sizes[j])
+            row *= sizes[i]
+            row += sizes[j] * D[j]
+            row /= sizes[i] + sizes[j]
         elif linkage == "single":
-            new_row = np.minimum(D[i], D[j])
+            np.minimum(row, D[j], out=row)
         else:
-            new_row = np.maximum(D[i], D[j])
-        # A dead slot's column reads inf; its row is never read again.
-        new_row[i] = new_row[j] = np.inf
-        D[i, :] = new_row
-        D[:, i] = new_row
-        D[:, j] = np.inf
+            np.maximum(row, D[j], out=row)
+        row += pen
+        pen[i] = 0.0
+        D[:, i] = row
 
         sizes[i] += sizes[j]
         slot_node[i] = node
         slot_min[i] = min(slot_min[i], slot_min[j])
         slot_max[i] = max(slot_max[i], slot_max[j])
-        active[j] = False
 
+        row_arg[i] = row.argmin()
+        row_min[i] = row[row_arg[i]]
         row_min[j] = np.inf
-        row_arg[i] = new_row.argmin()
-        row_min[i] = new_row[row_arg[i]]
-        improved = active & (new_row < row_min)
-        row_min[improved] = new_row[improved]
-        row_arg[improved] = i
-        stale = active & ~improved & ((row_arg == i) | (row_arg == j))
-        for r in np.flatnonzero(stale):
-            row_arg[r] = D[r].argmin()
-            row_min[r] = D[r, row_arg[r]]
+        # Only a row whose nearest slot was i or j and whose new distance
+        # exceeds its old minimum is rescanned. Every other row's other
+        # columns are unchanged, so its minimum is min(old, new), and its
+        # nearest slot becomes i where the new distance reaches it.
+        near = (row_arg == i) | (row_arg == j)
+        near &= row > row_min
+        stale = np.flatnonzero(near)
+        np.minimum(row_min, row, out=row_min)
+        row_arg[row == row_min] = i
+        for r in stale:
+            masked = D[r] + pen
+            row_arg[r] = masked.argmin()
+            row_min[r] = masked[row_arg[r]]
 
     return ClusterTree(
         merges=tuple(merges),

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyDatasetError, InvalidInputError, UndefinedMetricError
+from .errors import DivergenceError, EmptyDatasetError, InvalidInputError, UndefinedMetricError
 from .models import Model, forward_batch
 
 Array = np.ndarray
@@ -67,10 +67,18 @@ class ExperimentSummary:
 
 
 def evaluate(m: Model, ds: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties pick the lowest class."""
+    """Fraction of argmax-correct predictions; ties pick the lowest class.
+
+    A model whose finite parameters give non-finite logits has diverged:
+    DivergenceError, and no accuracy is read from them.
+    """
     if len(ds) == 0:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    preds = np.argmax(forward_batch(m, ds.features), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward_batch(m, ds.features)
+    if not np.isfinite(logits).all():
+        raise DivergenceError("training diverged: non-finite logits on evaluation")
+    preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == ds.labels))
 
 

@@ -69,10 +69,15 @@ def teacher_table(logits: Array, mask: Array, temperature: float) -> TeacherTabl
     """Table from padded teacher logits (n, D, C) and their validity mask (n, D).
 
     Every valid row is softened at the temperature; a sample's q and h
-    average over its valid rows in row order.
+    average over its valid rows in row order. P and log P share one shifted
+    exponent, bit for bit what softmax_rows and log_softmax_rows give.
     """
-    P = softmax_rows(logits, temperature)
-    log_P = log_softmax_rows(logits / temperature)
+    S = logits / temperature
+    S = S - S.max(axis=-1, keepdims=True)
+    E = np.exp(S)
+    Z = E.sum(axis=-1, keepdims=True)
+    P = E / Z
+    log_P = S - np.log(Z)
     count = mask.sum(axis=1)
     denom = np.maximum(count, 1)
     q = np.where(mask[..., None], P, 0.0).sum(axis=1) / denom[:, None]

@@ -433,6 +433,19 @@ def mean_kd(z_s, teacher_logits, cfg):
     return float(loss), grad
 
 
+def reference_teacher_table(logits, mask, temperature):
+    """`teacher_table` as two independent passes: a tempered softmax and a
+    log-softmax of the tempered logits, each with its own exp; its exact
+    oracle."""
+    P = softmax_rows(logits, temperature)
+    log_P = log_softmax_rows(logits / temperature)
+    count = mask.sum(axis=1)
+    denom = np.maximum(count, 1)
+    q = np.where(mask[..., None], P, 0.0).sum(axis=1) / denom[:, None]
+    h = np.where(mask, (P * log_P).sum(axis=-1), 0.0).sum(axis=1) / denom
+    return TeacherTable(q, h, count > 0)
+
+
 def table_from_lists(entries, n_classes, temperature):
     """TeacherTable from per-sample lists of teacher logits ([] for none),
     padded to the longest list."""

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from hks.knowledge import (
     fedcache_neighbors,
 )
 from hks.metrics import evaluate
-from hks.models import CapacityTier, Model
+from hks.models import CapacityTier, Model, forward_batch
 from hks.numerics import KdConfig, softmax_rows
 
 from reference_oracles import (
@@ -517,6 +518,22 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match="training diverged"):
             run_experiment(tiny_cfg(method, lr=1e12), train, test)
 
+    def test_overflowing_logits_are_never_scored(self, dataset):
+        # lr 1e12 keeps fedavg's parameters finite for two rounds while its
+        # logits overflow: evaluation must raise, silently, before any
+        # accuracy read from them is reported
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.FEDAVG, lr=1e12), train, test)
+        reports = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="training diverged"):
+                for _ in range(state.config.rounds):
+                    reports.append(run_round(state))
+                    with np.errstate(all="ignore"):
+                        for c in state.clients:
+                            assert np.isfinite(forward_batch(c.model, test.features)).all()
+        assert reports
 
     def test_non_finite_logits_raise_typed_error(self, dataset, monkeypatch):
         train, test = dataset

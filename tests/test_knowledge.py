@@ -543,6 +543,48 @@ class TestCompactedLinkage:
         assert peak <= 1.4 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 N^2 bytes"
 
 
+def merge_loop_cases():
+    """Small inputs, each built to reach one path of the merge loop."""
+    # 1.9 joins 1 first, so 5's nearest slot dies into a farther one: its row
+    # is rescanned while the dead column still holds its smallest value, 3.1
+    yield pytest.param([[0.0], [1.0], [1.9], [5.0], [8.5]], id="stale-column-below-rescanned-min")
+    # equal spacing: four or more rows hold the global minimum at once
+    yield pytest.param([[float(x)] for x in range(6)], id="every-row-at-the-minimum")
+    # duplicates: ties of three or more rows, with dead columns at the tied height
+    yield pytest.param(
+        [[2.0], [0.0], [1.0], [1.0], [1.0], [1.0], [0.0], [0.0], [0.0], [0.0]],
+        id="tied-rows-beside-dead-columns-at-the-minimum",
+    )
+    # (0, 0) is 5 from (5, 0) and from both copies of (3, 4); once the copies
+    # merge, its distance to them equals its old minimum
+    yield pytest.param([[0.0, 0.0], [5.0, 0.0], [3.0, 4.0], [3.0, 4.0]], id="new-distance-equals-old-min")
+    # the origin is m = sqrt(54) from the last four points but (9, 3, 3); once
+    # (6, 3, 3) joins the first pair of them, (1*m + 2*m)/3 rounds below m, so
+    # the origin's nearest slot becomes the merged one while its old nearest
+    # (-7, -2, -1) stays live; that slot then takes (9, 3, 3) and the origin's
+    # row must be rescanned
+    yield pytest.param(
+        [[0.0, 0.0, 0.0], [-7.0, -2.0, -1.0], [6.0, 3.0, 3.0], [7.0, 2.0, 1.0], [7.0, 1.0, 2.0], [9.0, 3.0, 3.0]],
+        id="new-distance-rounds-below-old-min",
+    )
+
+
+class TestMergeLoopPaths:
+    """Dead slots' columns keep stale values under the penalty vector; each
+    path that reads or skips them matches the dense loop bit for bit."""
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @pytest.mark.parametrize("X", merge_loop_cases())
+    def test_matches_dense_linkage_exactly(self, X, linkage):
+        X = np.asarray(X)
+        for cut in range(1, len(X) + 1):
+            tree = agglomerate(X, cut, linkage)
+            expected = dense_linkage(X, cut, linkage)
+            assert tree.merges == expected.merges  # heights included, bit for bit
+            np.testing.assert_array_equal(tree.parent, expected.parent)
+            np.testing.assert_array_equal(tree.node_size, expected.node_size)
+            assert cut_partition(tree) == cut_partition(expected)
+
 class TestRejectsUnclusterableVectors:
     """Vectors whose distances are not finite floats end in InvalidInputError
     before any clustering."""

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hks.data import Dataset
-from hks.errors import EmptyDatasetError, UndefinedMetricError
+from hks.errors import DivergenceError, EmptyDatasetError, UndefinedMetricError
 from hks.metrics import RoundReport, evaluate, maua, summarize
 from hks.models import Model
 
@@ -45,6 +47,15 @@ class TestEvaluate:
     def test_argmax_tie_breaks_low(self):
         m = Model("mlp-1-2", (1, 2), np.zeros(4), 0)
         assert evaluate(m, labeled([0, 0])) == 1.0
+
+    def test_overflowing_logits_raise_divergence_silently(self):
+        # finite parameters, but 1e300 * 1e10 overflows to inf
+        m = Model("mlp-1-2", (1, 2), np.array([1e300, -1e300, 0.0, 0.0]), 0)
+        ds = Dataset(np.array([[1.0], [1e10]]), np.array([0, 0]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite logits"):
+                evaluate(m, ds)
 
 
 class TestMaua:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hks.errors import InvalidInputError, ShapeError
-from hks.numerics import KdConfig
+from hks.numerics import KdConfig, teacher_table
 
 from reference_oracles import (
     ce_grad,
@@ -14,6 +14,7 @@ from reference_oracles import (
     finite_diff,
     kd_grad,
     kd_loss,
+    reference_teacher_table,
     sgd_step,
     softmax_t,
 )
@@ -59,6 +60,40 @@ class TestSoftmaxT:
         base = softmax_t(z, 2.0)
         shifted = softmax_t(np.asarray(z) + shift, 2.0)
         np.testing.assert_allclose(base, shifted, atol=1e-9)
+
+
+def teacher_blocks():
+    """(logits, mask, temperature) blocks of the shapes a round's teachers
+    take: random masks with one row that has no valid teacher and one whose
+    rows are all valid, then logits of +-1e3 and +-1e4 at T = 3, where the
+    shifted exponents underflow (to 0 at 1e4)."""
+    rng = np.random.default_rng(12)
+    for n, depth, n_classes in ((2, 1, 2), (9, 3, 4), (40, 27, 10), (25, 36, 10)):
+        for temperature in (0.5, 1.0, 3.0):
+            logits = rng.normal(scale=4.0, size=(n, depth, n_classes))
+            mask = rng.random((n, depth)) < 0.6
+            mask[0] = False
+            mask[-1] = True
+            yield pytest.param(logits, mask, temperature, id=f"{n}x{depth}x{n_classes}-T{temperature}")
+    for scale in (1e3, 1e4):
+        logits = rng.choice([-scale, scale], size=(12, 8, 10)) * rng.random((12, 8, 10))
+        logits[:, :, 0] = scale
+        mask = rng.random((12, 8)) < 0.5
+        mask[0] = False
+        mask[-1] = True
+        yield pytest.param(logits, mask, 3.0, id=f"pm{scale:.0e}-T3")
+
+
+class TestTeacherTable:
+    @pytest.mark.parametrize("logits, mask, temperature", teacher_blocks())
+    def test_matches_two_pass_oracle_bit_for_bit(self, logits, mask, temperature):
+        table = teacher_table(logits, mask, temperature)
+        expected = reference_teacher_table(logits, mask, temperature)
+        assert np.array_equal(table.q, expected.q)
+        assert np.array_equal(table.h, expected.h)
+        assert np.array_equal(table.has, expected.has)
+        assert not table.has[0] and table.has[-1]
+        assert np.isfinite(table.h).all()
 
 
 class TestCrossEntropy:
