@@ -33,7 +33,6 @@ from .errors import (
     EmptyShardError,
     FormatError,
     HksError,
-    IncompatibleArchitectureError,
     InfeasiblePartitionError,
     InsufficientDataError,
     InvalidInputError,
@@ -72,7 +71,6 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (InsufficientDataError, 11),
     (StaleHierarchyError, 12),
     (ModeError, 13),
-    (IncompatibleArchitectureError, 14),
     (UndefinedMetricError, 15),
     (ShapeError, 16),
     (InvalidInputError, 17),
@@ -189,7 +187,7 @@ def _coerce(f: ConfigField, value):
     mismatch = ConfigError(f"type mismatch on '{key}': cannot read {value!r} as {kind.__name__}")
     if (
         isinstance(value, bool) != (kind is bool)
-        or (kind is str and not isinstance(value, str))
+        or isinstance(value, str) != (kind is str)
         or (kind is int and isinstance(value, float) and not value.is_integer())
     ):
         raise mismatch
@@ -268,6 +266,15 @@ def load_experiment_data(rc: RunConfig) -> tuple[Dataset, Dataset]:
     train = load_idx(rc.idx_images, rc.idx_labels)
     if rc.idx_test_images is not None:
         global_test = load_idx(rc.idx_test_images, rc.idx_test_labels)
+        if global_test.input_dim != train.input_dim:
+            raise ConsistencyError(
+                f"test images have {global_test.input_dim} pixels, training images {train.input_dim}"
+            )
+        if global_test.n_classes > train.n_classes:
+            raise ConsistencyError(
+                f"test labels reach class {global_test.n_classes - 1}, "
+                f"training labels only class {train.n_classes - 1}"
+            )
     else:
         # No held-out pair supplied: carve a stratified tenth off the
         # training set to serve as the balanced global test set.
@@ -514,14 +521,19 @@ def build_parser(cls: type = RunConfig) -> argparse.ArgumentParser:
 
 
 def _sweep_list(text: str | None, flag: str, parse, default) -> list:
-    """Parsed entries of a comma-separated sweep flag; an entry given twice is rejected."""
+    """Parsed entries of a comma-separated sweep flag; an entry that does not
+    parse or is given twice is rejected."""
     if not text:
         return [default]
     values = []
     for token in text.split(","):
-        value = parse(token.strip())
+        token = token.strip()
+        try:
+            value = parse(token)
+        except ValueError:
+            raise ConfigError(f"{flag} has an invalid entry {token!r}") from None
         if value in values:
-            raise ConfigError(f"{flag} repeats {token.strip()!r}")
+            raise ConfigError(f"{flag} repeats {token!r}")
         values.append(value)
     return values
 
@@ -546,11 +558,6 @@ def main(argv: list[str] | None = None) -> int:
         r_values = _sweep_list(args.r_values, "--R-values", int, fed.R)
         seeds = _sweep_list(args.seeds, "--seeds", int, fed.seed)
         return cmd_sweep(rc, methods, granularities, r_values, seeds)
-    except ValueError as exc:
-        if not isinstance(exc, HksError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _fail(exc)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps errors to codes
         return _fail(exc)
 

@@ -57,10 +57,6 @@ class ModeError(HksError, RuntimeError):
     """Operation needs a capability the current mode disabled (e.g. labels)."""
 
 
-class IncompatibleArchitectureError(HksError, ValueError):
-    """Parameter aggregation across differing architectures."""
-
-
 class UndefinedMetricError(HksError, ValueError):
     """Metric requested over an empty report list."""
 

@@ -1,15 +1,16 @@
 """Round engine: warm-up, a server phase that builds each round's teacher
-tables, local training against them, logit upload, and method dispatch.
+table, local training against it, logit upload, and method dispatch.
 
 A round has three phases. The server phase (`teacher_tables`) builds every
 structure the round's teachers read from the cache as the previous round's
 barrier left it: hks clusters it into this round's tree, which is never kept,
 and fedcache queries its neighbour rows once. The client phase trains one
-capacity tier at a time, all of the tier's clients in lockstep as one stack
-of models. Clients are independent, and each keeps its own batch order, RNG
-stream and teacher rows, so every client ends the phase as it would training
-alone, bit for bit. A single barrier then checks every client in client-id
-order and applies the buffered uploads and, for fedavg, the averaging.
+capacity tier at a time, all of the tier's clients in lockstep as the one
+stack of models that holds them for the whole run. Clients are independent,
+and each keeps its own batch order, RNG stream and teacher rows, so every
+client ends the phase as it would training alone, bit for bit. A single
+barrier then checks every client in client-id order and applies the
+buffered uploads and, for fedavg, the averaging.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .metrics import ExperimentSummary, RoundReport, evaluate, summarize
 from .models import (
     CapacityTier,
     Model,
-    ModelStack,
     aggregate_weights,
     build_model,
     fedavg_aggregate,
@@ -153,14 +153,33 @@ class FederationConfig:
 class ClientState:
     client_id: int
     tier: CapacityTier
+    # A view of the client's row of its tier's stack.
     model: Model
     shard: ClientShard
+
+
+@dataclass(frozen=True)
+class TierStack:
+    """One capacity tier's clients and their models, one stack for the run.
+
+    Row r of `stack` is client `members[r]`'s model. Rows are sorted by shard
+    size, largest first and ties by client id, so every step of `steps`
+    (`lockstep_stacks` of the nonincreasing `sizes`) trains one block of rows.
+    """
+
+    members: Array
+    stack: Model
+    sizes: Array
+    steps: list[tuple[int, int, int, int]]
 
 
 @dataclass
 class FederationState:
     config: FederationConfig
     clients: list[ClientState]
+    tiers: list[TierStack]
+    # Every client's training samples, in cache-row order.
+    train: Dataset
     cache: KnowledgeCache
     # Only fedcache reads the hash index; every other method leaves it None.
     index: HnswIndex | None
@@ -195,7 +214,7 @@ def init_federation(
         min_per_client=cfg.min_per_client,
     )
     parts = dirichlet_partition(dataset, spec)
-    clients: list[ClientState] = []
+    shards = []
     for k in range(cfg.n_clients):
         shard = split_local_test(
             parts[k],
@@ -208,20 +227,40 @@ def init_federation(
             raise EmptyDatasetError(
                 f"client {k} has no local test samples, so its local accuracy is undefined"
             )
-        tier = cfg.fedavg_tier if cfg.method is Method.FEDAVG else CapacityTier.for_client(k)
-        model = build_model(
-            tier, dataset.input_dim, dataset.n_classes, child_seed(cfg.seed, _TAG_MODEL_INIT, k)
-        )
-        clients.append(ClientState(k, tier, model, shard))
-    trains = [c.shard.train for c in clients]
+        shards.append(shard)
+    trains = [shard.train for shard in shards]
+    sizes = np.array([len(train) for train in trains])
+    train = Dataset(
+        np.concatenate([t.features for t in trains]),
+        np.concatenate([t.labels for t in trains]),
+        dataset.n_classes,
+    )
+    tier_of = [
+        cfg.fedavg_tier if cfg.method is Method.FEDAVG else CapacityTier.for_client(k)
+        for k in range(cfg.n_clients)
+    ]
+    tiers: list[TierStack] = []
+    clients: list = [None] * cfg.n_clients
+    for tier in CapacityTier:
+        members = [k for k in range(cfg.n_clients) if tier_of[k] is tier]
+        if not members:
+            continue
+        members.sort(key=lambda k: -sizes[k])
+        seeds = [child_seed(cfg.seed, _TAG_MODEL_INIT, k) for k in members]
+        built = [build_model(tier, dataset.input_dim, dataset.n_classes, s) for s in seeds]
+        stack = replace(built[0], params=np.stack([m.params for m in built]))
+        steps = lockstep_stacks(sizes[members], cfg.batch_size)
+        tiers.append(TierStack(np.array(members), stack, sizes[members], steps))
+        for r, k in enumerate(members):
+            clients[k] = ClientState(k, tier, replace(stack, params=stack.params[r]), shards[k])
     labels = hashes = index = None
     if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE):
-        labels = np.concatenate([train.labels for train in trains])
+        labels = train.labels
     if cfg.method is Method.FEDCACHE:
         encoder = RandomProjectionEncoder(
             dataset.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER)
         )
-        hashes = np.concatenate([encoder.encode_rows(train.features) for train in trains])
+        hashes = np.concatenate([encoder.encode_rows(t.features) for t in trains])
         index = HnswIndex(
             cfg.d_hash,
             m=cfg.hnsw_m,
@@ -231,12 +270,12 @@ def init_federation(
         )
         for h in hashes:
             index.insert(h)
-    cache = KnowledgeCache(
-        [len(train) for train in trains], dataset.n_classes, labels=labels, hashes=hashes
-    )
+    cache = KnowledgeCache(sizes, dataset.n_classes, labels=labels, hashes=hashes)
     return FederationState(
         config=cfg,
         clients=clients,
+        tiers=tiers,
+        train=train,
         cache=cache,
         index=index,
         n_classes=dataset.n_classes,
@@ -244,23 +283,22 @@ def init_federation(
     )
 
 
-def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTable | None]:
-    """The server phase: each client's teacher table for a round's client
-    phase; None entries when the round does not distill.
+def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | None:
+    """The server phase: the teacher table of every cache row for a round's
+    client phase, or None when the round does not distill.
 
     Uploads apply only at the barrier, so every teacher is fixed for the
-    whole round and the tables are built once, before any client trains,
+    whole round and the table is built once, before any client trains,
     from the cache as the previous round left it.
     """
     cfg = state.config
-    no_teachers = [None] * len(state.clients)
     if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds:
-        return no_teachers
+        return None
     if cfg.method is Method.HKS:
         # The first tree clusters round W's uploads, so the round-W client
         # phase still trains on cross-entropy alone.
         if round_index == cfg.warmup_rounds:
-            return no_teachers
+            return None
         tree = build_hierarchy(
             state.cache,
             state.n_classes,
@@ -268,16 +306,16 @@ def teacher_tables(state: FederationState, round_index: int) -> list[TeacherTabl
             space=cfg.cluster_space,
             temperature=cfg.kd.temperature,
         )
-        blocks = fetch_teacher(state.cache, tree, cfg.granularity, cfg.exclude_self)
+        logits, mask = fetch_teacher(state.cache, tree, cfg.granularity, cfg.exclude_self)
     elif cfg.method is Method.FEDDISTILL:
-        blocks = feddistill_teacher(state.cache)
+        logits, mask = feddistill_teacher(state.cache)
     else:
         if state.neighbors is None and (state.cache.updated_round >= 0).all():
             state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
         if state.neighbors is None:
-            return no_teachers
-        blocks = fedcache_teacher(state.cache, state.neighbors)
-    return [teacher_table(logits, mask, cfg.kd.temperature) for logits, mask in blocks]
+            return None
+        logits, mask = fedcache_teacher(state.cache, state.neighbors)
+    return teacher_table(logits, mask, cfg.kd.temperature)
 
 
 def lockstep_stacks(sizes: Array, batch_size: int) -> list[tuple[int, int, int, int]]:
@@ -301,74 +339,52 @@ def lockstep_stacks(sizes: Array, batch_size: int) -> list[tuple[int, int, int, 
 
 
 def client_train(
-    clients: list[ClientState],
+    tier: TierStack,
     state: FederationState,
     round_index: int,
-    tables: list[TeacherTable | None],
-) -> list[tuple[ClientState, LossBreakdown, Array]]:
+    table: TeacherTable | None,
+    uploads: Array,
+) -> LossBreakdown:
     """The client phase of one capacity tier: local epochs on seeded batches,
-    every client of the tier stepped in lockstep as one `ModelStack`; without
-    teacher tables (warm-up rounds) training is pure cross-entropy.
+    every client of the tier stepped in lockstep in its stack, in place;
+    without a teacher table (warm-up rounds) training is pure cross-entropy.
 
-    Stack row r holds the r-th largest shard (ties in the given order), so
-    every step of `lockstep_stacks` trains one block of rows. Each client
-    keeps its own batch order, teacher rows and loss sums, and a stacked step
-    computes each model as a step of that model alone would, so every client
-    ends as it would training by itself.
+    Each client keeps its own batch order, teacher rows and loss sums, and a
+    stacked step computes each model as a step of that model alone would, so
+    every client ends as it would training by itself. Features, labels and
+    teacher rows are read by cache row, and the last forward logits of every
+    training sample are written to its row of the (n, C) `uploads`.
 
-    Returns, per client in the given order, the trained client, its
-    sample-weighted mean loss breakdown, and the last forward logits of every
-    training sample for upload, (n_k, C) in local index order.
+    Returns each stack row's sample-weighted mean loss breakdown, as (K,)
+    arrays.
     """
     cfg = state.config
-    sizes = [len(c.shard.train) for c in clients]
-    order = sorted(range(len(clients)), key=lambda k: -sizes[k])
-    trains = [clients[k].shard.train for k in order]
-    row_sizes = np.array([sizes[k] for k in order])
-    # row r's samples are rows offsets[r]:offsets[r + 1] of the tier's arrays
-    offsets = np.concatenate([[0], np.cumsum(row_sizes)])
-    features = np.concatenate([train.features for train in trains])
-    labels = np.concatenate([train.labels for train in trains])
-    teachers = None
-    if tables[0] is not None:
-        teachers = TeacherTable(
-            *(np.concatenate([getattr(tables[k], f) for k in order]) for f in ("q", "h", "has"))
-        )
-    first = clients[order[0]].model
-    stack = ModelStack(
-        first.architecture_id, first.layer_dims, np.stack([clients[k].model.params for k in order])
-    )
-    logits = np.empty((len(labels), state.n_classes))
-    ce_sum = np.zeros(len(order))
-    kd_sum = np.zeros(len(order))
-    steps = lockstep_stacks(row_sizes, cfg.batch_size)
+    starts = [state.cache.rows[k].start for k in tier.members]
+    ce_sum = np.zeros(len(starts))
+    kd_sum = np.zeros(len(starts))
     for e in range(cfg.local_epochs):
         epoch_key = round_index * cfg.local_epochs + e
-        # sample_order[r, j] is the tier-array row of row r's j-th sample this epoch
-        sample_order = np.zeros((len(order), row_sizes[0]), dtype=np.intp)
-        for r, k in enumerate(order):
-            shuffled = epoch_order(clients[k].shard, cfg.seed, epoch_key)
-            sample_order[r, : row_sizes[r]] = offsets[r] + shuffled
-        for start, a, b, width in steps:
+        # sample_order[r, j] is the cache row of row r's j-th sample this epoch
+        sample_order = np.zeros((len(starts), tier.sizes[0]), dtype=np.intp)
+        for r, k in enumerate(tier.members):
+            shuffled = epoch_order(state.clients[k].shard, cfg.seed, epoch_key)
+            sample_order[r, : tier.sizes[r]] = starts[r] + shuffled
+        for start, a, b, width in tier.steps:
             idx = sample_order[a:b, start : start + width]
-            batch_teachers = None if teachers is None else teachers.take(idx)
             bd, Z = train_step(
-                replace(stack, params=stack.params[a:b]),
-                features[idx], labels[idx], batch_teachers, cfg.kd, cfg.lr,
+                replace(tier.stack, params=tier.stack.params[a:b]),
+                state.train.features[idx],
+                state.train.labels[idx],
+                None if table is None else table.take(idx),
+                cfg.kd,
+                cfg.lr,
             )
-            logits[idx] = Z
+            uploads[idx] = Z
             ce_sum[a:b] += bd.ce * width
             kd_sum[a:b] += bd.kd * width
-    results: list = [None] * len(clients)
-    for r, k in enumerate(order):
-        n_samples = row_sizes[r] * cfg.local_epochs
-        ce = float(ce_sum[r] / n_samples)
-        kd = float(kd_sum[r] / n_samples)
-        breakdown = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
-        model = replace(clients[k].model, params=stack.params[r].copy())
-        upload = logits[offsets[r] : offsets[r + 1]]
-        results[k] = (replace(clients[k], model=model), breakdown, upload)
-    return results
+    n_samples = tier.sizes * cfg.local_epochs
+    ce, kd = ce_sum / n_samples, kd_sum / n_samples
+    return LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
 
 
 def run_round(state: FederationState) -> RoundReport:
@@ -378,43 +394,33 @@ def run_round(state: FederationState) -> RoundReport:
     if t >= cfg.rounds:
         raise InvalidInputError(f"round {t} exceeds configured rounds {cfg.rounds}")
 
-    tables = teacher_tables(state, t)
-    results: list = [None] * len(state.clients)
-    for tier in CapacityTier:
-        members = [i for i, c in enumerate(state.clients) if c.tier is tier]
-        if members:
-            trained = client_train(
-                [state.clients[i] for i in members], state, t, [tables[i] for i in members]
-            )
-            for i, out in zip(members, trained):
-                results[i] = out
+    table = teacher_tables(state, t)
+    uploads = np.empty((len(state.cache), state.n_classes))
+    ce = np.empty(len(state.clients))
+    kd = np.empty(len(state.clients))
+    for tier in state.tiers:
+        bd = client_train(tier, state, t, table, uploads)
+        ce[tier.members], kd[tier.members] = bd.ce, bd.kd
 
     # One check per client and round keeps the steps free of it; in client-id
     # order, so a divergent run names its lowest diverged client. Only the
     # logit methods upload their logits.
-    uploads: list[tuple[int, Array]] = []
-    breakdowns: list[LossBreakdown] = []
-    for i, (trained, bd, logits) in enumerate(results):
-        where = f"client {trained.client_id} in round {t}"
-        if not np.isfinite(trained.model.params).all():
+    uploading = cfg.method in LOGIT_METHODS
+    for client in state.clients:
+        where = f"client {client.client_id} in round {t}"
+        if not np.isfinite(client.model.params).all():
             raise DivergenceError(f"training diverged: non-finite parameters at {where}")
-        if cfg.method in LOGIT_METHODS and not np.isfinite(logits).all():
+        if uploading and not np.isfinite(uploads[state.cache.rows[client.client_id]]).all():
             raise DivergenceError(f"training diverged: non-finite logits at {where}")
-        state.clients[i] = trained
-        breakdowns.append(bd)
-        uploads.append((trained.client_id, logits))
-
-    if cfg.method in LOGIT_METHODS:
-        for client_id, logits in uploads:
-            state.cache.update_logits(client_id, logits, t)
+    if uploading:
+        for client_id, rows in enumerate(state.cache.rows):
+            state.cache.update_logits(client_id, uploads[rows], t)
 
     if cfg.method is Method.FEDAVG:
-        weights = aggregate_weights([len(c.shard.train) for c in state.clients])
-        merged = fedavg_aggregate([c.model for c in state.clients], weights)
-        for i, client in enumerate(state.clients):
-            state.clients[i] = replace(
-                client, model=replace(merged, params=merged.params.copy(), seed=client.model.seed)
-            )
+        (tier,) = state.tiers
+        by_id = np.argsort(tier.members)
+        rows = replace(tier.stack, params=tier.stack.params[by_id])
+        tier.stack.params[:] = fedavg_aggregate(rows, aggregate_weights(tier.sizes[by_id]))
 
     local_acc = np.array([evaluate(c.model, c.shard.local_test) for c in state.clients])
     global_acc = np.array([evaluate(c.model, state.global_test) for c in state.clients])
@@ -422,9 +428,9 @@ def run_round(state: FederationState) -> RoundReport:
         round=t,
         per_client_local_acc=local_acc,
         global_acc_per_client=global_acc,
-        mean_ce=float(np.mean([b.ce for b in breakdowns])),
-        mean_kd=float(np.mean([b.kd for b in breakdowns])),
-        hierarchy_built=cfg.method is Method.HKS and tables[0] is not None,
+        mean_ce=float(np.mean(ce)),
+        mean_kd=float(np.mean(kd)),
+        hierarchy_built=cfg.method is Method.HKS and table is not None,
     )
     state.round = t + 1
     return report

@@ -1,9 +1,8 @@
 """Whole-round teacher knowledge: cluster-path granularity plus baselines.
 
 Each builder returns, for every cache row, padded teacher logits (n, D, C)
-and their validity mask (n, D), split into one block per client (block k is
-client k's rows); `numerics.teacher_table` turns a block into distillation
-targets.
+and their validity mask (n, D); `numerics.teacher_table` turns them into
+distillation targets.
 Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path; the two
 baselines aggregate by class label (global mean, or R hash-nearest
@@ -23,8 +22,6 @@ from .hierarchy import ClusterTree
 from .hnsw import HnswIndex
 
 Array = np.ndarray
-# One (logits (n_k, D, C), mask (n_k, D)) block per client, in client-id order.
-Blocks = list[tuple[Array, Array]]
 
 
 class Granularity(str, Enum):
@@ -39,7 +36,7 @@ def fetch_teacher(
     tree: ClusterTree,
     granularity: Granularity,
     exclude_self: bool = True,
-) -> Blocks:
+) -> tuple[Array, Array]:
     """Teacher logits of every cached sample at the chosen granularity.
 
     With a path of length L (singleton first, cut cluster last):
@@ -76,20 +73,15 @@ def fetch_teacher(
         nodes = paths[np.arange(n), length - 1][:, None]
     size = tree.node_size[nodes] - int(exclude_self)
     mask = (nodes >= 0) & (size > 0)
-    # Filled per client: one (n, D, C) array for every sample would stay
-    # resident through the next hierarchy build and raise the peak memory.
-    blocks = []
-    for rows in cache.rows:
-        logits = sums[nodes[rows]]
-        if exclude_self:
-            logits -= X[rows, None, :]
-        logits /= np.maximum(size[rows], 1)[..., None]
-        logits[~mask[rows]] = 0.0
-        blocks.append((logits, mask[rows]))
-    return blocks
+    logits = sums[nodes]
+    if exclude_self:
+        logits -= X[:, None, :]
+    logits /= np.maximum(size, 1)[..., None]
+    logits[~mask] = 0.0
+    return logits, mask
 
 
-def feddistill_teacher(cache: KnowledgeCache) -> Blocks:
+def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
     """Per sample, the mean cached logits of its class held by other clients."""
     labels = cache.read_labels()
     valid = cache.updated_round >= 0
@@ -104,7 +96,7 @@ def feddistill_teacher(cache: KnowledgeCache) -> Blocks:
                 mine = labels[rows] == y
                 out[rows][mine, 0] = cache.logits[pool].mean(axis=0)
                 has[rows][mine, 0] = True
-    return [(out[rows], has[rows]) for rows in cache.rows]
+    return out, has
 
 
 def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array:
@@ -127,12 +119,11 @@ def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array
     return out
 
 
-def fedcache_teacher(cache: KnowledgeCache, neighbors: Array) -> Blocks:
+def fedcache_teacher(cache: KnowledgeCache, neighbors: Array) -> tuple[Array, Array]:
     """Mean current logits of each row's FedCache neighbour rows; a row with
     no neighbour has no teacher."""
     valid = neighbors >= 0
     count = valid.sum(axis=1)
     gathered = np.where(valid[..., None], cache.logits[neighbors], 0.0)
     out = (gathered.sum(axis=1) / np.maximum(count, 1)[:, None])[:, None, :]
-    has = (count > 0)[:, None]
-    return [(out[rows], has[rows]) for rows in cache.rows]
+    return out, (count > 0)[:, None]

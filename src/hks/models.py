@@ -1,22 +1,22 @@
 """Pluggable small-model zoo: three MLP capacity tiers, backprop, FedAvg.
 
-Models are value-like: parameters live in one flat float64 vector and
-nothing here holds hidden state. Training works on a `ModelStack`, the
-parameters of K models of one architecture as one (K, P) array, and steps
-every model on its own batch at once, updating the stack in place; callers
-build a stack from copies and write fresh models back. The tier layout
-stands in for the three backbone depths of the reference setting; the
-build/forward/train surface is the extension point for richer architectures.
+A `Model` holds one model's flat float64 parameter vector, or a stack of K
+models of one architecture as K rows of one (K, P) array; nothing here holds
+hidden state. Training steps every model of a stack on its own batch at
+once and updates the rows in place, so a model whose vector is a view of a
+stack row sees every step. The tier layout stands in for the three backbone
+depths of the reference setting; the build/forward/train surface is the
+extension point for richer architectures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IncompatibleArchitectureError, InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError
 from .numerics import KdConfig, LossBreakdown, TeacherTable, log_softmax_rows, softmax_rows
 
 Array = np.ndarray
@@ -42,17 +42,17 @@ TIER_HIDDEN: dict[CapacityTier, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class Model:
-    """Fully-connected ReLU network with a flat parameter vector.
+    """Fully-connected ReLU network(s) with flat parameter vectors.
 
-    layer_dims runs input -> hidden... -> class count; params holds, per
-    layer, the (in_dim x out_dim) weight block row-major followed by the
-    out_dim bias block.
+    layer_dims runs input -> hidden... -> class count; params is one model's
+    (P,) vector or K models' (K, P) rows, each holding, per layer, the
+    (in_dim x out_dim) weight block row-major followed by the out_dim bias
+    block.
     """
 
     architecture_id: str
     layer_dims: tuple[int, ...]
     params: Array
-    seed: int
 
     @property
     def n_classes(self) -> int:
@@ -91,31 +91,12 @@ def build_model(tier: CapacityTier, input_dim: int, n_classes: int, seed: int) -
     for i, o in zip(dims[:-1], dims[1:]):
         a = np.sqrt(6.0 / (i + o))
         parts.append(rng.uniform(-a, a, size=(i + 1) * o))
-    return Model(architecture_id(dims), dims, np.concatenate(parts), seed)
+    return Model(architecture_id(dims), dims, np.concatenate(parts))
 
 
-@dataclass(frozen=True)
-class ModelStack:
-    """K models of one architecture, trained together.
-
-    Row k of the (K, P) params array is model k's flat parameter vector, in
-    `Model`'s layout. A training step updates the rows in place, so a stack
-    holds copies of its models' parameters, never the arrays of `Model`s
-    handed out elsewhere.
-    """
-
-    architecture_id: str
-    layer_dims: tuple[int, ...]
-    params: Array
-
-    @property
-    def n_classes(self) -> int:
-        return self.layer_dims[-1]
-
-
-def _forward_acts(m: Model | ModelStack, X: Array) -> tuple[Array, list[Array], list[Array]]:
+def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
     """Forward pass keeping pre/post activations for backprop: (B, d) inputs
-    for a model, (K, B, d) for a stack, one batch per model."""
+    for one model, (K, B, d) for a stack, one batch per model."""
     pre: list[Array] = []
     post: list[Array] = []
     H = X
@@ -142,7 +123,7 @@ def forward_batch(m: Model, X: Array) -> Array:
 
 
 def batch_loss_and_grad(
-    stack: ModelStack,
+    stack: Model,
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
@@ -199,7 +180,7 @@ def batch_loss_and_grad(
 
 
 def train_step(
-    stack: ModelStack,
+    stack: Model,
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
@@ -229,22 +210,14 @@ def aggregate_weights(sizes: Sequence[int]) -> Array:
     return s / s.sum()
 
 
-def fedavg_aggregate(models: Sequence[Model], weights: Array) -> Model:
-    """Weighted parameter average; requires a homogeneous architecture."""
-    if not models:
-        raise InvalidInputError("no models to aggregate")
+def fedavg_aggregate(stack: Model, weights: Array) -> Array:
+    """Weighted average of a stack's (K, P) rows, summed in row order."""
     w = np.asarray(weights, dtype=np.float64)
-    if len(models) != w.shape[0]:
-        raise ShapeError(f"{len(models)} models but {w.shape[0]} weights")
+    if stack.params.shape[:1] != w.shape:
+        raise ShapeError(f"{len(stack.params)} models but {w.shape[0]} weights")
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise InvalidInputError("weights must be nonnegative and sum to 1")
-    first = models[0]
-    for m in models[1:]:
-        if m.architecture_id != first.architecture_id or m.params.shape != first.params.shape:
-            raise IncompatibleArchitectureError(
-                f"cannot average {m.architecture_id} into {first.architecture_id}"
-            )
-    params = np.zeros_like(first.params)
-    for m, wk in zip(models, w):
-        params += wk * m.params
-    return replace(first, params=params)
+    merged = np.zeros(stack.params.shape[1:])
+    for row, wk in zip(stack.params, w):
+        merged += wk * row
+    return merged

@@ -19,7 +19,7 @@ from hks.errors import (
 from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
-from hks.models import Model, ModelStack, _layer_slices, batch_loss_and_grad, train_step
+from hks.models import Model, _layer_slices, batch_loss_and_grad, train_step
 from hks.numerics import (
     KdConfig,
     LossBreakdown,
@@ -463,10 +463,9 @@ def param_count(layer_dims: Sequence[int]) -> int:
     return sum((i + 1) * o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
 
 
-def stack_of(*models: Model) -> ModelStack:
+def stack_of(*models: Model) -> Model:
     """A stack holding copies of the models' parameters, in the given order."""
-    first = models[0]
-    return ModelStack(first.architecture_id, first.layer_dims, np.stack([m.params for m in models]))
+    return replace(models[0], params=np.stack([m.params for m in models]))
 
 
 def stacked_table(*tables: TeacherTable) -> TeacherTable:
@@ -573,17 +572,22 @@ def reference_train_step(
     return new, bd, Z
 
 
-def reference_client_phase(clients, state, round_index, tables):
+def reference_client_phase(tier, state, round_index, table, uploads):
     """The client phase trained one client after another, each one model at
-    a time: local epochs on seeded batches, batch j of an epoch being the
-    j-th run of batch_size entries of `epoch_order`. Same signature and
-    results as `federation.client_train`."""
+    a time on its own shard: local epochs on seeded batches, batch j of an
+    epoch being the j-th run of batch_size entries of `epoch_order`. Same
+    signature, results and writes as `federation.client_train`: each trained
+    model goes to its stack row and its logits to its cache rows of
+    `uploads`."""
     cfg = state.config
-    results = []
-    for client, teachers in zip(clients, tables):
-        model = client.model
+    ce_out, kd_out = [], []
+    for r, k in enumerate(tier.members):
+        client = state.clients[k]
+        rows = state.cache.rows[k]
+        model = replace(tier.stack, params=tier.stack.params[r].copy())
         features = client.shard.train.features
         labels = client.shard.train.labels
+        teachers = None if table is None else table.take(rows)
         logits_out = np.empty((len(labels), state.n_classes))
         ce_sum = kd_sum = 0.0
         n_samples = 0
@@ -600,11 +604,12 @@ def reference_client_phase(clients, state, round_index, tables):
                 ce_sum += bd.ce * len(batch_idx)
                 kd_sum += bd.kd * len(batch_idx)
                 n_samples += len(batch_idx)
-        ce = ce_sum / n_samples
-        kd = kd_sum / n_samples
-        breakdown = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
-        results.append((replace(client, model=model), breakdown, logits_out))
-    return results
+        tier.stack.params[r] = model.params
+        uploads[rows] = logits_out
+        ce_out.append(ce_sum / n_samples)
+        kd_out.append(kd_sum / n_samples)
+    ce, kd = np.array(ce_out), np.array(kd_out)
+    return LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
 
 
 def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> None:

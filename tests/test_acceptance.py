@@ -92,7 +92,7 @@ def test_criterion_01_gradient_oracle():
         _, grads, _ = one_model_loss_and_grad(m, X, y, teachers, kd_cfg)
 
         def loss_of(params, m=m, X=X, y=y, teachers=teachers):
-            return batch_loss(Model(m.architecture_id, m.layer_dims, params, m.seed), X, y, teachers, kd_cfg)
+            return batch_loss(Model(m.architecture_id, m.layer_dims, params), X, y, teachers, kd_cfg)
 
         worst = max(worst, _rel_err(grads, finite_diff(loss_of, m.params)))
 
@@ -185,11 +185,11 @@ def test_criterion_05_metric_arithmetic():
     assert maua([[0.5, 0.7], [0.8, 0.6]]) == 0.7
 
     params = np.array([1.0, -1.0, 0.0, 0.0])
-    threshold_model = Model("mlp-1-2", (1, 2), params, 0)
+    threshold_model = Model("mlp-1-2", (1, 2), params)
     ds = Dataset(np.array([[1.0], [-1.0], [2.0], [-2.0]]), np.array([0, 1, 1, 1]), 2)
     assert evaluate(threshold_model, ds) == 0.75
 
-    bias0 = Model("mlp-1-2", (1, 2), np.array([0.0, 0.0, 10.0, 0.0]), 0)
+    bias0 = Model("mlp-1-2", (1, 2), np.array([0.0, 0.0, 10.0, 0.0]))
     assert evaluate(bias0, Dataset(np.ones((3, 1)), np.zeros(3, dtype=np.int64), 2)) == 1.0
     assert evaluate(bias0, Dataset(np.ones((3, 1)), np.ones(3, dtype=np.int64), 2)) == 0.0
     _report("criterion 5 metric arithmetic", "PASS")

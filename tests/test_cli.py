@@ -215,18 +215,58 @@ class TestRunCommand:
 
 
 class TestIdxRuns:
-    def write_dataset(self, tmp_path, n=150, seed=0):
+    def write_dataset(self, tmp_path, n=150, seed=0, width=16, n_classes=4):
         import numpy as np
 
         from hks.data import Dataset
         from reference_oracles import write_idx
 
         rng = np.random.default_rng(seed)
-        feats = rng.integers(0, 256, size=(n, 16)).astype(float) / 255.0
-        labels = np.concatenate([np.arange(4, dtype=np.int64), rng.integers(0, 4, size=n - 4)])
-        ds = Dataset(feats, labels, 4)
+        feats = rng.integers(0, 256, size=(n, width)).astype(float) / 255.0
+        labels = np.concatenate(
+            [np.arange(n_classes, dtype=np.int64), rng.integers(0, n_classes, size=n - n_classes)]
+        )
+        ds = Dataset(feats, labels, n_classes)
         write_idx(ds, tmp_path / "imgs.idx", tmp_path / "labs.idx")
         return ds
+
+    @pytest.mark.parametrize(
+        "test_set, message",
+        [
+            (dict(width=20), "test images have 20 pixels, training images 16"),
+            (dict(n_classes=3), "test labels reach class 2, training labels only class 1"),
+        ],
+    )
+    def test_mismatched_test_set_is_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, test_set, message
+    ):
+        import hks.cli
+
+        self.write_dataset(tmp_path, n_classes=2)
+        test_dir = tmp_path / "test"
+        test_dir.mkdir()
+        self.write_dataset(test_dir, n=60, seed=1, **test_set)
+        runs = []
+        monkeypatch.setattr(hks.cli, "run_experiment", lambda *a: runs.append(a))
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run",
+                "--idx-images", str(tmp_path / "imgs.idx"),
+                "--idx-labels", str(tmp_path / "labs.idx"),
+                "--idx-test-images", str(test_dir / "imgs.idx"),
+                "--idx-test-labels", str(test_dir / "labs.idx"),
+                "--method", "local_only",
+                "--n-clients", "3",
+                "--rounds", "2",
+                "--warmup-rounds", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
 
     def test_run_with_idx_pair_and_subsample(self, tmp_path):
         self.write_dataset(tmp_path)
@@ -424,6 +464,20 @@ class TestSweepAndReport:
         assert flag in err and repr(repeated) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, bad",
+        [("--methods", "hks,nope", "nope"),
+         ("--granularities", "top,coarse", "coarse"),
+         ("--R-values", "2,x", "x"),
+         ("--seeds", "0,1.5", "1.5")],
+    )
+    def test_invalid_sweep_entry_names_the_flag_and_exits_2(self, tmp_path, capsys, flag, value, bad):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *fast_flags(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} has an invalid entry {bad!r}\n"
+        assert not out.exists()
+
 
 class TestModuleEntry:
     """`python -m hks.cli` runs the same command line as the console script."""
@@ -494,7 +548,7 @@ class TestStrictCoercion:
         with pytest.raises(ConfigError, match="type mismatch on 'exclude_self'"):
             parse_flags("--synthetic", "3,10,4,0.3", "--exclude-self", "no")
 
-    @pytest.mark.parametrize("value", [2.7, True, "2.5", [2]])
+    @pytest.mark.parametrize("value", [2.7, True, "2.5", [2], "2"])
     def test_int_key_rejects_bools_and_fractions(self, tmp_path, value):
         with pytest.raises(ConfigError, match="type mismatch on 'rounds'"):
             parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "rounds": value})
@@ -503,9 +557,10 @@ class TestStrictCoercion:
         rc = parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "rounds": 2.0, "warmup_rounds": 1})
         assert rc.federation.rounds == 2 and isinstance(rc.federation.rounds, int)
 
-    def test_float_key_rejects_bool(self, tmp_path):
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_float_key_rejects_bool(self, tmp_path, value):
         with pytest.raises(ConfigError, match="type mismatch on 'lr'"):
-            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "lr": True})
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "lr": value})
 
     def test_enum_keys_read_lower_cased_values(self, tmp_path):
         rc = parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "method": "FedCache", "fedavg_tier": "LARGE"})

@@ -29,7 +29,7 @@ from hks.knowledge import (
     fedcache_neighbors,
 )
 from hks.metrics import evaluate
-from hks.models import CapacityTier, Model, forward_batch
+from hks.models import TIER_HIDDEN, CapacityTier, Model, forward_batch
 from hks.numerics import KdConfig, softmax_rows
 
 from reference_oracles import (
@@ -290,14 +290,16 @@ class TestWarmupGate:
 
 
 def record_tables(monkeypatch):
-    """Map (round, client) to the teacher table each client phase trained on."""
+    """Map (round, client) to the teacher table rows each client phase
+    trained that client on, or None."""
     train = federation.client_train
     seen = {}
 
-    def recording(clients, state, round_index, tables):
-        for client, teachers in zip(clients, tables):
-            seen[(round_index, client.client_id)] = teachers
-        return train(clients, state, round_index, tables)
+    def recording(tier, state, round_index, table, uploads):
+        for k in tier.members:
+            rows = state.cache.rows[k]
+            seen[(round_index, int(k))] = None if table is None else table.take(rows)
+        return train(tier, state, round_index, table, uploads)
 
     monkeypatch.setattr(federation, "client_train", recording)
     return seen
@@ -417,7 +419,7 @@ def probe_kd(teachers, z_s, cfg):
     logits are its inputs (its bias gradient is the logit gradient)."""
     C = z_s.shape[0]
     params = np.concatenate([np.eye(C).ravel(), np.zeros(C)])
-    probe = Model(f"mlp-{C}-{C}", (C, C), params, seed=0)
+    probe = Model(f"mlp-{C}-{C}", (C, C), params)
     X, y, unit = z_s[None], np.array([0]), replace(cfg, alpha_kd=1.0)
     bd, grads, _ = one_model_loss_and_grad(probe, X, y, teachers, unit)
     _, ce_grads, _ = one_model_loss_and_grad(probe, X, y, None, unit)
@@ -557,10 +559,72 @@ class TestDivergence:
         train, test = dataset
         state = init_federation(tiny_cfg(Method.HKS, n_clients=6), train, test)
         for client_id in (3, 1):
-            state.clients[client_id].shard.train.features[:] = 1e300
+            state.train.features[state.cache.rows[client_id]] = 1e300
         assert [state.clients[i].tier for i in (1, 3)] == [CapacityTier.MEDIUM, CapacityTier.SMALL]
         with pytest.raises(DivergenceError, match="non-finite parameters at client 1 in round 0"):
             run_round(state)
+
+
+class TestTierStacks:
+    """Each tier's stack holds its clients' models for the whole run: every
+    client's model is a view of its stack row."""
+
+    @staticmethod
+    def assert_models_are_stack_rows(state):
+        members = []
+        for tier in state.tiers:
+            ids = tier.members.tolist()
+            # largest shard first, ties by client id
+            assert ids == sorted(ids, key=lambda k: (-len(state.clients[k].shard.train), k))
+            for r, k in enumerate(ids):
+                client = state.clients[k]
+                assert np.shares_memory(client.model.params, tier.stack.params[r])
+                assert np.array_equal(client.model.params, tier.stack.params[r])
+                assert tier.sizes[r] == len(client.shard.train)
+                assert client.model.layer_dims == tier.stack.layer_dims
+                assert tier.stack.layer_dims[1:-1] == TIER_HIDDEN[client.tier]
+            members += ids
+        assert sorted(members) == list(range(len(state.clients)))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_client_models_are_views_of_their_stack_rows_every_round(self, dataset, method):
+        train, test = dataset
+        state = init_federation(tiny_cfg(method, n_clients=7, alpha_dir=0.3), train, test)
+        assert len(state.tiers) == (1 if method is Method.FEDAVG else 3)
+        self.assert_models_are_stack_rows(state)
+        for _ in range(state.config.rounds):
+            run_round(state)
+            self.assert_models_are_stack_rows(state)
+
+    def test_fedavg_writes_the_merged_vector_into_every_row(self, dataset, monkeypatch):
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.FEDAVG, n_clients=7, alpha_dir=0.3), train, test)
+        (tier,) = state.tiers
+        client_train, aggregate = federation.client_train, federation.fedavg_aggregate
+        trained, merged = [], []
+
+        def recording_train(*args):
+            out = client_train(*args)
+            trained.append(tier.stack.params.copy())
+            return out
+
+        def recording_aggregate(stack, weights):
+            merged.append((stack.params.copy(), weights, aggregate(stack, weights)))
+            return merged[-1][2]
+
+        monkeypatch.setattr(federation, "client_train", recording_train)
+        monkeypatch.setattr(federation, "fedavg_aggregate", recording_aggregate)
+        run_round(state)
+        ((rows, weights, vector),) = merged
+        # the trained rows are averaged in client-id order
+        by_id = np.argsort(tier.members)
+        assert np.array_equal(rows, trained[0][by_id])
+        sizes = [len(c.shard.train) for c in state.clients]
+        assert np.array_equal(weights, np.array(sizes) / sum(sizes))
+        assert not np.array_equal(trained[0][0], trained[0][1])
+        for row in tier.stack.params:
+            assert np.array_equal(row, vector)
+        self.assert_models_are_stack_rows(state)
 
 
 class TestLockstepStacks:

@@ -644,16 +644,15 @@ class TestClusterPath(FourPoints):
         assert len(path_nodes(tree, 2)) == 2
 
 
-def teacher_rows(blocks, row):
-    """The valid teacher logits a builder's blocks give cache row `row`."""
-    logits = np.concatenate([b[0] for b in blocks])
-    mask = np.concatenate([b[1] for b in blocks])
+def teacher_rows(teachers, row):
+    """The valid teacher logits a builder's (logits, mask) give cache row `row`."""
+    logits, mask = teachers
     return list(logits[row][mask[row]])
 
 
 def path_teacher_rows(cache, tree, row, granularity, exclude_self=True):
-    blocks = fetch_teacher(cache, tree, granularity, exclude_self=exclude_self)
-    return teacher_rows(blocks, row)
+    teachers = fetch_teacher(cache, tree, granularity, exclude_self=exclude_self)
+    return teacher_rows(teachers, row)
 
 
 class TestFetchTeacher(FourPoints):
@@ -727,17 +726,17 @@ class TestFetchTeacher(FourPoints):
         with pytest.raises(StaleHierarchyError):
             fetch_teacher(make_cache(self.values[:3]), tree, Granularity.TOP)
 
-    def test_one_block_per_client_in_sample_order(self):
+    def test_one_row_per_cache_row(self):
         cache = make_cache([0.0, 0.1, 10.0, 10.1, 5.0], clients=[0, 0, 1, 1, 2])
-        blocks = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.ALL)
-        assert [len(logits) for logits, _ in blocks] == [2, 2, 1]
-        assert [len(mask) for _, mask in blocks] == [2, 2, 1]
+        logits, mask = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.ALL)
+        assert logits.shape[:2] == mask.shape
+        assert (len(logits), logits.shape[2]) == (5, 1)
 
-    def test_zero_size_client_gets_an_empty_block_in_its_place(self):
+    def test_zero_size_client_takes_no_rows(self):
         cache = make_cache([0.0, 0.1, 10.0, 10.1], clients=[0, 0, 2, 2])
-        blocks = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.TOP)
-        assert [len(logits) for logits, _ in blocks] == [2, 0, 2]
-        np.testing.assert_allclose(teacher_rows(blocks, 2), [[10.1]])
+        teachers = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.TOP)
+        assert len(teachers[0]) == len(teachers[1]) == 4
+        np.testing.assert_allclose(teacher_rows(teachers, 2), [[10.1]])
 
 
 class TestSoftClusterSpace:
@@ -746,10 +745,8 @@ class TestSoftClusterSpace:
         logits = rng.normal(scale=3.0, size=(24, 4))
         cache = make_cache(logits)
         tree = build_hierarchy(cache, 3, space="soft", temperature=3.0)
-        blocks = fetch_teacher(cache, tree, Granularity.ALL)
-        tables = [teacher_table(z, mask, 3.0) for z, mask in blocks]
-        q = np.concatenate([t.q for t in tables])
-        h = np.concatenate([t.h for t in tables])
+        table = teacher_table(*fetch_teacher(cache, tree, Granularity.ALL), 3.0)
+        q, h = table.q, table.h
         raw = [path_teacher(cache, tree, row, Granularity.ALL) for row in range(len(cache))]
         expected = table_from_lists(raw, 4, 3.0)
         np.testing.assert_allclose(q, expected.q, rtol=0, atol=1e-12)
@@ -844,10 +841,10 @@ class TestFedCacheTeacher:
         cache, index = self.crafted()
         neighbours = fedcache_neighbors(cache, index, 2)
         cache.update_logits(1, np.array([[5.0, 7.0]]), 1)
-        blocks = fedcache_teacher(cache, neighbours)
-        np.testing.assert_allclose(teacher_rows(blocks, 0), [[4.0, 5.0]])
+        teachers = fedcache_teacher(cache, neighbours)
+        np.testing.assert_allclose(teacher_rows(teachers, 0), [[4.0, 5.0]])
 
     def test_no_neighbours_means_no_teacher(self):
         cache, _ = self.crafted()
-        blocks = fedcache_teacher(cache, np.full((4, 2), -1))
-        assert all(teacher_rows(blocks, row) == [] for row in range(4))
+        teachers = fedcache_teacher(cache, np.full((4, 2), -1))
+        assert all(teacher_rows(teachers, row) == [] for row in range(4))

@@ -3,7 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from hks.errors import IncompatibleArchitectureError, ShapeError
+from hks.errors import InvalidInputError, ShapeError
 from hks.models import (
     CapacityTier,
     Model,
@@ -74,7 +74,7 @@ class TestBuildModel:
 class TestForward:
     def test_zero_params_give_zero_logits(self):
         m = small_model()
-        zeroed = Model(m.architecture_id, m.layer_dims, np.zeros_like(m.params), m.seed)
+        zeroed = Model(m.architecture_id, m.layer_dims, np.zeros_like(m.params))
         np.testing.assert_array_equal(forward_batch(zeroed, np.ones((1, 4))), np.zeros((1, 3)))
 
     def test_deterministic(self):
@@ -85,7 +85,7 @@ class TestForward:
     def test_identity_single_layer(self):
         # one linear layer, identity weights, zero bias
         params = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
-        m = Model("mlp-2-2", (2, 2), params, seed=0)
+        m = Model("mlp-2-2", (2, 2), params)
         np.testing.assert_allclose(forward_batch(m, np.array([[1.0, 2.0]])), [[1.0, 2.0]], atol=1e-15)
 
     def test_shape_mismatch(self):
@@ -171,7 +171,7 @@ class TestEndToEndGradient:
         _, grads, _ = one_model_loss_and_grad(m, X, y, teachers, CFG)
 
         def loss_of(params):
-            probe = Model(m.architecture_id, m.layer_dims, params, m.seed)
+            probe = Model(m.architecture_id, m.layer_dims, params)
             return batch_loss(probe, X, y, teachers, CFG)
 
         numeric = finite_diff(loss_of, m.params)
@@ -182,33 +182,48 @@ class TestEndToEndGradient:
 class TestFedavg:
     def test_identical_models_fixed_point(self):
         m = small_model(seed=1)
-        out = fedavg_aggregate([m, m], np.array([0.3, 0.7]))
-        np.testing.assert_allclose(out.params, m.params, atol=1e-15)
+        out = fedavg_aggregate(stack_of(m, m), np.array([0.3, 0.7]))
+        np.testing.assert_allclose(out, m.params, atol=1e-15)
 
     def test_arithmetic(self):
-        base = Model("mlp-1-1", (1, 1), np.array([2.0, 0.0]), 0)
-        other = Model("mlp-1-1", (1, 1), np.array([4.0, 0.0]), 0)
-        out = fedavg_aggregate([base, other], np.array([0.5, 0.5]))
-        np.testing.assert_allclose(out.params, [3.0, 0.0])
+        base = Model("mlp-1-1", (1, 1), np.array([2.0, 0.0]))
+        other = Model("mlp-1-1", (1, 1), np.array([4.0, 0.0]))
+        out = fedavg_aggregate(stack_of(base, other), np.array([0.5, 0.5]))
+        np.testing.assert_allclose(out, [3.0, 0.0])
 
     def test_degenerate_weights_pick_first(self):
         a, b = small_model(seed=1), small_model(seed=2)
-        out = fedavg_aggregate([a, b], np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out.params, a.params)
+        out = fedavg_aggregate(stack_of(a, b), np.array([1.0, 0.0]))
+        np.testing.assert_allclose(out, a.params)
 
-    def test_heterogeneous_architectures_rejected(self):
-        a = build_model(CapacityTier.SMALL, 4, 3, 0)
-        b = build_model(CapacityTier.MEDIUM, 4, 3, 0)
-        with pytest.raises(IncompatibleArchitectureError):
-            fedavg_aggregate([a, b], np.array([0.5, 0.5]))
+    def test_sums_rows_in_row_order(self):
+        models = [small_model(seed=s) for s in range(3)]
+        w = aggregate_weights([10, 20, 30])
+        want = np.zeros_like(models[0].params)
+        for m, wk in zip(models, w):
+            want += wk * m.params
+        assert np.array_equal(fedavg_aggregate(stack_of(*models), w), want)
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ([0.5, 0.5], ShapeError),
+            ([0.5, 0.25, 0.5], InvalidInputError),
+            ([1.5, -0.25, -0.25], InvalidInputError),
+        ],
+    )
+    def test_weights_must_be_one_per_row_and_a_distribution(self, weights, error):
+        stack = stack_of(*(small_model(seed=s) for s in range(3)))
+        with pytest.raises(error):
+            fedavg_aggregate(stack, np.array(weights))
 
     def test_permutation_equivariance(self):
         models = [small_model(seed=s) for s in range(3)]
         w = aggregate_weights([10, 20, 30])
-        out = fedavg_aggregate(models, w)
+        out = fedavg_aggregate(stack_of(*models), w)
         perm = [2, 0, 1]
-        out_p = fedavg_aggregate([models[i] for i in perm], w[perm])
-        np.testing.assert_allclose(out.params, out_p.params, atol=1e-15)
+        out_p = fedavg_aggregate(stack_of(*(models[i] for i in perm)), w[perm])
+        np.testing.assert_allclose(out, out_p, atol=1e-15)
 
     def test_weights_from_sizes(self):
         np.testing.assert_allclose(aggregate_weights([1, 3]), [0.25, 0.75])
