@@ -302,18 +302,7 @@ def write_run_outputs(out_dir: Path, rc: RunConfig, result, wall_seconds: float)
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(ROUNDS_CSV_COLUMNS)
         for r in result.reports:
-            writer.writerow(
-                [
-                    r.round,
-                    _fmt(r.mean_local_acc),
-                    _fmt(r.min_local_acc),
-                    _fmt(r.max_local_acc),
-                    _fmt(r.mean_global_acc),
-                    _fmt(r.mean_ce),
-                    _fmt(r.mean_kd),
-                    _fmt(r.hierarchy_built),
-                ]
-            )
+            writer.writerow([_fmt(getattr(r, c)) for c in ROUNDS_CSV_COLUMNS])
     fed = rc.federation
     summary = {
         "maua": result.summary.maua,
@@ -385,11 +374,19 @@ def _sweep_cases(rc: RunConfig, methods, granularities, r_values, seeds):
 
 
 def cmd_sweep(rc: RunConfig, methods, granularities, r_values, seeds) -> int:
+    """Run every case of the sweep; every case's settings are checked before
+    the sweep directory is made or any case runs."""
     sweep_dir = Path(rc.out)
+    cases = [
+        (name, replace(rc, federation=fed, out=str(sweep_dir / name)))
+        for name, fed in _sweep_cases(rc, methods, granularities, r_values, seeds)
+    ]
+    for _, case in cases:
+        case.validate()
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for name, fed in _sweep_cases(rc, methods, granularities, r_values, seeds):
-        case = replace(rc, federation=fed, out=str(sweep_dir / name))
+    for name, case in cases:
+        fed = case.federation
         result = _run_and_write(case)
         rows.append(
             {

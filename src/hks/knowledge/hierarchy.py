@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientDataError, InvalidInputError
-from ..numerics import softmax_rows
+from ..numerics import tempered_softmax
 from .cache import KnowledgeCache
 
 Array = np.ndarray
@@ -238,7 +238,7 @@ def build_hierarchy(
         raise InsufficientDataError(f"{missing} of {len(cache)} cache rows hold no logits yet")
     X = cache.logits
     if space == "soft":
-        X = softmax_rows(X, temperature)
+        X, _ = tempered_softmax(X, temperature)
     elif space != "logits":
         raise InvalidInputError(f"space must be 'logits' or 'soft', got {space!r}")
     return agglomerate(X, n_clusters, linkage)

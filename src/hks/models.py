@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .numerics import KdConfig, LossBreakdown, TeacherTable, log_softmax_rows, softmax_rows
+from .numerics import KdConfig, LossBreakdown, TeacherTable, tempered_softmax
 
 Array = np.ndarray
 
@@ -138,12 +138,16 @@ def batch_loss_and_grad(
     scale * (h - q . log q_s), which is the sample's KL divergence averaged
     over its teachers; a sample with no teacher contributes zero KD. Returns
     (K,) loss arrays, (K, P) gradients and (K, B, C) logits.
+
+    One `tempered_softmax` of the logits gives the cross-entropy and the
+    start of its gradient, and with teachers one more at the temperature
+    gives the KL term and the distillation gradient.
     """
     K, B = y.shape
     Z, pre, post = _forward_acts(stack, X)
-    log_p = log_softmax_rows(Z)
+    P, log_P = tempered_softmax(Z, 1.0)
     picked = (np.arange(K)[:, None], np.arange(B), y)
-    ce = -log_p[picked].mean(axis=1)
+    ce = -log_P[picked].mean(axis=1)
     kd = np.zeros(K)
     if teachers is not None:
         if teachers.has.shape != (K, B):
@@ -154,16 +158,17 @@ def batch_loss_and_grad(
             )
         T = cfg.temperature
         scale = T * T if cfg.t_squared_scaling else 1.0
-        kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=-1)
+        P_T, log_P_T = tempered_softmax(Z, T)
+        kl = teachers.h - (teachers.q * log_P_T).sum(axis=-1)
         kd = scale * np.maximum(kl, 0.0).sum(axis=1) / B
     bd = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.alpha_kd * kd)
 
-    dZ = softmax_rows(Z)
+    dZ = P
     dZ[picked] -= 1.0
     dZ /= B
     if teachers is not None and cfg.alpha_kd != 0.0:
         has = teachers.has
-        dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (softmax_rows(Z[has], T) - teachers.q[has])
+        dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (P_T[has] - teachers.q[has])
 
     grads = np.empty_like(stack.params)
     layers = list(_layer_slices(stack.layer_dims))

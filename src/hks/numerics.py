@@ -1,9 +1,10 @@
 """Dense vector math for the training core.
 
-Distillation settings, loss breakdowns, per-round teacher tables and
-row-wise tempered softmax and log-softmax; the batched losses and their
-gradients live in `models`. Everything is float64 and purely functional, so
-callers may invoke these from any number of workers without coordination.
+Distillation settings, loss breakdowns, per-round teacher tables and the
+one tempered softmax, which gives a distribution and its log from a single
+exponent; the batched losses and their gradients live in `models`.
+Everything is float64 and purely functional, so callers may invoke these
+from any number of workers without coordination.
 """
 from __future__ import annotations
 
@@ -65,34 +66,26 @@ class TeacherTable:
         return TeacherTable(self.q[idx], self.h[idx], self.has[idx])
 
 
+def tempered_softmax(Z: Array, temperature: float) -> tuple[Array, Array]:
+    """Softmax of Z / T over the last axis and its log, (P, log_P), from one
+    shifted exponent: P = E / sum(E) and log_P = S - log(sum(E)), where S is
+    Z / T minus its row max and E = exp(S)."""
+    S = Z / temperature
+    S = S - S.max(axis=-1, keepdims=True)
+    E = np.exp(S)
+    Zsum = E.sum(axis=-1, keepdims=True)
+    return E / Zsum, S - np.log(Zsum)
+
+
 def teacher_table(logits: Array, mask: Array, temperature: float) -> TeacherTable:
     """Table from padded teacher logits (n, D, C) and their validity mask (n, D).
 
-    Every valid row is softened at the temperature; a sample's q and h
-    average over its valid rows in row order. P and log P share one shifted
-    exponent, bit for bit what softmax_rows and log_softmax_rows give.
+    Every valid row is softened at the temperature by `tempered_softmax`; a
+    sample's q and h average over its valid rows in row order.
     """
-    S = logits / temperature
-    S = S - S.max(axis=-1, keepdims=True)
-    E = np.exp(S)
-    Z = E.sum(axis=-1, keepdims=True)
-    P = E / Z
-    log_P = S - np.log(Z)
+    P, log_P = tempered_softmax(logits, temperature)
     count = mask.sum(axis=1)
     denom = np.maximum(count, 1)
     q = np.where(mask[..., None], P, 0.0).sum(axis=1) / denom[:, None]
     h = np.where(mask, (P * log_P).sum(axis=-1), 0.0).sum(axis=1) / denom
     return TeacherTable(q, h, count > 0)
-
-
-def softmax_rows(Z: Array, temperature: float = 1.0) -> Array:
-    """Tempered softmax over the last axis, e.g. of (B, C) logit matrices."""
-    S = Z / temperature
-    S = S - S.max(axis=-1, keepdims=True)
-    E = np.exp(S)
-    return E / E.sum(axis=-1, keepdims=True)
-
-
-def log_softmax_rows(Z: Array) -> Array:
-    S = Z - Z.max(axis=-1, keepdims=True)
-    return S - np.log(np.exp(S).sum(axis=-1, keepdims=True))

@@ -20,14 +20,7 @@ from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
 from hks.models import Model, _layer_slices, batch_loss_and_grad, train_step
-from hks.numerics import (
-    KdConfig,
-    LossBreakdown,
-    TeacherTable,
-    log_softmax_rows,
-    softmax_rows,
-    teacher_table,
-)
+from hks.numerics import KdConfig, LossBreakdown, TeacherTable, teacher_table
 
 Array = np.ndarray
 Vector = Sequence[float] | Array
@@ -433,6 +426,19 @@ def mean_kd(z_s, teacher_logits, cfg):
     return float(loss), grad
 
 
+def softmax_rows(Z: Array, temperature: float = 1.0) -> Array:
+    """Tempered softmax over the last axis, e.g. of (B, C) logit matrices."""
+    S = Z / temperature
+    S = S - S.max(axis=-1, keepdims=True)
+    E = np.exp(S)
+    return E / E.sum(axis=-1, keepdims=True)
+
+
+def log_softmax_rows(Z: Array) -> Array:
+    S = Z - Z.max(axis=-1, keepdims=True)
+    return S - np.log(np.exp(S).sum(axis=-1, keepdims=True))
+
+
 def reference_teacher_table(logits, mask, temperature):
     """`teacher_table` as two independent passes: a tempered softmax and a
     log-softmax of the tempered logits, each with its own exp; its exact
@@ -498,6 +504,22 @@ def one_model_step(
 def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
     bd, _, _ = one_model_loss_and_grad(m, X, y, teachers, cfg)
     return bd.total
+
+
+def batch_loss_finite_diff(
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, eps: float = 1e-5
+) -> Array:
+    """`finite_diff` of `batch_loss` over one model's flat parameters, from
+    one stacked `batch_loss_and_grad` call: rows params + eps e_i, then
+    params - eps e_i, each on the same batch and teacher rows."""
+    P = m.params.shape[0]
+    shift = eps * np.eye(P)
+    stack = replace(m, params=np.concatenate([m.params + shift, m.params - shift]))
+    tables = None if teachers is None else stacked_table(*[teachers] * (2 * P))
+    bd, _, _ = batch_loss_and_grad(
+        stack, np.repeat(X[None], 2 * P, axis=0), np.repeat(y[None], 2 * P, axis=0), tables, cfg
+    )
+    return (bd.total[:P] - bd.total[P:]) / (2.0 * eps)
 
 
 def _reference_forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:

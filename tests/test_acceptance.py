@@ -24,7 +24,7 @@ from hks.metrics import evaluate, maua
 from hks.models import CapacityTier, Model, build_model
 from hks.numerics import KdConfig
 from reference_oracles import (
-    batch_loss,
+    batch_loss_finite_diff,
     cache_from_rows,
     ce_grad,
     cross_entropy,
@@ -90,11 +90,7 @@ def test_criterion_01_gradient_oracle():
                 kd_cfg.temperature,
             )
         _, grads, _ = one_model_loss_and_grad(m, X, y, teachers, kd_cfg)
-
-        def loss_of(params, m=m, X=X, y=y, teachers=teachers):
-            return batch_loss(Model(m.architecture_id, m.layer_dims, params), X, y, teachers, kd_cfg)
-
-        worst = max(worst, _rel_err(grads, finite_diff(loss_of, m.params)))
+        worst = max(worst, _rel_err(grads, batch_loss_finite_diff(m, X, y, teachers, kd_cfg)))
 
     elapsed = time.perf_counter() - start
     assert worst < 1e-4, f"worst relative error {worst:.2e}"

@@ -478,6 +478,18 @@ class TestSweepAndReport:
         assert err == f"error: {flag} has an invalid entry {bad!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, key, bad",
+        [(["--methods", "fedcache", "--R-values", "2,0"], "R", "0"),
+         (["--methods", "local_only", "--seeds", "0,-1"], "seed", "-1")],
+    )
+    def test_out_of_range_sweep_entry_exits_2_before_any_run(self, tmp_path, capsys, flags, key, bad):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *fast_flags(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: constraint violation on {key!r} (got {bad})\n"
+        assert not out.exists()
+
 
 class TestModuleEntry:
     """`python -m hks.cli` runs the same command line as the console script."""

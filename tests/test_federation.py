@@ -30,7 +30,7 @@ from hks.knowledge import (
 )
 from hks.metrics import evaluate
 from hks.models import TIER_HIDDEN, CapacityTier, Model, forward_batch
-from hks.numerics import KdConfig, softmax_rows
+from hks.numerics import KdConfig
 
 from reference_oracles import (
     ReferenceHnsw,
@@ -40,6 +40,7 @@ from reference_oracles import (
     one_model_loss_and_grad,
     path_teacher,
     reference_client_phase,
+    softmax_rows,
 )
 
 

@@ -26,7 +26,7 @@ from hks.knowledge import (
     fetch_teacher,
 )
 from hks.knowledge.hierarchy import _pairwise_distances
-from hks.numerics import softmax_rows, teacher_table
+from hks.numerics import teacher_table
 
 from reference_oracles import (
     cache_from_rows,
@@ -40,6 +40,7 @@ from reference_oracles import (
     ReferenceHnsw,
     path_teacher,
     reference_pairwise_distances,
+    softmax_rows,
     table_from_lists,
 )
 

@@ -17,6 +17,7 @@ from hks.numerics import KdConfig, LossBreakdown
 
 from reference_oracles import (
     batch_loss,
+    batch_loss_finite_diff,
     finite_diff,
     one_model_loss_and_grad,
     one_model_step,
@@ -177,6 +178,22 @@ class TestEndToEndGradient:
         numeric = finite_diff(loss_of, m.params)
         err = np.linalg.norm(grads - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("with_teacher", [False, True])
+    def test_stacked_finite_diff_matches_one_vector_at_a_time(self, with_teacher):
+        rng = np.random.default_rng(13 if with_teacher else 12)
+        m = small_model(seed=4)
+        X = rng.normal(size=(5, 4))
+        y = rng.integers(3, size=5)
+        teachers = table([[rng.normal(size=3)] if i % 2 else [] for i in range(5)]) if with_teacher else None
+
+        def loss_of(params):
+            return batch_loss(Model(m.architecture_id, m.layer_dims, params), X, y, teachers, CFG)
+
+        expected = finite_diff(loss_of, m.params)
+        got = batch_loss_finite_diff(m, X, y, teachers, CFG)
+        assert got.shape == m.params.shape
+        assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 class TestFedavg:

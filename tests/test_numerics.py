@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hks.errors import InvalidInputError, ShapeError
-from hks.numerics import KdConfig, teacher_table
+from hks.numerics import KdConfig, teacher_table, tempered_softmax
 
 from reference_oracles import (
     ce_grad,
@@ -14,8 +14,10 @@ from reference_oracles import (
     finite_diff,
     kd_grad,
     kd_loss,
+    log_softmax_rows,
     reference_teacher_table,
     sgd_step,
+    softmax_rows,
     softmax_t,
 )
 
@@ -60,6 +62,40 @@ class TestSoftmaxT:
         base = softmax_t(z, 2.0)
         shifted = softmax_t(np.asarray(z) + shift, 2.0)
         np.testing.assert_allclose(base, shifted, atol=1e-9)
+
+
+def logit_blocks():
+    """(logits, mask, temperature) for the student shapes a training step
+    softens: (B, C) and stacked (K, B, C) blocks at T = 0.5, 1 and 3 with
+    a random row mask, then logits of +-1e3 and +-1e4, where the shifted
+    exponents underflow (to 0 at 1e4)."""
+    rng = np.random.default_rng(13)
+    for shape in ((1, 2), (7, 3), (64, 10), (3, 5, 4), (6, 32, 10)):
+        for temperature in (0.5, 1.0, 3.0):
+            logits = rng.normal(scale=4.0, size=shape)
+            mask = rng.random(shape[:-1]) < 0.6
+            yield pytest.param(logits, mask, temperature, id=f"{'x'.join(map(str, shape))}-T{temperature}")
+    for scale in (1e3, 1e4):
+        for shape in ((16, 10), (4, 8, 10)):
+            logits = rng.choice([-scale, scale], size=shape) * rng.random(shape)
+            logits[..., 0] = scale
+            mask = rng.random(shape[:-1]) < 0.5
+            for temperature in (0.5, 1.0, 3.0):
+                yield pytest.param(
+                    logits, mask, temperature, id=f"pm{scale:.0e}-{'x'.join(map(str, shape))}-T{temperature}"
+                )
+
+
+class TestTemperedSoftmax:
+    @pytest.mark.parametrize("logits, mask, temperature", logit_blocks())
+    def test_matches_two_pass_oracle_bit_for_bit(self, logits, mask, temperature):
+        P, log_P = tempered_softmax(logits, temperature)
+        assert np.array_equal(P, softmax_rows(logits, temperature))
+        assert np.array_equal(log_P, log_softmax_rows(logits / temperature))
+        assert np.array_equal(P[mask], softmax_rows(logits[mask], temperature))
+        if temperature == 1.0:
+            assert np.array_equal(log_P, log_softmax_rows(logits))
+        assert np.isfinite(log_P).all()
 
 
 def teacher_blocks():
