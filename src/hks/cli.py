@@ -36,7 +36,6 @@ from .errors import (
     InfeasiblePartitionError,
     InsufficientDataError,
     InvalidInputError,
-    MissingSampleError,
     ModeError,
     ShapeError,
     StaleHierarchyError,
@@ -67,7 +66,6 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (EmptyShardError, 7),
     (EmptyDatasetError, 8),
     (DegenerateInputError, 9),
-    (MissingSampleError, 10),
     (InsufficientDataError, 11),
     (StaleHierarchyError, 12),
     (ModeError, 13),
@@ -198,17 +196,19 @@ def _coerce(f: ConfigField, value):
 
 
 def _parse_synthetic(value) -> tuple[int, int, int, float]:
-    if isinstance(value, str):
-        parts = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
+    """C,per_class,dim,spread from a flag's text, or from a JSON list whose
+    entries follow `_coerce`'s int and float rules."""
+    if not isinstance(value, (str, list, tuple)):
         raise ConfigError("type mismatch on 'synthetic': expected 'C,per_class,dim,spread'")
+    parts = value.split(",") if isinstance(value, str) else value
     if len(parts) != 4:
         raise ConfigError("'synthetic' needs exactly C,per_class,dim,spread")
+    kinds = (int, int, int, float)
+    if not isinstance(value, str):
+        return tuple(_coerce(ConfigField(("synthetic",), k, False), v) for k, v in zip(kinds, parts))
     try:
-        return int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-    except (TypeError, ValueError):
+        return tuple(k(v) for k, v in zip(kinds, parts))
+    except ValueError:
         raise ConfigError("type mismatch on 'synthetic': C,per_class,dim must be int, spread real")
 
 

@@ -259,15 +259,22 @@ def epoch_order(shard: ClientShard, seed: int, epoch: int) -> Array:
 
 
 def stratified_subsample(ds: Dataset, n_samples: int, seed: int) -> Dataset:
-    """Seeded class-proportional subsample used to scale benchmarks down."""
+    """Seeded class-proportional subsample of exactly n_samples rows, by
+    largest remainder after one row per class present, if they all fit."""
     if n_samples >= len(ds):
         return ds
+    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    first = (counts > 0) & (n_samples >= np.count_nonzero(counts))
+    quota = (counts - first) * (n_samples - first.sum()) / (len(ds) - first.sum())
+    per_class = np.floor(quota).astype(np.int64)
+    short = n_samples - first.sum() - per_class.sum()
+    per_class[np.argsort(per_class - quota, kind="stable")[:short]] += 1
+    per_class += first
     rng = np.random.default_rng([seed, 9151])
     take: list[int] = []
-    frac = n_samples / len(ds)
     for c in range(ds.n_classes):
         members = np.flatnonzero(ds.labels == c)
         rng.shuffle(members)
-        take.extend(members[: max(1, int(round(members.size * frac)))].tolist())
+        take.extend(members[: per_class[c]].tolist())
     take.sort()
-    return ds.subset(take[:n_samples] if len(take) > n_samples else take)
+    return ds.subset(take)

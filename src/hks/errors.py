@@ -41,10 +41,6 @@ class DegenerateInputError(HksError, ValueError):
     """Input collapses under the requested transform (e.g. zero projection)."""
 
 
-class MissingSampleError(HksError, KeyError):
-    """Client or row not present in the cache or tree."""
-
-
 class InsufficientDataError(HksError, ValueError):
     """Fewer records than requested clusters."""
 

@@ -9,8 +9,9 @@ capacity tier at a time, all of the tier's clients in lockstep as the one
 stack of models that holds them for the whole run. Clients are independent,
 and each keeps its own batch order, RNG stream and teacher rows, so every
 client ends the phase as it would training alone, bit for bit. A single
-barrier then checks every client in client-id order and applies the
-buffered uploads and, for fedavg, the averaging.
+barrier then checks every client in client-id order and, for the logit
+methods, writes the whole round's buffered uploads into the cache in one
+call, or, for fedavg, applies the averaging.
 """
 from __future__ import annotations
 
@@ -183,11 +184,10 @@ class FederationState:
     cache: KnowledgeCache
     # Only fedcache reads the hash index; every other method leaves it None.
     index: HnswIndex | None
-    n_classes: int
     global_test: Dataset
     # fedcache's (n, R) neighbour rows, queried once at the first distilling
-    # round in which every cached row holds logits. From then on they cannot
-    # change: hashes and labels are fixed at init.
+    # round after an upload. From then on they cannot change: hashes and
+    # labels are fixed at init.
     neighbors: Array | None = None
     round: int = 0
 
@@ -278,7 +278,6 @@ def init_federation(
         train=train,
         cache=cache,
         index=index,
-        n_classes=dataset.n_classes,
         global_test=global_test,
     )
 
@@ -289,10 +288,11 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
 
     Uploads apply only at the barrier, so every teacher is fixed for the
     whole round and the table is built once, before any client trains,
-    from the cache as the previous round left it.
+    from the cache as the previous round left it. No method distills
+    before the first upload.
     """
     cfg = state.config
-    if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds:
+    if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds or state.cache.round < 0:
         return None
     if cfg.method is Method.HKS:
         # The first tree clusters round W's uploads, so the round-W client
@@ -301,7 +301,7 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
             return None
         tree = build_hierarchy(
             state.cache,
-            state.n_classes,
+            state.train.n_classes,
             linkage=cfg.linkage,
             space=cfg.cluster_space,
             temperature=cfg.kd.temperature,
@@ -310,10 +310,8 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     elif cfg.method is Method.FEDDISTILL:
         logits, mask = feddistill_teacher(state.cache)
     else:
-        if state.neighbors is None and (state.cache.updated_round >= 0).all():
-            state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
         if state.neighbors is None:
-            return None
+            state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
         logits, mask = fedcache_teacher(state.cache, state.neighbors)
     return teacher_table(logits, mask, cfg.kd.temperature)
 
@@ -395,7 +393,7 @@ def run_round(state: FederationState) -> RoundReport:
         raise InvalidInputError(f"round {t} exceeds configured rounds {cfg.rounds}")
 
     table = teacher_tables(state, t)
-    uploads = np.empty((len(state.cache), state.n_classes))
+    uploads = np.empty((len(state.cache), state.train.n_classes))
     ce = np.empty(len(state.clients))
     kd = np.empty(len(state.clients))
     for tier in state.tiers:
@@ -404,7 +402,7 @@ def run_round(state: FederationState) -> RoundReport:
 
     # One check per client and round keeps the steps free of it; in client-id
     # order, so a divergent run names its lowest diverged client. Only the
-    # logit methods upload their logits.
+    # logit methods upload their logits, all clients' in one write.
     uploading = cfg.method in LOGIT_METHODS
     for client in state.clients:
         where = f"client {client.client_id} in round {t}"
@@ -413,8 +411,7 @@ def run_round(state: FederationState) -> RoundReport:
         if uploading and not np.isfinite(uploads[state.cache.rows[client.client_id]]).all():
             raise DivergenceError(f"training diverged: non-finite logits at {where}")
     if uploading:
-        for client_id, rows in enumerate(state.cache.rows):
-            state.cache.update_logits(client_id, uploads[rows], t)
+        state.cache.update_logits(uploads, t)
 
     if cfg.method is Method.FEDAVG:
         (tier,) = state.tiers

@@ -227,15 +227,14 @@ def build_hierarchy(
     temperature: float = 3.0,
 ) -> ClusterTree:
     """Cluster every cache row's logits down to n_clusters at the cut; leaf
-    i is cache row i, so every row must hold logits.
+    i is cache row i, so the cache must hold a round's uploads.
 
     space="soft" clusters tempered softmax probabilities instead of raw
     logits; the default clusters the raw vectors. The space shapes only the
     tree: teachers always average raw logits.
     """
-    missing = int((cache.updated_round < 0).sum())
-    if missing:
-        raise InsufficientDataError(f"{missing} of {len(cache)} cache rows hold no logits yet")
+    if cache.round < 0:
+        raise InsufficientDataError("the cache holds no uploaded logits yet")
     X = cache.logits
     if space == "soft":
         X, _ = tempered_softmax(X, temperature)

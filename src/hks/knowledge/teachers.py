@@ -1,7 +1,8 @@
 """Whole-round teacher knowledge: cluster-path granularity plus baselines.
 
-Each builder returns, for every cache row, padded teacher logits (n, D, C)
-and their validity mask (n, D); `numerics.teacher_table` turns them into
+Each builder reads a cache that holds one round's uploads in every row and
+returns, for every cache row, padded teacher logits (n, D, C) and their
+validity mask (n, D); `numerics.teacher_table` turns them into
 distillation targets.
 Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path; the two
@@ -84,12 +85,10 @@ def fetch_teacher(
 def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
     """Per sample, the mean cached logits of its class held by other clients."""
     labels = cache.read_labels()
-    valid = cache.updated_round >= 0
     out = np.zeros((len(cache), 1, cache.logits.shape[1]))
     has = np.zeros((len(cache), 1), dtype=bool)
-    for rows in cache.rows:
-        foreign = valid.copy()
-        foreign[rows] = False
+    for k, rows in enumerate(cache.rows):
+        foreign = cache.owner != k
         for y in np.unique(labels[rows]):
             pool = foreign & (labels == y)
             if pool.any():
@@ -100,16 +99,16 @@ def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
 
 
 def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array:
-    """Each row's R hash-nearest same-class rows of other clients that hold
-    logits, nearest first, as an (n, R) table padded with -1. Node i of
-    the index must be cache row i."""
+    """Each row's R hash-nearest same-class rows of other clients, nearest
+    first, as an (n, R) table padded with -1. Node i of the index must be
+    cache row i."""
     labels = cache.read_labels()
     owner = cache.owner.tolist()
     out = np.full((len(cache), R), -1, dtype=np.int64)
     for row in range(len(cache)):
 
         def same_class_foreign(other: int) -> bool:
-            if owner[other] == owner[row] or cache.updated_round[other] < 0:
+            if owner[other] == owner[row]:
                 return False
             cache.label_reads += 1
             return labels[other] == labels[row]

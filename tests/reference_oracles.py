@@ -12,7 +12,6 @@ from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, epoch_order
 from hks.errors import (
     InsufficientDataError,
     InvalidInputError,
-    MissingSampleError,
     ModeError,
     ShapeError,
 )
@@ -28,17 +27,15 @@ Vector = Sequence[float] | Array
 
 def cache_from_rows(sizes, logits=None, labels=None, hashes=None, n_classes=None, round_index=0):
     """KnowledgeCache of clients holding `sizes[k]` rows each, client by
-    client, with row-aligned labels and hashes; the given logits rows are
-    uploaded one block per client at `round_index`. Without logits every
-    row stays before its first upload."""
-    n = sum(sizes)
+    client, with row-aligned labels and hashes; the given logits are
+    uploaded as round `round_index`. Without logits the cache waits for its
+    first upload."""
     if logits is not None:
-        logits = np.asarray(logits, dtype=np.float64).reshape(n, -1)
+        logits = np.asarray(logits, dtype=np.float64).reshape(sum(sizes), -1)
         n_classes = logits.shape[1]
     cache = KnowledgeCache(sizes, n_classes, labels=labels, hashes=hashes)
     if logits is not None:
-        for k, block in enumerate(np.split(logits, np.cumsum(sizes)[:-1])):
-            cache.update_logits(k, block, round_index)
+        cache.update_logits(logits, round_index)
     return cache
 
 
@@ -216,7 +213,7 @@ def members(tree, node):
 def path_nodes(tree, leaf):
     """Node chain from a row's singleton leaf up to its cut-level cluster."""
     if not 0 <= leaf < tree.n_leaves:
-        raise MissingSampleError(f"row {leaf} is not a leaf of this tree")
+        raise KeyError(f"row {leaf} is not a leaf of this tree")
     cut_boundary = tree.n_leaves + (tree.n_leaves - tree.cut_size)
     path = [leaf]
     p = int(tree.parent[leaf])
@@ -286,13 +283,11 @@ def path_teacher(cache, tree, row, granularity, exclude_self=True):
 
 def feddistill_class_teacher(cache, row):
     """Per-sample feddistill teacher: mean logits of the row's class over
-    every other client's rows that hold logits; [] when there are none."""
+    every other client's rows; [] when there are none."""
     pool = [
         cache.logits[other]
         for other in range(len(cache))
-        if cache.owner[other] != cache.owner[row]
-        and cache.labels[other] == cache.labels[row]
-        and cache.updated_round[other] >= 0
+        if cache.owner[other] != cache.owner[row] and cache.labels[other] == cache.labels[row]
     ]
     return [np.mean(pool, axis=0)] if pool else []
 
@@ -610,7 +605,7 @@ def reference_client_phase(tier, state, round_index, table, uploads):
         features = client.shard.train.features
         labels = client.shard.train.labels
         teachers = None if table is None else table.take(rows)
-        logits_out = np.empty((len(labels), state.n_classes))
+        logits_out = np.empty((len(labels), state.train.n_classes))
         ce_sum = kd_sum = 0.0
         n_samples = 0
         for e in range(cfg.local_epochs):

@@ -574,6 +574,26 @@ class TestStrictCoercion:
         with pytest.raises(ConfigError, match="type mismatch on 'lr'"):
             parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "lr": value})
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [3.9, 30, 4, 0.3],
+            [3, 30, True, 0.3],
+            [3, 30, 4, True],
+            ["3", 30, 4, 0.3],
+            [3, 30, 4, "0.3"],
+            [3, None, 4, 0.3],
+        ],
+    )
+    def test_synthetic_entries_follow_the_int_and_float_rules(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="type mismatch on 'synthetic'"):
+            parse_json(tmp_path, {"synthetic": value})
+
+    def test_synthetic_accepts_integral_floats_and_int_spread(self, tmp_path):
+        rc = parse_json(tmp_path, {"synthetic": [3.0, 30, 4, 1]})
+        assert rc.synthetic == (3, 30, 4, 1.0)
+        assert [type(v) for v in rc.synthetic] == [int, int, int, float]
+
     def test_enum_keys_read_lower_cased_values(self, tmp_path):
         rc = parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "method": "FedCache", "fedavg_tier": "LARGE"})
         assert rc.federation.method is Method.FEDCACHE

@@ -268,10 +268,50 @@ class TestSubsample:
     def test_keeps_class_balance(self):
         ds = synth_blobs(4, 100, 3, 0.5, seed=0)
         sub = stratified_subsample(ds, 100, seed=1)
-        assert len(sub) <= 100
+        assert len(sub) == 100
         counts = np.bincount(sub.labels, minlength=4)
         assert counts.min() >= 15
 
     def test_noop_when_large_enough(self):
         ds = synth_blobs(2, 5, 3, 0.5, seed=0)
         assert stratified_subsample(ds, 100, seed=0) is ds
+
+    @staticmethod
+    def sized(sizes):
+        """Distinct feature rows, class c holding sizes[c] of them."""
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        return Dataset(np.arange(len(labels), dtype=float)[:, None], labels, len(sizes))
+
+    @pytest.mark.parametrize(
+        "sizes, n_samples, counts",
+        [
+            ([100, 100, 100], 100, [34, 33, 33]),
+            ([100, 100, 100], 10, [4, 3, 3]),
+            ([100, 100, 1], 10, [5, 4, 1]),
+            ([6, 0, 3], 2, [1, 0, 1]),
+            ([5, 5, 5], 2, [1, 1, 0]),
+        ],
+    )
+    def test_takes_exactly_the_requested_rows(self, sizes, n_samples, counts):
+        sub = stratified_subsample(self.sized(sizes), n_samples, seed=0)
+        assert np.bincount(sub.labels, minlength=len(sizes)).tolist() == counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2),
+        st.integers(1, 200),
+        st.integers(0, 3),
+    )
+    def test_exact_size_and_every_present_class_kept(self, sizes, n_samples, seed):
+        n_samples = 1 + n_samples % (sum(sizes) - 1)
+        ds = self.sized(sizes)
+        sub = stratified_subsample(ds, n_samples, seed)
+        rows = sub.features[:, 0].astype(int)
+        assert len(sub) == n_samples
+        assert rows.tolist() == sorted(set(rows.tolist()))
+        np.testing.assert_array_equal(sub.labels, ds.labels[rows])
+        counts = np.bincount(sub.labels, minlength=len(sizes))
+        assert (counts <= sizes).all()
+        present = np.flatnonzero(sizes)
+        if n_samples >= len(present):
+            assert (counts[present] >= 1).all()

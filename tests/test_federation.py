@@ -174,7 +174,7 @@ class TestRunRound:
         before = state.cache.logits.copy()
         run_round(state)
         assert np.array_equal(state.cache.logits, before)
-        assert (state.cache.updated_round == -1).all()
+        assert state.cache.round == -1
 
     def test_fedavg_broadcast_synchronizes_clients(self, dataset):
         train, test = dataset
@@ -188,32 +188,39 @@ class TestRunRound:
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDAVG), train, test)
         run_round(state)
-        assert (state.cache.updated_round == -1).all()
+        assert state.cache.round == -1
 
     def test_upload_completeness_each_round(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
+        assert state.cache.round == -1
         for t in range(3):
             run_round(state)
-            assert (state.cache.updated_round == t).all()
+            assert state.cache.round == t
 
     @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
-    def test_one_upload_per_client_and_round(self, dataset, method, monkeypatch):
+    def test_one_upload_per_round(self, dataset, method, monkeypatch):
         train, test = dataset
         update = KnowledgeCache.update_logits
         calls = []
 
-        def counted(cache, client_id, Z, round_index):
-            calls.append((round_index, client_id, Z.shape))
-            return update(cache, client_id, Z, round_index)
+        def counted(cache, Z, round_index):
+            calls.append((round_index, Z.shape))
+            return update(cache, Z, round_index)
 
         monkeypatch.setattr(KnowledgeCache, "update_logits", counted)
         result = run_experiment(tiny_cfg(method, rounds=3, warmup_rounds=1), train, test)
-        assert calls == [
-            (t, c.client_id, (len(c.shard.train), result.state.n_classes))
-            for t in range(3)
-            for c in result.state.clients
-        ]
+        shape = (len(result.state.cache), result.state.train.n_classes)
+        assert calls == [(t, shape) for t in range(3)]
+
+    @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
+    def test_no_table_before_the_first_upload(self, dataset, method):
+        train, test = dataset
+        state = init_federation(tiny_cfg(method, warmup_rounds=0), train, test)
+        assert federation.teacher_tables(state, 0) is None
+        run_round(state)
+        assert state.cache.label_reads == 0
+        assert state.neighbors is None
 
     def test_feddistill_reads_each_label_once_per_distilling_round(self, dataset):
         train, test = dataset
@@ -241,7 +248,7 @@ class TestRunRound:
 
         def counting(cache, *args, **kwargs):
             # the round a tree serves follows the last upload it clusters
-            built_in.append(int(cache.updated_round.max()) + 1)
+            built_in.append(cache.round + 1)
             return build(cache, *args, **kwargs)
 
         monkeypatch.setattr(federation, "build_hierarchy", counting)
@@ -389,8 +396,7 @@ class TestFedCacheNeighbourTable:
 
         cache = state.cache
         assert len(cache) == 638
-        for k, rows in enumerate(cache.rows):
-            cache.update_logits(k, np.zeros_like(cache.logits[rows]), 0)
+        cache.update_logits(np.zeros_like(cache.logits), 0)
 
         def neighbours(index):
             calls, reads = [], cache.label_reads
@@ -432,11 +438,13 @@ def oracle_teachers(state):
     round about to run would read them; None when the method has none yet."""
     cfg, cache = state.config, state.cache
     rows = range(len(cache))
+    if cache.round < 0:
+        return None
     if cfg.method is Method.HKS:
         if state.round <= cfg.warmup_rounds:
             return None
         tree = build_hierarchy(
-            cache, state.n_classes, cfg.linkage, cfg.cluster_space, cfg.kd.temperature
+            cache, state.train.n_classes, cfg.linkage, cfg.cluster_space, cfg.kd.temperature
         )
         return [path_teacher(cache, tree, row, cfg.granularity, cfg.exclude_self) for row in rows]
     if cfg.method is Method.FEDDISTILL:
@@ -474,9 +482,8 @@ class TestTeacherTableOracle:
         for _ in range(cfg.rounds):
             expected.append(oracle_teachers(state))
             run_round(state)
-        first = {Method.HKS: warmup_rounds + 1, Method.FEDDISTILL: warmup_rounds}.get(
-            method, max(warmup_rounds, 1)
-        )
+        # no method distills before the first upload, at the end of round 0
+        first = warmup_rounds + 1 if method is Method.HKS else max(warmup_rounds, 1)
         distilled = sorted({t for (t, _), table in seen.items() if table is not None})
         assert distilled == list(range(first, cfg.rounds))
         rng = np.random.default_rng(0)
@@ -486,7 +493,7 @@ class TestTeacherTableOracle:
             for i in range(len(table.has)):
                 teachers = expected[t][state.cache.rows[k].start + i]
                 assert table.has[i] == bool(teachers), (t, k, i)
-                z_s = rng.normal(scale=2.0, size=state.n_classes)
+                z_s = rng.normal(scale=2.0, size=state.train.n_classes)
                 loss, grad = probe_kd(table.take([i]), z_s, cfg.kd)
                 want_loss, want_grad = mean_kd(z_s, teachers, cfg.kd)
                 assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12), (t, k, i)

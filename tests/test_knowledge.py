@@ -8,7 +8,6 @@ from hks.errors import (
     DegenerateInputError,
     InsufficientDataError,
     InvalidInputError,
-    MissingSampleError,
     ModeError,
     ShapeError,
     StaleHierarchyError,
@@ -278,34 +277,17 @@ class TestHnswMatchesReference:
 
 class TestCache:
     def test_update_then_read(self):
-        cache = make_cache([[1.0, 2.0]])
-        cache.update_logits(0, np.array([[5.0, 6.0]]), round_index=3)
-        np.testing.assert_array_equal(cache.logits[0], [5.0, 6.0])
-        assert cache.updated_round[0] == 3
+        cache = make_cache([[1.0, 2.0], [3.0, 4.0]], clients=[0, 1])
+        cache.update_logits(np.array([[5.0, 6.0], [7.0, 8.0]]), round_index=3)
+        np.testing.assert_array_equal(cache.logits, [[5.0, 6.0], [7.0, 8.0]])
+        assert cache.round == 3
 
     def test_last_update_wins(self):
         cache = make_cache([[0.0]])
-        cache.update_logits(0, np.array([[1.0]]), 1)
-        cache.update_logits(0, np.array([[2.0]]), 1)
+        cache.update_logits(np.array([[1.0]]), 1)
+        cache.update_logits(np.array([[2.0]]), 2)
         np.testing.assert_array_equal(cache.logits[0], [2.0])
-
-    def test_update_is_isolated(self):
-        cache = make_cache([[1.0], [2.0]], clients=[0, 1])
-        cache.update_logits(0, np.array([[9.0]]), 1)
-        np.testing.assert_array_equal(cache.logits[1], [2.0])
-        assert cache.updated_round.tolist() == [1, 0]
-
-    def test_unknown_id_rejected(self):
-        cache = make_cache([[1.0]])
-        with pytest.raises(MissingSampleError):
-            cache.update_logits(5, np.array([[1.0]]), 0)
-
-    def test_negative_client_id_rejected(self):
-        # -1 must not index the last client's block
-        cache = make_cache([[1.0], [2.0]], clients=[0, 1])
-        with pytest.raises(MissingSampleError):
-            cache.update_logits(-1, np.array([[9.0]]), 1)
-        assert cache.updated_round.tolist() == [0, 0]
+        assert cache.round == 2
 
     def test_label_free_mode_has_no_labels(self):
         cache = make_cache([[1.0], [2.0]])
@@ -324,15 +306,6 @@ class TestCache:
         np.testing.assert_array_equal(cache.logits, logits)
         np.testing.assert_array_equal(cache.hashes, -logits)
         assert cache.labels.tolist() == [4, 1, 2, 0, 5]
-
-    def test_zero_size_client_uploads_an_empty_block(self):
-        cache = KnowledgeCache([1, 0, 1], 2)
-        cache.update_logits(1, np.zeros((0, 2)), 4)
-        assert cache.updated_round.tolist() == [-1, -1]
-        cache.update_logits(2, np.ones((1, 2)), 4)
-        assert cache.updated_round.tolist() == [-1, 4]
-        with pytest.raises(ShapeError):
-            cache.update_logits(1, np.ones((1, 2)), 4)
 
     def test_negative_size_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -356,16 +329,21 @@ class TestCache:
 
     def test_rows_wait_for_their_first_upload(self):
         cache = KnowledgeCache([1, 1], 3)
-        assert cache.updated_round.tolist() == [-1, -1]
+        assert cache.round == -1
         assert cache.logits.shape == (2, 3)
         assert cache.labels is None and cache.hashes is None
 
-    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3), (2,)])
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (2, 2), (4, 2), (3, 1), (3, 3), (2, 3), (3,), (6,), (3, 2, 1), ()]
+    )
     def test_block_of_the_wrong_shape_rejected(self, shape):
-        cache = make_cache([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], clients=[0, 0, 1])
+        # one upload covers every row of every client, zero-size ones included
+        logits = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        cache = cache_from_rows([2, 0, 1], logits)
         with pytest.raises(ShapeError):
-            cache.update_logits(0, np.zeros(shape), 1)
-        assert cache.updated_round.tolist() == [0, 0, 0]
+            cache.update_logits(np.zeros(shape), 1)
+        assert cache.round == 0
+        np.testing.assert_array_equal(cache.logits, logits)
 
     def test_label_reads_count_every_row(self):
         cache = make_cache([[1.0], [2.0], [3.0]], labels=[0, 1, 0])
@@ -401,10 +379,9 @@ class TestBuildHierarchy(FourPoints):
         with pytest.raises(InsufficientDataError):
             build_hierarchy(cache, 3)
 
-    def test_row_without_logits_rejected(self):
-        # leaf i is cache row i, so a row that never uploaded cannot be clustered
+    def test_cache_before_its_first_upload_rejected(self):
+        # leaf i is cache row i, so a cache that holds no upload cannot be clustered
         cache = cache_from_rows([2, 1], n_classes=1)
-        cache.update_logits(0, np.array([[0.0], [1.0]]), 0)
         with pytest.raises(InsufficientDataError):
             build_hierarchy(cache, 2)
 
@@ -637,7 +614,7 @@ class TestClusterPath(FourPoints):
 
     def test_unknown_leaf(self):
         _, tree = self.tree()
-        with pytest.raises(MissingSampleError):
+        with pytest.raises(KeyError):
             path_nodes(tree, 9)
 
     def test_single_merge_before_cut_gives_length_two(self):
@@ -828,11 +805,6 @@ class TestFedCacheTeacher:
         cache = cache_from_rows([1], [[0.5, 0.5]], labels=[1], hashes=np.array([[1.0, 0.0]]))
         assert fedcache_query_teacher(cache, index_rows(cache), 0, R=3) is None
 
-    def test_rows_without_logits_are_no_neighbours(self):
-        cache = KnowledgeCache([1, 1], 2, labels=[0, 0], hashes=np.eye(2))
-        cache.update_logits(0, np.ones((1, 2)), 0)
-        assert fedcache_neighbors(cache, index_rows(cache), 1).tolist() == [[-1], [0]]
-
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0, 0.0]])
         with pytest.raises(ModeError):
@@ -841,7 +813,9 @@ class TestFedCacheTeacher:
     def test_teacher_reads_current_logits_of_stored_neighbours(self):
         cache, index = self.crafted()
         neighbours = fedcache_neighbors(cache, index, 2)
-        cache.update_logits(1, np.array([[5.0, 7.0]]), 1)
+        logits = cache.logits.copy()
+        logits[1] = [5.0, 7.0]
+        cache.update_logits(logits, 1)
         teachers = fedcache_teacher(cache, neighbours)
         np.testing.assert_allclose(teacher_rows(teachers, 0), [[4.0, 5.0]])
 

@@ -318,6 +318,27 @@ class TestStackedStepMatchesReference:
             if mode == "teachers":
                 assert bd.kd.max() > 0.0
 
+    @pytest.mark.parametrize("tier", list(CapacityTier))
+    @pytest.mark.parametrize("t_squared_scaling", [True, False])
+    def test_table_without_teachers_equals_no_table(self, tier, t_squared_scaling):
+        # a distilling round whose table gives no row a teacher trains as a
+        # round without a table, bit for bit
+        rng = np.random.default_rng(9)
+        K, B = 3, 5
+        cfg = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=t_squared_scaling)
+        models = [build_model(tier, self.INPUT_DIM, self.N_CLASSES, seed=k) for k in range(K)]
+        empty = table_from_lists([[]] * B, self.N_CLASSES, cfg.temperature)
+        with_table, without = stack_of(*models), stack_of(*models)
+        for step in range(3):
+            X = rng.normal(scale=3.0, size=(K, B, self.INPUT_DIM))
+            y = rng.integers(self.N_CLASSES, size=(K, B))
+            bd, Z = train_step(with_table, X, y, stacked_table(*[empty] * K), cfg, lr=0.05)
+            want, want_Z = train_step(without, X, y, None, cfg, lr=0.05)
+            assert np.array_equal(with_table.params, without.params), step
+            assert np.array_equal(Z, want_Z), step
+            assert np.array_equal(astuple(bd), astuple(want)), step
+            assert not bd.kd.any()
+
     def test_step_updates_only_its_own_stack(self):
         rng = np.random.default_rng(0)
         models = [small_model(seed=s) for s in range(3)]
