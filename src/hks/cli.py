@@ -78,7 +78,7 @@ _EXIT_CODES: tuple[tuple[type, int], ...] = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Full experiment description: federation settings plus dataset selector."""
 
@@ -91,8 +91,7 @@ class RunConfig:
     max_train_samples: int | None = None
     out: str = "runs/latest"
 
-    def validate(self) -> None:
-        self.federation.validate()
+    def __post_init__(self) -> None:
         if self.synthetic is None and (self.idx_images is None or self.idx_labels is None):
             raise ConfigError(
                 "no dataset selected: provide 'synthetic' or both 'idx_images' and 'idx_labels'"
@@ -191,7 +190,7 @@ def _coerce(f: ConfigField, value):
         raise mismatch
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise mismatch
 
 
@@ -230,7 +229,7 @@ def _build(cls: type, values: dict):
 def parse_config(
     path: str | None = None, overrides: dict | None = None, cls: type = RunConfig
 ) -> RunConfig:
-    """Merge a JSON config file with flag overrides; flags win; unknown keys fail."""
+    """Merge a JSON config file with flag overrides; flags win; unknown keys and bad values fail."""
     merged: dict = {}
     if path is not None:
         try:
@@ -250,9 +249,7 @@ def parse_config(
     unknown = sorted(set(merged) - table.keys())
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
-    rc = _build(cls, {key: _coerce(table[key], value) for key, value in merged.items()})
-    rc.validate()
-    return rc
+    return _build(cls, {key: _coerce(table[key], value) for key, value in merged.items()})
 
 
 def load_experiment_data(rc: RunConfig) -> tuple[Dataset, Dataset]:
@@ -340,13 +337,13 @@ def cmd_run(rc: RunConfig) -> int:
     return 0
 
 
-def _hyperparameter_label(method: str, resolved: dict) -> str:
-    if method == Method.HKS.value:
-        return f"granularity={resolved['granularity']}"
-    if method == Method.FEDCACHE.value:
-        return f"R={resolved['R']}"
-    if method == Method.FEDAVG.value:
-        return f"tier={resolved['fedavg_tier']}"
+def _hyperparameter_label(fed: FederationConfig) -> str:
+    if fed.method is Method.HKS:
+        return f"granularity={fed.granularity.value}"
+    if fed.method is Method.FEDCACHE:
+        return f"R={fed.R}"
+    if fed.method is Method.FEDAVG:
+        return f"tier={fed.fedavg_tier.value}"
     return "-"
 
 
@@ -374,15 +371,13 @@ def _sweep_cases(rc: RunConfig, methods, granularities, r_values, seeds):
 
 
 def cmd_sweep(rc: RunConfig, methods, granularities, r_values, seeds) -> int:
-    """Run every case of the sweep; every case's settings are checked before
-    the sweep directory is made or any case runs."""
+    """Run every case of the sweep. Building the case list checks every
+    case's settings, before the sweep directory is made or any case runs."""
     sweep_dir = Path(rc.out)
     cases = [
         (name, replace(rc, federation=fed, out=str(sweep_dir / name)))
         for name, fed in _sweep_cases(rc, methods, granularities, r_values, seeds)
     ]
-    for _, case in cases:
-        case.validate()
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, case in cases:
@@ -391,7 +386,7 @@ def cmd_sweep(rc: RunConfig, methods, granularities, r_values, seeds) -> int:
         rows.append(
             {
                 "method": fed.method.value,
-                "hyperparameter": _hyperparameter_label(fed.method.value, case.resolved()),
+                "hyperparameter": _hyperparameter_label(fed),
                 "seed": fed.seed,
                 "maua": result.summary.maua,
                 "best_global_acc": result.summary.best_global_acc,
@@ -416,8 +411,17 @@ def _fmt_opt(v) -> str:
 _REPORT_METRICS = ("maua", "best_global_acc", "final_global_acc")
 
 
+def _read_summary(path: Path) -> dict[str, float]:
+    """The report metrics of a summary.json; a run without rounds stores null, read as nan."""
+    try:
+        summary = json.loads(path.read_text(encoding="ascii"))
+        return {k: math.nan if summary[k] is None else float(summary[k]) for k in _REPORT_METRICS}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path} is not a readable run summary: {exc!r}") from None
+
+
 def cmd_report(runs_dir: str, out_file: str | None) -> int:
-    """Rebuild the comparison table from every run directory's summary.json."""
+    """Rebuild the comparison table from each run's settings (via parse_config) and summary.json."""
     base = Path(runs_dir)
     run_dirs = sorted(p.parent for p in base.glob("*/summary.json"))
     if (base / "summary.json").exists():
@@ -428,29 +432,28 @@ def cmd_report(runs_dir: str, out_file: str | None) -> int:
     row_settings: dict[tuple[str, str], tuple[Path, dict]] = {}
     row_seeds: dict[tuple[str, str], dict[int, Path]] = {}
     for run_dir in run_dirs:
-        resolved = json.loads((run_dir / "config.resolved.json").read_text(encoding="ascii"))
-        summary = json.loads((run_dir / "summary.json").read_text(encoding="ascii"))
-        key = (resolved["method"], _hyperparameter_label(resolved["method"], resolved))
+        try:
+            rc = parse_config(str(run_dir / "config.resolved.json"))
+        except ConfigError as exc:
+            raise ConfigError(f"run {run_dir}: {exc}") from None
+        fed = rc.federation
+        key = (fed.method.value, _hyperparameter_label(fed))
         # one row averages seeds of one configuration, never two configurations
-        settings = {k: v for k, v in resolved.items() if k not in ("seed", "out")}
+        settings = {k: v for k, v in rc.resolved().items() if k not in ("seed", "out")}
         first_dir, first = row_settings.setdefault(key, (run_dir, settings))
-        differing = sorted(k for k in first.keys() | settings.keys() if first.get(k) != settings.get(k))
+        differing = sorted(k for k in first if first[k] != settings[k])
         if differing:
             raise ConfigError(
                 f"runs {first_dir} and {run_dir} fall into one report row {key} but differ "
                 f"in {', '.join(repr(k) for k in differing)}"
             )
         # so the row's run count is its number of distinct seeds
-        seed_dir = row_seeds.setdefault(key, {}).setdefault(resolved["seed"], run_dir)
+        seed_dir = row_seeds.setdefault(key, {}).setdefault(fed.seed, run_dir)
         if seed_dir != run_dir:
             raise ConfigError(
-                f"runs {seed_dir} and {run_dir} are both seed {resolved['seed']} "
-                f"of report row {key}"
+                f"runs {seed_dir} and {run_dir} are both seed {fed.seed} of report row {key}"
             )
-        # a run without rounds stores null for each metric
-        grouped.setdefault(key, []).append(
-            {k: math.nan if summary[k] is None else summary[k] for k in _REPORT_METRICS}
-        )
+        grouped.setdefault(key, []).append(_read_summary(run_dir / "summary.json"))
 
     header = f"{'method':<12} {'hyperparameters':<20} {'seeds':>5} {'MAUA':>8} {'global(best)':>13} {'global(final)':>14}"
     print(header)

@@ -60,7 +60,7 @@ class Dataset:
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.n_classes)
+        return Dataset(self.features[idx], self.labels[idx], self.n_classes)
 
 
 def _open_maybe_gzip(path: str | Path):
@@ -243,9 +243,7 @@ def split_local_test(
     return ClientShard(
         client_id=client_id,
         train=ds.subset(train_idx),
-        local_test=ds.subset(test_idx) if test_idx else Dataset(
-            np.empty((0, ds.input_dim)), np.empty(0, dtype=np.int64), ds.n_classes
-        ),
+        local_test=ds.subset(test_idx),
     )
 
 

@@ -84,8 +84,10 @@ def child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederationConfig:
+    """Federation settings; a built config is valid and never changes."""
+
     method: Method = Method.HKS
     granularity: Granularity = Granularity.ALL
     n_clients: int = 20
@@ -116,15 +118,13 @@ class FederationConfig:
         enums = (("method", Method), ("granularity", Granularity), ("fedavg_tier", CapacityTier))
         for key, kind in enums:
             try:
-                setattr(self, key, kind(getattr(self, key)))
+                object.__setattr__(self, key, kind(getattr(self, key)))
             except ValueError:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}") from None
         if self.warmup_rounds is None:
-            self.warmup_rounds = min(10, self.rounds)
+            object.__setattr__(self, "warmup_rounds", min(10, self.rounds))
         if self.min_per_client is None:
-            self.min_per_client = 2 * self.batch_size
-
-    def validate(self) -> None:
+            object.__setattr__(self, "min_per_client", 2 * self.batch_size)
         # chained comparisons are False for NaN, so they reject it too
         checks = [
             ("n_clients", self.n_clients >= 1),
@@ -202,9 +202,8 @@ class ExperimentResult:
 def init_federation(
     cfg: FederationConfig, dataset: Dataset, global_test: Dataset
 ) -> FederationState:
-    """Partition data, build tiered clients and the knowledge cache; fedcache
-    also hashes and indexes every training sample."""
-    cfg.validate()
+    """Partition data, build tiered clients and the knowledge cache for a config
+    that checked itself when built; fedcache also hashes and indexes every sample."""
     if global_test is None or len(global_test) == 0:
         raise ConfigError("a nonempty global test set is required to report rounds")
     spec = PartitionSpec(

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -25,6 +25,7 @@ from hks.errors import ConfigError
 from hks.federation import FederationConfig, Method
 from hks.knowledge import Granularity
 from hks.models import CapacityTier
+from hks.numerics import KdConfig
 
 
 def fast_flags(out_dir, seed="0"):
@@ -74,6 +75,16 @@ class TestParseConfig:
         rc = parse_config(str(path), {"rounds": 2})
         assert rc.federation.rounds == 2
         assert rc.federation.seed == 1
+
+    def test_built_config_cannot_change(self):
+        rc = parse_flags("--synthetic", "3,10,4,0.3")
+        with pytest.raises(FrozenInstanceError):
+            rc.out = "elsewhere"
+        assert rc.out == "runs/latest"
+
+    def test_config_without_dataset_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="no dataset selected"):
+            RunConfig(federation=FederationConfig())
 
     def test_type_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -419,6 +430,37 @@ class TestSweepAndReport:
         assert str(out / "first") in err and str(out / "second") in err and "seed 0" in err
         assert not report_file.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"synthetic": [3, 30, 4, 0.3], "alpha_dri": 1.0}',
+         '{"synthetic": [3, 30, 4, 0.3], "rounds": -1}',
+         '{"synthetic": [3, 30, 4, 0.3],'],
+        ids=["unknown-key", "bad-value", "not-json"],
+    )
+    def test_report_on_unreadable_settings_exits_2(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "runs" / "bad"
+        assert main(["run", *fast_flags(run_dir), "--method", "local_only"]) == 0
+        (run_dir / "config.resolved.json").write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 2
+        assert str(run_dir) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", [None, "maua", "best_global_acc", "final_global_acc"],
+                             ids=["not-json", "no-maua", "no-best", "no-final"])
+    def test_report_on_unreadable_summary_exits_3(self, tmp_path, capsys, drop):
+        run_dir = tmp_path / "runs" / "bad"
+        assert main(["run", *fast_flags(run_dir), "--method", "local_only"]) == 0
+        summary_file = run_dir / "summary.json"
+        if drop is None:
+            summary_file.write_text("{not json")
+        else:
+            summary = json.loads(summary_file.read_text())
+            del summary[drop]
+            summary_file.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 3
+        assert str(summary_file) in capsys.readouterr().err
+
     def test_report_on_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 
@@ -589,6 +631,15 @@ class TestStrictCoercion:
         with pytest.raises(ConfigError, match="type mismatch on 'synthetic'"):
             parse_json(tmp_path, {"synthetic": value})
 
+    @pytest.mark.parametrize(
+        "key, value", [("lr", 10**400), ("synthetic", [3, 30, 4, 10**400])], ids=["lr", "synthetic"]
+    )
+    def test_float_entry_past_float64_range_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"synthetic": "3,10,4,0.3", key: value}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert f"type mismatch on '{key}'" in capsys.readouterr().err
+
     def test_synthetic_accepts_integral_floats_and_int_spread(self, tmp_path):
         rc = parse_json(tmp_path, {"synthetic": [3.0, 30, 4, 1]})
         assert rc.synthetic == (3, 30, 4, 1.0)
@@ -664,6 +715,16 @@ def option(parser, dest):
     return action
 
 
+def declared_default(key):
+    """The default that the config dataclass declaring `key` gives it, read
+    like `attribute` reads a value."""
+    for cls in (KdConfig, FederationConfig, RunConfig):
+        for f in fields(cls):
+            if f.name == key:
+                return f.default.value if isinstance(f.default, Enum) else f.default
+    raise AssertionError(f"no config object declares {key!r}")
+
+
 def attribute(rc, key):
     """The value of `key` read from whichever config object declares it."""
     for obj in (rc.federation.kd, rc.federation, rc):
@@ -719,7 +780,7 @@ class TestSingleSchema:
         by_json = parse_json(tmp_path, {**base, key: value})
         flags = [x for k, v in base.items() for x in ("--" + k.replace("_", "-"), v)]
         by_flag = parse_flags(*flags, "--" + key.replace("_", "-"), flag_text(value))
-        assert attribute(RunConfig(federation=FederationConfig()), key) != value
+        assert declared_default(key) != value
         assert attribute(by_json, key) == value
         assert attribute(by_flag, key) == value
         assert by_json.resolved() == by_flag.resolved()
@@ -737,12 +798,12 @@ class TestSingleSchema:
         assert (out / "config.resolved.json").read_bytes() == first
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ExtendedFederation(FederationConfig):
     throwaway_knob: float = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ExtendedRun(RunConfig):
     federation: _ExtendedFederation
     flavor: int = 3

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -159,12 +159,22 @@ class TestValidate:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_float_settings_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            tiny_cfg(**{key: value}).validate()
+            tiny_cfg(**{key: value})
 
     @pytest.mark.parametrize("key", ["method", "granularity", "fedavg_tier"])
     def test_unknown_enum_value_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
             FederationConfig(**{key: "bogus"})
+
+    def test_built_config_cannot_change(self):
+        cfg = tiny_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.rounds = 2
+        assert cfg.rounds == 4
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match="'rounds'"):
+            replace(tiny_cfg(), rounds=-1)
 
 
 class TestRunRound:
