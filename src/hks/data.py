@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -70,7 +71,12 @@ def _open_maybe_gzip(path: str | Path):
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
+    try:
+        buf = f.read(n)
+    except EOFError:  # a gzip stream cut short
+        raise TruncatedFileError(f"{what}: compressed file ends before its end marker") from None
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"{what}: not a valid gzip stream ({exc})") from None
     if len(buf) != n:
         raise TruncatedFileError(f"{what}: expected {n} bytes, got {len(buf)}")
     return buf

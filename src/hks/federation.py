@@ -3,8 +3,9 @@ table, local training against it, logit upload, and method dispatch.
 
 A round has three phases. The server phase (`teacher_tables`) builds every
 structure the round's teachers read from the cache as the previous round's
-barrier left it: hks clusters it into this round's tree, which is never kept,
-and fedcache queries its neighbour rows once. The client phase trains one
+barrier left it, and changes no field of the state: hks clusters the cache
+into this round's tree, which is never kept, and fedcache reads the
+neighbour rows that init queried. The client phase trains one
 capacity tier at a time, all of the tier's clients in lockstep as the one
 stack of models that holds them for the whole run. Clients are independent,
 and each keeps its own batch order, RNG stream and teacher rows, so every
@@ -182,13 +183,10 @@ class FederationState:
     # Every client's training samples, in cache-row order.
     train: Dataset
     cache: KnowledgeCache
-    # Only fedcache reads the hash index; every other method leaves it None.
-    index: HnswIndex | None
     global_test: Dataset
-    # fedcache's (n, R) neighbour rows, queried once at the first distilling
-    # round after an upload. From then on they cannot change: hashes and
-    # labels are fixed at init.
-    neighbors: Array | None = None
+    # fedcache's (n, R) neighbour rows, queried once at init, where hashes,
+    # labels and owners are fixed; None for every other method.
+    neighbors: Array | None
     round: int = 0
 
 
@@ -203,7 +201,8 @@ def init_federation(
     cfg: FederationConfig, dataset: Dataset, global_test: Dataset
 ) -> FederationState:
     """Partition data, build tiered clients and the knowledge cache for a config
-    that checked itself when built; fedcache also hashes and indexes every sample."""
+    that checked itself when built; fedcache also hashes every sample and
+    queries each row's neighbour rows once, from an index it then drops."""
     if global_test is None or len(global_test) == 0:
         raise ConfigError("a nonempty global test set is required to report rounds")
     spec = PartitionSpec(
@@ -252,7 +251,7 @@ def init_federation(
         tiers.append(TierStack(np.array(members), stack, sizes[members], steps))
         for r, k in enumerate(members):
             clients[k] = ClientState(k, tier, replace(stack, params=stack.params[r]), shards[k])
-    labels = hashes = index = None
+    labels = hashes = neighbors = None
     if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE):
         labels = train.labels
     if cfg.method is Method.FEDCACHE:
@@ -270,14 +269,16 @@ def init_federation(
         for h in hashes:
             index.insert(h)
     cache = KnowledgeCache(sizes, dataset.n_classes, labels=labels, hashes=hashes)
+    if cfg.method is Method.FEDCACHE:
+        neighbors = fedcache_neighbors(cache, index, cfg.R)
     return FederationState(
         config=cfg,
         clients=clients,
         tiers=tiers,
         train=train,
         cache=cache,
-        index=index,
         global_test=global_test,
+        neighbors=neighbors,
     )
 
 
@@ -288,7 +289,8 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     Uploads apply only at the barrier, so every teacher is fixed for the
     whole round and the table is built once, before any client trains,
     from the cache as the previous round left it. No method distills
-    before the first upload.
+    before the first upload. The state is only read: fedcache's neighbour
+    rows come from init.
     """
     cfg = state.config
     if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds or state.cache.round < 0:
@@ -309,8 +311,6 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     elif cfg.method is Method.FEDDISTILL:
         logits, mask = feddistill_teacher(state.cache)
     else:
-        if state.neighbors is None:
-            state.neighbors = fedcache_neighbors(state.cache, state.index, cfg.R)
         logits, mask = fedcache_teacher(state.cache, state.neighbors)
     return teacher_table(logits, mask, cfg.kd.temperature)
 

@@ -122,23 +122,18 @@ class HnswIndex:
         between = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (V @ V.T), 0.0)
         selected = [0]
         rejected: list[int] = []
+        # closest[i]: candidate i's distance^2 to its nearest kept candidate
+        closest = between[:, 0]
         for idx in range(1, scan):
             if len(selected) == m:
                 break
-            if candidates[idx][0] < float(between[idx, selected].min()):
+            if candidates[idx][0] < closest[idx]:
                 selected.append(idx)
+                closest = np.minimum(closest, between[:, idx])
             else:
                 rejected.append(idx)
-        out = [nodes[i] for i in selected]
-        for idx in rejected:
-            if len(out) == m:
-                break
-            out.append(nodes[idx])
-        for _, node in candidates[scan:]:
-            if len(out) == m:
-                break
-            out.append(node)
-        return out
+        order = selected + rejected + list(range(scan, len(candidates)))
+        return [candidates[i][1] for i in order[:m]]
 
     def insert(self, h: Array) -> None:
         """Index h as node len(self)."""
@@ -175,9 +170,8 @@ class HnswIndex:
                 if len(self.neighbors[nb][layer]) > cap:
                     # overflow prune keeps the cap nearest links
                     others = self.neighbors[nb][layer]
-                    dists = self._dist_sq(self._vectors[nb], others)
-                    ranked = sorted((float(di), o) for di, o in zip(dists, others))
-                    self.neighbors[nb][layer] = [o for _, o in ranked[:cap]]
+                    order = np.lexsort((others, self._dist_sq(self._vectors[nb], others)))
+                    self.neighbors[nb][layer] = [others[i] for i in order[:cap]]
             entries = [n for _, n in candidates]
         if level > self.top_level:
             self.entry_point = node

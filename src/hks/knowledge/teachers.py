@@ -8,8 +8,8 @@ Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path; the two
 baselines aggregate by class label (global mean, or R hash-nearest
 neighbours) and therefore require the cache's label-storing mode. FedCache's
-neighbour rows are queried once per sample (`fedcache_neighbors`);
-`fedcache_teacher` averages their current logits.
+neighbour rows are queried once per sample, when the federation is built
+(`fedcache_neighbors`); `fedcache_teacher` averages their current logits.
 """
 from __future__ import annotations
 

@@ -644,9 +644,40 @@ def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> 
 class ReferenceHnsw(HnswIndex):
     """`HnswIndex` with its search and insert path as it ran before each
     insert and query computed all its distances in one pass: one
-    `_dist_sq` call per expanded node. The exact oracle for the graph
-    (`neighbors`, `levels`, `entry_point`), every query result and the
-    order of predicate calls."""
+    `_dist_sq` call per expanded node, one distance minimum per scanned
+    neighbour candidate and a tuple sort per overflow prune. The exact
+    oracle for the graph (`neighbors`, `levels`, `entry_point`), every
+    query result and the order of predicate calls."""
+
+    def _select_neighbors(self, candidates: list[tuple[float, int]], m: int) -> list[int]:
+        """Diversity-aware selection; each scanned candidate's distance to
+        the kept ones is a fresh minimum over their pairwise distances."""
+        if len(candidates) <= m:
+            return [n for _, n in candidates]
+        scan = min(len(candidates), 3 * m)
+        nodes = [n for _, n in candidates[:scan]]
+        V = self._vectors[nodes]
+        sq = np.einsum("ij,ij->i", V, V)
+        between = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (V @ V.T), 0.0)
+        selected = [0]
+        rejected: list[int] = []
+        for idx in range(1, scan):
+            if len(selected) == m:
+                break
+            if candidates[idx][0] < float(between[idx, selected].min()):
+                selected.append(idx)
+            else:
+                rejected.append(idx)
+        out = [nodes[i] for i in selected]
+        for idx in rejected:
+            if len(out) == m:
+                break
+            out.append(nodes[idx])
+        for _, node in candidates[scan:]:
+            if len(out) == m:
+                break
+            out.append(node)
+        return out
 
     def _search_layer(
         self, q: Array, entries: list[int], layer: int, ef: int

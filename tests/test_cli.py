@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gzip
 import json
 import os
 import subprocess
@@ -354,6 +355,25 @@ class TestIdxRuns:
         )
         assert code == 2
         assert "idx_test_images" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, code, message",
+        [
+            ("cut", 5, "compressed file ends before its end marker"),
+            ("not-gzip", 3, "not a valid gzip stream"),
+        ],
+    )
+    def test_damaged_gzip_file_exits_with_its_code(self, tmp_path, capsys, damage, code, message):
+        self.write_dataset(tmp_path)
+        images = (tmp_path / "imgs.idx").read_bytes()
+        packed = gzip.compress(images)
+        gz = tmp_path / "imgs.idx.gz"
+        gz.write_bytes(packed[: len(packed) // 2] if damage == "cut" else images)
+        out = tmp_path / "run"
+        argv = ["run", "--idx-images", str(gz), "--idx-labels", str(tmp_path / "labs.idx")]
+        assert main([*argv, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_idx_file_maps_to_io_exit_code(self, tmp_path):

@@ -82,6 +82,31 @@ class TestLoadIdx:
         with pytest.raises(TruncatedFileError):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_truncated_gzip_file(self, tmp_path, which):
+        ip, lp = write_pair(tmp_path, *idx_fixture_bytes(), gz=True)
+        path = ip if which == "images" else lp
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(TruncatedFileError, match="compressed file ends"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize("damage", ["raw-bytes", "bad-deflate-block"])
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_gz_file_without_a_gzip_stream(self, tmp_path, which, damage):
+        images, labels = idx_fixture_bytes()
+        ip, lp = write_pair(tmp_path, images, labels, gz=True)
+        path, raw = (ip, images) if which == "images" else (lp, labels)
+        if damage == "raw-bytes":
+            path.write_bytes(raw)
+        else:
+            # byte 10 opens the deflate stream; 0x07 declares block type 3,
+            # which deflate reserves
+            whole = path.read_bytes()
+            path.write_bytes(whole[:10] + b"\x07" + whole[11:])
+        with pytest.raises(FormatError, match="not a valid gzip stream"):
+            load_idx(ip, lp)
+
     def test_round_trip(self, tmp_path):
         ip, lp = write_pair(tmp_path, *idx_fixture_bytes())
         ds = load_idx(ip, lp)

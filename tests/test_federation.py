@@ -1,3 +1,4 @@
+import copy
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -14,8 +15,10 @@ from hks.errors import (
     InvalidInputError,
 )
 from hks.federation import (
+    _TAG_HNSW,
     FederationConfig,
     Method,
+    child_seed,
     init_federation,
     lockstep_stacks,
     run_experiment,
@@ -70,6 +73,34 @@ def dataset():
     return tiny_data()
 
 
+def recording_indexes(monkeypatch):
+    """Collect every hash index `init_federation` builds."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(HnswIndex(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(federation, "HnswIndex", build)
+    return built
+
+
+def fresh_index(state, kind=HnswIndex):
+    """A new index of `kind` over the state's cached hashes, built with the
+    config's settings and seed stream, as `init_federation` builds its own."""
+    cfg = state.config
+    index = kind(
+        cfg.d_hash,
+        m=cfg.hnsw_m,
+        ef_construction=cfg.hnsw_ef_construction,
+        ef_search=cfg.hnsw_ef_search,
+        seed=child_seed(cfg.seed, _TAG_HNSW),
+    )
+    for h in state.cache.hashes:
+        index.insert(h)
+    return index
+
+
 class TestInit:
     def test_mod3_tier_counts_for_twenty_clients(self):
         train, test = synth_train_and_test(4, 200, 4, 0.5, seed=1)
@@ -80,17 +111,18 @@ class TestInit:
         assert tiers.count(CapacityTier.MEDIUM) == 7
         assert tiers.count(CapacityTier.LARGE) == 6
 
-    def test_cache_covers_every_training_sample(self, dataset):
+    def test_cache_covers_every_training_sample(self, dataset, monkeypatch):
         # only fedcache reads the hash index, so only fedcache builds it
         train, test = dataset
         for method in Method:
+            built = recording_indexes(monkeypatch)
             state = init_federation(tiny_cfg(method), train, test)
             total_train = sum(len(c.shard.train) for c in state.clients)
             assert len(state.cache) == total_train
             if method is Method.FEDCACHE:
-                assert len(state.index) == total_train
+                assert [len(index) for index in built] == [total_train]
             else:
-                assert state.index is None, method
+                assert built == [], method
 
     @pytest.mark.parametrize("global_test", [None, "empty"])
     def test_global_test_set_required_before_any_training(self, dataset, global_test, monkeypatch):
@@ -137,8 +169,10 @@ class TestInit:
             if method is Method.FEDCACHE:
                 assert state.cache.hashes.shape == (len(state.cache), 5)
                 np.testing.assert_allclose(np.linalg.norm(state.cache.hashes, axis=1), 1.0)
+                assert state.neighbors.shape == (len(state.cache), state.config.R)
             else:
                 assert state.cache.hashes is None, method
+                assert state.neighbors is None, method
 
     def test_cache_rows_are_client_blocks_in_local_index_order(self, dataset):
         train, test = dataset
@@ -227,10 +261,39 @@ class TestRunRound:
     def test_no_table_before_the_first_upload(self, dataset, method):
         train, test = dataset
         state = init_federation(tiny_cfg(method, warmup_rounds=0), train, test)
+        # fedcache reads labels only to query its neighbours, at init
+        reads = state.cache.label_reads
+        assert (reads > 0) == (method is Method.FEDCACHE)
         assert federation.teacher_tables(state, 0) is None
         run_round(state)
-        assert state.cache.label_reads == 0
-        assert state.neighbors is None
+        assert state.cache.label_reads == reads
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_server_phase_leaves_the_state_unchanged(self, dataset, method, monkeypatch):
+        train, test = dataset
+        tables = federation.teacher_tables
+        checked = []
+
+        def checking(state, round_index):
+            fields = dict(vars(state))
+            contents = copy.deepcopy((state.neighbors, state.cache.logits, state.cache.round))
+            table = tables(state, round_index)
+            assert vars(state).keys() == fields.keys()
+            for key, value in vars(state).items():
+                assert value is fields[key], key
+            neighbors, logits, cache_round = contents
+            assert (state.neighbors is None) == (neighbors is None)
+            assert neighbors is None or np.array_equal(state.neighbors, neighbors)
+            assert np.array_equal(state.cache.logits, logits)
+            assert state.cache.round == cache_round
+            assert state.round == round_index
+            checked.append(round_index)
+            return table
+
+        monkeypatch.setattr(federation, "teacher_tables", checking)
+        result = run_experiment(tiny_cfg(method, rounds=4, warmup_rounds=1), train, test)
+        assert checked == [0, 1, 2, 3]
+        assert any(r.mean_kd > 0 for r in result.reports) == (method in federation.LOGIT_METHODS)
 
     def test_feddistill_reads_each_label_once_per_distilling_round(self, dataset):
         train, test = dataset
@@ -343,8 +406,9 @@ class TestFedCacheNeighbourTable:
         each sample's teacher from a fresh index query at the round's start."""
         seen = record_tables(monkeypatch)
         expected = {}
+        index = fresh_index(state)
         for t in range(state.config.rounds):
-            neighbours = fedcache_neighbors(state.cache, state.index, state.config.R)
+            neighbours = fedcache_neighbors(state.cache, index, state.config.R)
             for row in range(len(state.cache)):
                 expected[(t, row)] = neighbour_teacher(state.cache, neighbours[row])
             run_round(state)
@@ -390,19 +454,25 @@ class TestFedCacheNeighbourTable:
         assert len(calls) == len(result.state.cache)
         assert len(result.state.neighbors) == len(result.state.cache)
 
-    def test_benchmark_scale_table_matches_the_reference_index(self, monkeypatch):
+    def test_init_table_equals_a_fresh_query(self, dataset):
+        train, test = dataset
+        state = init_federation(tiny_cfg(Method.FEDCACHE, R=3), train, test)
+        table = fedcache_neighbors(state.cache, fresh_index(state), 3)
+        np.testing.assert_array_equal(state.neighbors, table)
+        assert state.neighbors.dtype == table.dtype
+
+    def test_benchmark_scale_table_matches_the_reference_index(self):
         # the fedcache benchmark's federation: 638 indexed samples, R=4
         rc = parse_config(
             overrides=dict(synthetic="4,200,16,0.3", method="fedcache", R=4, n_clients=10, alpha_dir=0.5)
         )
         train, test = load_experiment_data(rc)
         state = init_federation(rc.federation, train, test)
-        monkeypatch.setattr(federation, "HnswIndex", ReferenceHnsw)
-        reference = init_federation(rc.federation, train, test).index
-        assert isinstance(reference, ReferenceHnsw) and type(state.index) is HnswIndex
-        assert state.index.neighbors == reference.neighbors
-        assert state.index.levels == reference.levels
-        assert state.index.entry_point == reference.entry_point
+        index, reference = fresh_index(state), fresh_index(state, ReferenceHnsw)
+        assert type(index) is HnswIndex and type(reference) is ReferenceHnsw
+        assert index.neighbors == reference.neighbors
+        assert index.levels == reference.levels
+        assert index.entry_point == reference.entry_point
 
         cache = state.cache
         assert len(cache) == 638
@@ -413,21 +483,27 @@ class TestFedCacheNeighbourTable:
             table = fedcache_neighbors(cache, RecordingIndex(index, calls), rc.federation.R)
             return table, calls, cache.label_reads - reads
 
-        table, calls, reads = neighbours(state.index)
+        table, calls, reads = neighbours(index)
         reference_table, reference_calls, reference_reads = neighbours(reference)
         np.testing.assert_array_equal(table, reference_table)
+        np.testing.assert_array_equal(state.neighbors, table)
         assert calls == reference_calls
         assert reads == reference_reads
         assert (table >= 0).all()
 
-    def test_no_table_before_distilling(self, dataset):
+    def test_every_label_read_happens_at_init(self, dataset, monkeypatch):
         train, test = dataset
-        state = init_federation(tiny_cfg(Method.FEDCACHE, rounds=4, warmup_rounds=2), train, test)
-        for _ in range(2):
+        cfg = tiny_cfg(Method.FEDCACHE, rounds=4, warmup_rounds=2)
+        state = init_federation(cfg, train, test)
+        # one query pass over a fresh index reads as many labels as init did
+        reads = state.cache.label_reads
+        fedcache_neighbors(state.cache, fresh_index(state), cfg.R)
+        assert state.cache.label_reads == 2 * reads > 0
+        seen = record_tables(monkeypatch)
+        for _ in range(cfg.rounds):
             run_round(state)
-            assert state.neighbors is None
-        run_round(state)
-        assert state.neighbors is not None
+            assert state.cache.label_reads == 2 * reads
+        assert [t for (t, _), table in seen.items() if table is not None] == [2] * 3 + [3] * 3
 
 
 def probe_kd(teachers, z_s, cfg):
@@ -459,7 +535,7 @@ def oracle_teachers(state):
         return [path_teacher(cache, tree, row, cfg.granularity, cfg.exclude_self) for row in rows]
     if cfg.method is Method.FEDDISTILL:
         return [feddistill_class_teacher(cache, row) for row in rows]
-    neighbours = fedcache_neighbors(cache, state.index, cfg.R)
+    neighbours = fedcache_neighbors(cache, fresh_index(state), cfg.R)
     return [neighbour_teacher(cache, neighbours[row]) for row in rows]
 
 
