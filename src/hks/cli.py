@@ -412,12 +412,19 @@ _REPORT_METRICS = ("maua", "best_global_acc", "final_global_acc")
 
 
 def _read_summary(path: Path) -> dict[str, float]:
-    """The report metrics of a summary.json; a run without rounds stores null, read as nan."""
+    """The report metrics of a summary.json, each a JSON number in [0, 1]; a
+    run without rounds stores null, read as nan."""
     try:
         summary = json.loads(path.read_text(encoding="ascii"))
-        return {k: math.nan if summary[k] is None else float(summary[k]) for k in _REPORT_METRICS}
+        values = {k: summary[k] for k in _REPORT_METRICS}
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path} is not a readable run summary: {exc!r}") from None
+    for key, value in values.items():
+        # bool is a subclass of int; chained comparisons are False for nan
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if value is not None and not (number and 0 <= value <= 1):
+            raise FormatError(f"{path}: {key!r} is {value!r}, not a number in [0, 1] or null")
+    return {k: math.nan if v is None else float(v) for k, v in values.items()}
 
 
 def cmd_report(runs_dir: str, out_file: str | None) -> int:

@@ -87,7 +87,12 @@ def child_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Federation settings; a built config is valid and never changes."""
+    """Federation settings; a built config is valid and never changes.
+
+    `warmup_rounds` and `min_per_client` are derived when they are None and
+    stored as ints, so `dataclasses.replace` keeps the derived values: pass
+    None for a key to derive it again from the new settings.
+    """
 
     method: Method = Method.HKS
     granularity: Granularity = Granularity.ALL
@@ -251,14 +256,14 @@ def init_federation(
         tiers.append(TierStack(np.array(members), stack, sizes[members], steps))
         for r, k in enumerate(members):
             clients[k] = ClientState(k, tier, replace(stack, params=stack.params[r]), shards[k])
-    labels = hashes = neighbors = None
-    if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE):
-        labels = train.labels
+    labels = train.labels if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE) else None
+    cache = KnowledgeCache(sizes, dataset.n_classes, labels=labels)
+    neighbors = None
     if cfg.method is Method.FEDCACHE:
         encoder = RandomProjectionEncoder(
             dataset.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER)
         )
-        hashes = np.concatenate([encoder.encode_rows(t.features) for t in trains])
+        hashes = encoder.encode_rows(train.features)
         index = HnswIndex(
             cfg.d_hash,
             m=cfg.hnsw_m,
@@ -268,9 +273,7 @@ def init_federation(
         )
         for h in hashes:
             index.insert(h)
-    cache = KnowledgeCache(sizes, dataset.n_classes, labels=labels, hashes=hashes)
-    if cfg.method is Method.FEDCACHE:
-        neighbors = fedcache_neighbors(cache, index, cfg.R)
+        neighbors = fedcache_neighbors(cache, index, hashes, cfg.R)
     return FederationState(
         config=cfg,
         clients=clients,

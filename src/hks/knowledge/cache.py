@@ -2,12 +2,12 @@
 
 One columnar table with a row per training sample, laid out client by
 client and, within a client, by local index, so client k's rows form block
-k: the latest uploaded logits and, only for the methods that read them,
-class labels (feddistill, fedcache) and hashes (fedcache). The row is the
-server's only sample key: the cluster tree's leaves and the hash index's
-nodes are cache rows. Every client uploads in every round of a logit
-method, so the round's barrier writes all rows at once and the cache holds
-either no logits or one round's; the server phase and the clients only read.
+k: the latest uploaded logits and, only for the methods that read them
+(feddistill, fedcache), class labels. The row is the server's only sample
+key: the cluster tree's leaves and the hash index's nodes are cache rows.
+Every client uploads in every round of a logit method, so the round's
+barrier writes all rows at once and the cache holds either no logits or one
+round's; the server phase and the clients only read.
 """
 from __future__ import annotations
 
@@ -20,18 +20,11 @@ from ..errors import InvalidInputError, ModeError, ShapeError
 Array = np.ndarray
 
 
-def _column(values, dtype, n: int, name: str) -> Array:
-    col = np.asarray(values, dtype=dtype)
-    if col.shape[:1] != (n,):
-        raise ShapeError(f"{name} must have {n} rows, got shape {col.shape}")
-    return col
-
-
 class KnowledgeCache:
     """Logits (n, C) of the upload round `round` (-1 before the first
-    upload) and optional labels (n,) and hashes (n, d_hash) for clients
-    holding `sizes[k]` samples each. `rows[k]` is client k's row slice and
-    `owner[i]` the client of row i.
+    upload) and optional labels (n,) for clients holding `sizes[k]` samples
+    each. `rows[k]` is client k's row slice and `owner[i]` the client of
+    row i.
 
     Label reads are counted so tests can assert the label-free mode never
     touches them server-side.
@@ -42,7 +35,6 @@ class KnowledgeCache:
         sizes: Sequence[int],
         n_classes: int,
         labels: Array | None = None,
-        hashes: Array | None = None,
     ):
         if any(size < 0 for size in sizes):
             raise InvalidInputError(f"client sizes must be >= 0, got {list(sizes)}")
@@ -52,8 +44,11 @@ class KnowledgeCache:
         n = len(self.owner)
         self.logits = np.zeros((n, n_classes))
         self.round = -1
-        self.labels = None if labels is None else _column(labels, np.int64, n, "labels")
-        self.hashes = None if hashes is None else _column(hashes, np.float64, n, "hashes")
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.shape[:1] != (n,):
+                raise ShapeError(f"labels must have {n} rows, got shape {labels.shape}")
+        self.labels = labels
         self.label_reads = 0
 
     def __len__(self) -> int:

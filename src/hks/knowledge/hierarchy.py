@@ -1,7 +1,8 @@
 """Bottom-up agglomerative clustering over cached logits.
 
-Builds the full merge sequence (Euclidean metric, unweighted average linkage
-by default); the requested cluster count marks the cut.
+Merges clusters (Euclidean metric, unweighted average linkage by default)
+until the requested count remains: those clusters are the tree's roots, and
+no teacher reads anything above them.
 Leaf i is row i of the input, and dissimilarity ties are broken by the
 lexicographically smallest key over row indices (min member row of the
 union, max member row of the union, larger of the two clusters' min member
@@ -56,23 +57,17 @@ class Merge:
     height: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterTree:
-    """Merge hierarchy over n leaves; node i < n is leaf i, node n+t is merge t.
+    """Merge list over n leaves; node i < n is leaf i, node n+t is merge t.
 
-    The cut clusters are the nodes below 2n - cut_size whose parent is at or
-    above that bound, or -1. The tree holds structure only; teachers average
-    the cache's raw logits over its nodes' members.
+    The nodes that no merge absorbs are the roots: the cut clusters, one per
+    cluster left when the merging stopped. The tree holds structure only;
+    teachers average the cache's raw logits over its nodes' members.
     """
 
+    n_leaves: int
     merges: tuple[Merge, ...]
-    cut_size: int
-    parent: Array  # (2n-1,) parent node id, -1 at the root
-    node_size: Array  # (2n-1,) member count per node
-
-    @property
-    def n_leaves(self) -> int:
-        return (len(self.parent) + 1) // 2
 
 
 def _pairwise_distances(X: Array) -> Array:
@@ -95,8 +90,8 @@ def _pairwise_distances(X: Array) -> Array:
 
 
 def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTree:
-    """Merge the rows of `vectors` (leaf i is row i) to a single cluster;
-    the tree's cut holds `cut` clusters."""
+    """Merge the rows of `vectors` (leaf i is row i) until `cut` clusters
+    remain, in n - cut merges; cut=1 gives the whole dendrogram."""
     if linkage not in LINKAGES:
         raise InvalidInputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     X = np.asarray(vectors, dtype=np.float64)
@@ -119,9 +114,6 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     slot_min = list(range(n))  # min member row per slot
     slot_max = list(range(n))
     pen = np.zeros(n)  # 0 on a live slot, inf on a dead one
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    node_size = np.zeros(2 * n - 1, dtype=np.int64)
-    node_size[:n] = 1
     merges: list[Merge] = []
 
     # Per-row minima over the live columns let each step find the global
@@ -129,7 +121,7 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     row_arg = D.argmin(axis=1)
     row_min = D[np.arange(n), row_arg]
 
-    for t in range(n - 1):
+    for t in range(n - cut):
         live = n - t
         if 2 * live <= len(D):
             keep = np.flatnonzero(pen == 0.0)
@@ -169,9 +161,6 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
         if slot_min[j] < slot_min[i]:
             left_node, right_node = right_node, left_node
         merges.append(Merge(left_node, right_node, height))
-        parent[slot_node[i]] = node
-        parent[slot_node[j]] = node
-        node_size[node] = sizes[i] + sizes[j]
 
         # The merged row is built in place in row i (a view of D); adding
         # pen with i and j at inf puts inf at i, j and every dead slot.
@@ -211,12 +200,7 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
             row_arg[r] = masked.argmin()
             row_min[r] = masked[row_arg[r]]
 
-    return ClusterTree(
-        merges=tuple(merges),
-        cut_size=cut,
-        parent=parent,
-        node_size=node_size,
-    )
+    return ClusterTree(n, tuple(merges))
 
 
 def build_hierarchy(
@@ -226,7 +210,7 @@ def build_hierarchy(
     space: str = "logits",
     temperature: float = 3.0,
 ) -> ClusterTree:
-    """Cluster every cache row's logits down to n_clusters at the cut; leaf
+    """Cluster every cache row's logits until n_clusters roots remain; leaf
     i is cache row i, so the cache must hold a round's uploads.
 
     space="soft" clusters tempered softmax probabilities instead of raw

@@ -6,8 +6,8 @@ layers, then runs a best-first scan with an ef-sized candidate pool at the
 bottom. Each insert and each query first computes its squared distances to
 every indexed node in one numpy pass; the best-first search then reads that
 list, so a search step costs no numpy call. The i-th inserted vector is
-node i, and queries return nodes: the federation inserts the cache's hashes
-in row order, so a node is a cache row.
+node i, and queries return nodes: the federation inserts its samples' hashes
+in cache-row order, so a node is a cache row.
 """
 from __future__ import annotations
 

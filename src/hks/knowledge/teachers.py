@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import StaleHierarchyError
+from ..errors import ShapeError, StaleHierarchyError
 from .cache import KnowledgeCache
 from .hierarchy import ClusterTree
 from .hnsw import HnswIndex
@@ -40,27 +40,32 @@ def fetch_teacher(
 ) -> tuple[Array, Array]:
     """Teacher logits of every cached sample at the chosen granularity.
 
-    With a path of length L (singleton first, cut cluster last):
-    bottom reads the first merged cluster, middle the ceil((1+L)/2)-th path
-    element, top the cut cluster, and all one mean per non-singleton path
-    element. With exclude_self a node's mean leaves out the sample's own
-    logits, so a node holding only the sample gives no teacher.
+    With a path of length L from the sample's singleton up to its root, the
+    cut cluster that holds it: bottom reads the first merged cluster, middle
+    the ceil((1+L)/2)-th path element, top the root, and all one mean per
+    non-singleton path element. With exclude_self a node's mean leaves out
+    the sample's own logits, so a node holding only the sample gives no
+    teacher.
     """
     n = len(cache)
     if tree.n_leaves != n:
         raise StaleHierarchyError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
     X = cache.logits
-    # Node sums replay the merges below the cut over the raw logits.
-    top = n + (n - tree.cut_size)
-    sums = np.empty((top, X.shape[1]))
-    sums[:n] = X
-    for t, merge in enumerate(tree.merges[: top - n]):
-        sums[n + t] = sums[merge.left] + sums[merge.right]
-    # paths[i] is leaf i's node chain up to its cut cluster, padded with -1.
+    # One replay of the merges fills each node's logit sum, with its member
+    # count in a trailing column, and its parent (-1 for a root). One entry
+    # past the last node, parent[-1] keeps the path walk's -1 pad at -1.
+    top = n + len(tree.merges)
+    sums = np.empty((top, X.shape[1] + 1))
+    sums[:n, :-1] = X
+    sums[:n, -1] = 1.0
+    parent = np.full(top + 1, -1, dtype=np.int64)
+    for node, merge in enumerate(tree.merges, start=n):
+        sums[node] = sums[merge.left] + sums[merge.right]
+        parent[merge.left] = parent[merge.right] = node
+    # paths[i] is leaf i's node chain up to its root, padded with -1.
     steps = [np.arange(n)]
     while (steps[-1] >= 0).any():
-        up = tree.parent[steps[-1]]  # -1 reads the root, whose parent is -1
-        steps.append(np.where(up < top, up, -1))
+        steps.append(parent[steps[-1]])
     paths = np.stack(steps[:-1], axis=1)
     length = (paths >= 0).sum(axis=1)
     granularity = Granularity(granularity)
@@ -72,9 +77,9 @@ def fetch_teacher(
         nodes = np.where(length >= 2, paths[np.arange(n), length // 2], -1)[:, None]
     else:
         nodes = paths[np.arange(n), length - 1][:, None]
-    size = tree.node_size[nodes] - int(exclude_self)
+    size = sums[nodes, -1] - int(exclude_self)
     mask = (nodes >= 0) & (size > 0)
-    logits = sums[nodes]
+    logits = sums[nodes, :-1]
     if exclude_self:
         logits -= X[:, None, :]
     logits /= np.maximum(size, 1)[..., None]
@@ -98,10 +103,12 @@ def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
     return out, has
 
 
-def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array:
+def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, hashes: Array, R: int) -> Array:
     """Each row's R hash-nearest same-class rows of other clients, nearest
-    first, as an (n, R) table padded with -1. Node i of the index must be
-    cache row i."""
+    first, as an (n, R) table padded with -1. Row i of `hashes` and node i
+    of the index must be cache row i."""
+    if len(hashes) != len(cache):
+        raise ShapeError(f"hashes have {len(hashes)} rows, the cache {len(cache)}")
     labels = cache.read_labels()
     owner = cache.owner.tolist()
     out = np.full((len(cache), R), -1, dtype=np.int64)
@@ -113,7 +120,7 @@ def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, R: int) -> Array
             cache.label_reads += 1
             return labels[other] == labels[row]
 
-        found = index.query(cache.hashes[row], R, same_class_foreign)
+        found = index.query(hashes[row], R, same_class_foreign)
         out[row, : len(found)] = found
     return out
 

@@ -12,7 +12,6 @@ from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, epoch_order
 from hks.errors import (
     InsufficientDataError,
     InvalidInputError,
-    ModeError,
     ShapeError,
 )
 from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
@@ -25,15 +24,15 @@ Array = np.ndarray
 Vector = Sequence[float] | Array
 
 
-def cache_from_rows(sizes, logits=None, labels=None, hashes=None, n_classes=None, round_index=0):
+def cache_from_rows(sizes, logits=None, labels=None, n_classes=None, round_index=0):
     """KnowledgeCache of clients holding `sizes[k]` rows each, client by
-    client, with row-aligned labels and hashes; the given logits are
+    client, with row-aligned labels; the given logits are
     uploaded as round `round_index`. Without logits the cache waits for its
     first upload."""
     if logits is not None:
         logits = np.asarray(logits, dtype=np.float64).reshape(sum(sizes), -1)
         n_classes = logits.shape[1]
-    cache = KnowledgeCache(sizes, n_classes, labels=labels, hashes=hashes)
+    cache = KnowledgeCache(sizes, n_classes, labels=labels)
     if logits is not None:
         cache.update_logits(logits, round_index)
     return cache
@@ -94,7 +93,7 @@ def reference_pairwise_distances(X):
 def dense_linkage(vectors, cut, linkage="average"):
     """The generic Lance-Williams agglomeration over one fixed N x N matrix,
     as `agglomerate` ran before it compacted the matrix; the exact oracle
-    for its merges, heights, parents, node sizes and cut. Leaf i is row i."""
+    for its merges and heights, n - cut of them. Leaf i is row i."""
     if linkage not in LINKAGES:
         raise InvalidInputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     X = np.asarray(vectors, dtype=np.float64)
@@ -111,9 +110,6 @@ def dense_linkage(vectors, cut, linkage="average"):
     slot_min = list(range(n))  # min member row per slot
     slot_max = list(range(n))
     active = np.ones(n, dtype=bool)
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    node_size = np.zeros(2 * n - 1, dtype=np.int64)
-    node_size[:n] = 1
     merges: list[Merge] = []
 
     # Per-row minima let each step find the global minimum in O(n); only rows
@@ -121,7 +117,7 @@ def dense_linkage(vectors, cut, linkage="average"):
     row_min = D.min(axis=1)
     row_arg = D.argmin(axis=1)
 
-    for t in range(n - 1):
+    for t in range(n - cut):
         masked = np.where(active, row_min, np.inf)
         height = float(masked.min())
         best = None
@@ -144,9 +140,6 @@ def dense_linkage(vectors, cut, linkage="average"):
         if slot_min[j] < slot_min[i]:
             left_node, right_node = right_node, left_node
         merges.append(Merge(left_node, right_node, height))
-        parent[slot_node[i]] = node
-        parent[slot_node[j]] = node
-        node_size[node] = sizes[i] + sizes[j]
 
         if linkage == "average":
             new_row = (sizes[i] * D[i] + sizes[j] * D[j]) / (sizes[i] + sizes[j])
@@ -180,12 +173,7 @@ def dense_linkage(vectors, cut, linkage="average"):
             row_min[r] = D[r].min()
             row_arg[r] = D[r].argmin()
 
-    return ClusterTree(
-        merges=tuple(merges),
-        cut_size=cut,
-        parent=parent,
-        node_size=node_size,
-    )
+    return ClusterTree(n, tuple(merges))
 
 
 def children(tree, node):
@@ -210,36 +198,37 @@ def members(tree, node):
     return sorted(leaves)
 
 
+def parents(tree):
+    """Each node's parent id, from the merge list; -1 for a root, a node
+    that no merge absorbs."""
+    parent = [-1] * (tree.n_leaves + len(tree.merges))
+    for node, merge in enumerate(tree.merges, start=tree.n_leaves):
+        parent[merge.left] = parent[merge.right] = node
+    return parent
+
+
 def path_nodes(tree, leaf):
-    """Node chain from a row's singleton leaf up to its cut-level cluster."""
+    """Node chain from a row's singleton leaf up to its root, the cut cluster."""
     if not 0 <= leaf < tree.n_leaves:
         raise KeyError(f"row {leaf} is not a leaf of this tree")
-    cut_boundary = tree.n_leaves + (tree.n_leaves - tree.cut_size)
+    parent = parents(tree)
     path = [leaf]
-    p = int(tree.parent[leaf])
-    while p != -1 and p < cut_boundary:
-        path.append(p)
-        p = int(tree.parent[p])
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
     return path
 
 
 def cut_partition(tree):
-    """The member sets of the cut-level clusters: the nodes below
-    2n - cut_size whose parent is at or above that bound, or -1."""
-    bound = 2 * tree.n_leaves - tree.cut_size
-    parent = tree.parent[:bound]
-    nodes = np.flatnonzero((parent >= bound) | (parent == -1))
-    return [frozenset(members(tree, int(node))) for node in nodes]
+    """The member sets of the cut clusters: the roots, in node order."""
+    return [frozenset(members(tree, node)) for node, p in enumerate(parents(tree)) if p == -1]
 
 
 def exact_knn(
-    store: KnowledgeCache, h: Array, k: int, predicate: Predicate | None = None
+    points: Array, h: Array, k: int, predicate: Predicate | None = None
 ) -> list[int]:
-    """Exhaustive scan over the cache's hashes; the k nearest rows passing
+    """Exhaustive scan over the (n, d) points; the k nearest rows passing
     the filter, ties broken by row order."""
-    if store.hashes is None:
-        raise ModeError("cache stores no hashes in this mode")
-    diff = store.hashes - np.asarray(h, dtype=np.float64)
+    diff = np.asarray(points, dtype=np.float64) - np.asarray(h, dtype=np.float64)
     d2 = np.einsum("ij,ij->i", diff, diff)
     out: list[int] = []
     for row in np.argsort(d2, kind="stable").tolist():

@@ -105,14 +105,15 @@ def test_criterion_02_clustering_oracle():
         dim = (2, 10)[case % 2]
         n = int(rng.integers(4, 33))
         X = rng.normal(size=(n, dim))
-        tree = agglomerate(X, cut=2)
+        tree = agglomerate(X, cut=1)
         expected_merges, expected_cut = naive_linkage(X, cut=2)
+        assert len(tree.merges) == len(expected_merges) == n - 1, f"case {case}"
         for merge, (left, right, height) in zip(tree.merges, expected_merges):
             got_left = frozenset(members(tree, merge.left))
             got_right = frozenset(members(tree, merge.right))
             assert (got_left, got_right) == (left, right), f"case {case}"
             assert abs(merge.height - height) <= 1e-9, f"case {case}"
-        got_cut = set(cut_partition(tree))
+        got_cut = set(cut_partition(agglomerate(X, cut=2)))
         assert got_cut == set(expected_cut), f"case {case}"
         checked += 1
 
@@ -127,13 +128,12 @@ def test_criterion_03_ann_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
     points = rng.normal(size=(1000, 32))
-    cache = cache_from_rows([len(points)], n_classes=1, hashes=points)
     index = HnswIndex(32, m=16, ef_construction=200, ef_search=64, seed=303)
     for p in points:
         index.insert(p)
     hits = 0
     for q in rng.normal(size=(100, 32)):
-        truth = set(exact_knn(cache, q, 10))
+        truth = set(exact_knn(points, q, 10))
         hits += len(truth & set(index.query(q, 10)))
     recall = hits / 1000.0
     elapsed = time.perf_counter() - start

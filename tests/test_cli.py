@@ -481,6 +481,29 @@ class TestSweepAndReport:
         assert main(["report", str(tmp_path / "runs")]) == 3
         assert str(summary_file) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("maua", "0.5"), ("best_global_acc", True), ("final_global_acc", False),
+         ("maua", 1.5), ("best_global_acc", -0.25), ("final_global_acc", float("nan")),
+         ("maua", float("inf")), ("maua", [0.5]), ("best_global_acc", {"mean": 0.5})],
+        ids=["string", "true", "false", "above-one", "negative", "nan", "inf", "list", "object"],
+    )
+    def test_report_on_a_summary_value_that_is_not_a_fraction_exits_3(
+        self, tmp_path, capsys, key, value
+    ):
+        run_dir = tmp_path / "runs" / "bad"
+        assert main(["run", *fast_flags(run_dir), "--method", "local_only"]) == 0
+        summary_file = run_dir / "summary.json"
+        summary = json.loads(summary_file.read_text())
+        summary[key] = value
+        summary_file.write_text(json.dumps(summary))
+        capsys.readouterr()
+        report_file = tmp_path / "report.csv"
+        assert main(["report", str(tmp_path / "runs"), "--out", str(report_file)]) == 3
+        err = capsys.readouterr().err
+        assert str(summary_file) in err and repr(key) in err
+        assert not report_file.exists()
+
     def test_report_on_empty_dir_fails(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 

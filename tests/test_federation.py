@@ -15,6 +15,7 @@ from hks.errors import (
     InvalidInputError,
 )
 from hks.federation import (
+    _TAG_ENCODER,
     _TAG_HNSW,
     FederationConfig,
     Method,
@@ -28,6 +29,7 @@ from hks.knowledge import (
     Granularity,
     HnswIndex,
     KnowledgeCache,
+    RandomProjectionEncoder,
     build_hierarchy,
     fedcache_neighbors,
 )
@@ -85,8 +87,18 @@ def recording_indexes(monkeypatch):
     return built
 
 
+def sample_hashes(state):
+    """Every cache row's hash, from the config's encoder seed stream, as
+    `init_federation` hashes its training samples."""
+    cfg = state.config
+    encoder = RandomProjectionEncoder(
+        state.train.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER)
+    )
+    return encoder.encode_rows(state.train.features)
+
+
 def fresh_index(state, kind=HnswIndex):
-    """A new index of `kind` over the state's cached hashes, built with the
+    """A new index of `kind` over the state's sample hashes, built with the
     config's settings and seed stream, as `init_federation` builds its own."""
     cfg = state.config
     index = kind(
@@ -96,7 +108,7 @@ def fresh_index(state, kind=HnswIndex):
         ef_search=cfg.hnsw_ef_search,
         seed=child_seed(cfg.seed, _TAG_HNSW),
     )
-    for h in state.cache.hashes:
+    for h in sample_hashes(state):
         index.insert(h)
     return index
 
@@ -162,16 +174,19 @@ class TestInit:
             state = init_federation(tiny_cfg(method), train, test)
             assert (state.cache.labels is not None) == expect, method
 
-    def test_hashes_only_for_fedcache(self, dataset):
+    def test_hashes_only_for_fedcache(self, dataset, monkeypatch):
         train, test = dataset
         for method in Method:
+            built = recording_indexes(monkeypatch)
             state = init_federation(tiny_cfg(method, d_hash=5), train, test)
+            assert not hasattr(state.cache, "hashes")
             if method is Method.FEDCACHE:
-                assert state.cache.hashes.shape == (len(state.cache), 5)
-                np.testing.assert_allclose(np.linalg.norm(state.cache.hashes, axis=1), 1.0)
+                (index,) = built
+                assert index.dim == 5 and len(index) == len(state.cache)
+                np.testing.assert_allclose(np.linalg.norm(sample_hashes(state), axis=1), 1.0)
                 assert state.neighbors.shape == (len(state.cache), state.config.R)
             else:
-                assert state.cache.hashes is None, method
+                assert built == [], method
                 assert state.neighbors is None, method
 
     def test_cache_rows_are_client_blocks_in_local_index_order(self, dataset):
@@ -209,6 +224,19 @@ class TestValidate:
     def test_replace_checks_the_new_config(self):
         with pytest.raises(ConfigError, match="'rounds'"):
             replace(tiny_cfg(), rounds=-1)
+
+    def test_replace_keeps_derived_values_and_none_derives_them_again(self):
+        cfg = FederationConfig()
+        assert (cfg.warmup_rounds, cfg.min_per_client) == (10, 16)
+        assert type(cfg.warmup_rounds) is int and type(cfg.min_per_client) is int
+        # the resolved values are plain fields, so replace carries them over
+        assert replace(cfg, batch_size=32).min_per_client == 16
+        assert FederationConfig(batch_size=32).min_per_client == 64
+        with pytest.raises(ConfigError, match="'warmup_rounds'"):
+            replace(cfg, rounds=5)
+        # None derives a key again from the new settings
+        assert replace(cfg, batch_size=32, min_per_client=None).min_per_client == 64
+        assert replace(cfg, rounds=5, warmup_rounds=None).warmup_rounds == 5
 
 
 class TestRunRound:
@@ -406,9 +434,9 @@ class TestFedCacheNeighbourTable:
         each sample's teacher from a fresh index query at the round's start."""
         seen = record_tables(monkeypatch)
         expected = {}
-        index = fresh_index(state)
+        index, hashes = fresh_index(state), sample_hashes(state)
         for t in range(state.config.rounds):
-            neighbours = fedcache_neighbors(state.cache, index, state.config.R)
+            neighbours = fedcache_neighbors(state.cache, index, hashes, state.config.R)
             for row in range(len(state.cache)):
                 expected[(t, row)] = neighbour_teacher(state.cache, neighbours[row])
             run_round(state)
@@ -457,7 +485,7 @@ class TestFedCacheNeighbourTable:
     def test_init_table_equals_a_fresh_query(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDCACHE, R=3), train, test)
-        table = fedcache_neighbors(state.cache, fresh_index(state), 3)
+        table = fedcache_neighbors(state.cache, fresh_index(state), sample_hashes(state), 3)
         np.testing.assert_array_equal(state.neighbors, table)
         assert state.neighbors.dtype == table.dtype
 
@@ -474,13 +502,13 @@ class TestFedCacheNeighbourTable:
         assert index.levels == reference.levels
         assert index.entry_point == reference.entry_point
 
-        cache = state.cache
+        cache, hashes = state.cache, sample_hashes(state)
         assert len(cache) == 638
         cache.update_logits(np.zeros_like(cache.logits), 0)
 
         def neighbours(index):
             calls, reads = [], cache.label_reads
-            table = fedcache_neighbors(cache, RecordingIndex(index, calls), rc.federation.R)
+            table = fedcache_neighbors(cache, RecordingIndex(index, calls), hashes, rc.federation.R)
             return table, calls, cache.label_reads - reads
 
         table, calls, reads = neighbours(index)
@@ -497,7 +525,7 @@ class TestFedCacheNeighbourTable:
         state = init_federation(cfg, train, test)
         # one query pass over a fresh index reads as many labels as init did
         reads = state.cache.label_reads
-        fedcache_neighbors(state.cache, fresh_index(state), cfg.R)
+        fedcache_neighbors(state.cache, fresh_index(state), sample_hashes(state), cfg.R)
         assert state.cache.label_reads == 2 * reads > 0
         seen = record_tables(monkeypatch)
         for _ in range(cfg.rounds):
@@ -535,7 +563,7 @@ def oracle_teachers(state):
         return [path_teacher(cache, tree, row, cfg.granularity, cfg.exclude_self) for row in rows]
     if cfg.method is Method.FEDDISTILL:
         return [feddistill_class_teacher(cache, row) for row in rows]
-    neighbours = fedcache_neighbors(cache, fresh_index(state), cfg.R)
+    neighbours = fedcache_neighbors(cache, fresh_index(state), sample_hashes(state), cfg.R)
     return [neighbour_teacher(cache, neighbours[row]) for row in rows]
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hks.errors import (
     DegenerateInputError,
@@ -46,13 +48,12 @@ from reference_oracles import (
 
 def make_cache(points, clients=None, labels=None, round_index=0):
     """Cache of one uploaded row per point, row i held by client clients[i]
-    (nondecreasing; all client 0 by default); hashes mirror the logit
-    vectors."""
+    (nondecreasing; all client 0 by default)."""
     points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
     clients = [0] * len(points) if clients is None else clients
     assert clients == sorted(clients), "rows run client by client"
     sizes = np.bincount(clients).tolist()
-    return cache_from_rows(sizes, points, labels=labels, hashes=points, round_index=round_index)
+    return cache_from_rows(sizes, points, labels=labels, round_index=round_index)
 
 
 def encode(enc, x):
@@ -81,26 +82,23 @@ class TestEncodeHash:
 
 class TestExactKnn:
     def test_singleton(self):
-        cache = make_cache([[1.0, 0.0]])
-        assert exact_knn(cache, np.array([0.0, 0.0]), 3) == [0]
+        assert exact_knn([[1.0, 0.0]], np.array([0.0, 0.0]), 3) == [0]
 
     def test_tie_break_by_sample_id(self):
-        cache = make_cache([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        out = exact_knn(cache, np.array([1.0, 0.0]), 3)
+        out = exact_knn([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], np.array([1.0, 0.0]), 3)
         assert out == [0, 1, 2]
 
     def test_matches_independent_sorted_table(self):
         rng = np.random.default_rng(17)
         points = rng.normal(size=(200, 6))
-        cache = make_cache(points)
         q = rng.normal(size=6)
-        mine = exact_knn(cache, q, 10)
+        mine = exact_knn(points, q, 10)
         reference = knn_by_sorting(points, q, 10)
         assert mine == reference
 
     def test_filter(self):
-        cache = make_cache([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
-        out = exact_knn(cache, np.array([0.0, 0.0]), 2, lambda row: row != 0)
+        points = [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]
+        out = exact_knn(points, np.array([0.0, 0.0]), 2, lambda row: row != 0)
         assert out == [1, 2]
 
 
@@ -155,11 +153,10 @@ class TestHnsw:
     def test_recall_against_exact(self):
         rng = np.random.default_rng(4)
         points = rng.normal(size=(400, 16))
-        cache = make_cache(points)
         index = self.build(points, m=16, ef_construction=100, ef_search=64)
         hits = total = 0
         for q in rng.normal(size=(50, 16)):
-            truth = set(exact_knn(cache, q, 10))
+            truth = set(exact_knn(points, q, 10))
             found = set(index.query(q, 10))
             hits += len(truth & found)
             total += 10
@@ -298,13 +295,12 @@ class TestCache:
 
     def test_client_blocks_follow_the_sizes(self):
         logits = np.arange(10.0).reshape(5, 2)
-        cache = cache_from_rows([2, 0, 1, 2], logits, labels=[4, 1, 2, 0, 5], hashes=-logits)
+        cache = cache_from_rows([2, 0, 1, 2], logits, labels=[4, 1, 2, 0, 5])
         assert len(cache) == 5
         assert cache.rows == [slice(0, 2), slice(2, 2), slice(2, 3), slice(3, 5)]
         assert cache.owner.tolist() == [0, 0, 2, 3, 3]
-        # labels and hashes stay in the given row order
+        # labels stay in the given row order
         np.testing.assert_array_equal(cache.logits, logits)
-        np.testing.assert_array_equal(cache.hashes, -logits)
         assert cache.labels.tolist() == [4, 1, 2, 0, 5]
 
     def test_negative_size_rejected(self):
@@ -312,18 +308,10 @@ class TestCache:
             KnowledgeCache([2, -1, 1], 2)
 
     @pytest.mark.parametrize(
-        "column, values",
-        [
-            ("labels", [0, 1]),
-            ("labels", [0, 1, 0, 1]),
-            ("labels", 0),
-            ("hashes", np.zeros((2, 2))),
-            ("hashes", np.zeros((4, 2))),
-            ("hashes", 0.0),
-        ],
+        "column, values", [("labels", [0, 1]), ("labels", [0, 1, 0, 1]), ("labels", 0)]
     )
     def test_column_with_the_wrong_row_count_rejected(self, column, values):
-        # nothing reorders labels or hashes, so a wrong count is never cut to fit
+        # nothing reorders labels, so a wrong count is never cut to fit
         with pytest.raises(ShapeError):
             KnowledgeCache([1, 2], 2, **{column: values})
 
@@ -331,7 +319,7 @@ class TestCache:
         cache = KnowledgeCache([1, 1], 3)
         assert cache.round == -1
         assert cache.logits.shape == (2, 3)
-        assert cache.labels is None and cache.hashes is None
+        assert cache.labels is None
 
     @pytest.mark.parametrize(
         "shape", [(1, 2), (2, 2), (4, 2), (3, 1), (3, 3), (2, 3), (3,), (6,), (3, 2, 1), ()]
@@ -391,15 +379,15 @@ class TestBuildHierarchy(FourPoints):
         for _ in range(6):
             n = int(rng.integers(4, 33))
             X = rng.normal(size=(n, dim))
-            tree = agglomerate(X, cut=2)
+            tree = agglomerate(X, cut=1)
             expected_merges, expected_cut = naive_linkage(X, cut=2)
-            assert len(tree.merges) == len(expected_merges)
+            assert len(tree.merges) == len(expected_merges) == n - 1
             for merge, (left, right, height) in zip(tree.merges, expected_merges):
                 got_left = frozenset(members(tree, merge.left))
                 got_right = frozenset(members(tree, merge.right))
                 assert (got_left, got_right) == (left, right)
                 assert merge.height == pytest.approx(height, abs=1e-9)
-            got_cut = set(cut_partition(tree))
+            got_cut = set(cut_partition(agglomerate(X, cut=2)))
             assert got_cut == set(expected_cut)
 
     @staticmethod
@@ -433,13 +421,14 @@ class TestBuildHierarchy(FourPoints):
     def test_ties_match_naive_reference(self, linkage):
         for X in self.tie_cases():
             n = len(X)
-            tree = agglomerate(X, cut=2, linkage=linkage)
+            tree = agglomerate(X, cut=1, linkage=linkage)
             expected_merges, expected_cut = naive_linkage(X, cut=2, linkage=linkage)
+            assert len(tree.merges) == len(expected_merges) == n - 1
             expected = [(left, right) for left, right, _ in expected_merges]
             assert self.merged_sets(tree) == expected, X.tolist()
             heights = [m.height for m in tree.merges]
             assert heights == pytest.approx([h for _, _, h in expected_merges], abs=1e-9)
-            assert set(cut_partition(tree)) == set(expected_cut)
+            assert set(cut_partition(agglomerate(X, cut=2, linkage=linkage))) == set(expected_cut)
 
     @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
     def test_tie_between_pairs_sharing_min_and_max_member(self, linkage):
@@ -463,8 +452,9 @@ class TestBuildHierarchy(FourPoints):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, 2))
         for linkage in ("single", "complete"):
-            tree = agglomerate(X, cut=2, linkage=linkage)
-            expected, _ = naive_linkage(X, cut=2, linkage=linkage)
+            tree = agglomerate(X, cut=1, linkage=linkage)
+            expected, _ = naive_linkage(X, cut=1, linkage=linkage)
+            assert len(tree.merges) == len(expected)
             for merge, (_, _, height) in zip(tree.merges, expected):
                 assert merge.height == pytest.approx(height, abs=1e-9)
 
@@ -494,9 +484,8 @@ class TestCompactedLinkage:
             tree = agglomerate(X, cut, linkage)
             expected = dense_linkage(X, cut, linkage)
             assert tree.n_leaves == expected.n_leaves == n
+            assert len(tree.merges) == n - cut
             assert tree.merges == expected.merges  # heights included, bit for bit
-            np.testing.assert_array_equal(tree.parent, expected.parent)
-            np.testing.assert_array_equal(tree.node_size, expected.node_size)
             assert cut_partition(tree) == cut_partition(expected)
             assert len(cut_partition(tree)) == cut
 
@@ -519,6 +508,34 @@ class TestCompactedLinkage:
         finally:
             tracemalloc.stop()
         assert peak <= 1.4 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 N^2 bytes"
+
+
+class TestMergesStopAtTheCut:
+    """A tree cut at k clusters is the first n - k merges of the whole
+    dendrogram, and its roots are exactly the k clusters left."""
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 3),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cut_tree_is_a_prefix_of_the_dendrogram(self, linkage, n, d, grid, seed):
+        rng = np.random.default_rng(seed)
+        # small integer grids tie often; normals almost never do
+        X = rng.integers(0, 3, size=(n, d)).astype(np.float64) if grid else rng.normal(size=(n, d))
+        whole = agglomerate(X, 1, linkage).merges
+        assert len(whole) == n - 1
+        for cut in range(1, n + 1):
+            tree = agglomerate(X, cut, linkage)
+            assert tree.n_leaves == n
+            assert tree.merges == whole[: n - cut]
+            parts = cut_partition(tree)
+            assert len(parts) == cut
+            assert sum(len(p) for p in parts) == n
+            assert frozenset().union(*parts) == frozenset(range(n))
 
 
 def merge_loop_cases():
@@ -558,9 +575,8 @@ class TestMergeLoopPaths:
         for cut in range(1, len(X) + 1):
             tree = agglomerate(X, cut, linkage)
             expected = dense_linkage(X, cut, linkage)
+            assert len(tree.merges) == len(X) - cut
             assert tree.merges == expected.merges  # heights included, bit for bit
-            np.testing.assert_array_equal(tree.parent, expected.parent)
-            np.testing.assert_array_equal(tree.node_size, expected.node_size)
             assert cut_partition(tree) == cut_partition(expected)
 
 class TestRejectsUnclusterableVectors:
@@ -692,6 +708,22 @@ class TestFetchTeacher(FourPoints):
         out = path_teacher_rows(cache, tree, 0, Granularity.BOTTOM, exclude_self=True)
         np.testing.assert_allclose(out[0], [1.0])
 
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_tree_without_merges(self, granularity):
+        # cut == n: every leaf is a root, so every path is its singleton alone
+        # and the path walk pads with -1 from its first step
+        cache = make_cache(self.values)
+        tree = build_hierarchy(cache, len(self.values))
+        assert tree.merges == ()
+        _, mask = fetch_teacher(cache, tree, granularity, exclude_self=True)
+        assert not mask.any()
+        logits, mask = fetch_teacher(cache, tree, granularity, exclude_self=False)
+        if granularity is Granularity.TOP:
+            assert mask.all()
+            np.testing.assert_array_equal(logits[:, 0], cache.logits)
+        else:
+            assert not mask.any()
+
     def test_stale_tree_for_new_sample(self):
         # the cache holds a row the tree was built without: fewer leaves than rows
         _, tree = self.tree()
@@ -758,61 +790,74 @@ class TestFedDistillTeacher:
             feddistill_teacher(cache)
 
 
-def index_rows(cache):
-    """HNSW index over the cache's hashes, keyed by cache row as the
-    federation builds it."""
-    index = HnswIndex(cache.hashes.shape[1], seed=0)
-    for h in cache.hashes:
+def index_rows(hashes):
+    """HNSW index over the hashes, node i for row i, as the federation
+    builds it over its cache rows."""
+    index = HnswIndex(hashes.shape[1], seed=0)
+    for h in hashes:
         index.insert(h)
     return index
 
 
-def fedcache_query_teacher(cache, index, row, R):
+def fedcache_query_teacher(cache, index, hashes, row, R):
     """A row's fedcache teacher from a fresh neighbour query, or None."""
-    rows = teacher_rows(fedcache_teacher(cache, fedcache_neighbors(cache, index, R)), row)
+    neighbours = fedcache_neighbors(cache, index, hashes, R)
+    rows = teacher_rows(fedcache_teacher(cache, neighbours), row)
     return rows[0] if rows else None
 
 
 class TestFedCacheTeacher:
+    # three same-class foreign neighbours at distances 1, 2, 9 from row 0
+    HASHES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [9.0, 0.0]])
+
     def crafted(self):
-        """Three same-class foreign neighbors at distances 1, 2, 9 from row 0."""
-        hashes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [9.0, 0.0]])
         logits = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [100.0, 100.0]])
-        cache = cache_from_rows([1, 1, 1, 1], logits, labels=[0, 0, 0, 0], hashes=hashes)
-        return cache, index_rows(cache)
+        cache = cache_from_rows([1, 1, 1, 1], logits, labels=[0, 0, 0, 0])
+        return cache, index_rows(self.HASHES)
 
     def test_r1_single_foreign(self):
         cache, index = self.crafted()
-        out = fedcache_query_teacher(cache, index, 0, R=1)
+        out = fedcache_query_teacher(cache, index, self.HASHES, 0, R=1)
         np.testing.assert_allclose(out, [1.0, 1.0])
 
     def test_r2_means_two_closest_matching_exact_knn(self):
         cache, index = self.crafted()
         expected_rows = exact_knn(
-            cache, cache.hashes[0], 2, lambda row: cache.owner[row] != 0 and cache.labels[row] == 0
+            self.HASHES, self.HASHES[0], 2, lambda row: cache.owner[row] != 0 and cache.labels[row] == 0
         )
         assert expected_rows == [1, 2]
-        assert fedcache_neighbors(cache, index, 2)[0].tolist() == [1, 2]
-        np.testing.assert_allclose(fedcache_query_teacher(cache, index, 0, R=2), [2.0, 2.0])
+        assert fedcache_neighbors(cache, index, self.HASHES, 2)[0].tolist() == [1, 2]
+        np.testing.assert_allclose(fedcache_query_teacher(cache, index, self.HASHES, 0, R=2), [2.0, 2.0])
 
     def test_r_beyond_population_means_everything_foreign(self):
         cache, index = self.crafted()
-        assert fedcache_neighbors(cache, index, 5)[0].tolist() == [1, 2, 3, -1, -1]
-        out = fedcache_query_teacher(cache, index, 0, R=50)
+        assert fedcache_neighbors(cache, index, self.HASHES, 5)[0].tolist() == [1, 2, 3, -1, -1]
+        out = fedcache_query_teacher(cache, index, self.HASHES, 0, R=50)
         np.testing.assert_allclose(out, np.mean([[1.0, 1.0], [3.0, 3.0], [100.0, 100.0]], axis=0))
 
+    @pytest.mark.parametrize("n_hashes", [3, 5])
+    def test_hashes_with_the_wrong_row_count_rejected(self, n_hashes):
+        # row i of the hashes is cache row i, so a wrong count is never cut to fit
+        cache, index = self.crafted()
+        hashes = np.resize(self.HASHES, (n_hashes, 2))
+        with pytest.raises(ShapeError):
+            fedcache_neighbors(cache, index, hashes, 2)
+        assert cache.label_reads == 0
+
     def test_unavailable_when_no_foreign_same_class(self):
-        cache = cache_from_rows([1], [[0.5, 0.5]], labels=[1], hashes=np.array([[1.0, 0.0]]))
-        assert fedcache_query_teacher(cache, index_rows(cache), 0, R=3) is None
+        cache = cache_from_rows([1], [[0.5, 0.5]], labels=[1])
+        hashes = np.array([[1.0, 0.0]])
+        assert fedcache_query_teacher(cache, index_rows(hashes), hashes, 0, R=3) is None
 
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0, 0.0]])
+        hashes = np.array([[1.0, 0.0]])
         with pytest.raises(ModeError):
-            fedcache_query_teacher(cache, index_rows(cache), 0, R=1)
+            fedcache_query_teacher(cache, index_rows(hashes), hashes, 0, R=1)
 
     def test_teacher_reads_current_logits_of_stored_neighbours(self):
         cache, index = self.crafted()
-        neighbours = fedcache_neighbors(cache, index, 2)
+        neighbours = fedcache_neighbors(cache, index, self.HASHES, 2)
         logits = cache.logits.copy()
         logits[1] = [5.0, 7.0]
         cache.update_logits(logits, 1)
