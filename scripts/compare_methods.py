@@ -3,8 +3,8 @@
 
 Sweeps every method (FedAvg homogeneous, FedDistill, FedCache over R, the
 hierarchical method over all four granularities, plus the local-only control)
-across seeds on one synthetic task, then renders the MAUA / global-accuracy
-table from the stored per-run summaries.
+across seeds on one synthetic task. The sweep prints the MAUA /
+global-accuracy table of its runs and writes it to OUT/comparison.csv.
 
 Usage:
     python scripts/compare_methods.py [--out runs/comparison] [--seeds 0,1,2]
@@ -12,7 +12,6 @@ Usage:
 """
 import argparse
 import sys
-from pathlib import Path
 
 from hks.cli import main as hks_main
 
@@ -35,7 +34,7 @@ def run(argv=None) -> int:
         "--seeds", args.seeds,
         "--out", args.out,
     ]
-    code = hks_main(
+    return hks_main(
         [
             "sweep",
             *base,
@@ -44,9 +43,6 @@ def run(argv=None) -> int:
             "--R-values", "1,4,16",
         ]
     )
-    if code != 0:
-        return code
-    return hks_main(["report", args.out, "--out", str(Path(args.out) / "report.csv")])
 
 
 if __name__ == "__main__":

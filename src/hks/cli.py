@@ -3,11 +3,12 @@
 Subcommands:
   run     one experiment -> rounds.csv, summary.json, config.resolved.json
   sweep   cross-product of methods/granularities/R values/seeds -> run dirs
-          plus one comparison.csv
-  report  re-render a comparison table from the stored per-run summaries
+          plus comparison.csv, the report table of its own runs
+  report  the comparison table of the run directories under a directory
 
-Every run directory is self-describing: config.resolved.json plus the seed
-reproduce it byte-for-byte (wall_seconds aside).
+Every run directory is self-describing: config.resolved.json holds every
+setting and reproduces the run byte-for-byte; summary.json holds the run's
+ExperimentSummary and its wall_seconds.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import reduce
 from pathlib import Path
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .federation import FederationConfig, Method, child_seed, run_experiment, _TAG_DATA
 from .knowledge import Granularity
+from .metrics import ExperimentSummary
 
 ROUNDS_CSV_SCHEMA = "# hks-rounds-v1"
 ROUNDS_CSV_COLUMNS = (
@@ -111,15 +113,14 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Every config key with its effective value, in field-table order."""
-        out = {}
-        for f in config_fields(type(self)):
-            value = f.read(self)
-            if isinstance(value, Enum):
-                value = value.value
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.key] = value
-        return out
+        return {f.key: _plain(f.read(self)) for f in config_fields(type(self))}
+
+
+def _plain(value):
+    """A setting's value as JSON holds it: an Enum as its value, a tuple as a list."""
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,7 @@ def _build(cls: type, values: dict):
     kwargs = {}
     for f in fields(cls):
         if is_dataclass(hints[f.name]):
-            try:
-                kwargs[f.name] = _build(hints[f.name], values)
-            except InvalidInputError as exc:
-                raise ConfigError(f"constraint violation on {f.name} settings: {exc}")
+            kwargs[f.name] = _build(hints[f.name], values)
         elif f.name in values:
             kwargs[f.name] = values[f.name]
     return cls(**kwargs)
@@ -300,18 +298,7 @@ def write_run_outputs(out_dir: Path, rc: RunConfig, result, wall_seconds: float)
         writer.writerow(ROUNDS_CSV_COLUMNS)
         for r in result.reports:
             writer.writerow([_fmt(getattr(r, c)) for c in ROUNDS_CSV_COLUMNS])
-    fed = rc.federation
-    summary = {
-        "maua": result.summary.maua,
-        "best_global_acc": result.summary.best_global_acc,
-        "final_global_acc": result.summary.final_global_acc,
-        "method": fed.method.value,
-        "granularity": fed.granularity.value,
-        "R": fed.R,
-        "alpha_dir": fed.alpha_dir,
-        "seed": fed.seed,
-        "wall_seconds": wall_seconds,
-    }
+    summary = {**asdict(result.summary), "wall_seconds": wall_seconds}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="ascii")
     (out_dir / "config.resolved.json").write_text(
         json.dumps(rc.resolved(), indent=2) + "\n", encoding="ascii"
@@ -332,75 +319,52 @@ def cmd_run(rc: RunConfig) -> int:
     print(
         f"run {rc.federation.method.value}: maua={_fmt_opt(summary.maua)} "
         f"final_global={_fmt_opt(summary.final_global_acc)} "
-        f"rounds={summary.rounds_run} -> {Path(rc.out)}"
+        f"rounds={rc.federation.rounds} -> {Path(rc.out)}"
     )
     return 0
 
 
-def _hyperparameter_label(fed: FederationConfig) -> str:
-    if fed.method is Method.HKS:
-        return f"granularity={fed.granularity.value}"
-    if fed.method is Method.FEDCACHE:
-        return f"R={fed.R}"
-    if fed.method is Method.FEDAVG:
-        return f"tier={fed.fedavg_tier.value}"
-    return "-"
+# The one setting that separates a method's runs: a sweep varies it, and it
+# labels the method's rows of the comparison table. The template turns its
+# value into the suffix of the sweep's run directory names.
+_SWEPT_SETTING = {
+    Method.HKS: ("granularity", "{}"),
+    Method.FEDCACHE: ("R", "R{}"),
+    Method.FEDAVG: ("fedavg_tier", "{}"),
+}
 
 
-def _sweep_cases(rc: RunConfig, methods, granularities, r_values, seeds):
+def _sweep_cases(rc: RunConfig, methods, swept: dict[str, list], seeds):
+    """(run directory name, settings) of every case. A method's swept setting
+    takes the values listed in `swept`, or its configured value."""
     for method in methods:
-        if method is Method.HKS:
-            variants = [("granularity", g) for g in granularities]
-        elif method is Method.FEDCACHE:
-            variants = [("R", r) for r in r_values]
-        else:
-            variants = [(None, None)]
-        for field_name, value in variants:
+        fed = replace(rc.federation, method=method)
+        variants = [(method.value, fed)]
+        if method in _SWEPT_SETTING:
+            setting, template = _SWEPT_SETTING[method]
+            variants = [
+                (f"{method.value}_" + template.format(_plain(v)), replace(fed, **{setting: v}))
+                for v in swept.get(setting, [getattr(fed, setting)])
+            ]
+        for name, variant in variants:
             for seed in seeds:
-                fed = replace(rc.federation, method=method, seed=seed)
-                name = method.value
-                if field_name == "granularity":
-                    fed = replace(fed, granularity=value)
-                    name += f"_{value.value}"
-                elif field_name == "R":
-                    fed = replace(fed, R=value)
-                    name += f"_R{value}"
-                elif method is Method.FEDAVG:
-                    name += f"_{fed.fedavg_tier.value}"
-                yield f"{name}_seed{seed}", fed
+                yield f"{name}_seed{seed}", replace(variant, seed=seed)
 
 
-def cmd_sweep(rc: RunConfig, methods, granularities, r_values, seeds) -> int:
-    """Run every case of the sweep. Building the case list checks every
-    case's settings, before the sweep directory is made or any case runs."""
+def cmd_sweep(rc: RunConfig, methods, swept: dict[str, list], seeds) -> int:
+    """Run every case of the sweep, then write the comparison table of these
+    runs alone. Building the case list checks every case's settings, before
+    the sweep directory is made or any case runs."""
     sweep_dir = Path(rc.out)
     cases = [
         (name, replace(rc, federation=fed, out=str(sweep_dir / name)))
-        for name, fed in _sweep_cases(rc, methods, granularities, r_values, seeds)
+        for name, fed in _sweep_cases(rc, methods, swept, seeds)
     ]
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
     for name, case in cases:
-        fed = case.federation
         result = _run_and_write(case)
-        rows.append(
-            {
-                "method": fed.method.value,
-                "hyperparameter": _hyperparameter_label(fed),
-                "seed": fed.seed,
-                "maua": result.summary.maua,
-                "best_global_acc": result.summary.best_global_acc,
-                "final_global_acc": result.summary.final_global_acc,
-                "run_dir": name,
-            }
-        )
         print(f"sweep case {name}: maua={_fmt_opt(result.summary.maua)}")
-    with open(sweep_dir / "comparison.csv", "w", newline="", encoding="ascii") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) if isinstance(v, (float, bool)) else v for k, v in row.items()})
-    print(f"sweep: {len(rows)} runs -> {sweep_dir / 'comparison.csv'}")
+    write_comparison([Path(case.out) for _, case in cases], sweep_dir / "comparison.csv")
     return 0
 
 
@@ -408,7 +372,7 @@ def _fmt_opt(v) -> str:
     return "undefined" if v is None else f"{v:.4f}"
 
 
-_REPORT_METRICS = ("maua", "best_global_acc", "final_global_acc")
+_REPORT_METRICS = tuple(f.name for f in fields(ExperimentSummary))
 
 
 def _read_summary(path: Path) -> dict[str, float]:
@@ -427,69 +391,72 @@ def _read_summary(path: Path) -> dict[str, float]:
     return {k: math.nan if v is None else float(v) for k, v in values.items()}
 
 
+def write_comparison(run_dirs: list[Path], out_file: Path | str | None) -> None:
+    """Print the comparison table of the runs in `run_dirs`, and write it as
+    CSV to `out_file` if given.
+
+    A row is one method and one value of its swept setting, sorted by method
+    and then by that value; it gives the number of seeds and each metric's
+    mean over them in seed order. Each run's settings are read through
+    parse_config, and its metrics from its summary.json.
+    """
+    rows: dict[tuple, tuple[Path, dict, dict[int, tuple[Path, dict]]]] = {}
+    for run_dir in run_dirs:
+        try:
+            rc = parse_config(str(run_dir / "config.resolved.json"))
+        except ConfigError as exc:
+            raise ConfigError(f"run {run_dir}: {exc}") from None
+        fed, settings = rc.federation, rc.resolved()
+        setting, _ = _SWEPT_SETTING.get(fed.method, (None, None))
+        value = settings[setting] if setting else None
+        label = f"{setting}={value}" if setting else "-"
+        name = f"report row {fed.method.value} {label}"
+        # one row averages seeds of one configuration, never two configurations
+        del settings["seed"], settings["out"]
+        first_dir, first, seeds = rows.setdefault(
+            (fed.method.value, value, label), (run_dir, settings, {})
+        )
+        differing = sorted(k for k in first if first[k] != settings[k])
+        if differing:
+            raise ConfigError(
+                f"runs {first_dir} and {run_dir} fall into {name} but differ "
+                f"in {', '.join(repr(k) for k in differing)}"
+            )
+        # so the row's run count is its number of distinct seeds
+        if fed.seed in seeds:
+            raise ConfigError(
+                f"runs {seeds[fed.seed][0]} and {run_dir} are both seed {fed.seed} of {name}"
+            )
+        seeds[fed.seed] = (run_dir, _read_summary(run_dir / "summary.json"))
+
+    header = ["method", "hyperparameter", "n_seeds", *(f"{k}_mean" for k in _REPORT_METRICS)]
+    table = []
+    for (method, _, label), (_, _, seeds) in sorted(rows.items()):
+        runs = [metrics for _, (_, metrics) in sorted(seeds.items())]
+        means = [sum(r[k] for r in runs) / len(runs) for k in _REPORT_METRICS]
+        table.append((method, label, len(runs), means))
+    printed = [header] + [[m, h, str(n), *(f"{v:.4f}" for v in vs)] for m, h, n, vs in table]
+    widths = [max(map(len, column)) for column in zip(*printed)]
+    for row in printed:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    if out_file:
+        with open(out_file, "w", newline="", encoding="ascii") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([m, h, n, *map(_fmt, vs)] for m, h, n, vs in table)
+        print(f"report -> {out_file}")
+
+
 def cmd_report(runs_dir: str, out_file: str | None) -> int:
-    """Rebuild the comparison table from each run's settings (via parse_config) and summary.json."""
+    """Print (and with `out_file` write) the comparison table of the run
+    directories in `runs_dir`, and of `runs_dir` itself if it is one."""
     base = Path(runs_dir)
     run_dirs = sorted(p.parent for p in base.glob("*/summary.json"))
     if (base / "summary.json").exists():
         run_dirs.insert(0, base)
     if not run_dirs:
         raise ConfigError(f"no run directories with summary.json under {runs_dir}")
-    grouped: dict[tuple[str, str], list[dict]] = {}
-    row_settings: dict[tuple[str, str], tuple[Path, dict]] = {}
-    row_seeds: dict[tuple[str, str], dict[int, Path]] = {}
-    for run_dir in run_dirs:
-        try:
-            rc = parse_config(str(run_dir / "config.resolved.json"))
-        except ConfigError as exc:
-            raise ConfigError(f"run {run_dir}: {exc}") from None
-        fed = rc.federation
-        key = (fed.method.value, _hyperparameter_label(fed))
-        # one row averages seeds of one configuration, never two configurations
-        settings = {k: v for k, v in rc.resolved().items() if k not in ("seed", "out")}
-        first_dir, first = row_settings.setdefault(key, (run_dir, settings))
-        differing = sorted(k for k in first if first[k] != settings[k])
-        if differing:
-            raise ConfigError(
-                f"runs {first_dir} and {run_dir} fall into one report row {key} but differ "
-                f"in {', '.join(repr(k) for k in differing)}"
-            )
-        # so the row's run count is its number of distinct seeds
-        seed_dir = row_seeds.setdefault(key, {}).setdefault(fed.seed, run_dir)
-        if seed_dir != run_dir:
-            raise ConfigError(
-                f"runs {seed_dir} and {run_dir} are both seed {fed.seed} of report row {key}"
-            )
-        grouped.setdefault(key, []).append(_read_summary(run_dir / "summary.json"))
-
-    header = f"{'method':<12} {'hyperparameters':<20} {'seeds':>5} {'MAUA':>8} {'global(best)':>13} {'global(final)':>14}"
-    print(header)
-    print("-" * len(header))
-    table_rows = []
-    for (method, hyper), entries in sorted(grouped.items()):
-        maua_mean, best_mean, final_mean = (
-            sum(e[k] for e in entries) / len(entries) for k in _REPORT_METRICS
-        )
-        print(
-            f"{method:<12} {hyper:<20} {len(entries):>5} {maua_mean:>8.4f} "
-            f"{best_mean:>13.4f} {final_mean:>14.4f}"
-        )
-        table_rows.append(
-            {
-                "method": method,
-                "hyperparameter": hyper,
-                "n_seeds": len(entries),
-                "maua_mean": _fmt(maua_mean),
-                "best_global_acc_mean": _fmt(best_mean),
-                "final_global_acc_mean": _fmt(final_mean),
-            }
-        )
-    if out_file:
-        with open(out_file, "w", newline="", encoding="ascii") as f:
-            writer = csv.DictWriter(f, fieldnames=list(table_rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(table_rows)
-        print(f"report -> {out_file}")
+    write_comparison(run_dirs, out_file)
     return 0
 
 
@@ -559,12 +526,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(rc)
         fed = rc.federation
         methods = _sweep_list(args.methods, "--methods", lambda t: Method(t.lower()), fed.method)
-        granularities = _sweep_list(
-            args.granularities, "--granularities", lambda t: Granularity(t.lower()), fed.granularity
-        )
-        r_values = _sweep_list(args.r_values, "--R-values", int, fed.R)
+        swept = {
+            "granularity": _sweep_list(args.granularities, "--granularities",
+                                       lambda t: Granularity(t.lower()), fed.granularity),
+            "R": _sweep_list(args.r_values, "--R-values", int, fed.R),
+        }
         seeds = _sweep_list(args.seeds, "--seeds", int, fed.seed)
-        return cmd_sweep(rc, methods, granularities, r_values, seeds)
+        return cmd_sweep(rc, methods, swept, seeds)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps errors to codes
         return _fail(exc)
 

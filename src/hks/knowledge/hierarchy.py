@@ -10,9 +10,11 @@ rows). Clusters are disjoint, so no two candidate pairs share a key: the
 rule is a total order, and the tree is a function of the rows in their
 given order. Reordering rows can change which of two tied pairs merges
 first; the cache fixes the order (client by client, then local index).
-A tie is settled by enumerating every pair at the minimum under that key,
-never by slot order; when exactly two rows hold the minimum they are the
-only such pair.
+A tie is settled by enumerating every pair at the minimum under that key;
+when exactly two rows hold the minimum they are the only such pair. Live
+slots are in the order of their clusters' min member rows (a merge writes
+into its lower slot, and compaction keeps order), so the key compares slot
+indices where it names min member rows.
 
 The dissimilarities live in one N x N float64 matrix, built in place. Each
 time the live clusters fall to half its side, their rows and columns are
@@ -111,8 +113,7 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     D = _pairwise_distances(X)
     sizes = np.ones(n, dtype=np.int64)
     slot_node = list(range(n))  # matrix slot -> current tree node id
-    slot_min = list(range(n))  # min member row per slot
-    slot_max = list(range(n))
+    slot_max = list(range(n))  # max member row per slot
     pen = np.zeros(n)  # 0 on a live slot, inf on a dead one
     merges: list[Merge] = []
 
@@ -131,7 +132,6 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
             sizes, row_min = sizes[keep], row_min[keep]
             row_arg = slot_of[row_arg[keep]]
             slot_node = [slot_node[s] for s in keep]
-            slot_min = [slot_min[s] for s in keep]
             slot_max = [slot_max[s] for s in keep]
             pen = np.zeros(live)
 
@@ -141,26 +141,13 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
             # Two rows at the minimum can only be each other's pair.
             i, j = int(tied[0]), int(tied[1])
         else:
-            best = None
-            best_key = None
+            keys = []
             for r in tied:
                 for c in np.flatnonzero(D[r] + pen == height):
                     a, b = (int(r), int(c)) if r < c else (int(c), int(r))
-                    key = (
-                        min(slot_min[a], slot_min[b]),
-                        max(slot_max[a], slot_max[b]),
-                        max(slot_min[a], slot_min[b]),
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (a, b)
-            assert best is not None
-            i, j = best
-        node = n + t
-        left_node, right_node = slot_node[i], slot_node[j]
-        if slot_min[j] < slot_min[i]:
-            left_node, right_node = right_node, left_node
-        merges.append(Merge(left_node, right_node, height))
+                    keys.append((a, max(slot_max[a], slot_max[b]), b))
+            i, _, j = min(keys)
+        merges.append(Merge(slot_node[i], slot_node[j], height))
 
         # The merged row is built in place in row i (a view of D); adding
         # pen with i and j at inf puts inf at i, j and every dead slot.
@@ -179,8 +166,7 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
         D[:, i] = row
 
         sizes[i] += sizes[j]
-        slot_node[i] = node
-        slot_min[i] = min(slot_min[i], slot_min[j])
+        slot_node[i] = n + t
         slot_max[i] = max(slot_max[i], slot_max[j])
 
         row_arg[i] = row.argmin()

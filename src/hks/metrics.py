@@ -58,12 +58,16 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Headline numbers for one run; None when no rounds were executed."""
+    """Headline numbers for one run; None when no rounds were executed.
+
+    The one record of a run's results: its fields are the keys of the run's
+    summary.json (with wall_seconds) and the metrics of the comparison table,
+    so a new metric is a new field.
+    """
 
     maua: float | None
     best_global_acc: float | None
     final_global_acc: float | None
-    rounds_run: int
 
 
 def evaluate(m: Model, ds: Dataset) -> float:
@@ -82,31 +86,20 @@ def evaluate(m: Model, ds: Dataset) -> float:
     return float(np.mean(preds == ds.labels))
 
 
-def _acc_rows(reports: Sequence) -> list[Array]:
-    rows = []
-    for r in reports:
-        row = r.per_client_local_acc if isinstance(r, RoundReport) else r
-        rows.append(np.asarray(row, dtype=np.float64))
-    return rows
-
-
-def maua(reports: Sequence) -> float:
-    """Max over rounds of the unweighted client mean of local accuracy.
-
-    Accepts RoundReports or raw per-round accuracy vectors.
-    """
-    if len(reports) == 0:
+def maua(per_round_acc: Sequence) -> float:
+    """Max over rounds of the unweighted client mean of local accuracy, from
+    one per-client accuracy vector per round."""
+    if len(per_round_acc) == 0:
         raise UndefinedMetricError("MAUA is undefined without any round")
-    return float(max(row.mean() for row in _acc_rows(reports)))
+    return float(max(np.mean(row, dtype=np.float64) for row in per_round_acc))
 
 
 def summarize(reports: Sequence[RoundReport]) -> ExperimentSummary:
     if not reports:
-        return ExperimentSummary(maua=None, best_global_acc=None, final_global_acc=None, rounds_run=0)
+        return ExperimentSummary(maua=None, best_global_acc=None, final_global_acc=None)
     global_means = [r.mean_global_acc for r in reports]
     return ExperimentSummary(
-        maua=maua(reports),
+        maua=maua([r.per_client_local_acc for r in reports]),
         best_global_acc=float(max(global_means)),
         final_global_acc=float(global_means[-1]),
-        rounds_run=len(reports),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConfigError
 
 Array = np.ndarray
 
@@ -34,9 +34,9 @@ class KdConfig:
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so they reject it too
         if not 0 < self.temperature < math.inf:
-            raise InvalidInputError(f"temperature must be finite and > 0, got {self.temperature}")
+            raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r})")
         if not 0 <= self.alpha_kd < math.inf:
-            raise InvalidInputError(f"alpha_kd must be finite and >= 0, got {self.alpha_kd}")
+            raise ConfigError(f"constraint violation on 'alpha_kd' (got {self.alpha_kd!r})")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from hks.cli import (
 from hks.errors import ConfigError
 from hks.federation import FederationConfig, Method
 from hks.knowledge import Granularity
+from hks.metrics import ExperimentSummary
 from hks.models import CapacityTier
 from hks.numerics import KdConfig
 
@@ -122,17 +123,8 @@ class TestRunCommand:
         out = tmp_path / "run3"
         main(["run", *fast_flags(out)])
         summary = json.loads((out / "summary.json").read_text())
-        assert list(summary) == [
-            "maua",
-            "best_global_acc",
-            "final_global_acc",
-            "method",
-            "granularity",
-            "R",
-            "alpha_dir",
-            "seed",
-            "wall_seconds",
-        ]
+        assert list(summary) == [*(f.name for f in fields(ExperimentSummary)), "wall_seconds"]
+        assert list(summary) == ["maua", "best_global_acc", "final_global_acc", "wall_seconds"]
         assert 0.0 <= summary["maua"] <= 1.0
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -403,8 +395,40 @@ class TestSweepAndReport:
         run_dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert run_dirs == ["hks_all_seed0", "hks_bottom_seed0", "hks_middle_seed0", "hks_top_seed0"]
         comparison = (out / "comparison.csv").read_text().splitlines()
-        assert comparison[0] == "method,hyperparameter,seed,maua,best_global_acc,final_global_acc,run_dir"
+        assert comparison[0] == (
+            "method,hyperparameter,n_seeds,maua_mean,best_global_acc_mean,final_global_acc_mean"
+        )
         assert len(comparison) == 5
+
+    def test_sweep_run_directory_names_and_row_labels(self, tmp_path):
+        out = tmp_path / "sweep"
+        sweep = ["sweep", *fast_flags(out), "--methods", "fedavg,fedcache,hks,local_only",
+                 "--granularities", "top", "--R-values", "2", "--fedavg-tier", "medium"]
+        assert main(sweep) == 0
+        run_dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert run_dirs == ["fedavg_medium_seed0", "fedcache_R2_seed0", "hks_top_seed0",
+                            "local_only_seed0"]
+        rows = list(csv.DictReader((out / "comparison.csv").read_text().splitlines()))
+        assert [(row["method"], row["hyperparameter"]) for row in rows] == [
+            ("fedavg", "fedavg_tier=medium"), ("fedcache", "R=2"), ("hks", "granularity=top"),
+            ("local_only", "-"),
+        ]
+
+    def test_sweep_comparison_is_the_report_table_of_its_runs(self, tmp_path):
+        out = tmp_path / "sweep"
+        # a run already in the sweep directory stays out of the sweep's table
+        assert main(["run", *fast_flags(out / "earlier"), "--method", "feddistill"]) == 0
+        sweep = ["sweep", *fast_flags(out), "--methods", "local_only,fedcache", "--R-values", "4,1",
+                 "--seeds", "1,0"]
+        assert main(sweep) == 0
+        (out / "earlier").rename(tmp_path / "earlier")
+        report_file = tmp_path / "report.csv"
+        assert main(["report", str(out), "--out", str(report_file)]) == 0
+        assert (out / "comparison.csv").read_bytes() == report_file.read_bytes()
+        rows = list(csv.DictReader(report_file.read_text().splitlines()))
+        assert [(row["method"], row["hyperparameter"], row["n_seeds"]) for row in rows] == [
+            ("fedcache", "R=1", "2"), ("fedcache", "R=4", "2"), ("local_only", "-", "2"),
+        ]
 
     def test_report_renders_table(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -426,6 +450,14 @@ class TestSweepAndReport:
         rows = report_file.read_text().splitlines()
         assert rows[0].startswith("method,hyperparameter,n_seeds")
         assert len(rows) == 3  # header + hks + local_only
+
+    def test_report_orders_rows_by_the_setting_value(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *fast_flags(out), "--methods", "fedcache", "--R-values", "16,1,4"]) == 0
+        report_file = tmp_path / "report.csv"
+        assert main(["report", str(out), "--out", str(report_file)]) == 0
+        rows = list(csv.DictReader(report_file.read_text().splitlines()))
+        assert [row["hyperparameter"] for row in rows] == ["R=1", "R=4", "R=16"]
 
     def test_report_rejects_different_configurations_in_one_row(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -522,7 +554,8 @@ class TestSweepAndReport:
         by_method: dict[str, list[dict]] = {}
         for summary_file in sorted(out.glob("*/summary.json")):
             summary = json.loads(summary_file.read_text())
-            by_method.setdefault(summary["method"], []).append(summary)
+            method = json.loads((summary_file.parent / "config.resolved.json").read_text())["method"]
+            by_method.setdefault(method, []).append(summary)
         rows = list(csv.DictReader(report_file.read_text().splitlines()))
         assert sorted(row["method"] for row in rows) == sorted(by_method)
         assert [len(by_method[m]) for m in ("local_only", "hks", "feddistill")] == [2, 2, 1]

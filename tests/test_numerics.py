@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hks.errors import InvalidInputError, ShapeError
+from hks.errors import ConfigError, InvalidInputError, ShapeError
 from hks.numerics import KdConfig, teacher_table, tempered_softmax
 
 from reference_oracles import (
@@ -279,17 +279,17 @@ class TestFiniteDiff:
 
 class TestKdConfig:
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             KdConfig(temperature=0.0)
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             KdConfig(alpha_kd=-0.5)
 
     @pytest.mark.parametrize("key", ["temperature", "alpha_kd"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_values(self, key, value):
-        with pytest.raises(InvalidInputError, match=key):
+        with pytest.raises(ConfigError, match=key):
             KdConfig(**{key: value})
 
     def test_defaults(self):
