@@ -25,24 +25,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .data import Dataset, load_idx, split_local_test, stratified_subsample, synth_train_and_test
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DegenerateInputError,
-    DivergenceError,
-    EmptyDatasetError,
-    EmptyShardError,
-    FormatError,
-    HksError,
-    InfeasiblePartitionError,
-    InsufficientDataError,
-    InvalidInputError,
-    ModeError,
-    ShapeError,
-    StaleHierarchyError,
-    TruncatedFileError,
-    UndefinedMetricError,
-)
+from .errors import ConfigError, ConsistencyError, FormatError, HksError
 from .federation import FederationConfig, Method, child_seed, run_experiment, _TAG_DATA
 from .knowledge import Granularity
 from .metrics import ExperimentSummary
@@ -58,27 +41,6 @@ ROUNDS_CSV_COLUMNS = (
     "mean_kd",
     "hierarchy_built",
 )
-
-_EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (ConfigError, 2),
-    (FormatError, 3),
-    (ConsistencyError, 4),
-    (TruncatedFileError, 5),
-    (InfeasiblePartitionError, 6),
-    (EmptyShardError, 7),
-    (EmptyDatasetError, 8),
-    (DegenerateInputError, 9),
-    (InsufficientDataError, 11),
-    (StaleHierarchyError, 12),
-    (ModeError, 13),
-    (UndefinedMetricError, 15),
-    (ShapeError, 16),
-    (InvalidInputError, 17),
-    (DivergenceError, 18),
-    (HksError, 20),
-    (OSError, 21),
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -232,7 +194,7 @@ def parse_config(
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         try:
             loaded = json.loads(text)
@@ -317,8 +279,8 @@ def _run_and_write(rc: RunConfig):
 def cmd_run(rc: RunConfig) -> int:
     summary = _run_and_write(rc).summary
     print(
-        f"run {rc.federation.method.value}: maua={_fmt_opt(summary.maua)} "
-        f"final_global={_fmt_opt(summary.final_global_acc)} "
+        f"run {rc.federation.method.value}: maua={summary.maua:.4f} "
+        f"final_global={summary.final_global_acc:.4f} "
         f"rounds={rc.federation.rounds} -> {Path(rc.out)}"
     )
     return 0
@@ -363,21 +325,16 @@ def cmd_sweep(rc: RunConfig, methods, swept: dict[str, list], seeds) -> int:
     sweep_dir.mkdir(parents=True, exist_ok=True)
     for name, case in cases:
         result = _run_and_write(case)
-        print(f"sweep case {name}: maua={_fmt_opt(result.summary.maua)}")
+        print(f"sweep case {name}: maua={result.summary.maua:.4f}")
     write_comparison([Path(case.out) for _, case in cases], sweep_dir / "comparison.csv")
     return 0
-
-
-def _fmt_opt(v) -> str:
-    return "undefined" if v is None else f"{v:.4f}"
 
 
 _REPORT_METRICS = tuple(f.name for f in fields(ExperimentSummary))
 
 
 def _read_summary(path: Path) -> dict[str, float]:
-    """The report metrics of a summary.json, each a JSON number in [0, 1]; a
-    run without rounds stores null, read as nan."""
+    """The report metrics of a summary.json, each a JSON number in [0, 1]."""
     try:
         summary = json.loads(path.read_text(encoding="ascii"))
         values = {k: summary[k] for k in _REPORT_METRICS}
@@ -386,9 +343,9 @@ def _read_summary(path: Path) -> dict[str, float]:
     for key, value in values.items():
         # bool is a subclass of int; chained comparisons are False for nan
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if value is not None and not (number and 0 <= value <= 1):
-            raise FormatError(f"{path}: {key!r} is {value!r}, not a number in [0, 1] or null")
-    return {k: math.nan if v is None else float(v) for k, v in values.items()}
+        if not (number and 0 <= value <= 1):
+            raise FormatError(f"{path}: {key!r} is {value!r}, not a number in [0, 1]")
+    return {k: float(v) for k, v in values.items()}
 
 
 def write_comparison(run_dirs: list[Path], out_file: Path | str | None) -> None:
@@ -488,7 +445,8 @@ def build_parser(cls: type = RunConfig) -> argparse.ArgumentParser:
     sweep_p.add_argument("--granularities", help="comma-separated granularity list (hks)")
     sweep_p.add_argument("--R-values", dest="r_values", help="comma-separated R list (fedcache)")
     sweep_p.add_argument("--seeds", help="comma-separated seed list")
-    report_p = sub.add_parser("report", help="re-render summaries from stored CSVs")
+    report_p = sub.add_parser("report", help="compare the runs under a directory, from each "
+                              "run's summary.json and config.resolved.json")
     report_p.add_argument("runs_dir")
     report_p.add_argument("--out", dest="out_file")
     return parser
@@ -538,11 +496,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _fail(exc: Exception) -> int:
-    for exc_type, code in _EXIT_CODES:
-        if isinstance(exc, exc_type):
-            print(f"error: {exc}", file=sys.stderr)
-            return code
-    raise exc
+    """Print a typed failure, a MemoryError or an OSError as one `error:`
+    line on stderr and return its exit code; re-raise anything else."""
+    if isinstance(exc, HksError):
+        code = exc.exit_code
+    elif isinstance(exc, MemoryError):
+        code, exc = 19, f"out of memory: {exc}"
+    elif isinstance(exc, OSError):
+        code = 21
+    else:
+        raise exc
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

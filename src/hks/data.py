@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    EmptyDatasetError,
     EmptyShardError,
     FormatError,
     InfeasiblePartitionError,
@@ -30,6 +31,8 @@ Array = np.ndarray
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# A header may declare more bytes than the file holds, or than memory holds.
+_READ_CHUNK = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,12 @@ def _open_maybe_gzip(path: str | Path):
     return open(path, "rb")
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
+def _read_exact(f, n: int, what: str) -> bytearray:
+    """n bytes, read in bounded chunks up to the end of the file."""
+    buf = bytearray()
     try:
-        buf = f.read(n)
+        while len(buf) < n and (chunk := f.read(min(n - len(buf), _READ_CHUNK))):
+            buf += chunk
     except EOFError:  # a gzip stream cut short
         raise TruncatedFileError(f"{what}: compressed file ends before its end marker") from None
     except (gzip.BadGzipFile, zlib.error) as exc:
@@ -104,10 +110,11 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         labels = np.frombuffer(_read_exact(f, n_labels, "label data"), dtype=np.uint8)
     if n != n_labels:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
+    if n == 0:
+        raise EmptyDatasetError(f"{images_path} holds no images")
     features = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
     labels = labels.astype(np.int64)
-    n_classes = int(labels.max()) + 1 if n else 1
-    return Dataset(features, labels, n_classes)
+    return Dataset(features, labels, int(labels.max()) + 1)
 
 
 def synth_blobs(n_classes: int, per_class: int, input_dim: int, spread: float, seed: int) -> Dataset:

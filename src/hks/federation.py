@@ -134,7 +134,7 @@ class FederationConfig:
         # chained comparisons are False for NaN, so they reject it too
         checks = [
             ("n_clients", self.n_clients >= 1),
-            ("rounds", self.rounds >= 0),
+            ("rounds", self.rounds >= 1),
             ("local_epochs", self.local_epochs >= 1),
             ("warmup_rounds", 0 <= self.warmup_rounds <= self.rounds),
             ("lr", 0 < self.lr < math.inf),
@@ -189,8 +189,8 @@ class FederationState:
     train: Dataset
     cache: KnowledgeCache
     global_test: Dataset
-    # fedcache's (n, R) neighbour rows, queried once at init, where hashes,
-    # labels and owners are fixed; None for every other method.
+    # fedcache's (n, min(R, n)) neighbour rows, queried once at init, where
+    # hashes, labels and owners are fixed; None for every other method.
     neighbors: Array | None
     round: int = 0
 

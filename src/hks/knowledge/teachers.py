@@ -105,12 +105,14 @@ def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
 
 def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, hashes: Array, R: int) -> Array:
     """Each row's R hash-nearest same-class rows of other clients, nearest
-    first, as an (n, R) table padded with -1. Row i of `hashes` and node i
-    of the index must be cache row i."""
+    first, as an (n, min(R, n)) table padded with -1. Row i of `hashes` and
+    node i of the index must be cache row i."""
     if len(hashes) != len(cache):
         raise ShapeError(f"hashes have {len(hashes)} rows, the cache {len(cache)}")
     labels = cache.read_labels()
     owner = cache.owner.tolist()
+    # a row has at most n neighbours, however large R is
+    R = min(R, len(cache))
     out = np.full((len(cache), R), -1, dtype=np.int64)
     for row in range(len(cache)):
 

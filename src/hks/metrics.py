@@ -58,16 +58,16 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Headline numbers for one run; None when no rounds were executed.
+    """Headline numbers for one run, which has at least one round.
 
     The one record of a run's results: its fields are the keys of the run's
     summary.json (with wall_seconds) and the metrics of the comparison table,
     so a new metric is a new field.
     """
 
-    maua: float | None
-    best_global_acc: float | None
-    final_global_acc: float | None
+    maua: float
+    best_global_acc: float
+    final_global_acc: float
 
 
 def evaluate(m: Model, ds: Dataset) -> float:
@@ -95,8 +95,7 @@ def maua(per_round_acc: Sequence) -> float:
 
 
 def summarize(reports: Sequence[RoundReport]) -> ExperimentSummary:
-    if not reports:
-        return ExperimentSummary(maua=None, best_global_acc=None, final_global_acc=None)
+    """The run's headline numbers; UndefinedMetricError without any round."""
     global_means = [r.mean_global_acc for r in reports]
     return ExperimentSummary(
         maua=maua([r.per_client_local_acc for r in reports]),

@@ -3,6 +3,7 @@ import csv
 import gzip
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -22,7 +23,8 @@ from hks.cli import (
     main,
     parse_config,
 )
-from hks.errors import ConfigError
+import hks.errors
+from hks.errors import ConfigError, HksError
 from hks.federation import FederationConfig, Method
 from hks.knowledge import Granularity
 from hks.metrics import ExperimentSummary
@@ -142,6 +144,19 @@ class TestRunCommand:
         code = main(["run", "--synthetic", "3,30,4,0.3", "--alpha-dir", "-1"])
         assert code == 2
         assert "alpha_dir" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"synthetic": "3,30,4,0.3", "out": "\xff"}')
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
+
+    def test_zero_rounds_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), "--rounds", "0", "--warmup-rounds", "0"]) == 2
+        assert capsys.readouterr().err == "error: constraint violation on 'rounds' (got 0)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -368,6 +383,40 @@ class TestIdxRuns:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_header_claiming_more_than_the_file_holds_exits_5(self, tmp_path, capsys, gz):
+        # 4294967295 images of 65535 x 65535 pixels: a single read of the
+        # declared payload overflows, and reading it whole would exhaust memory
+        self.write_dataset(tmp_path)
+        images = struct.pack(">IIII", 0x00000803, 2**32 - 1, 65535, 65535) + bytes(10)
+        path = tmp_path / ("big.idx.gz" if gz else "big.idx")
+        path.write_bytes(gzip.compress(images) if gz else images)
+        out = tmp_path / "run"
+        argv = ["run", "--idx-images", str(path), "--idx-labels", str(tmp_path / "labs.idx")]
+        assert main([*argv, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == f"error: pixel data: expected {(2**32 - 1) * 65535**2} bytes, got 10\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("empty", ["training", "training-with-test-pair", "test-pair"])
+    def test_idx_file_without_images_exits_8(self, tmp_path, capsys, empty):
+        self.write_dataset(tmp_path)
+        full = [str(tmp_path / "imgs.idx"), str(tmp_path / "labs.idx")]
+        blank = [str(tmp_path / "empty-imgs.idx"), str(tmp_path / "empty-labs.idx")]
+        Path(blank[0]).write_bytes(struct.pack(">IIII", 0x00000803, 0, 1, 16))
+        Path(blank[1]).write_bytes(struct.pack(">II", 0x00000801, 0))
+        train, test = {"training": (blank, None), "training-with-test-pair": (blank, full),
+                       "test-pair": (full, blank)}[empty]
+        out = tmp_path / "run"
+        argv = ["run", "--idx-images", train[0], "--idx-labels", train[1]]
+        if test is not None:
+            argv += ["--idx-test-images", test[0], "--idx-test-labels", test[1]]
+        argv += ["--method", "local_only", "--n-clients", "3", "--rounds", "2",
+                 "--warmup-rounds", "2", "--out", str(out)]
+        assert main(argv) == 8
+        assert capsys.readouterr().err == f"error: {blank[0]} holds no images\n"
+        assert not out.exists()
+
     def test_missing_idx_file_maps_to_io_exit_code(self, tmp_path):
         code = main(
             [
@@ -484,18 +533,20 @@ class TestSweepAndReport:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"synthetic": [3, 30, 4, 0.3], "alpha_dri": 1.0}',
-         '{"synthetic": [3, 30, 4, 0.3], "rounds": -1}',
-         '{"synthetic": [3, 30, 4, 0.3],'],
-        ids=["unknown-key", "bad-value", "not-json"],
+        [b'{"synthetic": [3, 30, 4, 0.3], "alpha_dri": 1.0}',
+         b'{"synthetic": [3, 30, 4, 0.3], "rounds": -1}',
+         b'{"synthetic": [3, 30, 4, 0.3],',
+         b'{"synthetic": [3, 30, 4, 0.3], "out": "\xff"}'],
+        ids=["unknown-key", "bad-value", "not-json", "not-utf8"],
     )
     def test_report_on_unreadable_settings_exits_2(self, tmp_path, capsys, text):
         run_dir = tmp_path / "runs" / "bad"
         assert main(["run", *fast_flags(run_dir), "--method", "local_only"]) == 0
-        (run_dir / "config.resolved.json").write_text(text)
+        (run_dir / "config.resolved.json").write_bytes(text)
         capsys.readouterr()
         assert main(["report", str(tmp_path / "runs")]) == 2
-        assert str(run_dir) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run {run_dir}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("drop", [None, "maua", "best_global_acc", "final_global_acc"],
                              ids=["not-json", "no-maua", "no-best", "no-final"])
@@ -517,8 +568,10 @@ class TestSweepAndReport:
         "key, value",
         [("maua", "0.5"), ("best_global_acc", True), ("final_global_acc", False),
          ("maua", 1.5), ("best_global_acc", -0.25), ("final_global_acc", float("nan")),
-         ("maua", float("inf")), ("maua", [0.5]), ("best_global_acc", {"mean": 0.5})],
-        ids=["string", "true", "false", "above-one", "negative", "nan", "inf", "list", "object"],
+         ("maua", float("inf")), ("maua", [0.5]), ("best_global_acc", {"mean": 0.5}),
+         ("maua", None)],
+        ids=["string", "true", "false", "above-one", "negative", "nan", "inf", "list", "object",
+             "null"],
     )
     def test_report_on_a_summary_value_that_is_not_a_fraction_exits_3(
         self, tmp_path, capsys, key, value
@@ -544,9 +597,7 @@ class TestSweepAndReport:
         sweep = ["sweep", *fast_flags(out), "--methods", "local_only,hks", "--granularities",
                  "middle", "--seeds", "0,1"]
         assert main(sweep) == 0
-        # a run without rounds has null summary values, which report as nan
-        assert main(["run", *fast_flags(out / "no_rounds"), "--method", "feddistill",
-                     "--rounds", "0", "--warmup-rounds", "0"]) == 0
+        assert main(["run", *fast_flags(out / "feddistill"), "--method", "feddistill"]) == 0
         report_file = tmp_path / "report.csv"
         assert main(["report", str(out), "--out", str(report_file)]) == 0
         capsys.readouterr()
@@ -564,9 +615,8 @@ class TestSweepAndReport:
             assert row["n_seeds"] == str(len(runs))
             for column, key in (("maua_mean", "maua"), ("best_global_acc_mean", "best_global_acc"),
                                 ("final_global_acc_mean", "final_global_acc")):
-                values = [float("nan") if r[key] is None else r[key] for r in runs]
+                values = [r[key] for r in runs]
                 assert row[column] == _fmt(sum(values) / len(values)), (row["method"], column)
-        assert [row["maua_mean"] for row in rows if row["method"] == "feddistill"] == ["nan"]
 
     @pytest.mark.parametrize(
         "flag, value, repeated",
@@ -607,6 +657,67 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert err == f"error: constraint violation on {key!r} (got {bad})\n"
         assert not out.exists()
+
+
+# The exit code of every error type; 10 and 14 are retired, and 19 and 21
+# are the codes of MemoryError and of any other OSError.
+EXIT_CODES = {
+    "ConfigError": 2, "FormatError": 3, "ConsistencyError": 4, "TruncatedFileError": 5,
+    "InfeasiblePartitionError": 6, "EmptyShardError": 7, "EmptyDatasetError": 8,
+    "DegenerateInputError": 9, "InsufficientDataError": 11, "StaleHierarchyError": 12,
+    "ModeError": 13, "UndefinedMetricError": 15, "ShapeError": 16, "InvalidInputError": 17,
+    "DivergenceError": 18, "HksError": 20,
+}
+OTHER_EXIT_CODES = {"MemoryError": 19, "OSError": 21}
+
+
+class TestExitCodes:
+    def test_every_error_type_has_its_own_code(self):
+        types = [v for v in vars(hks.errors).values() if isinstance(v, type) and issubclass(v, HksError)]
+        codes = {cls.__name__: cls.exit_code for cls in types}
+        assert codes == EXIT_CODES
+        assert len(set(codes.values()) | set(OTHER_EXIT_CODES.values())) == len(codes) + 2
+
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [*((getattr(hks.errors, name)("boom"), code, "error: boom")
+           for name, code in EXIT_CODES.items()),
+         (MemoryError("boom"), 19, "error: out of memory: boom"),
+         (FileNotFoundError("boom"), 21, "error: boom")],
+        ids=[*EXIT_CODES, "MemoryError", "OSError"],
+    )
+    def test_main_returns_the_code_with_one_error_line(
+        self, tmp_path, capsys, monkeypatch, exc, code, line
+    ):
+        import hks.cli
+
+        def fail(rc):
+            raise exc
+
+        monkeypatch.setattr(hks.cli, "load_experiment_data", fail)
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out)]) == code
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        import hks.cli
+
+        def fail(rc):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(hks.cli, "load_experiment_data", fail)
+        with pytest.raises(KeyError):
+            main(["run", *fast_flags(tmp_path / "run")])
+
+    def test_readme_table_lists_every_code(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| ") and line[2].isdigit()]
+        table = {kind.strip().strip("`"): int(code) for code, kind in rows}
+        assert len(table) == len(rows)
+        assert table == {**EXIT_CODES, **OTHER_EXIT_CODES}
 
 
 class TestModuleEntry:

@@ -339,7 +339,7 @@ class TestRunRound:
         flags = [run_round(state).hierarchy_built for _ in range(4)]
         assert flags == [False, False, False, True]
 
-    @pytest.mark.parametrize("rounds,warmup_rounds", [(4, 0), (4, 2), (4, 3), (4, 4), (0, 0)])
+    @pytest.mark.parametrize("rounds,warmup_rounds", [(4, 0), (4, 2), (4, 3), (4, 4), (1, 0)])
     def test_one_tree_per_distilling_round_and_none_after_the_last(
         self, dataset, rounds, warmup_rounds, monkeypatch
     ):
@@ -856,12 +856,10 @@ class TestGlobalAccuracyRecomputation:
 
 
 class TestRunExperiment:
-    def test_zero_rounds_flags_undefined_metrics(self, dataset):
-        train, test = dataset
-        result = run_experiment(tiny_cfg(rounds=0, warmup_rounds=0), train, test)
-        assert result.reports == []
-        assert result.summary.maua is None
-        assert result.summary.final_global_acc is None
+    def test_a_run_has_at_least_one_round(self):
+        # so every run's summary holds numbers
+        with pytest.raises(ConfigError, match="'rounds'"):
+            tiny_cfg(rounds=0, warmup_rounds=0)
 
     def test_reports_are_deterministic(self, dataset):
         train, test = dataset

@@ -831,9 +831,21 @@ class TestFedCacheTeacher:
 
     def test_r_beyond_population_means_everything_foreign(self):
         cache, index = self.crafted()
-        assert fedcache_neighbors(cache, index, self.HASHES, 5)[0].tolist() == [1, 2, 3, -1, -1]
+        # a row has at most one neighbour per cache row, so the table has 4 columns
+        assert fedcache_neighbors(cache, index, self.HASHES, 5)[0].tolist() == [1, 2, 3, -1]
         out = fedcache_query_teacher(cache, index, self.HASHES, 0, R=50)
         np.testing.assert_allclose(out, np.mean([[1.0, 1.0], [3.0, 3.0], [100.0, 100.0]], axis=0))
+
+    def test_r_beyond_the_cache_size_gives_the_table_of_r_equal_to_it(self):
+        cache, index = self.crafted()
+        n = len(cache)
+        exact = fedcache_neighbors(cache, index, self.HASHES, n)
+        beyond = fedcache_neighbors(cache, index, self.HASHES, n + 3)
+        np.testing.assert_array_equal(beyond, exact)
+        got = teacher_table(*fedcache_teacher(cache, beyond), 3.0)
+        want = teacher_table(*fedcache_teacher(cache, exact), 3.0)
+        for field in ("q", "h", "has"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
     @pytest.mark.parametrize("n_hashes", [3, 5])
     def test_hashes_with_the_wrong_row_count_rejected(self, n_hashes):

@@ -127,11 +127,9 @@ class TestGlobalAccuracy:
 
 
 class TestSummarize:
-    def test_empty_is_flagged_undefined(self):
-        s = summarize([])
-        assert s.maua is None
-        assert s.best_global_acc is None
-        assert s.final_global_acc is None
+    def test_empty_is_undefined(self):
+        with pytest.raises(UndefinedMetricError):
+            summarize([])
 
     def test_best_and_final(self):
         reports = [
