@@ -5,7 +5,7 @@ A round has three phases. The server phase (`teacher_tables`) builds every
 structure the round's teachers read from the cache as the previous round's
 barrier left it, and changes no field of the state: hks clusters the cache
 into this round's tree, which is never kept, and fedcache reads the
-neighbour rows that init queried. The client phase trains one
+neighbour rows that init searched. The client phase trains one
 capacity tier at a time, all of the tier's clients in lockstep as the one
 stack of models that holds them for the whole run. Clients are independent,
 and each keeps its own batch order, RNG stream and teacher rows, so every
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .knowledge import (
     Granularity,
-    HnswIndex,
     KnowledgeCache,
     RandomProjectionEncoder,
     build_hierarchy,
@@ -71,12 +70,13 @@ class Method(str, Enum):
 
 LOGIT_METHODS = frozenset({Method.FEDDISTILL, Method.FEDCACHE, Method.HKS})
 
-# Seed-stream tags; every derived stream is keyed by (seed, tag, ...).
+# Seed-stream tags; every derived stream is keyed by (seed, tag, ...). Tags
+# are never renumbered or reused (5 is retired): either would change runs'
+# streams.
 _TAG_PARTITION = 1
 _TAG_LOCAL_SPLIT = 2
 _TAG_MODEL_INIT = 3
 _TAG_ENCODER = 4
-_TAG_HNSW = 5
 _TAG_DATA = 6
 
 
@@ -114,9 +114,6 @@ class FederationConfig:
     min_per_client: int | None = None
     fedavg_tier: CapacityTier = CapacityTier.SMALL
     d_hash: int = 32
-    hnsw_m: int = 16
-    hnsw_ef_construction: int = 200
-    hnsw_ef_search: int = 64
     linkage: str = "average"
     cluster_space: str = "logits"
 
@@ -145,9 +142,6 @@ class FederationConfig:
             ("test_fraction", 0 < self.test_fraction < 1),
             ("min_per_client", self.min_per_client >= 0),
             ("d_hash", self.d_hash >= 1),
-            ("hnsw_m", self.hnsw_m >= 2),
-            ("hnsw_ef_construction", self.hnsw_ef_construction >= 1),
-            ("hnsw_ef_search", self.hnsw_ef_search >= 1),
             ("linkage", self.linkage in ("average", "single", "complete")),
             ("cluster_space", self.cluster_space in ("logits", "soft")),
         ]
@@ -189,7 +183,7 @@ class FederationState:
     train: Dataset
     cache: KnowledgeCache
     global_test: Dataset
-    # fedcache's (n, min(R, n)) neighbour rows, queried once at init, where
+    # fedcache's (n, min(R, n)) neighbour rows, searched once at init, where
     # hashes, labels and owners are fixed; None for every other method.
     neighbors: Array | None
     round: int = 0
@@ -207,7 +201,7 @@ def init_federation(
 ) -> FederationState:
     """Partition data, build tiered clients and the knowledge cache for a config
     that checked itself when built; fedcache also hashes every sample and
-    queries each row's neighbour rows once, from an index it then drops."""
+    searches each row's neighbour rows once, exactly, with no index."""
     if global_test is None or len(global_test) == 0:
         raise ConfigError("a nonempty global test set is required to report rounds")
     spec = PartitionSpec(
@@ -263,17 +257,7 @@ def init_federation(
         encoder = RandomProjectionEncoder(
             dataset.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER)
         )
-        hashes = encoder.encode_rows(train.features)
-        index = HnswIndex(
-            cfg.d_hash,
-            m=cfg.hnsw_m,
-            ef_construction=cfg.hnsw_ef_construction,
-            ef_search=cfg.hnsw_ef_search,
-            seed=child_seed(cfg.seed, _TAG_HNSW),
-        )
-        for h in hashes:
-            index.insert(h)
-        neighbors = fedcache_neighbors(cache, index, hashes, cfg.R)
+        neighbors = fedcache_neighbors(cache, encoder.encode_rows(train.features), cfg.R)
     return FederationState(
         config=cfg,
         clients=clients,

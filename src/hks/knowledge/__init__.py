@@ -1,4 +1,5 @@
-"""Server-side knowledge store: logit cache, hash index, cluster hierarchy."""
+"""Server-side knowledge store: logit cache, sample hashes, cluster hierarchy,
+teacher builders, and a standalone HNSW index that no run builds."""
 from .cache import KnowledgeCache
 from .hashing import RandomProjectionEncoder
 from .hierarchy import ClusterTree, Merge, agglomerate, build_hierarchy

@@ -4,7 +4,8 @@ One columnar table with a row per training sample, laid out client by
 client and, within a client, by local index, so client k's rows form block
 k: the latest uploaded logits and, only for the methods that read them
 (feddistill, fedcache), class labels. The row is the server's only sample
-key: the cluster tree's leaves and the hash index's nodes are cache rows.
+key: the cluster tree's leaves and fedcache's neighbour entries are cache
+rows.
 Every client uploads in every round of a logit method, so the round's
 barrier writes all rows at once and the cache holds either no logits or one
 round's; the server phase and the clients only read.

@@ -6,8 +6,12 @@ layers, then runs a best-first scan with an ef-sized candidate pool at the
 bottom. Each insert and each query first computes its squared distances to
 every indexed node in one numpy pass; the best-first search then reads that
 list, so a search step costs no numpy call. The i-th inserted vector is
-node i, and queries return nodes: the federation inserts its samples' hashes
-in cache-row order, so a node is a cache row.
+node i, and queries return nodes.
+
+A standalone approximate-nearest-neighbour component, checked on its own by
+acceptance criterion 3 (recall@10 against an exhaustive scan). No run builds
+it: fedcache's neighbour table comes from an exact search
+(`teachers.fedcache_neighbors`).
 """
 from __future__ import annotations
 

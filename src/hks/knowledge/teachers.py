@@ -8,8 +8,9 @@ Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path; the two
 baselines aggregate by class label (global mean, or R hash-nearest
 neighbours) and therefore require the cache's label-storing mode. FedCache's
-neighbour rows are queried once per sample, when the federation is built
-(`fedcache_neighbors`); `fedcache_teacher` averages their current logits.
+neighbour table is searched exactly, once, when the federation is built
+(`fedcache_neighbors`); `fedcache_teacher` averages the neighbours' current
+logits.
 """
 from __future__ import annotations
 
@@ -17,10 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import ShapeError, StaleHierarchyError
+from ..errors import InvalidInputError, ShapeError, StaleHierarchyError
 from .cache import KnowledgeCache
 from .hierarchy import ClusterTree
-from .hnsw import HnswIndex
 
 Array = np.ndarray
 
@@ -103,27 +103,50 @@ def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
     return out, has
 
 
-def fedcache_neighbors(cache: KnowledgeCache, index: HnswIndex, hashes: Array, R: int) -> Array:
+# Rows per block of the neighbour search are chosen so that one block's
+# (rows, class size, d_hash) hash differences hold about this many float64s
+# (128 KB), or one row's when a class is larger.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def fedcache_neighbors(cache: KnowledgeCache, hashes: Array, R: int) -> Array:
     """Each row's R hash-nearest same-class rows of other clients, nearest
-    first, as an (n, min(R, n)) table padded with -1. Row i of `hashes` and
-    node i of the index must be cache row i."""
-    if len(hashes) != len(cache):
-        raise ShapeError(f"hashes have {len(hashes)} rows, the cache {len(cache)}")
+    first, as an (n, min(R, n)) table padded with -1; equal distances go to
+    the lower row. Row i of `hashes` is cache row i.
+
+    The search is exact: per class and in blocks of rows, the squared hash
+    distances to every row of the class, with the row's own client masked.
+    """
+    hashes = np.asarray(hashes, dtype=np.float64)
+    if hashes.ndim != 2 or len(hashes) != len(cache):
+        raise ShapeError(f"hashes must have {len(cache)} rows of d_hash, got shape {hashes.shape}")
+    if not np.isfinite(hashes).all():
+        raise InvalidInputError("hashes must be finite")
+    if R < 1:
+        raise InvalidInputError(f"R must be >= 1, got {R}")
     labels = cache.read_labels()
-    owner = cache.owner.tolist()
     # a row has at most n neighbours, however large R is
-    R = min(R, len(cache))
-    out = np.full((len(cache), R), -1, dtype=np.int64)
-    for row in range(len(cache)):
-
-        def same_class_foreign(other: int) -> bool:
-            if owner[other] == owner[row]:
-                return False
-            cache.label_reads += 1
-            return labels[other] == labels[row]
-
-        found = index.query(hashes[row], R, same_class_foreign)
-        out[row, : len(found)] = found
+    out = np.full((len(cache), min(R, len(cache))), -1, dtype=np.int64)
+    for y in np.unique(labels):
+        members = np.flatnonzero(labels == y)
+        H, owner = hashes[members], cache.owner[members]
+        k = min(out.shape[1], len(members))
+        step = max(1, _BLOCK_ELEMENTS // max(H.size, 1))
+        for lo in range(0, len(members), step):
+            rows = members[lo : lo + step]
+            diff = (H[None] - hashes[rows][:, None]).reshape(-1, H.shape[1])
+            d2 = np.einsum("ij,ij->i", diff, diff).reshape(len(rows), -1)
+            own = owner == cache.owner[rows][:, None]
+            d2[own] = np.inf
+            # every foreign row within a row's k-th smallest distance, then
+            # the first k of them by (row, distance, column)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            r, c = np.nonzero((d2 <= kth) & ~own)
+            order = np.lexsort((c, d2[r, c], r))
+            r, c = r[order], c[order]
+            rank = np.arange(len(r)) - np.searchsorted(r, r)
+            first = rank < k
+            out[rows[r[first]], rank[first]] = members[c[first]]
     return out
 
 

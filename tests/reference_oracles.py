@@ -239,6 +239,27 @@ def exact_knn(
     return out
 
 
+def neighbour_table(cache, hashes, R, query):
+    """FedCache's neighbour table row by row: `query(h, k, predicate)` gives
+    each row's R nearest same-class rows of other clients, in an
+    (n, min(R, n)) table padded with -1."""
+    n = len(cache)
+    table = np.full((n, min(R, n)), -1, dtype=np.int64)
+    for row in range(n):
+
+        def same_class_foreign(other):
+            return cache.owner[other] != cache.owner[row] and cache.labels[other] == cache.labels[row]
+
+        found = query(hashes[row], R, same_class_foreign)
+        table[row, : len(found)] = found
+    return table
+
+
+def exact_neighbour_table(cache, hashes, R):
+    """FedCache's neighbour table from `exact_knn` over the hashes."""
+    return neighbour_table(cache, hashes, R, lambda h, k, keep: exact_knn(hashes, h, k, keep))
+
+
 def knn_by_sorting(points, query, k):
     """Independent distance-table kNN: full sort of (distance, index) rows."""
     points = np.asarray(points, dtype=np.float64)

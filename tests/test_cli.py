@@ -720,6 +720,40 @@ class TestExitCodes:
         assert table == {**EXIT_CODES, **OTHER_EXIT_CODES}
 
 
+class TestRemovedHnswKeys:
+    """fedcache's neighbours come from an exact search, so the HNSW settings
+    are gone: a flag, a settings file or a run directory that holds one is
+    rejected with exit 2, naming the key."""
+
+    def test_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", *fast_flags(out), "--method", "fedcache", "--hnsw-m", "8"])
+        assert exit_info.value.code == 2
+        assert "--hnsw-m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["hnsw_m", "hnsw_ef_construction", "hnsw_ef_search"])
+    def test_config_file_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": "3,30,4,0.3", "method": "fedcache", key: 8}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
+        assert not out.exists()
+
+    def test_report_over_a_run_holding_the_key_exits_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "runs" / "old"
+        assert main(["run", *fast_flags(run_dir), "--method", "fedcache"]) == 0
+        settings_file = run_dir / "config.resolved.json"
+        settings = json.loads(settings_file.read_text())
+        settings_file.write_text(json.dumps({**settings, "hnsw_m": 16}))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: run {run_dir}: unknown config key: 'hnsw_m'\n"
+
+
 class TestModuleEntry:
     """`python -m hks.cli` runs the same command line as the console script."""
 
@@ -876,9 +910,6 @@ NON_DEFAULT = {
     "min_per_client": 5,
     "fedavg_tier": "large",
     "d_hash": 16,
-    "hnsw_m": 8,
-    "hnsw_ef_construction": 50,
-    "hnsw_ef_search": 20,
     "linkage": "single",
     "cluster_space": "soft",
     "synthetic": [5, 20, 6, 0.5],

@@ -16,7 +16,6 @@ from hks.errors import (
 )
 from hks.federation import (
     _TAG_ENCODER,
-    _TAG_HNSW,
     FederationConfig,
     Method,
     child_seed,
@@ -31,7 +30,6 @@ from hks.knowledge import (
     KnowledgeCache,
     RandomProjectionEncoder,
     build_hierarchy,
-    fedcache_neighbors,
 )
 from hks.metrics import evaluate
 from hks.models import TIER_HIDDEN, CapacityTier, Model, forward_batch
@@ -39,8 +37,10 @@ from hks.numerics import KdConfig
 
 from reference_oracles import (
     ReferenceHnsw,
+    exact_neighbour_table,
     feddistill_class_teacher,
     mean_kd,
+    neighbour_table,
     neighbour_teacher,
     one_model_loss_and_grad,
     path_teacher,
@@ -75,18 +75,6 @@ def dataset():
     return tiny_data()
 
 
-def recording_indexes(monkeypatch):
-    """Collect every hash index `init_federation` builds."""
-    built = []
-
-    def build(*args, **kwargs):
-        built.append(HnswIndex(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(federation, "HnswIndex", build)
-    return built
-
-
 def sample_hashes(state):
     """Every cache row's hash, from the config's encoder seed stream, as
     `init_federation` hashes its training samples."""
@@ -95,22 +83,6 @@ def sample_hashes(state):
         state.train.input_dim, cfg.d_hash, child_seed(cfg.seed, _TAG_ENCODER)
     )
     return encoder.encode_rows(state.train.features)
-
-
-def fresh_index(state, kind=HnswIndex):
-    """A new index of `kind` over the state's sample hashes, built with the
-    config's settings and seed stream, as `init_federation` builds its own."""
-    cfg = state.config
-    index = kind(
-        cfg.d_hash,
-        m=cfg.hnsw_m,
-        ef_construction=cfg.hnsw_ef_construction,
-        ef_search=cfg.hnsw_ef_search,
-        seed=child_seed(cfg.seed, _TAG_HNSW),
-    )
-    for h in sample_hashes(state):
-        index.insert(h)
-    return index
 
 
 class TestInit:
@@ -124,17 +96,21 @@ class TestInit:
         assert tiers.count(CapacityTier.LARGE) == 6
 
     def test_cache_covers_every_training_sample(self, dataset, monkeypatch):
-        # only fedcache reads the hash index, so only fedcache builds it
+        # only fedcache has a neighbour table, and no method builds a hash index
         train, test = dataset
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("a run built an HNSW index")
+
+        monkeypatch.setattr(HnswIndex, "__init__", no_index)
         for method in Method:
-            built = recording_indexes(monkeypatch)
             state = init_federation(tiny_cfg(method), train, test)
             total_train = sum(len(c.shard.train) for c in state.clients)
             assert len(state.cache) == total_train
             if method is Method.FEDCACHE:
-                assert [len(index) for index in built] == [total_train]
+                assert state.neighbors.shape == (total_train, state.config.R)
             else:
-                assert built == [], method
+                assert state.neighbors is None, method
 
     @pytest.mark.parametrize("global_test", [None, "empty"])
     def test_global_test_set_required_before_any_training(self, dataset, global_test, monkeypatch):
@@ -176,17 +152,25 @@ class TestInit:
 
     def test_hashes_only_for_fedcache(self, dataset, monkeypatch):
         train, test = dataset
+        search = federation.fedcache_neighbors
         for method in Method:
-            built = recording_indexes(monkeypatch)
+            searched = []
+
+            def recording(cache, hashes, R):
+                searched.append(hashes)
+                return search(cache, hashes, R)
+
+            monkeypatch.setattr(federation, "fedcache_neighbors", recording)
             state = init_federation(tiny_cfg(method, d_hash=5), train, test)
             assert not hasattr(state.cache, "hashes")
             if method is Method.FEDCACHE:
-                (index,) = built
-                assert index.dim == 5 and len(index) == len(state.cache)
-                np.testing.assert_allclose(np.linalg.norm(sample_hashes(state), axis=1), 1.0)
+                (hashes,) = searched
+                np.testing.assert_array_equal(hashes, sample_hashes(state))
+                assert hashes.shape == (len(state.cache), 5)
+                np.testing.assert_allclose(np.linalg.norm(hashes, axis=1), 1.0)
                 assert state.neighbors.shape == (len(state.cache), state.config.R)
             else:
-                assert built == [], method
+                assert searched == [], method
                 assert state.neighbors is None, method
 
     def test_cache_rows_are_client_blocks_in_local_index_order(self, dataset):
@@ -289,7 +273,7 @@ class TestRunRound:
     def test_no_table_before_the_first_upload(self, dataset, method):
         train, test = dataset
         state = init_federation(tiny_cfg(method, warmup_rounds=0), train, test)
-        # fedcache reads labels only to query its neighbours, at init
+        # fedcache reads labels only to search its neighbours, at init
         reads = state.cache.label_reads
         assert (reads > 0) == (method is Method.FEDCACHE)
         assert federation.teacher_tables(state, 0) is None
@@ -414,36 +398,23 @@ def record_tables(monkeypatch):
     return seen
 
 
-class RecordingIndex:
-    """Index wrapper that appends every id a query's predicate is asked about."""
-
-    def __init__(self, index, calls):
-        self.index, self.calls = index, calls
-
-    def query(self, h, k, predicate):
-        def recorded(other):
-            self.calls.append(other)
-            return predicate(other)
-
-        return self.index.query(h, k, recorded)
-
-
 class TestFedCacheNeighbourTable:
     def run_recording(self, state, monkeypatch):
         """Run every round; per round, the tables the client phase read and
-        each sample's teacher from a fresh index query at the round's start."""
+        each sample's teacher from the exact-kNN neighbour rows at the
+        round's start."""
         seen = record_tables(monkeypatch)
         expected = {}
-        index, hashes = fresh_index(state), sample_hashes(state)
+        hashes = sample_hashes(state)
         for t in range(state.config.rounds):
-            neighbours = fedcache_neighbors(state.cache, index, hashes, state.config.R)
+            neighbours = exact_neighbour_table(state.cache, hashes, state.config.R)
             for row in range(len(state.cache)):
                 expected[(t, row)] = neighbour_teacher(state.cache, neighbours[row])
             run_round(state)
         return seen, expected
 
     @pytest.mark.parametrize("warmup_rounds", [0, 2])
-    def test_table_teacher_matches_fresh_query_every_round(self, dataset, warmup_rounds, monkeypatch):
+    def test_table_teacher_matches_exact_knn_every_round(self, dataset, warmup_rounds, monkeypatch):
         train, test = dataset
         cfg = tiny_cfg(Method.FEDCACHE, rounds=5, warmup_rounds=warmup_rounds)
         state = init_federation(cfg, train, test)
@@ -467,70 +438,65 @@ class TestFedCacheNeighbourTable:
         assert sum(seen[(first, k)].has.sum() for k in range(3)) > n // 2
 
     @pytest.mark.parametrize("warmup_rounds", [0, 2])
-    def test_index_queried_once_per_sample_per_run(self, dataset, warmup_rounds, monkeypatch):
+    def test_neighbours_searched_once_per_run(self, dataset, warmup_rounds, monkeypatch):
         train, test = dataset
-        query = HnswIndex.query
+        search = federation.fedcache_neighbors
         calls = []
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return query(self, *args, **kwargs)
+        def counted(cache, hashes, R):
+            calls.append(len(hashes))
+            return search(cache, hashes, R)
 
-        monkeypatch.setattr(HnswIndex, "query", counted)
+        monkeypatch.setattr(federation, "fedcache_neighbors", counted)
         cfg = tiny_cfg(Method.FEDCACHE, rounds=5, warmup_rounds=warmup_rounds)
         result = run_experiment(cfg, train, test)
-        assert len(calls) == len(result.state.cache)
+        assert calls == [len(result.state.cache)]
         assert len(result.state.neighbors) == len(result.state.cache)
 
-    def test_init_table_equals_a_fresh_query(self, dataset):
+    def test_init_table_equals_exact_knn(self, dataset):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDCACHE, R=3), train, test)
-        table = fedcache_neighbors(state.cache, fresh_index(state), sample_hashes(state), 3)
+        table = exact_neighbour_table(state.cache, sample_hashes(state), 3)
         np.testing.assert_array_equal(state.neighbors, table)
         assert state.neighbors.dtype == table.dtype
 
     def test_benchmark_scale_table_matches_the_reference_index(self):
-        # the fedcache benchmark's federation: 638 indexed samples, R=4
+        # the fedcache benchmark's federation: 638 samples, R=4. Runs built
+        # their table from an HNSW index with m=16, ef_construction=200,
+        # ef_search=64 and seed stream 5; the exact table equals it row for row.
         rc = parse_config(
             overrides=dict(synthetic="4,200,16,0.3", method="fedcache", R=4, n_clients=10, alpha_dir=0.5)
         )
         train, test = load_experiment_data(rc)
         state = init_federation(rc.federation, train, test)
-        index, reference = fresh_index(state), fresh_index(state, ReferenceHnsw)
-        assert type(index) is HnswIndex and type(reference) is ReferenceHnsw
+        cache, hashes = state.cache, sample_hashes(state)
+        assert len(cache) == 638
+        dim, seed = rc.federation.d_hash, child_seed(rc.federation.seed, 5)
+        index, reference = HnswIndex(dim, seed=seed), ReferenceHnsw(dim, seed=seed)
+        for h in hashes:
+            index.insert(h)
+            reference.insert(h)
         assert index.neighbors == reference.neighbors
         assert index.levels == reference.levels
         assert index.entry_point == reference.entry_point
 
-        cache, hashes = state.cache, sample_hashes(state)
-        assert len(cache) == 638
-        cache.update_logits(np.zeros_like(cache.logits), 0)
-
-        def neighbours(index):
-            calls, reads = [], cache.label_reads
-            table = fedcache_neighbors(cache, RecordingIndex(index, calls), hashes, rc.federation.R)
-            return table, calls, cache.label_reads - reads
-
-        table, calls, reads = neighbours(index)
-        reference_table, reference_calls, reference_reads = neighbours(reference)
-        np.testing.assert_array_equal(table, reference_table)
+        R = rc.federation.R
+        table = neighbour_table(cache, hashes, R, index.query)
+        np.testing.assert_array_equal(table, neighbour_table(cache, hashes, R, reference.query))
         np.testing.assert_array_equal(state.neighbors, table)
-        assert calls == reference_calls
-        assert reads == reference_reads
         assert (table >= 0).all()
 
     def test_every_label_read_happens_at_init(self, dataset, monkeypatch):
         train, test = dataset
         cfg = tiny_cfg(Method.FEDCACHE, rounds=4, warmup_rounds=2)
         state = init_federation(cfg, train, test)
-        # one query pass over a fresh index reads as many labels as init did
-        reads = state.cache.label_reads
-        fedcache_neighbors(state.cache, fresh_index(state), sample_hashes(state), cfg.R)
-        assert state.cache.label_reads == 2 * reads > 0
+        # one search reads each row's label once
+        n = len(state.cache)
+        assert state.cache.label_reads == n
         seen = record_tables(monkeypatch)
         for _ in range(cfg.rounds):
             run_round(state)
-            assert state.cache.label_reads == 2 * reads
+            assert state.cache.label_reads == n
         assert [t for (t, _), table in seen.items() if table is not None] == [2] * 3 + [3] * 3
 
 
@@ -563,7 +529,7 @@ def oracle_teachers(state):
         return [path_teacher(cache, tree, row, cfg.granularity, cfg.exclude_self) for row in rows]
     if cfg.method is Method.FEDDISTILL:
         return [feddistill_class_teacher(cache, row) for row in rows]
-    neighbours = fedcache_neighbors(cache, fresh_index(state), sample_hashes(state), cfg.R)
+    neighbours = exact_neighbour_table(cache, sample_hashes(state), cfg.R)
     return [neighbour_teacher(cache, neighbours[row]) for row in rows]
 
 

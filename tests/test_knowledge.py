@@ -26,6 +26,7 @@ from hks.knowledge import (
     feddistill_teacher,
     fetch_teacher,
 )
+from hks.knowledge import teachers
 from hks.knowledge.hierarchy import _pairwise_distances
 from hks.numerics import teacher_table
 
@@ -34,6 +35,7 @@ from reference_oracles import (
     cut_partition,
     dense_linkage,
     exact_knn,
+    exact_neighbour_table,
     knn_by_sorting,
     members,
     naive_linkage,
@@ -790,18 +792,9 @@ class TestFedDistillTeacher:
             feddistill_teacher(cache)
 
 
-def index_rows(hashes):
-    """HNSW index over the hashes, node i for row i, as the federation
-    builds it over its cache rows."""
-    index = HnswIndex(hashes.shape[1], seed=0)
-    for h in hashes:
-        index.insert(h)
-    return index
-
-
-def fedcache_query_teacher(cache, index, hashes, row, R):
-    """A row's fedcache teacher from a fresh neighbour query, or None."""
-    neighbours = fedcache_neighbors(cache, index, hashes, R)
+def fedcache_query_teacher(cache, hashes, row, R):
+    """A row's fedcache teacher from a fresh neighbour search, or None."""
+    neighbours = fedcache_neighbors(cache, hashes, R)
     rows = teacher_rows(fedcache_teacher(cache, neighbours), row)
     return rows[0] if rows else None
 
@@ -812,64 +805,101 @@ class TestFedCacheTeacher:
 
     def crafted(self):
         logits = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [100.0, 100.0]])
-        cache = cache_from_rows([1, 1, 1, 1], logits, labels=[0, 0, 0, 0])
-        return cache, index_rows(self.HASHES)
+        return cache_from_rows([1, 1, 1, 1], logits, labels=[0, 0, 0, 0])
 
     def test_r1_single_foreign(self):
-        cache, index = self.crafted()
-        out = fedcache_query_teacher(cache, index, self.HASHES, 0, R=1)
+        cache = self.crafted()
+        out = fedcache_query_teacher(cache, self.HASHES, 0, R=1)
         np.testing.assert_allclose(out, [1.0, 1.0])
 
     def test_r2_means_two_closest_matching_exact_knn(self):
-        cache, index = self.crafted()
+        cache = self.crafted()
         expected_rows = exact_knn(
             self.HASHES, self.HASHES[0], 2, lambda row: cache.owner[row] != 0 and cache.labels[row] == 0
         )
         assert expected_rows == [1, 2]
-        assert fedcache_neighbors(cache, index, self.HASHES, 2)[0].tolist() == [1, 2]
-        np.testing.assert_allclose(fedcache_query_teacher(cache, index, self.HASHES, 0, R=2), [2.0, 2.0])
+        assert fedcache_neighbors(cache, self.HASHES, 2)[0].tolist() == [1, 2]
+        np.testing.assert_allclose(fedcache_query_teacher(cache, self.HASHES, 0, R=2), [2.0, 2.0])
 
     def test_r_beyond_population_means_everything_foreign(self):
-        cache, index = self.crafted()
+        cache = self.crafted()
         # a row has at most one neighbour per cache row, so the table has 4 columns
-        assert fedcache_neighbors(cache, index, self.HASHES, 5)[0].tolist() == [1, 2, 3, -1]
-        out = fedcache_query_teacher(cache, index, self.HASHES, 0, R=50)
+        assert fedcache_neighbors(cache, self.HASHES, 5)[0].tolist() == [1, 2, 3, -1]
+        out = fedcache_query_teacher(cache, self.HASHES, 0, R=50)
         np.testing.assert_allclose(out, np.mean([[1.0, 1.0], [3.0, 3.0], [100.0, 100.0]], axis=0))
 
     def test_r_beyond_the_cache_size_gives_the_table_of_r_equal_to_it(self):
-        cache, index = self.crafted()
+        cache = self.crafted()
         n = len(cache)
-        exact = fedcache_neighbors(cache, index, self.HASHES, n)
-        beyond = fedcache_neighbors(cache, index, self.HASHES, n + 3)
+        exact = fedcache_neighbors(cache, self.HASHES, n)
+        beyond = fedcache_neighbors(cache, self.HASHES, n + 3)
         np.testing.assert_array_equal(beyond, exact)
         got = teacher_table(*fedcache_teacher(cache, beyond), 3.0)
         want = teacher_table(*fedcache_teacher(cache, exact), 3.0)
         for field in ("q", "h", "has"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
+    def test_equal_distances_go_to_the_lower_row(self):
+        # every hash is equal, so each row's neighbours are the other rows in row order
+        cache = cache_from_rows([2, 1, 2], np.zeros((5, 2)), labels=[0] * 5)
+        table = fedcache_neighbors(cache, np.ones((5, 3)), 5)
+        assert table.tolist() == [
+            [2, 3, 4, -1, -1],
+            [2, 3, 4, -1, -1],
+            [0, 1, 3, 4, -1],
+            [0, 1, 2, -1, -1],
+            [0, 1, 2, -1, -1],
+        ]
+
     @pytest.mark.parametrize("n_hashes", [3, 5])
     def test_hashes_with_the_wrong_row_count_rejected(self, n_hashes):
         # row i of the hashes is cache row i, so a wrong count is never cut to fit
-        cache, index = self.crafted()
+        cache = self.crafted()
         hashes = np.resize(self.HASHES, (n_hashes, 2))
         with pytest.raises(ShapeError):
-            fedcache_neighbors(cache, index, hashes, 2)
+            fedcache_neighbors(cache, hashes, 2)
         assert cache.label_reads == 0
+
+    def test_hashes_that_are_not_a_table_rejected(self):
+        cache = self.crafted()
+        with pytest.raises(ShapeError):
+            fedcache_neighbors(cache, self.HASHES[:, 0], 2)
+        assert cache.label_reads == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hash_rejected(self, value):
+        cache = self.crafted()
+        hashes = self.HASHES.copy()
+        hashes[2, 1] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            fedcache_neighbors(cache, hashes, 2)
+        assert cache.label_reads == 0
+
+    def test_r_below_one_rejected(self):
+        cache = self.crafted()
+        with pytest.raises(InvalidInputError):
+            fedcache_neighbors(cache, self.HASHES, 0)
+        assert cache.label_reads == 0
+
+    def test_each_label_read_once(self):
+        cache = self.crafted()
+        fedcache_neighbors(cache, self.HASHES, 2)
+        assert cache.label_reads == len(cache)
 
     def test_unavailable_when_no_foreign_same_class(self):
         cache = cache_from_rows([1], [[0.5, 0.5]], labels=[1])
         hashes = np.array([[1.0, 0.0]])
-        assert fedcache_query_teacher(cache, index_rows(hashes), hashes, 0, R=3) is None
+        assert fedcache_query_teacher(cache, hashes, 0, R=3) is None
 
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0, 0.0]])
         hashes = np.array([[1.0, 0.0]])
         with pytest.raises(ModeError):
-            fedcache_query_teacher(cache, index_rows(hashes), hashes, 0, R=1)
+            fedcache_query_teacher(cache, hashes, 0, R=1)
 
     def test_teacher_reads_current_logits_of_stored_neighbours(self):
-        cache, index = self.crafted()
-        neighbours = fedcache_neighbors(cache, index, self.HASHES, 2)
+        cache = self.crafted()
+        neighbours = fedcache_neighbors(cache, self.HASHES, 2)
         logits = cache.logits.copy()
         logits[1] = [5.0, 7.0]
         cache.update_logits(logits, 1)
@@ -877,6 +907,40 @@ class TestFedCacheTeacher:
         np.testing.assert_allclose(teacher_rows(teachers, 0), [[4.0, 5.0]])
 
     def test_no_neighbours_means_no_teacher(self):
-        cache, _ = self.crafted()
+        cache = self.crafted()
         teachers = fedcache_teacher(cache, np.full((4, 2), -1))
         assert all(teacher_rows(teachers, row) == [] for row in range(4))
+
+
+class TestFedCacheNeighboursMatchExactKnn:
+    def tie_heavy(self, seed, kind):
+        """A cache of 4 clients (some may be empty) and hashes with many
+        equal distances: a few repeated vectors, or points of a small
+        integer grid. Class 3 is held by one client only, so its rows have
+        no foreign member."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(0, 7, size=4)
+        sizes[seed % 4] += 2
+        n = int(sizes.sum())
+        labels = rng.integers(0, 3, size=n)
+        labels[: sizes[0]] = 3
+        if kind == "duplicates":
+            hashes = rng.normal(size=(3, 4))[rng.integers(0, 3, size=n)]
+        else:
+            hashes = rng.integers(-1, 2, size=(n, 2)).astype(np.float64)
+        return cache_from_rows(sizes.tolist(), np.zeros((n, 2)), labels=labels), hashes
+
+    @pytest.mark.parametrize("block_elements", [1, 7, None])
+    @pytest.mark.parametrize("kind", ["duplicates", "grid"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_row_equals_exact_knn(self, seed, kind, block_elements, monkeypatch):
+        if block_elements is not None:
+            # blocks of one or a few rows, not the whole class
+            monkeypatch.setattr(teachers, "_BLOCK_ELEMENTS", block_elements)
+        cache, hashes = self.tie_heavy(seed, kind)
+        n = len(cache)
+        for R in sorted({1, 2, n, n + 3}):
+            table = fedcache_neighbors(cache, hashes, R)
+            np.testing.assert_array_equal(table, exact_neighbour_table(cache, hashes, R), err_msg=str(R))
+            assert table.shape == (n, min(R, n)) and table.dtype == np.int64
+            assert (table[cache.labels == 3] == -1).all()

@@ -85,7 +85,9 @@ def test_traced_run_yields_nested_spans_and_the_layer_counts_it_implies(method, 
         assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == 0
     elif method == "fedcache":
         assert metrics["hierarchy.build_calls"] == 0
-        assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == len(cache)
+        # the neighbour search is exact: no index, one label read per row
+        assert metrics["hnsw.insert_calls"] == metrics["hnsw.query_calls"] == 0
+        assert metrics["cache.label_reads"] == len(cache)
     else:
         assert metrics["hierarchy.build_calls"] == metrics["teachers.fetch_calls"] == 0
         assert metrics["models.fedavg_aggregate_s"] > 0
