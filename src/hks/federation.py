@@ -55,7 +55,7 @@ from .models import (
     fedavg_aggregate,
     train_step,
 )
-from .numerics import KdConfig, LossBreakdown, TeacherTable, teacher_table
+from .numerics import KdConfig, LossBreakdown, TeacherTable
 
 Array = np.ndarray
 
@@ -294,12 +294,10 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
             space=cfg.cluster_space,
             temperature=cfg.kd.temperature,
         )
-        logits, mask = fetch_teacher(state.cache, tree, cfg.granularity, cfg.exclude_self)
-    elif cfg.method is Method.FEDDISTILL:
-        logits, mask = feddistill_teacher(state.cache)
-    else:
-        logits, mask = fedcache_teacher(state.cache, state.neighbors)
-    return teacher_table(logits, mask, cfg.kd.temperature)
+        return fetch_teacher(state.cache, tree, cfg.granularity, cfg.kd.temperature, cfg.exclude_self)
+    if cfg.method is Method.FEDDISTILL:
+        return feddistill_teacher(state.cache, cfg.kd.temperature)
+    return fedcache_teacher(state.cache, state.neighbors, cfg.kd.temperature)
 
 
 def lockstep_stacks(sizes: Array, batch_size: int) -> list[tuple[int, int, int, int]]:

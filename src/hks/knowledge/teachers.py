@@ -1,16 +1,16 @@
 """Whole-round teacher knowledge: cluster-path granularity plus baselines.
 
 Each builder reads a cache that holds one round's uploads in every row and
-returns, for every cache row, padded teacher logits (n, D, C) and their
-validity mask (n, D); `numerics.teacher_table` turns them into
-distillation targets.
+returns the round's `TeacherTable` over every cache row. It forms one (n, C)
+level of teacher logits at a time and softens it with
+`numerics.teacher_table`, so no builder holds more than one level.
 Teachers are means of the cache's raw logits. The hierarchical builder
-averages the members of nodes on each sample's cluster path; the two
-baselines aggregate by class label (global mean, or R hash-nearest
-neighbours) and therefore require the cache's label-storing mode. FedCache's
-neighbour table is searched exactly, once, when the federation is built
-(`fedcache_neighbors`); `fedcache_teacher` averages the neighbours' current
-logits.
+averages the members of nodes on each sample's cluster path, one path step
+per level; the two baselines aggregate by class label (global mean, or R
+hash-nearest neighbours), one level each, and therefore require the cache's
+label-storing mode. FedCache's neighbour table is searched exactly, once,
+when the federation is built (`fedcache_neighbors`); `fedcache_teacher`
+averages the neighbours' current logits.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import InvalidInputError, ShapeError, StaleHierarchyError
+from ..numerics import TeacherTable, teacher_table
 from .cache import KnowledgeCache
 from .hierarchy import ClusterTree
 
@@ -36,16 +37,17 @@ def fetch_teacher(
     cache: KnowledgeCache,
     tree: ClusterTree,
     granularity: Granularity,
+    temperature: float,
     exclude_self: bool = True,
-) -> tuple[Array, Array]:
-    """Teacher logits of every cached sample at the chosen granularity.
+) -> TeacherTable:
+    """Teacher table of every cached sample at the chosen granularity.
 
     With a path of length L from the sample's singleton up to its root, the
     cut cluster that holds it: bottom reads the first merged cluster, middle
     the ceil((1+L)/2)-th path element, top the root, and all one mean per
-    non-singleton path element. With exclude_self a node's mean leaves out
-    the sample's own logits, so a node holding only the sample gives no
-    teacher.
+    non-singleton path element, softened one path step at a time. With
+    exclude_self a node's mean leaves out the sample's own logits, so a node
+    holding only the sample gives no teacher.
     """
     n = len(cache)
     if tree.n_leaves != n:
@@ -78,29 +80,31 @@ def fetch_teacher(
     else:
         nodes = paths[np.arange(n), length - 1][:, None]
     size = sums[nodes, -1] - int(exclude_self)
-    mask = (nodes >= 0) & (size > 0)
-    logits = sums[nodes, :-1]
-    if exclude_self:
-        logits -= X[:, None, :]
-    logits /= np.maximum(size, 1)[..., None]
-    logits[~mask] = 0.0
-    return logits, mask
+    has = (nodes >= 0) & (size > 0)
+    q, h = np.zeros_like(X), np.empty(nodes.shape)
+    for d, level in enumerate(nodes.T):
+        mean = sums[level, :-1] - X if exclude_self else sums[level, :-1]
+        step = teacher_table(mean / np.maximum(size[:, d], 1)[:, None], has[:, d], temperature)
+        q += step.q
+        h[:, d] = step.h
+    denom = np.maximum(has.sum(axis=1), 1)
+    return TeacherTable(q / denom[:, None], h.sum(axis=1) / denom, has.any(axis=1))
 
 
-def feddistill_teacher(cache: KnowledgeCache) -> tuple[Array, Array]:
+def feddistill_teacher(cache: KnowledgeCache, temperature: float) -> TeacherTable:
     """Per sample, the mean cached logits of its class held by other clients."""
     labels = cache.read_labels()
-    out = np.zeros((len(cache), 1, cache.logits.shape[1]))
-    has = np.zeros((len(cache), 1), dtype=bool)
+    out = np.zeros_like(cache.logits)
+    has = np.zeros(len(cache), dtype=bool)
     for k, rows in enumerate(cache.rows):
         foreign = cache.owner != k
         for y in np.unique(labels[rows]):
             pool = foreign & (labels == y)
             if pool.any():
                 mine = labels[rows] == y
-                out[rows][mine, 0] = cache.logits[pool].mean(axis=0)
-                has[rows][mine, 0] = True
-    return out, has
+                out[rows][mine] = cache.logits[pool].mean(axis=0)
+                has[rows][mine] = True
+    return teacher_table(out, has, temperature)
 
 
 # Rows per block of the neighbour search are chosen so that one block's
@@ -111,8 +115,8 @@ _BLOCK_ELEMENTS = 1 << 14
 
 def fedcache_neighbors(cache: KnowledgeCache, hashes: Array, R: int) -> Array:
     """Each row's R hash-nearest same-class rows of other clients, nearest
-    first, as an (n, min(R, n)) table padded with -1; equal distances go to
-    the lower row. Row i of `hashes` is cache row i.
+    first, as an (n, min(R, m)) table padded with -1, m the largest class
+    count; equal distances go to the lower row. Row i of `hashes` is cache row i.
 
     The search is exact: per class and in blocks of rows, the squared hash
     distances to every row of the class, with the row's own client masked.
@@ -125,9 +129,10 @@ def fedcache_neighbors(cache: KnowledgeCache, hashes: Array, R: int) -> Array:
     if R < 1:
         raise InvalidInputError(f"R must be >= 1, got {R}")
     labels = cache.read_labels()
-    # a row has at most n neighbours, however large R is
-    out = np.full((len(cache), min(R, len(cache))), -1, dtype=np.int64)
-    for y in np.unique(labels):
+    classes, counts = np.unique(labels, return_counts=True)
+    # a row has no more neighbours than its class holds, however large R is
+    out = np.full((len(cache), min(R, counts.max(initial=0))), -1, dtype=np.int64)
+    for y in classes:
         members = np.flatnonzero(labels == y)
         H, owner = hashes[members], cache.owner[members]
         k = min(out.shape[1], len(members))
@@ -150,11 +155,10 @@ def fedcache_neighbors(cache: KnowledgeCache, hashes: Array, R: int) -> Array:
     return out
 
 
-def fedcache_teacher(cache: KnowledgeCache, neighbors: Array) -> tuple[Array, Array]:
+def fedcache_teacher(cache: KnowledgeCache, neighbors: Array, temperature: float) -> TeacherTable:
     """Mean current logits of each row's FedCache neighbour rows; a row with
     no neighbour has no teacher."""
     valid = neighbors >= 0
     count = valid.sum(axis=1)
     gathered = np.where(valid[..., None], cache.logits[neighbors], 0.0)
-    out = (gathered.sum(axis=1) / np.maximum(count, 1)[:, None])[:, None, :]
-    return out, (count > 0)[:, None]
+    return teacher_table(gathered.sum(axis=1) / np.maximum(count, 1)[:, None], count > 0, temperature)

@@ -1,6 +1,6 @@
 """Dense vector math for the training core.
 
-Distillation settings, loss breakdowns, per-round teacher tables and the
+Distillation settings, loss breakdowns, one level's teacher table and the
 one tempered softmax, which gives a distribution and its log from a single
 exponent; the batched losses and their gradients live in `models`.
 Everything is float64 and purely functional, so callers may invoke these
@@ -35,6 +35,9 @@ class KdConfig:
         # chained comparisons are False for NaN, so they reject it too
         if not 0 < self.temperature < math.inf:
             raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r})")
+        # T * T, not T ** 2: a float's ** raises OverflowError where * gives inf
+        if self.t_squared_scaling and not self.temperature * self.temperature < math.inf:
+            raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r}): T^2 overflows")
         if not 0 <= self.alpha_kd < math.inf:
             raise ConfigError(f"constraint violation on 'alpha_kd' (got {self.alpha_kd!r})")
 
@@ -77,15 +80,11 @@ def tempered_softmax(Z: Array, temperature: float) -> tuple[Array, Array]:
     return E / Zsum, S - np.log(Zsum)
 
 
-def teacher_table(logits: Array, mask: Array, temperature: float) -> TeacherTable:
-    """Table from padded teacher logits (n, D, C) and their validity mask (n, D).
+def teacher_table(logits: Array, has: Array, temperature: float) -> TeacherTable:
+    """Table of one level of teacher logits (n, C) under its mask (n,).
 
-    Every valid row is softened at the temperature by `tempered_softmax`; a
-    sample's q and h average over its valid rows in row order.
+    Every row with a teacher is softened at the temperature by
+    `tempered_softmax`; rows without one are zero in q and h.
     """
-    P, log_P = tempered_softmax(logits, temperature)
-    count = mask.sum(axis=1)
-    denom = np.maximum(count, 1)
-    q = np.where(mask[..., None], P, 0.0).sum(axis=1) / denom[:, None]
-    h = np.where(mask, (P * log_P).sum(axis=-1), 0.0).sum(axis=1) / denom
-    return TeacherTable(q, h, count > 0)
+    P, log_P = tempered_softmax(np.where(has[:, None], logits, 0.0), temperature)
+    return TeacherTable(np.where(has[:, None], P, 0.0), np.where(has, (P * log_P).sum(axis=-1), 0.0), has)

@@ -13,12 +13,13 @@ from hks.errors import (
     InsufficientDataError,
     InvalidInputError,
     ShapeError,
+    StaleHierarchyError,
 )
 from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
 from hks.models import Model, _layer_slices, batch_loss_and_grad, train_step
-from hks.numerics import KdConfig, LossBreakdown, TeacherTable, teacher_table
+from hks.numerics import KdConfig, LossBreakdown, TeacherTable
 
 Array = np.ndarray
 Vector = Sequence[float] | Array
@@ -242,9 +243,10 @@ def exact_knn(
 def neighbour_table(cache, hashes, R, query):
     """FedCache's neighbour table row by row: `query(h, k, predicate)` gives
     each row's R nearest same-class rows of other clients, in an
-    (n, min(R, n)) table padded with -1."""
+    (n, min(R, m)) table padded with -1, m the largest class count."""
     n = len(cache)
-    table = np.full((n, min(R, n)), -1, dtype=np.int64)
+    largest = np.bincount(cache.labels).max(initial=0)
+    table = np.full((n, min(R, largest)), -1, dtype=np.int64)
     for row in range(n):
 
         def same_class_foreign(other):
@@ -445,9 +447,11 @@ def log_softmax_rows(Z: Array) -> Array:
 
 
 def reference_teacher_table(logits, mask, temperature):
-    """`teacher_table` as two independent passes: a tempered softmax and a
-    log-softmax of the tempered logits, each with its own exp; its exact
-    oracle."""
+    """Table from padded teacher logits (n, D, C) and their validity mask
+    (n, D), in two independent passes: a tempered softmax and a
+    log-softmax of the tempered logits, each with its own exp. A sample's q
+    and h average over its valid rows in row order; rows without a teacher
+    are zero. The bit-exact oracle of every teacher builder."""
     P = softmax_rows(logits, temperature)
     log_P = log_softmax_rows(logits / temperature)
     count = mask.sum(axis=1)
@@ -457,9 +461,9 @@ def reference_teacher_table(logits, mask, temperature):
     return TeacherTable(q, h, count > 0)
 
 
-def table_from_lists(entries, n_classes, temperature):
-    """TeacherTable from per-sample lists of teacher logits ([] for none),
-    padded to the longest list."""
+def padded_lists(entries, n_classes):
+    """Padded teacher logits (n, D, C) and their mask (n, D) from per-sample
+    lists of teacher logits ([] for none), D the longest list (at least 1)."""
     depth = max([len(e) for e in entries] + [1])
     logits = np.zeros((len(entries), depth, n_classes))
     mask = np.zeros((len(entries), depth), dtype=bool)
@@ -467,7 +471,57 @@ def table_from_lists(entries, n_classes, temperature):
         for d, z in enumerate(entry):
             logits[i, d] = z
             mask[i, d] = True
-    return teacher_table(logits, mask, temperature)
+    return logits, mask
+
+
+def table_from_lists(entries, n_classes, temperature):
+    """TeacherTable from per-sample lists of teacher logits ([] for none)."""
+    return reference_teacher_table(*padded_lists(entries, n_classes), temperature)
+
+
+def padded_path_teachers(cache, tree, granularity, exclude_self=True):
+    """Every cached sample's hks teacher logits, each row's path padded to
+    the longest one: (n, D, C) logits and their (n, D) mask.
+
+    The merges are replayed into node sums in merge order, the way
+    `fetch_teacher` forms them, so the means (and, through
+    `reference_teacher_table`, the table) are bit-exact against it; the
+    node selection follows `path_teacher`.
+    """
+    n = len(cache)
+    if tree.n_leaves != n:
+        raise StaleHierarchyError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
+    X = cache.logits
+    top = n + len(tree.merges)
+    sums = np.empty((top, X.shape[1] + 1))
+    sums[:n, :-1] = X
+    sums[:n, -1] = 1.0
+    parent = np.full(top + 1, -1, dtype=np.int64)
+    for node, merge in enumerate(tree.merges, start=n):
+        sums[node] = sums[merge.left] + sums[merge.right]
+        parent[merge.left] = parent[merge.right] = node
+    steps = [np.arange(n)]
+    while (steps[-1] >= 0).any():
+        steps.append(parent[steps[-1]])
+    paths = np.stack(steps[:-1], axis=1)
+    length = (paths >= 0).sum(axis=1)
+    granularity = str(getattr(granularity, "value", granularity))
+    if granularity == "all":
+        nodes = paths[:, 1:]
+    elif granularity == "bottom":
+        nodes = paths[:, 1:2]
+    elif granularity == "middle":
+        nodes = np.where(length >= 2, paths[np.arange(n), length // 2], -1)[:, None]
+    else:
+        nodes = paths[np.arange(n), length - 1][:, None]
+    size = sums[nodes, -1] - int(exclude_self)
+    mask = (nodes >= 0) & (size > 0)
+    logits = sums[nodes, :-1]
+    if exclude_self:
+        logits -= X[:, None, :]
+    logits /= np.maximum(size, 1)[..., None]
+    logits[~mask] = 0.0
+    return logits, mask
 
 
 def param_count(layer_dims: Sequence[int]) -> int:

@@ -178,6 +178,26 @@ class TestRunCommand:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("extra", [["--alpha-kd", "0"], []])
+    @pytest.mark.parametrize("value", ["1e200", "1e155"])
+    def test_temperature_whose_square_overflows_exits_2_before_training(
+        self, tmp_path, capsys, value, extra
+    ):
+        # T^2 scales the KD term: an infinite factor is a bad setting, not a
+        # training divergence, whatever alpha_kd is
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), "--temperature", value, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: constraint violation on 'temperature'") and "overflows" in err
+        assert not (out / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("extra", [["--temperature", "1e154"],
+                                       ["--t-squared-scaling", "false", "--temperature", "1e200"]])
+    def test_temperature_with_a_finite_kd_scale_runs(self, tmp_path, extra):
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), *extra]) == 0
+        assert (out / "rounds.csv").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("temperature", float("inf")), ("alpha_kd", float("nan")), ("lr", float("inf")),

@@ -534,18 +534,20 @@ def oracle_teachers(state):
 
 
 ORACLE_CASES = [
-    *[(Method.HKS, g, e, "logits") for g in Granularity for e in (True, False)],
-    (Method.HKS, Granularity.ALL, True, "soft"),
-    (Method.FEDDISTILL, Granularity.ALL, True, "logits"),
-    (Method.FEDCACHE, Granularity.ALL, True, "logits"),
+    *[(Method.HKS, g, e, "logits", "average") for g in Granularity for e in (True, False)],
+    (Method.HKS, Granularity.ALL, True, "soft", "average"),
+    (Method.HKS, Granularity.ALL, True, "logits", "single"),
+    (Method.HKS, Granularity.MIDDLE, True, "logits", "complete"),
+    (Method.FEDDISTILL, Granularity.ALL, True, "logits", "average"),
+    (Method.FEDCACHE, Granularity.ALL, True, "logits", "average"),
 ]
 
 
 class TestTeacherTableOracle:
     @pytest.mark.parametrize("warmup_rounds", [0, 2])
-    @pytest.mark.parametrize("method,granularity,exclude_self,space", ORACLE_CASES)
+    @pytest.mark.parametrize("method,granularity,exclude_self,space,linkage", ORACLE_CASES)
     def test_per_sample_kd_matches_oracle_every_round(
-        self, dataset, method, granularity, exclude_self, space, warmup_rounds, monkeypatch
+        self, dataset, method, granularity, exclude_self, space, linkage, warmup_rounds, monkeypatch
     ):
         train, test = dataset
         cfg = tiny_cfg(
@@ -555,6 +557,7 @@ class TestTeacherTableOracle:
             granularity=granularity,
             exclude_self=exclude_self,
             cluster_space=space,
+            linkage=linkage,
         )
         state = init_federation(cfg, train, test)
         seen = record_tables(monkeypatch)

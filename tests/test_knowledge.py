@@ -28,7 +28,6 @@ from hks.knowledge import (
 )
 from hks.knowledge import teachers
 from hks.knowledge.hierarchy import _pairwise_distances
-from hks.numerics import teacher_table
 
 from reference_oracles import (
     cache_from_rows,
@@ -36,13 +35,18 @@ from reference_oracles import (
     dense_linkage,
     exact_knn,
     exact_neighbour_table,
+    feddistill_class_teacher,
     knn_by_sorting,
     members,
     naive_linkage,
     path_nodes,
     ReferenceHnsw,
+    neighbour_teacher,
+    padded_lists,
+    padded_path_teachers,
     path_teacher,
     reference_pairwise_distances,
+    reference_teacher_table,
     softmax_rows,
     table_from_lists,
 )
@@ -640,15 +644,49 @@ class TestClusterPath(FourPoints):
         assert len(path_nodes(tree, 2)) == 2
 
 
-def teacher_rows(teachers, row):
-    """The valid teacher logits a builder's (logits, mask) give cache row `row`."""
-    logits, mask = teachers
+T = 3.0
+
+
+def assert_same_table(got, want):
+    for field in ("q", "h", "has"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def teacher_rows(padded, row):
+    """The valid teacher logits that padded (logits, mask) give cache row `row`."""
+    logits, mask = padded
     return list(logits[row][mask[row]])
 
 
+def path_teachers(cache, tree, granularity, exclude_self=True):
+    """The padded oracle's (logits, mask), once `fetch_teacher`'s table has
+    been checked, bit for bit, against the oracle's."""
+    padded = padded_path_teachers(cache, tree, granularity, exclude_self)
+    got = fetch_teacher(cache, tree, granularity, T, exclude_self)
+    assert_same_table(got, reference_teacher_table(*padded, T))
+    return padded
+
+
 def path_teacher_rows(cache, tree, row, granularity, exclude_self=True):
-    teachers = fetch_teacher(cache, tree, granularity, exclude_self=exclude_self)
-    return teacher_rows(teachers, row)
+    return teacher_rows(path_teachers(cache, tree, granularity, exclude_self), row)
+
+
+def feddistill_teachers(cache):
+    """The per-sample feddistill oracle padded to (n, 1, C), once
+    `feddistill_teacher`'s table has been checked against it bit for bit."""
+    entries = [feddistill_class_teacher(cache, row) for row in range(len(cache))]
+    padded = padded_lists(entries, cache.logits.shape[1])
+    assert_same_table(feddistill_teacher(cache, T), reference_teacher_table(*padded, T))
+    return padded
+
+
+def fedcache_teachers(cache, neighbours):
+    """The per-sample fedcache oracle padded to (n, 1, C), once
+    `fedcache_teacher`'s table has been checked against it bit for bit."""
+    entries = [neighbour_teacher(cache, row) for row in neighbours]
+    padded = padded_lists(entries, cache.logits.shape[1])
+    assert_same_table(fedcache_teacher(cache, neighbours, T), reference_teacher_table(*padded, T))
+    return padded
 
 
 class TestFetchTeacher(FourPoints):
@@ -717,9 +755,9 @@ class TestFetchTeacher(FourPoints):
         cache = make_cache(self.values)
         tree = build_hierarchy(cache, len(self.values))
         assert tree.merges == ()
-        _, mask = fetch_teacher(cache, tree, granularity, exclude_self=True)
+        _, mask = path_teachers(cache, tree, granularity, exclude_self=True)
         assert not mask.any()
-        logits, mask = fetch_teacher(cache, tree, granularity, exclude_self=False)
+        logits, mask = path_teachers(cache, tree, granularity, exclude_self=False)
         if granularity is Granularity.TOP:
             assert mask.all()
             np.testing.assert_array_equal(logits[:, 0], cache.logits)
@@ -730,23 +768,22 @@ class TestFetchTeacher(FourPoints):
         # the cache holds a row the tree was built without: fewer leaves than rows
         _, tree = self.tree()
         with pytest.raises(StaleHierarchyError):
-            fetch_teacher(make_cache(self.values + [1.0]), tree, Granularity.TOP)
+            fetch_teacher(make_cache(self.values + [1.0]), tree, Granularity.TOP, T)
 
     def test_unknown_sample(self):
         # the tree holds a leaf this cache has no row for: more leaves than rows
         _, tree = self.tree()
         with pytest.raises(StaleHierarchyError):
-            fetch_teacher(make_cache(self.values[:3]), tree, Granularity.TOP)
+            fetch_teacher(make_cache(self.values[:3]), tree, Granularity.TOP, T)
 
     def test_one_row_per_cache_row(self):
         cache = make_cache([0.0, 0.1, 10.0, 10.1, 5.0], clients=[0, 0, 1, 1, 2])
-        logits, mask = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.ALL)
-        assert logits.shape[:2] == mask.shape
-        assert (len(logits), logits.shape[2]) == (5, 1)
+        table = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.ALL, T)
+        assert (table.q.shape, table.h.shape, table.has.shape) == ((5, 1), (5,), (5,))
 
     def test_zero_size_client_takes_no_rows(self):
         cache = make_cache([0.0, 0.1, 10.0, 10.1], clients=[0, 0, 2, 2])
-        teachers = fetch_teacher(cache, build_hierarchy(cache, 2), Granularity.TOP)
+        teachers = path_teachers(cache, build_hierarchy(cache, 2), Granularity.TOP)
         assert len(teachers[0]) == len(teachers[1]) == 4
         np.testing.assert_allclose(teacher_rows(teachers, 2), [[10.1]])
 
@@ -757,7 +794,7 @@ class TestSoftClusterSpace:
         logits = rng.normal(scale=3.0, size=(24, 4))
         cache = make_cache(logits)
         tree = build_hierarchy(cache, 3, space="soft", temperature=3.0)
-        table = teacher_table(*fetch_teacher(cache, tree, Granularity.ALL), 3.0)
+        table = fetch_teacher(cache, tree, Granularity.ALL, 3.0)
         q, h = table.q, table.h
         raw = [path_teacher(cache, tree, row, Granularity.ALL) for row in range(len(cache))]
         expected = table_from_lists(raw, 4, 3.0)
@@ -769,33 +806,131 @@ class TestSoftClusterSpace:
         assert np.abs(table_from_lists(soft, 4, 3.0).q - q).max() > 0.1
 
 
+def nested_logits(rng, n_classes=10):
+    """2048 logit rows in 8 clusters of 4 of 8 groups of 8 rows, each level
+    100 times wider than the one below, so every linkage's paths stay short
+    (at most about 20 nodes) while the tree has 2048 leaves."""
+    return sum(
+        rng.normal(scale=scale, size=(2048 // repeat, n_classes)).repeat(repeat, axis=0)
+        for scale, repeat in ((1.0, 256), (1e-2, 64), (1e-4, 8), (1e-6, 1))
+    )
+
+
+TREE_KINDS = [("average", "logits"), ("single", "logits"), ("complete", "logits"), ("average", "soft")]
+
+
+@pytest.fixture(scope="module")
+def large_trees():
+    """One 2048-leaf cache over 8 clients and its tree for each kind."""
+    cache = cache_from_rows([256] * 8, nested_logits(np.random.default_rng(21)))
+    return cache, {
+        kind: build_hierarchy(cache, 10, linkage=kind[0], space=kind[1], temperature=T)
+        for kind in TREE_KINDS
+    }
+
+
+class TestBuildersMatchPaddedOracle:
+    """Every builder's table equals, bit for bit, the one that
+    `reference_teacher_table` softens from the padded (n, D, C) teacher
+    logits of the same means: the level-by-level softening keeps q's
+    in-order sum over levels and h's one reduction over the (n, D) array."""
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("kind", TREE_KINDS, ids="-".join)
+    def test_large_tree(self, large_trees, kind, granularity, exclude_self):
+        cache, trees = large_trees
+        logits, mask = path_teachers(cache, trees[kind], granularity, exclude_self)
+        if granularity is Granularity.ALL:
+            assert mask.shape[1] > 8  # paths long enough for pairwise sums of h
+        assert mask.any(axis=1).mean() > 0.9
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_trees(self, seed, linkage, granularity, exclude_self):
+        n = 30 + 7 * seed
+        X = tie_heavy_points(n, 3, seed)
+        clients = sorted(np.random.default_rng(seed).integers(0, 4, size=n).tolist())
+        cache = make_cache(X, clients=clients)
+        for cut in (1, 3, n // 2):
+            path_teachers(cache, build_hierarchy(cache, cut, linkage=linkage), granularity, exclude_self)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_feddistill(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        clients = sorted(rng.integers(0, 5, size=n).tolist())
+        # class 3 is held by the first client alone, so its rows have no teacher
+        labels = rng.integers(0, 3, size=n)
+        labels[np.asarray(clients) == clients[0]] = 3
+        cache = make_cache(rng.normal(scale=4.0, size=(n, 4)), clients=clients, labels=labels.tolist())
+        _, mask = feddistill_teachers(cache)
+        assert mask.any() and not mask.all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fedcache(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        clients = sorted(rng.integers(0, 5, size=n).tolist())
+        labels = rng.integers(0, 3, size=n)
+        cache = make_cache(rng.normal(scale=4.0, size=(n, 4)), clients=clients, labels=labels.tolist())
+        hashes = rng.integers(-1, 2, size=(n, 2)).astype(np.float64)
+        for R in (1, 4, np.bincount(labels).max(), n + 3):
+            fedcache_teachers(cache, fedcache_neighbors(cache, hashes, R))
+
+
+class TestFetchTeacherMemory:
+    def test_single_linkage_chain_stays_level_by_level(self):
+        # single linkage over random normals chains: the longest of these
+        # paths has over a thousand nodes, so an (n, D, C) block of teacher
+        # logits would take hundreds of MB
+        n = 2398
+        cache = make_cache(np.random.default_rng(0).normal(size=(n, 10)))
+        tree = build_hierarchy(cache, 10, linkage="single")
+        depth = np.zeros(n + len(tree.merges), dtype=np.int64)
+        for node in range(len(depth) - 1, n - 1, -1):
+            merge = tree.merges[node - n]
+            depth[merge.left] = depth[merge.right] = depth[node] + 1
+        assert depth[:n].max() > 1000
+        tracemalloc.start()
+        try:
+            table = fetch_teacher(cache, tree, Granularity.ALL, T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200e6, f"peak {peak / 1e6:.0f} MB"
+        assert table.has.mean() > 0.99
+
+
 class TestFedDistillTeacher:
     def test_single_foreign_holder(self):
         cache = make_cache([[9.0, 9.0], [1.0, 2.0]], clients=[0, 1], labels=[0, 0])
-        np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
+        np.testing.assert_allclose(teacher_rows(feddistill_teachers(cache), 0), [[1.0, 2.0]])
 
     def test_only_requester_holds_class(self):
         cache = make_cache([[1.0, 2.0]], clients=[0], labels=[0])
-        assert teacher_rows(feddistill_teacher(cache), 0) == []
+        assert teacher_rows(feddistill_teachers(cache), 0) == []
 
     def test_mean_of_two_foreign_records(self):
         cache = make_cache([[5.0, 5.0], [0.0, 2.0], [2.0, 0.0]], clients=[0, 1, 2], labels=[0, 0, 0])
-        np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 1.0]])
+        np.testing.assert_allclose(teacher_rows(feddistill_teachers(cache), 0), [[1.0, 1.0]])
 
     def test_other_classes_are_ignored(self):
         cache = make_cache([[4.0, 4.0], [1.0, 2.0], [9.0, 9.0]], clients=[0, 1, 1], labels=[0, 0, 1])
-        np.testing.assert_allclose(teacher_rows(feddistill_teacher(cache), 0), [[1.0, 2.0]])
+        np.testing.assert_allclose(teacher_rows(feddistill_teachers(cache), 0), [[1.0, 2.0]])
 
     def test_mode_error_without_labels(self):
         cache = make_cache([[1.0]])
         with pytest.raises(ModeError):
-            feddistill_teacher(cache)
+            feddistill_teacher(cache, T)
 
 
 def fedcache_query_teacher(cache, hashes, row, R):
     """A row's fedcache teacher from a fresh neighbour search, or None."""
     neighbours = fedcache_neighbors(cache, hashes, R)
-    rows = teacher_rows(fedcache_teacher(cache, neighbours), row)
+    rows = teacher_rows(fedcache_teachers(cache, neighbours), row)
     return rows[0] if rows else None
 
 
@@ -834,10 +969,21 @@ class TestFedCacheTeacher:
         exact = fedcache_neighbors(cache, self.HASHES, n)
         beyond = fedcache_neighbors(cache, self.HASHES, n + 3)
         np.testing.assert_array_equal(beyond, exact)
-        got = teacher_table(*fedcache_teacher(cache, beyond), 3.0)
-        want = teacher_table(*fedcache_teacher(cache, exact), 3.0)
-        for field in ("q", "h", "has"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert_same_table(fedcache_teacher(cache, beyond, T), fedcache_teacher(cache, exact, T))
+
+    def test_table_width_is_the_largest_class(self):
+        # classes of 3, 2 and 1 rows: no row has more than 3 neighbours,
+        # however large R is, and the dropped columns only padded
+        rng = np.random.default_rng(4)
+        cache = cache_from_rows([2, 2, 2], rng.normal(size=(6, 3)), labels=[0, 1, 0, 2, 1, 0])
+        hashes = rng.normal(size=(6, 2))
+        n = len(cache)
+        table = fedcache_neighbors(cache, hashes, n + 3)
+        assert table.shape == (n, 3)
+        assert table[0].tolist() == [2, 5, -1]
+        padded = np.full((n, n), -1, dtype=np.int64)
+        padded[:, :3] = table
+        assert_same_table(fedcache_teacher(cache, table, T), fedcache_teacher(cache, padded, T))
 
     def test_equal_distances_go_to_the_lower_row(self):
         # every hash is equal, so each row's neighbours are the other rows in row order
@@ -903,12 +1049,12 @@ class TestFedCacheTeacher:
         logits = cache.logits.copy()
         logits[1] = [5.0, 7.0]
         cache.update_logits(logits, 1)
-        teachers = fedcache_teacher(cache, neighbours)
+        teachers = fedcache_teachers(cache, neighbours)
         np.testing.assert_allclose(teacher_rows(teachers, 0), [[4.0, 5.0]])
 
     def test_no_neighbours_means_no_teacher(self):
         cache = self.crafted()
-        teachers = fedcache_teacher(cache, np.full((4, 2), -1))
+        teachers = fedcache_teachers(cache, np.full((4, 2), -1))
         assert all(teacher_rows(teachers, row) == [] for row in range(4))
 
 
@@ -942,5 +1088,7 @@ class TestFedCacheNeighboursMatchExactKnn:
         for R in sorted({1, 2, n, n + 3}):
             table = fedcache_neighbors(cache, hashes, R)
             np.testing.assert_array_equal(table, exact_neighbour_table(cache, hashes, R), err_msg=str(R))
-            assert table.shape == (n, min(R, n)) and table.dtype == np.int64
+            # a row has no more neighbours than the largest class holds
+            width = min(R, np.bincount(cache.labels).max())
+            assert table.shape == (n, width) and table.dtype == np.int64
             assert (table[cache.labels == 3] == -1).all()

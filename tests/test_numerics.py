@@ -123,13 +123,24 @@ def teacher_blocks():
 class TestTeacherTable:
     @pytest.mark.parametrize("logits, mask, temperature", teacher_blocks())
     def test_matches_two_pass_oracle_bit_for_bit(self, logits, mask, temperature):
-        table = teacher_table(logits, mask, temperature)
-        expected = reference_teacher_table(logits, mask, temperature)
-        assert np.array_equal(table.q, expected.q)
-        assert np.array_equal(table.h, expected.h)
-        assert np.array_equal(table.has, expected.has)
-        assert not table.has[0] and table.has[-1]
-        assert np.isfinite(table.h).all()
+        for d in range(logits.shape[1]):
+            table = teacher_table(logits[:, d], mask[:, d], temperature)
+            expected = reference_teacher_table(logits[:, d : d + 1], mask[:, d : d + 1], temperature)
+            assert np.array_equal(table.q, expected.q)
+            assert np.array_equal(table.h, expected.h)
+            assert np.array_equal(table.has, expected.has)
+            assert not table.has[0] and table.has[-1]
+            assert np.isfinite(table.h).all()
+
+    def test_rows_without_a_teacher_are_zero_whatever_their_logits(self):
+        logits = np.array([[1.0, 2.0], [np.inf, np.nan], [-3.0, 5.0]])
+        has = np.array([True, False, True])
+        with np.errstate(all="raise"):
+            table = teacher_table(logits, has, 3.0)
+        assert (table.q[1] == 0.0).all() and table.h[1] == 0.0
+        expected = teacher_table(logits[[0, 2]], has[[0, 2]], 3.0)
+        assert np.array_equal(table.q[[0, 2]], expected.q)
+        assert np.array_equal(table.h[[0, 2]], expected.h)
 
 
 class TestCrossEntropy:
@@ -291,6 +302,16 @@ class TestKdConfig:
     def test_rejects_non_finite_values(self, key, value):
         with pytest.raises(ConfigError, match=key):
             KdConfig(**{key: value})
+
+    @pytest.mark.parametrize("temperature", [1e155, 1e200, 1e308])
+    def test_rejects_temperature_whose_square_overflows(self, temperature):
+        with pytest.raises(ConfigError, match="temperature"):
+            KdConfig(temperature=temperature)
+        # without T^2 scaling the square is never taken
+        assert KdConfig(temperature=temperature, t_squared_scaling=False).temperature == temperature
+
+    def test_temperature_with_a_finite_square_accepted(self):
+        assert KdConfig(temperature=1e154).temperature == 1e154
 
     def test_defaults(self):
         cfg = KdConfig()
