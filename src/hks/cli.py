@@ -484,11 +484,16 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(rc)
         fed = rc.federation
         methods = _sweep_list(args.methods, "--methods", lambda t: Method(t.lower()), fed.method)
-        swept = {
-            "granularity": _sweep_list(args.granularities, "--granularities",
-                                       lambda t: Granularity(t.lower()), fed.granularity),
-            "R": _sweep_list(args.r_values, "--R-values", int, fed.R),
-        }
+        read = {_SWEPT_SETTING[m][0] for m in methods if m in _SWEPT_SETTING}
+        swept = {}
+        for setting, flag, text, parse in (
+            ("granularity", "--granularities", args.granularities, lambda t: Granularity(t.lower())),
+            ("R", "--R-values", args.r_values, int),
+        ):
+            swept[setting] = _sweep_list(text, flag, parse, getattr(fed, setting))
+            if text and setting not in read:
+                names = ", ".join(repr(m.value) for m in methods)
+                raise ConfigError(f"'{flag}' does not apply to the methods {names}")
         seeds = _sweep_list(args.seeds, "--seeds", int, fed.seed)
         return cmd_sweep(rc, methods, swept, seeds)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps errors to codes

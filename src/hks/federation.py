@@ -46,6 +46,7 @@ from .knowledge import (
     feddistill_teacher,
     fetch_teacher,
 )
+from .knowledge.hierarchy import LINKAGES
 from .metrics import ExperimentSummary, RoundReport, evaluate, summarize
 from .models import (
     CapacityTier,
@@ -142,7 +143,7 @@ class FederationConfig:
             ("test_fraction", 0 < self.test_fraction < 1),
             ("min_per_client", self.min_per_client >= 0),
             ("d_hash", self.d_hash >= 1),
-            ("linkage", self.linkage in ("average", "single", "complete")),
+            ("linkage", self.linkage in LINKAGES),
             ("cluster_space", self.cluster_space in ("logits", "soft")),
         ]
         for key, ok in checks:
@@ -183,8 +184,8 @@ class FederationState:
     train: Dataset
     cache: KnowledgeCache
     global_test: Dataset
-    # fedcache's (n, min(R, n)) neighbour rows, searched once at init, where
-    # hashes, labels and owners are fixed; None for every other method.
+    # fedcache's (n, min(R, largest class)) neighbour rows, searched once at
+    # init, where hashes, labels and owners are fixed; None otherwise.
     neighbors: Array | None
     round: int = 0
 
@@ -203,7 +204,7 @@ def init_federation(
     that checked itself when built; fedcache also hashes every sample and
     searches each row's neighbour rows once, exactly, with no index."""
     if global_test is None or len(global_test) == 0:
-        raise ConfigError("a nonempty global test set is required to report rounds")
+        raise EmptyDatasetError("a nonempty global test set is required to report rounds")
     spec = PartitionSpec(
         n_clients=cfg.n_clients,
         alpha_dir=cfg.alpha_dir,

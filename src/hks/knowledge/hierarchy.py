@@ -10,11 +10,14 @@ rows). Clusters are disjoint, so no two candidate pairs share a key: the
 rule is a total order, and the tree is a function of the rows in their
 given order. Reordering rows can change which of two tied pairs merges
 first; the cache fixes the order (client by client, then local index).
-A tie is settled by enumerating every pair at the minimum under that key;
-when exactly two rows hold the minimum they are the only such pair. Live
-slots are in the order of their clusters' min member rows (a merge writes
-into its lower slot, and compaction keeps order), so the key compares slot
-indices where it names min member rows.
+Live slots are in the order of their clusters' min member rows (a merge
+writes into its lower slot, and compaction keeps order), so the key
+compares slot indices where it names min member rows. The matrix is exactly
+symmetric, so both slots of every pair at the minimum hold it as their row
+minimum: the first such slot i leads the least key, and its partner is the
+slot at the minimum in row i with the least (max member row, slot). A tie
+reads only the tied slots' entries of row i, O(tied slots) per merge; when
+exactly two slots hold the minimum they are the only pair.
 
 The dissimilarities live in one N x N float64 matrix, built in place. Each
 time the live clusters fall to half its side, their rows and columns are
@@ -24,8 +27,8 @@ pair and computes the same Lance-Williams row as over the full matrix.
 A merge of slots i < j writes the new row into row i and column i, and
 nothing else: column j, like every dead slot's column, keeps stale values,
 and a penalty vector (0 on a live slot, inf on a dead one) masks them
-wherever a row is read whole, in the tie scan, the row-minimum rescans and
-the next Lance-Williams row.
+wherever a row is read whole, in the row-minimum rescans and the next
+Lance-Williams row.
 
 Known gap: the Lance-Williams average update and a fresh mean over member
 pairs (`naive_linkage` in the tests) can round an exact real tie
@@ -113,7 +116,7 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     D = _pairwise_distances(X)
     sizes = np.ones(n, dtype=np.int64)
     slot_node = list(range(n))  # matrix slot -> current tree node id
-    slot_max = list(range(n))  # max member row per slot
+    slot_max = np.arange(n)  # max member row per slot
     pen = np.zeros(n)  # 0 on a live slot, inf on a dead one
     merges: list[Merge] = []
 
@@ -132,21 +135,15 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
             sizes, row_min = sizes[keep], row_min[keep]
             row_arg = slot_of[row_arg[keep]]
             slot_node = [slot_node[s] for s in keep]
-            slot_max = [slot_max[s] for s in keep]
+            slot_max = slot_max[keep]
             pen = np.zeros(live)
 
         height = float(row_min.min())
         tied = np.flatnonzero(row_min == height)
-        if len(tied) == 2:
-            # Two rows at the minimum can only be each other's pair.
-            i, j = int(tied[0]), int(tied[1])
-        else:
-            keys = []
-            for r in tied:
-                for c in np.flatnonzero(D[r] + pen == height):
-                    a, b = (int(r), int(c)) if r < c else (int(c), int(r))
-                    keys.append((a, max(slot_max[a], slot_max[b]), b))
-            i, _, j = min(keys)
+        i, j = int(tied[0]), int(tied[1])
+        if len(tied) > 2:
+            partners = tied[D[i, tied] == height]
+            j = int(partners[np.argmin(np.maximum(slot_max[i], slot_max[partners]))])
         merges.append(Merge(slot_node[i], slot_node[j], height))
 
         # The merged row is built in place in row i (a view of D); adding

@@ -437,6 +437,24 @@ class TestIdxRuns:
         assert capsys.readouterr().err == f"error: {blank[0]} holds no images\n"
         assert not out.exists()
 
+    def test_empty_held_out_tenth_exits_8_before_training(self, tmp_path, capsys, monkeypatch):
+        import hks.federation
+
+        # One image per class: the stratified tenth held out as the global
+        # test set rounds to no images.
+        self.write_dataset(tmp_path, n=40, n_classes=40)
+        trained = []
+        monkeypatch.setattr(hks.federation, "client_train", lambda *a: trained.append(a))
+        out = tmp_path / "run"
+        argv = ["run", "--idx-images", str(tmp_path / "imgs.idx"),
+                "--idx-labels", str(tmp_path / "labs.idx"),
+                "--n-clients", "1", "--min-per-client", "0", "--out", str(out)]
+        assert main(argv) == 8
+        err = capsys.readouterr().err
+        assert err == "error: a nonempty global test set is required to report rounds\n"
+        assert trained == []
+        assert not out.exists()
+
     def test_missing_idx_file_maps_to_io_exit_code(self, tmp_path):
         code = main(
             [
@@ -664,6 +682,25 @@ class TestSweepAndReport:
         assert main(["sweep", *fast_flags(out), flag, value]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {flag} has an invalid entry {bad!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, flag, methods",
+        [(["--methods", "local_only", "--granularities", "top", "--R-values", "1,4"],
+          "--granularities", "'local_only'"),
+         (["--methods", "local_only,fedavg", "--R-values", "1,4"], "--R-values", "'local_only', 'fedavg'"),
+         (["--granularities", "top", "--R-values", "2"], "--R-values", "'hks'"),
+         (["--methods", "fedcache,feddistill", "--granularities", "top,all"], "--granularities",
+          "'fedcache', 'feddistill'")],
+        ids=["local_only-granularities", "local_only-fedavg-R", "hks-R", "fedcache-feddistill-granularities"],
+    )
+    def test_sweep_list_no_listed_method_reads_exits_2_before_any_run(
+        self, tmp_path, capsys, flags, flag, methods
+    ):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *fast_flags(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: '{flag}' does not apply to the methods {methods}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -119,8 +119,9 @@ class TestInit:
             global_test = train.subset([])
         trained = []
         monkeypatch.setattr(federation, "client_train", lambda *a: trained.append(a))
-        with pytest.raises(ConfigError, match="global test set"):
+        with pytest.raises(EmptyDatasetError, match="global test set") as info:
             run_experiment(tiny_cfg(), train, global_test)
+        assert info.value.exit_code == 8
         assert trained == []
 
     def test_init_is_deterministic(self, dataset):

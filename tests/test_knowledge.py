@@ -1,4 +1,5 @@
 import copy
+import time
 import tracemalloc
 
 import numpy as np
@@ -465,14 +466,25 @@ class TestBuildHierarchy(FourPoints):
                 assert merge.height == pytest.approx(height, abs=1e-9)
 
 
+def jittered_copies(groups, copies, seed, d=10):
+    """`groups` random rows, each repeated `copies` times and jittered by
+    1e-9: most distances within a group round to exactly 0, so most of a
+    group's slots tie at the minimum."""
+    rng = np.random.default_rng(seed)
+    X = np.repeat(rng.normal(size=(groups, d)), copies, axis=0)
+    return X + 1e-9 * rng.normal(size=X.shape)
+
+
 def compaction_cases():
     """Inputs large enough that the matrix is compacted several times
-    (n >= 65 halves at least twice): random normals, and small-integer grids
-    whose dissimilarities tie exactly."""
+    (n >= 65 halves at least twice): random normals, small-integer grids
+    whose dissimilarities tie exactly, and jittered copies whose slots tie
+    many at a time."""
     for n in (65, 130, 300):
         rng = np.random.default_rng(n)
         yield pytest.param(rng.normal(size=(n, 4)), id=f"normal-{n}")
         yield pytest.param(rng.integers(0, 6, size=(n, 3)).astype(np.float64), id=f"grid-{n}")
+    yield pytest.param(jittered_copies(4, 24, seed=96), id="jittered-copies-96")
 
 
 class TestCompactedLinkage:
@@ -568,6 +580,21 @@ def merge_loop_cases():
         [[0.0, 0.0, 0.0], [-7.0, -2.0, -1.0], [6.0, 3.0, 3.0], [7.0, 2.0, 1.0], [7.0, 1.0, 2.0], [9.0, 3.0, 3.0]],
         id="new-distance-rounds-below-old-min",
     )
+
+
+class TestManyTiedSlots:
+    """A tie is settled from one row, so copies that tie by the hundred
+    cost O(tied slots) per merge, not a key per tied pair."""
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_512_jittered_copies_cluster_within_two_seconds(self, linkage):
+        X = jittered_copies(4, 128, seed=512)
+        start = time.perf_counter()
+        tree = agglomerate(X, 4, linkage)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"{linkage} took {elapsed:.1f}s"
+        groups = {frozenset(range(g * 128, (g + 1) * 128)) for g in range(4)}
+        assert set(cut_partition(tree)) == groups
 
 
 class TestMergeLoopPaths:
