@@ -12,23 +12,28 @@ given order. Reordering rows can change which of two tied pairs merges
 first; the cache fixes the order (client by client, then local index).
 Live slots are in the order of their clusters' min member rows (a merge
 writes into its lower slot, and compaction keeps order), so the key
-compares slot indices where it names min member rows. The matrix is exactly
-symmetric, so both slots of every pair at the minimum hold it as their row
-minimum: the first such slot i leads the least key, and its partner is the
-slot at the minimum in row i with the least (max member row, slot). A tie
-reads only the tied slots' entries of row i, O(tied slots) per merge; when
-exactly two slots hold the minimum they are the only pair.
+compares slot indices where it names min member rows.
+
+Each slot keeps a lower bound on its row's minimum over the live columns
+(Muellner, arXiv:1109.2378). A step reads the row of the first least bound
+and, while the row's minimum exceeds it, raises that bound and picks again.
+The slot i it settles on is the first at the global minimum, since every
+earlier bound is larger. The matrix is exactly symmetric, so both slots of
+a pair at the minimum hold it: i leads the least key, and its partner is
+the slot at the minimum in row i with the least (max member row, slot), so
+a tie costs O(tied slots) per merge. A merge changes only column i of the
+other rows, and lowers their bounds to it (an average can round below the
+old minimum).
 
 The dissimilarities live in one N x N float64 matrix, built in place. Each
-time the live clusters fall to half its side, their rows and columns are
-copied, in order, into a matrix of the live count, so later steps cost the
-live count rather than N. Slot order is kept, so every step picks the same
-pair and computes the same Lance-Williams row as over the full matrix.
+time the live clusters fall to half its side, their rows and columns move,
+in order, into the top-left block of the same buffer, so later steps cost
+the live count rather than N. Slot order is kept, so every step picks the
+same pair and computes the same Lance-Williams row as over the full matrix.
 A merge of slots i < j writes the new row into row i and column i, and
 nothing else: column j, like every dead slot's column, keeps stale values,
 and a penalty vector (0 on a live slot, inf on a dead one) masks them
-wherever a row is read whole, in the row-minimum rescans and the next
-Lance-Williams row.
+wherever a row is read whole.
 
 Known gap: the Lance-Williams average update and a fresh mean over member
 pairs (`naive_linkage` in the tests) can round an exact real tie
@@ -50,7 +55,7 @@ Array = np.ndarray
 
 LINKAGES = ("average", "single", "complete")
 # Rows of the distance matrix finished per pass over a (block, N) temporary.
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,9 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
         if np.einsum("ij,ij->i", X, X).max() > np.finfo(np.float64).max / 4:
             raise InvalidInputError("vectors are too large: squared distances overflow")
 
+    if cut == n:
+        return ClusterTree(n, ())
+
     D = _pairwise_distances(X)
     sizes = np.ones(n, dtype=np.int64)
     slot_node = list(range(n))  # matrix slot -> current tree node id
@@ -120,29 +128,32 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     pen = np.zeros(n)  # 0 on a live slot, inf on a dead one
     merges: list[Merge] = []
 
-    # Per-row minima over the live columns let each step find the global
-    # minimum in O(n); a dead slot's row_min stays inf.
-    row_arg = D.argmin(axis=1)
-    row_min = D[np.arange(n), row_arg]
+    # A lower bound on each row's live minimum; inf on a dead slot.
+    row_min = D.min(axis=1)
 
     for t in range(n - cut):
         live = n - t
         if 2 * live <= len(D):
+            # In place: new row r ends before old row keep[r + 1] starts.
             keep = np.flatnonzero(pen == 0.0)
-            slot_of = np.full(len(D), -1, dtype=np.int64)
-            slot_of[keep] = np.arange(live)
-            D = D[np.ix_(keep, keep)]
+            old, D = D, D.reshape(-1)[: live * live].reshape(live, live)
+            for r, k in enumerate(keep):
+                D[r] = old[k, keep]
             sizes, row_min = sizes[keep], row_min[keep]
-            row_arg = slot_of[row_arg[keep]]
             slot_node = [slot_node[s] for s in keep]
             slot_max = slot_max[keep]
             pen = np.zeros(live)
 
-        height = float(row_min.min())
-        tied = np.flatnonzero(row_min == height)
-        i, j = int(tied[0]), int(tied[1])
-        if len(tied) > 2:
-            partners = tied[D[i, tied] == height]
+        while True:
+            i = int(row_min.argmin())
+            masked = D[i] + pen
+            height = float(masked.min())
+            if height == row_min[i]:
+                break
+            row_min[i] = height
+        partners = np.flatnonzero(masked == height)
+        j = int(partners[0])
+        if len(partners) > 1:
             j = int(partners[np.argmin(np.maximum(slot_max[i], slot_max[partners]))])
         merges.append(Merge(slot_node[i], slot_node[j], height))
 
@@ -166,22 +177,11 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
         slot_node[i] = n + t
         slot_max[i] = max(slot_max[i], slot_max[j])
 
-        row_arg[i] = row.argmin()
-        row_min[i] = row[row_arg[i]]
-        row_min[j] = np.inf
-        # Only a row whose nearest slot was i or j and whose new distance
-        # exceeds its old minimum is rescanned. Every other row's other
-        # columns are unchanged, so its minimum is min(old, new), and its
-        # nearest slot becomes i where the new distance reaches it.
-        near = (row_arg == i) | (row_arg == j)
-        near &= row > row_min
-        stale = np.flatnonzero(near)
+        # Lowered to the new distances, the bounds hold where an average
+        # rounds below a row's old minimum.
         np.minimum(row_min, row, out=row_min)
-        row_arg[row == row_min] = i
-        for r in stale:
-            masked = D[r] + pen
-            row_arg[r] = masked.argmin()
-            row_min[r] = masked[row_arg[r]]
+        row_min[i] = row.min()
+        row_min[j] = np.inf
 
     return ClusterTree(n, tuple(merges))
 

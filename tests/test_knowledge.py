@@ -525,7 +525,30 @@ class TestCompactedLinkage:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.4 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 N^2 bytes"
+        assert peak <= 1.1 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x 8 N^2 bytes"
+
+    def test_cut_at_every_row_builds_no_matrix(self):
+        n = 2000
+        X = np.random.default_rng(0).normal(size=(n, 10))
+        tracemalloc.start()
+        try:
+            tree = agglomerate(X, cut=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tree.n_leaves, tree.merges) == (n, ())
+        assert peak <= 16 * 8 * n, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_workload_shaped_logits_match_dense_linkage(self, linkage):
+        # 2398 rows like a 10-class synthetic run's cached logits: 10 Gaussian
+        # blobs in 10-d, rows regrouped into 20 seeded client blocks
+        rng = np.random.default_rng(2398)
+        centres = 3.0 * rng.normal(size=(10, 10))
+        X = centres[rng.integers(0, 10, size=2398)] + rng.normal(size=(2398, 10))
+        X = X[np.argsort(rng.integers(0, 20, size=2398), kind="stable")]
+        tree = agglomerate(X, 10, linkage)
+        assert tree.merges == dense_linkage(X, 10, linkage).merges  # bit for bit
 
 
 class TestMergesStopAtTheCut:
@@ -558,8 +581,9 @@ class TestMergesStopAtTheCut:
 
 def merge_loop_cases():
     """Small inputs, each built to reach one path of the merge loop."""
-    # 1.9 joins 1 first, so 5's nearest slot dies into a farther one: its row
-    # is rescanned while the dead column still holds its smallest value, 3.1
+    # 1.9 joins 1 first, so 5's bound stays 3.1, below its live minimum: when
+    # the bound leads the pick, 5's row is read while the dead column still
+    # holds 3.1, and the penalty must mask it
     yield pytest.param([[0.0], [1.0], [1.9], [5.0], [8.5]], id="stale-column-below-rescanned-min")
     # equal spacing: four or more rows hold the global minimum at once
     yield pytest.param([[float(x)] for x in range(6)], id="every-row-at-the-minimum")
@@ -573,12 +597,20 @@ def merge_loop_cases():
     yield pytest.param([[0.0, 0.0], [5.0, 0.0], [3.0, 4.0], [3.0, 4.0]], id="new-distance-equals-old-min")
     # the origin is m = sqrt(54) from the last four points but (9, 3, 3); once
     # (6, 3, 3) joins the first pair of them, (1*m + 2*m)/3 rounds below m, so
-    # the origin's nearest slot becomes the merged one while its old nearest
-    # (-7, -2, -1) stays live; that slot then takes (9, 3, 3) and the origin's
-    # row must be rescanned
+    # the origin's bound drops to the merged slot's distance while its old
+    # nearest (-7, -2, -1) stays live at m; the merged slot then takes
+    # (9, 3, 3), which lifts the origin's true minimum back to m, above its
+    # bound
     yield pytest.param(
         [[0.0, 0.0, 0.0], [-7.0, -2.0, -1.0], [6.0, 3.0, 3.0], [7.0, 2.0, 1.0], [7.0, 1.0, 2.0], [9.0, 3.0, 3.0]],
         id="new-distance-rounds-below-old-min",
+    )
+    # {0, 5} is m = (sqrt(5) + sqrt(13))/2 from {1, 6} and from 4; once 4
+    # joins {1, 6}, (2*m + 1*m)/3 rounds below m, and only a bound lowered to
+    # it lets {0, 5}'s slot, the lower one, lead the next merge
+    yield pytest.param(
+        [[-2.0, -3.0], [0.0, -2.0], [-3.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [-3.0, -4.0], [0.0, -2.0], [-4.0, 3.0]],
+        id="average-rounds-below-a-bound",
     )
 
 
@@ -611,6 +643,18 @@ class TestMergeLoopPaths:
             assert len(tree.merges) == len(X) - cut
             assert tree.merges == expected.merges  # heights included, bit for bit
             assert cut_partition(tree) == cut_partition(expected)
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_small_integer_grids_match_dense_linkage(self, linkage, data):
+        # small integer coordinates tie often, and at every cut
+        d = data.draw(st.integers(1, 3))
+        point = st.lists(st.integers(-4, 3), min_size=d, max_size=d)
+        X = np.array(data.draw(st.lists(point, min_size=2, max_size=16)), dtype=np.float64)
+        for cut in range(1, len(X) + 1):
+            assert agglomerate(X, cut, linkage).merges == dense_linkage(X, cut, linkage).merges
+
 
 class TestRejectsUnclusterableVectors:
     """Vectors whose distances are not finite floats end in InvalidInputError
