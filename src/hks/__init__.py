@@ -4,7 +4,7 @@ Clients share per-sample logits; the server organizes them into a bottom-up
 cluster hierarchy and serves teacher knowledge at a chosen granularity,
 alongside parameter-averaging and distillation baselines.
 """
-from .data import ClientShard, Dataset, PartitionSpec, dirichlet_partition, load_idx, synth_blobs
+from .data import ClientShard, Dataset, dirichlet_partition, load_idx, synth_blobs
 from .federation import (
     ClientState,
     ExperimentResult,
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClientShard",
     "Dataset",
-    "PartitionSpec",
     "dirichlet_partition",
     "load_idx",
     "synth_blobs",

@@ -118,16 +118,17 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
 
 def synth_blobs(n_classes: int, per_class: int, input_dim: int, spread: float, seed: int) -> Dataset:
-    """Gaussian blobs around seeded unit-direction centers of norm 4."""
+    """Gaussian blobs around seeded unit-direction centers of norm 4, class
+    by class. The centers are drawn first, then every sample's noise in one
+    draw."""
     if n_classes < 1 or per_class < 1 or input_dim < 1 or spread < 0:
         raise InvalidInputError("n_classes, per_class, input_dim must be >= 1 and spread >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_classes, input_dim))
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
     centers = 4.0 * centers / norms
-    feats = np.concatenate(
-        [centers[c] + spread * rng.standard_normal((per_class, input_dim)) for c in range(n_classes)]
-    )
+    noise = rng.standard_normal((n_classes * per_class, input_dim))
+    feats = np.repeat(centers, per_class, axis=0) + spread * noise
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     return Dataset(feats, labels, n_classes)
 
@@ -148,65 +149,59 @@ def synth_train_and_test(
     """
     if test_per_class is None:
         test_per_class = max(1, -(-per_class // 4))
+    if test_per_class < 0:
+        raise InvalidInputError(f"test_per_class must be >= 0, got {test_per_class}")
     full = synth_blobs(n_classes, per_class + test_per_class, input_dim, spread, seed)
-    block = per_class + test_per_class
-    train_idx, test_idx = [], []
-    for c in range(n_classes):
-        start = c * block
-        train_idx.extend(range(start, start + per_class))
-        test_idx.extend(range(start + per_class, start + block))
-    return full.subset(train_idx), full.subset(test_idx)
+    X = full.features.reshape(n_classes, per_class + test_per_class, input_dim)
+    y = full.labels.reshape(n_classes, per_class + test_per_class)
+    return (
+        Dataset(X[:, :per_class].reshape(-1, input_dim), y[:, :per_class].ravel(), n_classes),
+        Dataset(X[:, per_class:].reshape(-1, input_dim), y[:, per_class:].ravel(), n_classes),
+    )
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    n_clients: int
-    alpha_dir: float
-    seed: int
-    min_per_client: int = 0
+def dirichlet_partition(
+    ds: Dataset, n_clients: int, alpha_dir: float, seed: int, min_per_client: int = 0
+) -> list[Array]:
+    """Per-class Dirichlet split of sample indices across n_clients clients.
 
-    def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise InvalidInputError("n_clients must be >= 1")
-        if not 0 < self.alpha_dir < math.inf:
-            raise InvalidInputError(f"alpha_dir must be finite and > 0, got {self.alpha_dir}")
-        if self.min_per_client < 0:
-            raise InvalidInputError("min_per_client must be >= 0")
-
-
-def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Array]:
-    """Per-class Dirichlet split of sample indices across clients.
-
-    For each class, client proportions are drawn from Dirichlet(alpha * 1_N)
-    and the class's shuffled indices are cut at the cumulative proportions.
-    A post-pass moves samples from the largest shard, round-robin over
-    deficient clients, until every client holds min_per_client samples.
+    For each class, client proportions are drawn from a symmetric
+    Dirichlet(alpha_dir) by the generator seeded with `seed`, and the class's
+    shuffled indices are cut at the cumulative proportions. A post-pass moves
+    samples from the largest shard, round-robin over deficient clients, until
+    every client holds min_per_client samples. The settings are checked here
+    for library callers; a `FederationConfig` has checked its own.
     """
+    if n_clients < 1:
+        raise InvalidInputError("n_clients must be >= 1")
+    if not 0 < alpha_dir < math.inf:
+        raise InvalidInputError(f"alpha_dir must be finite and > 0, got {alpha_dir}")
+    if min_per_client < 0:
+        raise InvalidInputError("min_per_client must be >= 0")
     if len(ds) == 0:
         raise InvalidInputError("cannot partition an empty dataset")
-    n = spec.n_clients
-    if spec.min_per_client * n > len(ds):
+    if min_per_client * n_clients > len(ds):
         raise InfeasiblePartitionError(
-            f"min_per_client={spec.min_per_client} x {n} clients exceeds {len(ds)} samples"
+            f"min_per_client={min_per_client} x {n_clients} clients exceeds {len(ds)} samples"
         )
-    rng = np.random.default_rng(spec.seed)
-    parts: list[list[int]] = [[] for _ in range(n)]
+    rng = np.random.default_rng(seed)
+    parts: list[list[int]] = [[] for _ in range(n_clients)]
     for c in range(ds.n_classes):
         idx_c = np.flatnonzero(ds.labels == c)
         if idx_c.size == 0:
             continue
         rng.shuffle(idx_c)
-        p = rng.dirichlet(np.full(n, spec.alpha_dir))
+        p = rng.dirichlet(np.full(n_clients, alpha_dir))
         cuts = (np.cumsum(p)[:-1] * idx_c.size).astype(np.int64)
         for k, piece in enumerate(np.split(idx_c, cuts)):
             parts[k].extend(int(i) for i in piece)
 
     while True:
-        deficient = [k for k in range(n) if len(parts[k]) < spec.min_per_client]
+        deficient = [k for k in range(n_clients) if len(parts[k]) < min_per_client]
         if not deficient:
             break
         for k in deficient:
-            donor = max(range(n), key=lambda j: (len(parts[j]), -j))
+            donor = max(range(n_clients), key=lambda j: (len(parts[j]), -j))
             parts[k].append(parts[donor].pop())
     return [np.asarray(p, dtype=np.int64) for p in parts]
 
@@ -229,9 +224,9 @@ def split_local_test(
 ) -> ClientShard:
     """Seeded stratified split of a shard into local train and test parts.
 
-    Classes with at least two shard samples contribute round(n_c * fraction)
-    test samples (at least one, and at least one stays in train); singleton
-    classes go entirely to train.
+    Each class, in ascending order, shuffles its shard samples and gives
+    round(n_c * fraction) of them to test, at least one and at most n_c - 1,
+    so a class with one shard sample stays entirely in train.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
@@ -241,12 +236,10 @@ def split_local_test(
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for c in np.unique(ds.labels[idx]):
-        members = idx[ds.labels[idx] == c]
+    labels = ds.labels[idx]
+    for c in np.flatnonzero(np.bincount(labels)):
+        members = idx[labels == c]
         rng.shuffle(members)
-        if members.size < 2:
-            train_idx.extend(members.tolist())
-            continue
         n_test = int(np.floor(members.size * test_fraction + 0.5))
         n_test = min(max(n_test, 1), members.size - 1)
         test_idx.extend(members[:n_test].tolist())
@@ -263,10 +256,7 @@ def split_local_test(
 def epoch_order(shard: ClientShard, seed: int, epoch: int) -> Array:
     """The shard's train indices shuffled for one epoch, keyed by (seed,
     client, epoch); batch j is entries j*B:(j+1)*B for batch size B."""
-    order = np.arange(len(shard.train))
-    rng = np.random.default_rng([seed, shard.client_id, epoch])
-    rng.shuffle(order)
-    return order
+    return np.random.default_rng([seed, shard.client_id, epoch]).permutation(len(shard.train))
 
 
 def stratified_subsample(ds: Dataset, n_samples: int, seed: int) -> Dataset:

@@ -25,7 +25,6 @@ import numpy as np
 from .data import (
     ClientShard,
     Dataset,
-    PartitionSpec,
     dirichlet_partition,
     epoch_order,
     split_local_test,
@@ -51,7 +50,6 @@ from .metrics import ExperimentSummary, RoundReport, evaluate, summarize
 from .models import (
     CapacityTier,
     Model,
-    aggregate_weights,
     build_model,
     fedavg_aggregate,
     train_step,
@@ -205,13 +203,13 @@ def init_federation(
     searches each row's neighbour rows once, exactly, with no index."""
     if global_test is None or len(global_test) == 0:
         raise EmptyDatasetError("a nonempty global test set is required to report rounds")
-    spec = PartitionSpec(
-        n_clients=cfg.n_clients,
-        alpha_dir=cfg.alpha_dir,
-        seed=child_seed(cfg.seed, _TAG_PARTITION),
-        min_per_client=cfg.min_per_client,
+    parts = dirichlet_partition(
+        dataset,
+        cfg.n_clients,
+        cfg.alpha_dir,
+        child_seed(cfg.seed, _TAG_PARTITION),
+        cfg.min_per_client,
     )
-    parts = dirichlet_partition(dataset, spec)
     shards = []
     for k in range(cfg.n_clients):
         shard = split_local_test(
@@ -281,13 +279,12 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     rows come from init.
     """
     cfg = state.config
-    if cfg.method not in LOGIT_METHODS or round_index < cfg.warmup_rounds or state.cache.round < 0:
+    # hks's first tree clusters round W's uploads, so its round-W client
+    # phase still trains on cross-entropy alone.
+    first = cfg.warmup_rounds + (cfg.method is Method.HKS)
+    if cfg.method not in LOGIT_METHODS or round_index < first or state.cache.round < 0:
         return None
     if cfg.method is Method.HKS:
-        # The first tree clusters round W's uploads, so the round-W client
-        # phase still trains on cross-entropy alone.
-        if round_index == cfg.warmup_rounds:
-            return None
         tree = build_hierarchy(
             state.cache,
             state.train.n_classes,
@@ -401,8 +398,7 @@ def run_round(state: FederationState) -> RoundReport:
     if cfg.method is Method.FEDAVG:
         (tier,) = state.tiers
         by_id = np.argsort(tier.members)
-        rows = replace(tier.stack, params=tier.stack.params[by_id])
-        tier.stack.params[:] = fedavg_aggregate(rows, aggregate_weights(tier.sizes[by_id]))
+        tier.stack.params[:] = fedavg_aggregate(tier.stack.params[by_id], tier.sizes[by_id])
 
     local_acc = np.array([evaluate(c.model, c.shard.local_test) for c in state.clients])
     global_acc = np.array([evaluate(c.model, state.global_test) for c in state.clients])

@@ -19,9 +19,6 @@ class RandomProjectionEncoder:
     def __init__(self, input_dim: int, d_hash: int, seed: int):
         if input_dim < 1 or d_hash < 1:
             raise InvalidInputError("input_dim and d_hash must be >= 1")
-        self.input_dim = input_dim
-        self.d_hash = d_hash
-        self.seed = seed
         rng = np.random.default_rng([seed, 7477])
         self.projection = rng.standard_normal((d_hash, input_dim))
 

@@ -98,7 +98,7 @@ def feddistill_teacher(cache: KnowledgeCache, temperature: float) -> TeacherTabl
     has = np.zeros(len(cache), dtype=bool)
     for k, rows in enumerate(cache.rows):
         foreign = cache.owner != k
-        for y in np.unique(labels[rows]):
+        for y in np.flatnonzero(np.bincount(labels[rows])):
             pool = foreign & (labels == y)
             if pool.any():
                 mine = labels[rows] == y
@@ -129,10 +129,10 @@ def fedcache_neighbors(cache: KnowledgeCache, hashes: Array, R: int) -> Array:
     if R < 1:
         raise InvalidInputError(f"R must be >= 1, got {R}")
     labels = cache.read_labels()
-    classes, counts = np.unique(labels, return_counts=True)
+    counts = np.bincount(labels)
     # a row has no more neighbours than its class holds, however large R is
     out = np.full((len(cache), min(R, counts.max(initial=0))), -1, dtype=np.int64)
-    for y in classes:
+    for y in np.flatnonzero(counts):
         members = np.flatnonzero(labels == y)
         H, owner = hashes[members], cache.owner[members]
         k = min(out.shape[1], len(members))

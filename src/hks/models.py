@@ -207,22 +207,15 @@ def train_step(
     return bd, Z
 
 
-def aggregate_weights(sizes: Sequence[int]) -> Array:
-    """FedAvg weights proportional to client dataset sizes."""
+def fedavg_aggregate(params: Array, sizes: Sequence[int]) -> Array:
+    """FedAvg of K models' (K, P) parameter rows, weighted by the clients'
+    dataset sizes and summed in row order."""
     s = np.asarray(sizes, dtype=np.float64)
+    if params.shape[:1] != s.shape:
+        raise ShapeError(f"{len(params)} models but {s.shape[0]} sizes")
     if np.any(s < 0) or s.sum() <= 0:
         raise InvalidInputError("sizes must be nonnegative with positive total")
-    return s / s.sum()
-
-
-def fedavg_aggregate(stack: Model, weights: Array) -> Array:
-    """Weighted average of a stack's (K, P) rows, summed in row order."""
-    w = np.asarray(weights, dtype=np.float64)
-    if stack.params.shape[:1] != w.shape:
-        raise ShapeError(f"{len(stack.params)} models but {w.shape[0]} weights")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise InvalidInputError("weights must be nonnegative and sum to 1")
-    merged = np.zeros(stack.params.shape[1:])
-    for row, wk in zip(stack.params, w):
+    merged = np.zeros(params.shape[1:])
+    for row, wk in zip(params, s / s.sum()):
         merged += wk * row
     return merged

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, epoch_order
+from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ClientShard, Dataset
 from hks.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -656,7 +656,8 @@ def reference_train_step(
 def reference_client_phase(tier, state, round_index, table, uploads):
     """The client phase trained one client after another, each one model at
     a time on its own shard: local epochs on seeded batches, batch j of an
-    epoch being the j-th run of batch_size entries of `epoch_order`. Same
+    epoch being the j-th run of batch_size entries of
+    `reference_epoch_order`. Same
     signature, results and writes as `federation.client_train`: each trained
     model goes to its stack row and its logits to its cache rows of
     `uploads`."""
@@ -674,7 +675,7 @@ def reference_client_phase(tier, state, round_index, table, uploads):
         n_samples = 0
         for e in range(cfg.local_epochs):
             epoch_key = round_index * cfg.local_epochs + e
-            order = epoch_order(client.shard, cfg.seed, epoch_key)
+            order = reference_epoch_order(client.shard, cfg.seed, epoch_key)
             for i in range(0, order.size, cfg.batch_size):
                 batch_idx = order[i : i + cfg.batch_size]
                 batch_teachers = None if teachers is None else teachers.take(batch_idx)
@@ -691,6 +692,72 @@ def reference_client_phase(tier, state, round_index, table, uploads):
         kd_out.append(kd_sum / n_samples)
     ce, kd = np.array(ce_out), np.array(kd_out)
     return LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
+
+
+def reference_synth_blobs(
+    n_classes: int, per_class: int, input_dim: int, spread: float, seed: int
+) -> Dataset:
+    """Gaussian blobs drawn one class at a time: the seeded centers of norm
+    4, then each class's noise in its own draw. The bit-exact oracle for
+    `synth_blobs`."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((n_classes, input_dim))
+    norms = np.linalg.norm(centers, axis=1, keepdims=True)
+    centers = 4.0 * centers / norms
+    feats = np.concatenate(
+        [centers[c] + spread * rng.standard_normal((per_class, input_dim)) for c in range(n_classes)]
+    )
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+    return Dataset(feats, labels, n_classes)
+
+
+def reference_synth_train_and_test(
+    n_classes, per_class, input_dim, spread, seed, test_per_class=None
+) -> tuple[Dataset, Dataset]:
+    """The blobs of per_class + test_per_class samples per class, gathered
+    into train and test sets through two index lists. The bit-exact oracle
+    for `synth_train_and_test`."""
+    if test_per_class is None:
+        test_per_class = max(1, -(-per_class // 4))
+    full = reference_synth_blobs(n_classes, per_class + test_per_class, input_dim, spread, seed)
+    block = per_class + test_per_class
+    train_idx, test_idx = [], []
+    for c in range(n_classes):
+        start = c * block
+        train_idx.extend(range(start, start + per_class))
+        test_idx.extend(range(start + per_class, start + block))
+    return full.subset(train_idx), full.subset(test_idx)
+
+
+def reference_split_local_test(indices, ds: Dataset, test_fraction: float, seed: int, client_id=0):
+    """Stratified local split with a class of one shard sample sent to train
+    by its own branch. The bit-exact oracle for `split_local_test`."""
+    idx = np.asarray(indices, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    train_idx: list[int] = []
+    test_idx: list[int] = []
+    for c in np.unique(ds.labels[idx]):
+        members = idx[ds.labels[idx] == c]
+        rng.shuffle(members)
+        if members.size < 2:
+            train_idx.extend(members.tolist())
+            continue
+        n_test = int(np.floor(members.size * test_fraction + 0.5))
+        n_test = min(max(n_test, 1), members.size - 1)
+        test_idx.extend(members[:n_test].tolist())
+        train_idx.extend(members[n_test:].tolist())
+    train_idx.sort()
+    test_idx.sort()
+    return ClientShard(client_id, ds.subset(train_idx), ds.subset(test_idx))
+
+
+def reference_epoch_order(shard: ClientShard, seed: int, epoch: int) -> Array:
+    """`arange` shuffled in place by the (seed, client, epoch) generator. The
+    bit-exact oracle for `epoch_order`."""
+    order = np.arange(len(shard.train))
+    rng = np.random.default_rng([seed, shard.client_id, epoch])
+    rng.shuffle(order)
+    return order
 
 
 def write_idx(ds: Dataset, images_path: str | Path, labels_path: str | Path) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hks.cli import main
-from hks.data import dirichlet_partition, PartitionSpec, stratified_subsample, synth_blobs, synth_train_and_test, load_idx
+from hks.data import dirichlet_partition, stratified_subsample, synth_blobs, synth_train_and_test, load_idx
 from hks.federation import FederationConfig, Method, init_federation, run_experiment, run_round
 from hks.knowledge import (
     Granularity,
@@ -149,7 +149,7 @@ def test_criterion_04_partition_properties():
         n_clients = int(rng.integers(1, 15))
         alpha = float(rng.uniform(0.05, 100.0))
         seed = int(rng.integers(100_000))
-        parts = dirichlet_partition(ds, PartitionSpec(n_clients, alpha, seed=seed))
+        parts = dirichlet_partition(ds, n_clients, alpha, seed=seed)
         flat = np.concatenate(parts)
         assert len(flat) == len(ds)
         assert len(np.unique(flat)) == len(ds)
@@ -157,7 +157,7 @@ def test_criterion_04_partition_properties():
     skew_ds = synth_blobs(5, 200, 2, 1.0, seed=405)
 
     def mean_entropy(alpha: float, seed: int) -> float:
-        parts = dirichlet_partition(skew_ds, PartitionSpec(10, alpha, seed=seed))
+        parts = dirichlet_partition(skew_ds, 10, alpha, seed=seed)
         entropies = []
         for part in parts:
             if len(part) == 0:

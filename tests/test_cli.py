@@ -846,6 +846,43 @@ class TestModuleEntry:
         ]
 
 
+# Prints whether `import numpy` alone loads numpy.ma, then whether a whole
+# run of the method in argv[1] has loaded it.
+_MASKED_PROBE = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+from hks.cli import main
+assert main(["run", "--method", sys.argv[1], *sys.argv[2:]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestNoMaskedArrays:
+    """numpy loads `numpy.ma` lazily, at a cost of several milliseconds, on
+    the first `np.unique` and a few other calls; no run needs it."""
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_a_run_never_imports_numpy_ma(self, tmp_path, method):
+        src = str(Path(hks.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        flags = ["--synthetic", "3,40,6,0.3", "--n-clients", "3", "--rounds", "4",
+                 "--warmup-rounds", "1", "--out", str(tmp_path / "run")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MASKED_PROBE, method, *flags],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        at_import, after_run = lines[0], lines[-1]
+        if at_import == "True":
+            pytest.skip("this numpy loads numpy.ma on import")
+        assert after_run == "False"
+
+
 def parse_flags(*argv, cls=RunConfig):
     args = build_parser(cls).parse_args(["run", *argv])
     return parse_config(args.config, flag_overrides(args, cls), cls=cls)

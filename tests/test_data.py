@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hks.data import (
     ClientShard,
     Dataset,
-    PartitionSpec,
     dirichlet_partition,
     epoch_order,
     load_idx,
@@ -27,7 +26,13 @@ from hks.errors import (
     TruncatedFileError,
 )
 
-from reference_oracles import write_idx
+from reference_oracles import (
+    reference_epoch_order,
+    reference_split_local_test,
+    reference_synth_blobs,
+    reference_synth_train_and_test,
+    write_idx,
+)
 
 
 def idx_fixture_bytes():
@@ -148,11 +153,16 @@ class TestSynthBlobs:
             ec = test.features[test.labels == c].mean(axis=0)
             assert np.linalg.norm(tc - ec) < 0.15
 
+    @pytest.mark.parametrize("test_per_class", [-1, -3])
+    def test_negative_test_per_class_rejected(self, test_per_class):
+        with pytest.raises(InvalidInputError, match="test_per_class"):
+            synth_train_and_test(3, 5, 2, 0.3, seed=0, test_per_class=test_per_class)
+
 
 class TestDirichletPartition:
     def test_single_client_gets_everything(self):
         ds = synth_blobs(3, 10, 4, 0.5, seed=0)
-        parts = dirichlet_partition(ds, PartitionSpec(1, 0.5, seed=0))
+        parts = dirichlet_partition(ds, 1, 0.5, seed=0)
         assert sorted(parts[0].tolist()) == list(range(30))
 
     @given(
@@ -163,7 +173,7 @@ class TestDirichletPartition:
     @settings(max_examples=40, deadline=None)
     def test_partition_is_complete_and_disjoint(self, n_clients, alpha, seed):
         ds = synth_blobs(4, 12, 3, 0.5, seed=7)
-        parts = dirichlet_partition(ds, PartitionSpec(n_clients, alpha, seed=seed))
+        parts = dirichlet_partition(ds, n_clients, alpha, seed=seed)
         flat = np.concatenate(parts)
         assert len(flat) == len(ds)
         assert len(np.unique(flat)) == len(ds)
@@ -171,7 +181,7 @@ class TestDirichletPartition:
     def test_near_uniform_limit(self):
         ds = synth_blobs(10, 1000, 2, 1.0, seed=3)
         for seed in range(5):
-            parts = dirichlet_partition(ds, PartitionSpec(4, 1e6, seed=seed))
+            parts = dirichlet_partition(ds, 4, 1e6, seed=seed)
             for part in parts:
                 labels = ds.labels[part]
                 for c in range(10):
@@ -180,7 +190,7 @@ class TestDirichletPartition:
 
     def test_min_per_client_enforced(self):
         ds = synth_blobs(2, 50, 3, 0.5, seed=5)
-        parts = dirichlet_partition(ds, PartitionSpec(10, 0.05, seed=11, min_per_client=8))
+        parts = dirichlet_partition(ds, 10, 0.05, seed=11, min_per_client=8)
         assert all(len(p) >= 8 for p in parts)
         flat = np.concatenate(parts)
         assert len(np.unique(flat)) == len(ds)
@@ -188,19 +198,34 @@ class TestDirichletPartition:
     def test_infeasible_min_per_client(self):
         ds = synth_blobs(2, 5, 3, 0.5, seed=5)
         with pytest.raises(InfeasiblePartitionError):
-            dirichlet_partition(ds, PartitionSpec(4, 1.0, seed=0, min_per_client=5))
+            dirichlet_partition(ds, 4, 1.0, seed=0, min_per_client=5)
 
     @pytest.mark.parametrize("alpha", [np.inf, np.nan])
     def test_non_finite_alpha_rejected(self, alpha):
+        ds = synth_blobs(2, 5, 3, 0.5, seed=5)
         with pytest.raises(InvalidInputError, match="alpha_dir"):
-            PartitionSpec(4, alpha, seed=0)
+            dirichlet_partition(ds, 4, alpha, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_clients, alpha, min_per_client, name",
+        [
+            (0, 1.0, 0, "n_clients"),
+            (4, 0.0, 0, "alpha_dir"),
+            (4, -1.0, 0, "alpha_dir"),
+            (4, 1.0, -1, "min_per_client"),
+        ],
+    )
+    def test_bad_setting_rejected(self, n_clients, alpha, min_per_client, name):
+        ds = synth_blobs(2, 5, 3, 0.5, seed=5)
+        with pytest.raises(InvalidInputError, match=name):
+            dirichlet_partition(ds, n_clients, alpha, seed=0, min_per_client=min_per_client)
 
     def test_lower_alpha_is_more_skewed(self):
         # mean per-client label entropy: alpha=0.5 strictly below alpha=1000
         ds = synth_blobs(5, 200, 2, 1.0, seed=8)
 
         def mean_entropy(alpha, seed):
-            parts = dirichlet_partition(ds, PartitionSpec(10, alpha, seed=seed))
+            parts = dirichlet_partition(ds, 10, alpha, seed=seed)
             ents = []
             for part in parts:
                 if len(part) == 0:
@@ -340,3 +365,68 @@ class TestSubsample:
         present = np.flatnonzero(sizes)
         if n_samples >= len(present):
             assert (counts[present] >= 1).all()
+
+
+def assert_same_dataset(got, want):
+    assert got.n_classes == want.n_classes
+    for name in ("features", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def shard_cases():
+    """(dataset, shard) pairs with shards of 1 to 50 rows over 1 to 12
+    classes; the small shards hold classes of one and two samples."""
+    rng = np.random.default_rng(2025)
+    for size in range(1, 51):
+        n_classes = 1 + size % 12
+        n = size + int(rng.integers(0, 20))
+        ds = Dataset(rng.normal(size=(n, 3)), rng.integers(n_classes, size=n), n_classes)
+        yield ds, rng.permutation(n)[:size]
+
+
+class TestDataMatchesOracles:
+    """The one-pass data code gives the arrays of the class-by-class oracles
+    in `reference_oracles`, bit for bit."""
+
+    @pytest.mark.parametrize("spread", [0.0, 0.3, 2.5])
+    @pytest.mark.parametrize("per_class", [1, 2, 3, 17, 40])
+    def test_synth_blobs(self, per_class, spread):
+        for n_classes in range(1, 13):
+            for input_dim in (1, 5):
+                seed = 100 * n_classes + input_dim
+                assert_same_dataset(
+                    synth_blobs(n_classes, per_class, input_dim, spread, seed),
+                    reference_synth_blobs(n_classes, per_class, input_dim, spread, seed),
+                )
+
+    @pytest.mark.parametrize("test_per_class", [None, 0, 1, 7])
+    @pytest.mark.parametrize("spread", [0.0, 0.3])
+    @pytest.mark.parametrize("per_class", [1, 2, 5, 40])
+    def test_synth_train_and_test(self, per_class, spread, test_per_class):
+        for n_classes in (1, 2, 7, 12):
+            got = synth_train_and_test(n_classes, per_class, 4, spread, 9, test_per_class)
+            want = reference_synth_train_and_test(n_classes, per_class, 4, spread, 9, test_per_class)
+            for g, w in zip(got, want):
+                assert_same_dataset(g, w)
+
+    @pytest.mark.parametrize("test_fraction", np.linspace(0.05, 0.95, 19).round(2).tolist())
+    def test_split_local_test(self, test_fraction):
+        counts = set()
+        for i, (ds, shard) in enumerate(shard_cases()):
+            counts.update(np.bincount(ds.labels[shard]).tolist())
+            got = split_local_test(shard, ds, test_fraction, seed=i, client_id=i)
+            want = reference_split_local_test(shard, ds, test_fraction, seed=i, client_id=i)
+            assert got.client_id == want.client_id
+            assert_same_dataset(got.train, want.train)
+            assert_same_dataset(got.local_test, want.local_test)
+        assert {1, 2} <= counts  # the grid has one- and two-sample classes
+
+    def test_epoch_order(self):
+        for size in range(51):
+            ds = Dataset(np.zeros((size, 1)), np.zeros(size, dtype=np.int64), 1)
+            for client_id, seed, epoch in [(0, 0, 0), (3, 7, 2), (19, 12345, 40)]:
+                shard = ClientShard(client_id, ds, ds)
+                got = epoch_order(shard, seed, epoch)
+                want = reference_epoch_order(shard, seed, epoch)
+                assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -382,6 +382,29 @@ class TestWarmupGate:
         assert not result.reports[2].hierarchy_built
         assert result.reports[3].mean_kd > 0.0
 
+    @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
+    @pytest.mark.parametrize("warmup_rounds", [0, 1, 2])
+    def test_rounds_with_a_table(self, dataset, method, warmup_rounds, monkeypatch):
+        # hks distills from round W + 1, the others from the first round
+        # after an upload, max(W, 1)
+        train, test = dataset
+        build = federation.teacher_tables
+        tabled = []
+
+        def recording(state, round_index):
+            table = build(state, round_index)
+            if table is not None:
+                tabled.append(round_index)
+            return table
+
+        monkeypatch.setattr(federation, "teacher_tables", recording)
+        cfg = tiny_cfg(method, rounds=warmup_rounds + 3, warmup_rounds=warmup_rounds)
+        result = run_experiment(cfg, train, test)
+        first = warmup_rounds + 1 if method is Method.HKS else max(warmup_rounds, 1)
+        assert tabled == list(range(first, cfg.rounds))
+        built = [r.round for r in result.reports if r.hierarchy_built]
+        assert built == (tabled if method is Method.HKS else [])
+
 
 def record_tables(monkeypatch):
     """Map (round, client) to the teacher table rows each client phase
@@ -700,19 +723,18 @@ class TestTierStacks:
             trained.append(tier.stack.params.copy())
             return out
 
-        def recording_aggregate(stack, weights):
-            merged.append((stack.params.copy(), weights, aggregate(stack, weights)))
+        def recording_aggregate(params, sizes):
+            merged.append((params.copy(), sizes, aggregate(params, sizes)))
             return merged[-1][2]
 
         monkeypatch.setattr(federation, "client_train", recording_train)
         monkeypatch.setattr(federation, "fedavg_aggregate", recording_aggregate)
         run_round(state)
-        ((rows, weights, vector),) = merged
-        # the trained rows are averaged in client-id order
+        ((rows, sizes, vector),) = merged
+        # the trained rows are averaged in client-id order, by shard size
         by_id = np.argsort(tier.members)
         assert np.array_equal(rows, trained[0][by_id])
-        sizes = [len(c.shard.train) for c in state.clients]
-        assert np.array_equal(weights, np.array(sizes) / sum(sizes))
+        assert np.array_equal(sizes, [len(c.shard.train) for c in state.clients])
         assert not np.array_equal(trained[0][0], trained[0][1])
         for row in tier.stack.params:
             assert np.array_equal(row, vector)

@@ -7,7 +7,6 @@ from hks.errors import InvalidInputError, ShapeError
 from hks.models import (
     CapacityTier,
     Model,
-    aggregate_weights,
     build_model,
     fedavg_aggregate,
     forward_batch,
@@ -199,51 +198,51 @@ class TestEndToEndGradient:
 class TestFedavg:
     def test_identical_models_fixed_point(self):
         m = small_model(seed=1)
-        out = fedavg_aggregate(stack_of(m, m), np.array([0.3, 0.7]))
+        out = fedavg_aggregate(stack_of(m, m).params, [3, 7])
         np.testing.assert_allclose(out, m.params, atol=1e-15)
 
     def test_arithmetic(self):
         base = Model("mlp-1-1", (1, 1), np.array([2.0, 0.0]))
         other = Model("mlp-1-1", (1, 1), np.array([4.0, 0.0]))
-        out = fedavg_aggregate(stack_of(base, other), np.array([0.5, 0.5]))
+        out = fedavg_aggregate(stack_of(base, other).params, [5, 5])
         np.testing.assert_allclose(out, [3.0, 0.0])
 
     def test_degenerate_weights_pick_first(self):
         a, b = small_model(seed=1), small_model(seed=2)
-        out = fedavg_aggregate(stack_of(a, b), np.array([1.0, 0.0]))
+        out = fedavg_aggregate(stack_of(a, b).params, [4, 0])
         np.testing.assert_allclose(out, a.params)
 
     def test_sums_rows_in_row_order(self):
         models = [small_model(seed=s) for s in range(3)]
-        w = aggregate_weights([10, 20, 30])
+        sizes = np.array([10.0, 20.0, 30.0])
         want = np.zeros_like(models[0].params)
-        for m, wk in zip(models, w):
+        for m, wk in zip(models, sizes / sizes.sum()):
             want += wk * m.params
-        assert np.array_equal(fedavg_aggregate(stack_of(*models), w), want)
+        assert np.array_equal(fedavg_aggregate(stack_of(*models).params, [10, 20, 30]), want)
 
     @pytest.mark.parametrize(
-        "weights, error",
+        "sizes, error",
         [
-            ([0.5, 0.5], ShapeError),
-            ([0.5, 0.25, 0.5], InvalidInputError),
-            ([1.5, -0.25, -0.25], InvalidInputError),
+            ([5, 5], ShapeError),
+            ([6, -1, -1], InvalidInputError),
+            ([0, 0, 0], InvalidInputError),
         ],
     )
-    def test_weights_must_be_one_per_row_and_a_distribution(self, weights, error):
+    def test_sizes_must_be_one_per_row_with_a_positive_total(self, sizes, error):
         stack = stack_of(*(small_model(seed=s) for s in range(3)))
         with pytest.raises(error):
-            fedavg_aggregate(stack, np.array(weights))
+            fedavg_aggregate(stack.params, sizes)
 
     def test_permutation_equivariance(self):
         models = [small_model(seed=s) for s in range(3)]
-        w = aggregate_weights([10, 20, 30])
-        out = fedavg_aggregate(stack_of(*models), w)
+        sizes = np.array([10, 20, 30])
+        out = fedavg_aggregate(stack_of(*models).params, sizes)
         perm = [2, 0, 1]
-        out_p = fedavg_aggregate(stack_of(*(models[i] for i in perm)), w[perm])
+        out_p = fedavg_aggregate(stack_of(*(models[i] for i in perm)).params, sizes[perm])
         np.testing.assert_allclose(out, out_p, atol=1e-15)
 
     def test_weights_from_sizes(self):
-        np.testing.assert_allclose(aggregate_weights([1, 3]), [0.25, 0.75])
+        np.testing.assert_allclose(fedavg_aggregate(np.eye(2), [1, 3]), [0.25, 0.75])
 
 
 class TestDeterminism:
