@@ -364,7 +364,7 @@ def client_train(
             kd_sum[a:b] += bd.kd * width
     n_samples = tier.sizes * cfg.local_epochs
     ce, kd = ce_sum / n_samples, kd_sum / n_samples
-    return LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
+    return LossBreakdown(ce=ce, kd=kd)
 
 
 def run_round(state: FederationState) -> RoundReport:

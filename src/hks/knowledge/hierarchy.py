@@ -16,14 +16,17 @@ compares slot indices where it names min member rows.
 
 Each slot keeps a lower bound on its row's minimum over the live columns
 (Muellner, arXiv:1109.2378). A step reads the row of the first least bound
-and, while the row's minimum exceeds it, raises that bound and picks again.
-The slot i it settles on is the first at the global minimum, since every
-earlier bound is larger. The matrix is exactly symmetric, so both slots of
-a pair at the minimum hold it: i leads the least key, and its partner is
-the slot at the minimum in row i with the least (max member row, slot), so
-a tie costs O(tied slots) per merge. A merge changes only column i of the
-other rows, and lowers their bounds to it (an average can round below the
-old minimum).
+into one row buffer and, while the row's minimum exceeds it, raises that
+bound and picks again. The slot i it settles on is the first at the global
+minimum, since every earlier bound is larger. The matrix is exactly
+symmetric, so both slots of a pair at the minimum hold it: i leads the
+least key, and its partner is the slot at the minimum in row i with the
+least (max member row, slot). The pick's own argmin gives the first such
+slot; a second reduction, with that slot masked, only detects a tie, and
+only a tie compares the tied slots' max member rows, so a tie costs
+O(tied slots) per merge. A merge changes only column i of the other rows,
+and lowers their bounds to it (an average can round below the old
+minimum).
 
 The dissimilarities live in one N x N float64 matrix, built in place. Each
 time the live clusters fall to half its side, their rows and columns move,
@@ -126,6 +129,7 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
     slot_node = list(range(n))  # matrix slot -> current tree node id
     slot_max = np.arange(n)  # max member row per slot
     pen = np.zeros(n)  # 0 on a live slot, inf on a dead one
+    buf = np.empty(n)  # the picked row plus pen
     merges: list[Merge] = []
 
     # A lower bound on each row's live minimum; inf on a dead slot.
@@ -142,18 +146,20 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
             sizes, row_min = sizes[keep], row_min[keep]
             slot_node = [slot_node[s] for s in keep]
             slot_max = slot_max[keep]
-            pen = np.zeros(live)
+            pen, buf = np.zeros(live), buf[:live]
 
         while True:
             i = int(row_min.argmin())
-            masked = D[i] + pen
-            height = float(masked.min())
+            np.add(D[i], pen, out=buf)
+            j = int(buf.argmin())
+            height = float(buf[j])
             if height == row_min[i]:
                 break
             row_min[i] = height
-        partners = np.flatnonzero(masked == height)
-        j = int(partners[0])
-        if len(partners) > 1:
+        buf[j] = np.inf
+        if buf.min() == height:
+            buf[j] = height
+            partners = np.flatnonzero(buf == height)
             j = int(partners[np.argmin(np.maximum(slot_max[i], slot_max[partners]))])
         merges.append(Merge(slot_node[i], slot_node[j], height))
 

@@ -6,7 +6,8 @@ level of teacher logits at a time and softens it with
 `numerics.teacher_table`, so no builder holds more than one level.
 Teachers are means of the cache's raw logits. The hierarchical builder
 averages the members of nodes on each sample's cluster path, one path step
-per level; the two baselines aggregate by class label (global mean, or R
+per level, and softens a level only on the rows whose path reaches it; the
+two baselines aggregate by class label (global mean, or R
 hash-nearest neighbours), one level each, and therefore require the cache's
 label-storing mode. FedCache's neighbour table is searched exactly, once,
 when the federation is built (`fedcache_neighbors`); `fedcache_teacher`
@@ -45,7 +46,8 @@ def fetch_teacher(
     With a path of length L from the sample's singleton up to its root, the
     cut cluster that holds it: bottom reads the first merged cluster, middle
     the ceil((1+L)/2)-th path element, top the root, and all one mean per
-    non-singleton path element, softened one path step at a time. With
+    non-singleton path element, softened one path step at a time over the
+    rows that have a teacher there. With
     exclude_self a node's mean leaves out the sample's own logits, so a node
     holding only the sample gives no teacher.
     """
@@ -81,12 +83,15 @@ def fetch_teacher(
         nodes = paths[np.arange(n), length - 1][:, None]
     size = sums[nodes, -1] - int(exclude_self)
     has = (nodes >= 0) & (size > 0)
-    q, h = np.zeros_like(X), np.empty(nodes.shape)
-    for d, level in enumerate(nodes.T):
-        mean = sums[level, :-1] - X if exclude_self else sums[level, :-1]
-        step = teacher_table(mean / np.maximum(size[:, d], 1)[:, None], has[:, d], temperature)
-        q += step.q
-        h[:, d] = step.h
+    q, h = np.zeros_like(X), np.zeros(nodes.shape)
+    for d in range(nodes.shape[1]):
+        rows = np.flatnonzero(has[:, d])
+        mean = sums[nodes[rows, d], :-1]
+        if exclude_self:
+            mean -= X[rows]
+        step = teacher_table(mean / size[rows, d, None], has[rows, d], temperature)
+        q[rows] += step.q
+        h[rows, d] = step.h
     denom = np.maximum(has.sum(axis=1), 1)
     return TeacherTable(q / denom[:, None], h.sum(axis=1) / denom, has.any(axis=1))
 

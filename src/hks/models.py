@@ -161,7 +161,7 @@ def batch_loss_and_grad(
         P_T, log_P_T = tempered_softmax(Z, T)
         kl = teachers.h - (teachers.q * log_P_T).sum(axis=-1)
         kd = scale * np.maximum(kl, 0.0).sum(axis=1) / B
-    bd = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.alpha_kd * kd)
+    bd = LossBreakdown(ce=ce, kd=kd)
 
     dZ = P
     dZ[picked] -= 1.0

@@ -44,12 +44,11 @@ class KdConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Cross-entropy, distillation, and combined loss for one step or round;
-    a stacked training step holds one (K,) array entry per model."""
+    """Cross-entropy and distillation loss for one step or round; a stacked
+    training step holds one (K,) array entry per model."""
 
     ce: float
     kd: float
-    total: float
 
 
 @dataclass(frozen=True)

@@ -545,7 +545,7 @@ def one_model_loss_and_grad(
     (LossBreakdown of floats, (P,) gradient, (B, C) logits)."""
     tables = None if teachers is None else stacked_table(teachers)
     bd, grads, Z = batch_loss_and_grad(stack_of(m), X[None], y[None], tables, cfg)
-    return LossBreakdown(float(bd.ce[0]), float(bd.kd[0]), float(bd.total[0])), grads[0], Z[0]
+    return LossBreakdown(float(bd.ce[0]), float(bd.kd[0])), grads[0], Z[0]
 
 
 def one_model_step(
@@ -556,13 +556,13 @@ def one_model_step(
     stack = stack_of(m)
     tables = None if teachers is None else stacked_table(teachers)
     bd, Z = train_step(stack, X[None], y[None], tables, cfg, lr)
-    losses = LossBreakdown(float(bd.ce[0]), float(bd.kd[0]), float(bd.total[0]))
+    losses = LossBreakdown(float(bd.ce[0]), float(bd.kd[0]))
     return replace(m, params=stack.params[0]), losses, Z[0]
 
 
 def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
     bd, _, _ = one_model_loss_and_grad(m, X, y, teachers, cfg)
-    return bd.total
+    return bd.ce + cfg.alpha_kd * bd.kd
 
 
 def batch_loss_finite_diff(
@@ -578,7 +578,8 @@ def batch_loss_finite_diff(
     bd, _, _ = batch_loss_and_grad(
         stack, np.repeat(X[None], 2 * P, axis=0), np.repeat(y[None], 2 * P, axis=0), tables, cfg
     )
-    return (bd.total[:P] - bd.total[P:]) / (2.0 * eps)
+    total = bd.ce + cfg.alpha_kd * bd.kd
+    return (total[:P] - total[P:]) / (2.0 * eps)
 
 
 def _reference_forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
@@ -620,7 +621,7 @@ def reference_batch_loss_and_grad(
         scale = T * T if cfg.t_squared_scaling else 1.0
         kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
         kd = scale * float(np.maximum(kl, 0.0).sum()) / B
-    bd = LossBreakdown(ce=ce, kd=kd, total=ce + cfg.alpha_kd * kd)
+    bd = LossBreakdown(ce=ce, kd=kd)
 
     dZ = softmax_rows(Z)
     dZ[np.arange(B), y] -= 1.0
@@ -691,7 +692,7 @@ def reference_client_phase(tier, state, round_index, table, uploads):
         ce_out.append(ce_sum / n_samples)
         kd_out.append(kd_sum / n_samples)
     ce, kd = np.array(ce_out), np.array(kd_out)
-    return LossBreakdown(ce=ce, kd=kd, total=ce + cfg.kd.alpha_kd * kd)
+    return LossBreakdown(ce=ce, kd=kd)
 
 
 def reference_synth_blobs(

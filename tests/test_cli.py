@@ -845,6 +845,20 @@ class TestModuleEntry:
             "error: training diverged: non-finite parameters at client 0 in round 0"
         ]
 
+    def test_divergence_after_an_overflowing_loss_prints_only_the_error_line(self, tmp_path):
+        # alpha_kd * kd overflows in the rounds before the parameters do; no
+        # loss sum may warn on the way to the typed error
+        proc = self.run_module(
+            "run", "--synthetic", "4,20,3,1e150", "--method", "fedcache", "--n-clients", "7",
+            "--lr", "1e-300", "--temperature", "1e8", "--alpha-kd", "1e300", "--alpha-dir", "1e6",
+            "--exclude-self", "false", "--test-fraction", "0.01", "--min-per-client", "1",
+            "--linkage", "complete", "--out", str(tmp_path / "run"),
+        )
+        assert proc.returncode == 18
+        assert proc.stderr.splitlines() == [
+            "error: training diverged: non-finite parameters at client 0 in round 10"
+        ]
+
 
 # Prints whether `import numpy` alone loads numpy.ma, then whether a whole
 # run of the method in argv[1] has loaded it.

@@ -900,6 +900,18 @@ def large_trees():
     }
 
 
+@pytest.fixture(scope="module")
+def blob_tree():
+    """A 2398-row cache of 10 Gaussian blobs in 10-d over 20 client blocks,
+    and its average-linkage tree cut at 10."""
+    n = 2398
+    rng = np.random.default_rng(0)
+    centers = rng.normal(scale=3.0, size=(10, 10))
+    X = centers[np.arange(n) % 10] + rng.normal(size=(n, 10))
+    cache = cache_from_rows(np.diff(np.linspace(0, n, 21).astype(int)).tolist(), X)
+    return cache, build_hierarchy(cache, 10)
+
+
 class TestBuildersMatchPaddedOracle:
     """Every builder's table equals, bit for bit, the one that
     `reference_teacher_table` softens from the padded (n, D, C) teacher
@@ -915,6 +927,29 @@ class TestBuildersMatchPaddedOracle:
         if granularity is Granularity.ALL:
             assert mask.shape[1] > 8  # paths long enough for pairwise sums of h
         assert mask.any(axis=1).mean() > 0.9
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_workload_depth(self, blob_tree, granularity, exclude_self):
+        # the hks-scaled shape: most paths end well above the deepest level,
+        # which few rows reach
+        cache, tree = blob_tree
+        logits, mask = path_teachers(cache, tree, granularity, exclude_self)
+        assert logits.nbytes <= 50e6
+        if granularity is Granularity.ALL:
+            assert mask.shape[1] > 20 and mask[:, -1].sum() < len(cache) // 100
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_single_linkage_chain(self, granularity, exclude_self):
+        # a chain: paths run from a few levels to over two hundred, and only
+        # a few rows reach the deepest ones
+        n = 400
+        cache = cache_from_rows([n // 8] * 8, np.random.default_rng(0).normal(size=(n, 10)))
+        tree = build_hierarchy(cache, 10, linkage="single")
+        logits, mask = path_teachers(cache, tree, granularity, exclude_self)
+        if granularity is Granularity.ALL:
+            assert mask.shape[1] > 200 and mask[:, -1].sum() < n // 20
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     @pytest.mark.parametrize("granularity", list(Granularity))

@@ -107,17 +107,20 @@ class TestTrainBatch:
 
     def test_no_teacher_means_no_kd(self):
         rng = np.random.default_rng(1)
-        _, bd, _ = one_model_step(small_model(), *self.batch(rng), None, CFG, lr=0.01)
+        m, (X, y) = small_model(), self.batch(rng)
+        _, bd, _ = one_model_step(m, X, y, None, CFG, lr=0.01)
         assert bd.kd == 0.0
-        assert bd.total == pytest.approx(bd.ce)
+        assert batch_loss(m, X, y, None, CFG) == pytest.approx(bd.ce)
 
     def test_teacher_breakdown_identity(self):
         rng = np.random.default_rng(2)
         X, y = self.batch(rng)
         teachers = table([[rng.normal(size=3)] for _ in y])
-        _, bd, _ = one_model_step(small_model(), X, y, teachers, CFG, lr=0.01)
+        m = small_model()
+        _, bd, _ = one_model_step(m, X, y, teachers, CFG, lr=0.01)
         assert bd.kd > 0
-        assert bd.total == pytest.approx(bd.ce + CFG.alpha_kd * bd.kd, abs=1e-9)
+        want = bd.ce + CFG.alpha_kd * bd.kd
+        assert batch_loss(m, X, y, teachers, CFG) == pytest.approx(want, abs=1e-9)
 
     def test_unavailable_entries_contribute_zero(self):
         rng = np.random.default_rng(3)
@@ -312,7 +315,7 @@ class TestStackedStepMatchesReference:
                 )
                 assert np.array_equal(stack.params[k], models[k].params), (step, k)
                 assert np.array_equal(Z[k], want_Z), (step, k)
-                got = LossBreakdown(bd.ce[k], bd.kd[k], bd.total[k])
+                got = LossBreakdown(bd.ce[k], bd.kd[k])
                 assert np.array_equal(astuple(got), astuple(want)), (step, k)
             if mode == "teachers":
                 assert bd.kd.max() > 0.0
