@@ -7,12 +7,15 @@ barrier left it, and changes no field of the state: hks clusters the cache
 into this round's tree, which is never kept, and fedcache reads the
 neighbour rows that init searched. The client phase trains one
 capacity tier at a time, all of the tier's clients in lockstep as the one
-stack of models that holds them for the whole run. Clients are independent,
+stack of models that holds them for the whole run, each step through a view
+of its block of rows that the tier built at init. Clients are independent,
 and each keeps its own batch order, RNG stream and teacher rows, so every
 client ends the phase as it would training alone, bit for bit. A single
 barrier then checks every client in client-id order and, for the logit
 methods, writes the whole round's buffered uploads into the cache in one
-call, or, for fedavg, applies the averaging.
+call (only they allocate the buffer), or, for fedavg, applies the
+averaging, after which its one merged model is scored on the global test
+set once for every client.
 """
 from __future__ import annotations
 
@@ -165,12 +168,20 @@ class TierStack:
     Row r of `stack` is client `members[r]`'s model. Rows are sorted by shard
     size, largest first and ties by client id, so every step of `steps`
     (`lockstep_stacks` of the nonincreasing `sizes`) trains one block of rows.
+    `views` holds one `Model` per (first row, end row) block of `steps`, a
+    view of those rows of `stack`, built once with the tier.
     """
 
     members: Array
     stack: Model
     sizes: Array
     steps: list[tuple[int, int, int, int]]
+    views: dict[tuple[int, int], Model] = field(init=False)
+
+    def __post_init__(self) -> None:
+        params = self.stack.params
+        views = {(a, b): replace(self.stack, params=params[a:b]) for _, a, b, _ in self.steps}
+        object.__setattr__(self, "views", views)
 
 
 @dataclass
@@ -323,7 +334,7 @@ def client_train(
     state: FederationState,
     round_index: int,
     table: TeacherTable | None,
-    uploads: Array,
+    uploads: Array | None,
 ) -> LossBreakdown:
     """The client phase of one capacity tier: local epochs on seeded batches,
     every client of the tier stepped in lockstep in its stack, in place;
@@ -331,9 +342,11 @@ def client_train(
 
     Each client keeps its own batch order, teacher rows and loss sums, and a
     stacked step computes each model as a step of that model alone would, so
-    every client ends as it would training by itself. Features, labels and
-    teacher rows are read by cache row, and the last forward logits of every
-    training sample are written to its row of the (n, C) `uploads`.
+    every client ends as it would training by itself. Each step trains its
+    block's prebuilt view of the stack. Features, labels and teacher rows
+    are read by cache row, and, for the logit methods, the last forward
+    logits of every training sample are written to its row of the (n, C)
+    `uploads` (None for the other methods).
 
     Returns each stack row's sample-weighted mean loss breakdown, as (K,)
     arrays.
@@ -352,14 +365,15 @@ def client_train(
         for start, a, b, width in tier.steps:
             idx = sample_order[a:b, start : start + width]
             bd, Z = train_step(
-                replace(tier.stack, params=tier.stack.params[a:b]),
+                tier.views[a, b],
                 state.train.features[idx],
                 state.train.labels[idx],
                 None if table is None else table.take(idx),
                 cfg.kd,
                 cfg.lr,
             )
-            uploads[idx] = Z
+            if uploads is not None:
+                uploads[idx] = Z
             ce_sum[a:b] += bd.ce * width
             kd_sum[a:b] += bd.kd * width
     n_samples = tier.sizes * cfg.local_epochs
@@ -375,7 +389,9 @@ def run_round(state: FederationState) -> RoundReport:
         raise InvalidInputError(f"round {t} exceeds configured rounds {cfg.rounds}")
 
     table = teacher_tables(state, t)
-    uploads = np.empty((len(state.cache), state.train.n_classes))
+    # Only the logit methods upload their logits, all clients' in one write.
+    uploading = cfg.method in LOGIT_METHODS
+    uploads = np.empty((len(state.cache), state.train.n_classes)) if uploading else None
     ce = np.empty(len(state.clients))
     kd = np.empty(len(state.clients))
     for tier in state.tiers:
@@ -383,9 +399,7 @@ def run_round(state: FederationState) -> RoundReport:
         ce[tier.members], kd[tier.members] = bd.ce, bd.kd
 
     # One check per client and round keeps the steps free of it; in client-id
-    # order, so a divergent run names its lowest diverged client. Only the
-    # logit methods upload their logits, all clients' in one write.
-    uploading = cfg.method in LOGIT_METHODS
+    # order, so a divergent run names its lowest diverged client.
     for client in state.clients:
         where = f"client {client.client_id} in round {t}"
         if not np.isfinite(client.model.params).all():
@@ -401,7 +415,11 @@ def run_round(state: FederationState) -> RoundReport:
         tier.stack.params[:] = fedavg_aggregate(tier.stack.params[by_id], tier.sizes[by_id])
 
     local_acc = np.array([evaluate(c.model, c.shard.local_test) for c in state.clients])
-    global_acc = np.array([evaluate(c.model, state.global_test) for c in state.clients])
+    if cfg.method is Method.FEDAVG:
+        # every client holds the one merged model, so one evaluation scores all
+        global_acc = np.full(len(state.clients), evaluate(state.clients[0].model, state.global_test))
+    else:
+        global_acc = np.array([evaluate(c.model, state.global_test) for c in state.clients])
     report = RoundReport(
         round=t,
         per_client_local_acc=local_acc,

@@ -4,12 +4,14 @@ A `Model` holds one model's flat float64 parameter vector, or a stack of K
 models of one architecture as K rows of one (K, P) array; nothing here holds
 hidden state. Training steps every model of a stack on its own batch at
 once and updates the rows in place, so a model whose vector is a view of a
-stack row sees every step. The tier layout stands in for the three backbone
+stack row sees every step; each layer layout's parameter slices are
+computed once and reused by every step. The tier layout stands in for the three backbone
 depths of the reference setting; the build/forward/train surface is the
 extension point for richer architectures.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -67,14 +69,16 @@ def architecture_id(layer_dims: Sequence[int]) -> str:
     return "mlp-" + "-".join(str(d) for d in layer_dims)
 
 
-def _layer_slices(layer_dims: Sequence[int]):
-    """Yield (weight_slice, bias_slice, in_dim, out_dim) per layer."""
+@functools.cache
+def _layer_slices(layer_dims: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int], ...]:
+    """(weight_slice, bias_slice, in_dim, out_dim) per layer, computed once
+    per layout."""
+    layers = []
     off = 0
     for i, o in zip(layer_dims[:-1], layer_dims[1:]):
-        w = slice(off, off + i * o)
-        b = slice(off + i * o, off + i * o + o)
-        off = b.stop
-        yield w, b, i, o
+        layers.append((slice(off, off + i * o), slice(off + i * o, off + i * o + o), i, o))
+        off += (i + 1) * o
+    return tuple(layers)
 
 
 def build_model(tier: CapacityTier, input_dim: int, n_classes: int, seed: int) -> Model:
@@ -100,7 +104,7 @@ def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
     pre: list[Array] = []
     post: list[Array] = []
     H = X
-    layers = list(_layer_slices(m.layer_dims))
+    layers = _layer_slices(m.layer_dims)
     for li, (ws, bs, i, o) in enumerate(layers):
         W = m.params[..., ws].reshape(*m.params.shape[:-1], i, o)
         b = m.params[..., None, bs]
@@ -147,7 +151,8 @@ def batch_loss_and_grad(
     Z, pre, post = _forward_acts(stack, X)
     P, log_P = tempered_softmax(Z, 1.0)
     picked = (np.arange(K)[:, None], np.arange(B), y)
-    ce = -log_P[picked].mean(axis=1)
+    # the sum over the batch, then one divide: the bits of `mean`
+    ce = -log_P[picked].sum(axis=1) / B
     kd = np.zeros(K)
     if teachers is not None:
         if teachers.has.shape != (K, B):
@@ -171,7 +176,7 @@ def batch_loss_and_grad(
         dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (P_T[has] - teachers.q[has])
 
     grads = np.empty_like(stack.params)
-    layers = list(_layer_slices(stack.layer_dims))
+    layers = _layer_slices(stack.layer_dims)
     delta = dZ
     for li in range(len(layers) - 1, -1, -1):
         ws, bs, i, o = layers[li]

@@ -71,8 +71,10 @@ class TeacherTable:
 def tempered_softmax(Z: Array, temperature: float) -> tuple[Array, Array]:
     """Softmax of Z / T over the last axis and its log, (P, log_P), from one
     shifted exponent: P = E / sum(E) and log_P = S - log(sum(E)), where S is
-    Z / T minus its row max and E = exp(S)."""
-    S = Z / temperature
+    Z / T minus its row max and E = exp(S). Z / 1.0 is Z bit for bit, so
+    T == 1 skips the divide; S is still a fresh array, Z is never written and
+    neither result shares memory with it, so callers may edit P in place."""
+    S = Z if temperature == 1.0 else Z / temperature
     S = S - S.max(axis=-1, keepdims=True)
     E = np.exp(S)
     Zsum = E.sum(axis=-1, keepdims=True)

@@ -660,8 +660,8 @@ def reference_client_phase(tier, state, round_index, table, uploads):
     epoch being the j-th run of batch_size entries of
     `reference_epoch_order`. Same
     signature, results and writes as `federation.client_train`: each trained
-    model goes to its stack row and its logits to its cache rows of
-    `uploads`."""
+    model goes to its stack row and, when there is an upload buffer, its
+    logits to its cache rows of `uploads`."""
     cfg = state.config
     ce_out, kd_out = [], []
     for r, k in enumerate(tier.members):
@@ -688,7 +688,8 @@ def reference_client_phase(tier, state, round_index, table, uploads):
                 kd_sum += bd.kd * len(batch_idx)
                 n_samples += len(batch_idx)
         tier.stack.params[r] = model.params
-        uploads[rows] = logits_out
+        if uploads is not None:
+            uploads[rows] = logits_out
         ce_out.append(ce_sum / n_samples)
         kd_out.append(kd_sum / n_samples)
     ce, kd = np.array(ce_out), np.array(kd_out)

@@ -1,16 +1,22 @@
 import argparse
+import contextlib
 import csv
 import gzip
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hks
 from hks.cli import (
@@ -1150,3 +1156,67 @@ class TestNewFieldNeedsNoOtherEdit:
             parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "flavor": 1.5}, cls=_ExtendedRun)
         with pytest.raises(ConfigError, match="unknown config key: 'flavor'"):
             parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "flavor": 9})
+
+
+@st.composite
+def run_invocations(draw):
+    """`hks run` argument lists on tiny blob tasks sized from their settings,
+    so most cases train: every method, 1-6 clients, batch sizes and local
+    epochs that cut shards into uneven lockstep blocks, at most 3 rounds,
+    and now and then a step size or skew that makes a run fail."""
+    method = draw(st.sampled_from([m.value for m in Method]))
+    n_clients = draw(st.integers(1, 6))
+    batch_size = draw(st.integers(1, 6))
+    rounds = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 4))
+    # room for every client's 2 * batch_size samples, times a slack of 1-3
+    per_class = -(-n_clients * 2 * batch_size * draw(st.integers(2, 6)) // (2 * n_classes))
+    argv = [
+        "run",
+        "--synthetic", f"{n_classes},{per_class},3,{draw(st.sampled_from([0.0, 0.3, 2.0]))}",
+        "--method", method,
+        "--n-clients", str(n_clients),
+        "--batch-size", str(batch_size),
+        "--local-epochs", str(draw(st.integers(1, 3))),
+        "--rounds", str(rounds),
+        "--warmup-rounds", str(draw(st.integers(0, rounds))),
+        "--lr", "1e300" if draw(st.integers(0, 7)) == 0 else draw(st.sampled_from(["0.05", "0.3"])),
+        "--alpha-dir", draw(st.sampled_from(["0.1", "1.0", "100"])),
+        "--seed", str(draw(st.integers(0, 3))),
+    ]
+    if method == "hks":
+        argv += ["--granularity", draw(st.sampled_from([g.value for g in Granularity]))]
+        argv += ["--linkage", draw(st.sampled_from(["average", "single", "complete"]))]
+    if method == "fedcache":
+        argv += ["--R", str(draw(st.integers(1, 5)))]
+    return argv, rounds
+
+
+class TestRunInvocations:
+    """Every `hks run` ends in exit 0 with its outputs, or in one `error:`
+    line and a code from the README table; no warning or traceback leaks."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(run_invocations())
+    def test_exit_code_and_outputs(self, case):
+        argv, rounds = case
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, err = io.StringIO(), io.StringIO()
+            run_dir = Path(tmp) / "run"
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(run_dir)])
+            # the README table holds exactly these codes (TestExitCodes)
+            assert code in {0, *EXIT_CODES.values(), *OTHER_EXIT_CODES.values()}, argv
+            if code != 0:
+                lines = err.getvalue().splitlines(keepends=True)
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+                assert lines[0].endswith("\n") and out.getvalue() == ""
+                return
+            assert err.getvalue() == "", argv
+            summary = json.loads((run_dir / "summary.json").read_text())
+            for key in ("maua", "best_global_acc", "final_global_acc"):
+                assert 0.0 <= summary[key] <= 1.0, (argv, key)
+            with open(run_dir / "rounds.csv", newline="") as f:
+                rows = list(csv.reader(line for line in f if not line.startswith("#")))
+            assert [row[0] for row in rows[1:]] == [str(t) for t in range(rounds)], argv

@@ -711,6 +711,24 @@ class TestTierStacks:
             run_round(state)
             self.assert_models_are_stack_rows(state)
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_step_views_stay_live_every_round(self, dataset, method):
+        # each step trains its block's view built at init; fedavg's in-place
+        # broadcast must reach it, or later rounds would train stale copies
+        train, test = dataset
+        cfg = tiny_cfg(method, n_clients=7, alpha_dir=0.3, batch_size=5, local_epochs=2)
+        state = init_federation(cfg, train, test)
+        for _ in range(cfg.rounds):
+            run_round(state)
+            for tier in state.tiers:
+                blocks = {(a, b) for _, a, b, _ in tier.steps}
+                assert set(tier.views) == blocks
+                assert len(blocks) > 1
+                for (a, b), view in tier.views.items():
+                    assert np.shares_memory(view.params, tier.stack.params[a:b])
+                    assert np.array_equal(view.params, tier.stack.params[a:b])
+                    assert view.layer_dims == tier.stack.layer_dims
+
     def test_fedavg_writes_the_merged_vector_into_every_row(self, dataset, monkeypatch):
         train, test = dataset
         state = init_federation(tiny_cfg(Method.FEDAVG, n_clients=7, alpha_dir=0.3), train, test)
@@ -840,11 +858,16 @@ class TestAblationIdentity:
 
 
 class TestGlobalAccuracyRecomputation:
-    def test_global_accuracy_matches_final_models(self, dataset):
+    @pytest.mark.parametrize("method", list(Method))
+    def test_global_accuracy_matches_final_models(self, dataset, method):
+        # fedavg scores its one merged model once and reports that value for
+        # every client
         train, test = dataset
-        result = run_experiment(tiny_cfg(Method.HKS, rounds=3, warmup_rounds=1), train, test)
-        recomputed = [evaluate(client.model, test) for client in result.state.clients]
-        np.testing.assert_array_equal(np.array(recomputed), result.reports[-1].global_acc_per_client)
+        state = init_federation(tiny_cfg(method, rounds=3, warmup_rounds=1), train, test)
+        for _ in range(state.config.rounds):
+            report = run_round(state)
+            recomputed = [evaluate(client.model, test) for client in state.clients]
+            np.testing.assert_array_equal(np.array(recomputed), report.global_acc_per_client)
 
 
 class TestRunExperiment:

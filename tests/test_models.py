@@ -341,6 +341,28 @@ class TestStackedStepMatchesReference:
             assert np.array_equal(astuple(bd), astuple(want)), step
             assert not bd.kd.any()
 
+    @pytest.mark.parametrize("tier", list(CapacityTier))
+    @pytest.mark.parametrize("mode", ["none", "teachers"])
+    @pytest.mark.parametrize("temperature", [1.0, 3.0])
+    def test_returned_logits_are_the_pre_step_forward(self, tier, mode, temperature):
+        # the step edits the softmax of its logits in place into the logit
+        # gradient, then returns the logits as the upload: they must still be
+        # each row's forward pass before the update
+        rng = np.random.default_rng([len(mode), int(temperature)])
+        K, B = 3, 5
+        cfg = KdConfig(temperature=temperature, alpha_kd=1.5)
+        stack = stack_of(*[build_model(tier, self.INPUT_DIM, self.N_CLASSES, seed=k) for k in range(K)])
+        for step in range(2):
+            before = stack.params.copy()
+            X = rng.normal(size=(K, B, self.INPUT_DIM))
+            y = rng.integers(self.N_CLASSES, size=(K, B))
+            tables = self.tables(rng, K, B, mode)
+            _, Z = train_step(stack, X, y, None if tables is None else stacked_table(*tables), cfg, lr=0.05)
+            assert not np.array_equal(stack.params, before)
+            for k in range(K):
+                row = Model(stack.architecture_id, stack.layer_dims, before[k])
+                assert np.array_equal(Z[k], forward_batch(row, X[k])), (step, k)
+
     def test_step_updates_only_its_own_stack(self):
         rng = np.random.default_rng(0)
         models = [small_model(seed=s) for s in range(3)]

@@ -97,6 +97,18 @@ class TestTemperedSoftmax:
             assert np.array_equal(log_P, log_softmax_rows(logits))
         assert np.isfinite(log_P).all()
 
+    @pytest.mark.parametrize("temperature", [1.0, 3.0])
+    def test_input_is_never_written_or_shared(self, temperature):
+        # T == 1 skips the divide; a training step still edits P in place and
+        # uploads the logits it was given, so neither result may alias them
+        Z = np.random.default_rng(3).normal(scale=4.0, size=(2, 5, 4))
+        before = Z.copy()
+        P, log_P = tempered_softmax(Z, temperature)
+        assert not np.shares_memory(P, Z) and not np.shares_memory(log_P, Z)
+        P -= 1.0
+        log_P -= 1.0
+        assert np.array_equal(Z, before)
+
 
 def teacher_blocks():
     """(logits, mask, temperature) blocks of the shapes a round's teachers
