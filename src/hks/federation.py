@@ -117,7 +117,6 @@ class FederationConfig:
     fedavg_tier: CapacityTier = CapacityTier.SMALL
     d_hash: int = 32
     linkage: str = "average"
-    cluster_space: str = "logits"
 
     def __post_init__(self) -> None:
         enums = (("method", Method), ("granularity", Granularity), ("fedavg_tier", CapacityTier))
@@ -145,7 +144,6 @@ class FederationConfig:
             ("min_per_client", self.min_per_client >= 0),
             ("d_hash", self.d_hash >= 1),
             ("linkage", self.linkage in LINKAGES),
-            ("cluster_space", self.cluster_space in ("logits", "soft")),
         ]
         for key, ok in checks:
             if not ok:
@@ -296,13 +294,7 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     if cfg.method not in LOGIT_METHODS or round_index < first or state.cache.round < 0:
         return None
     if cfg.method is Method.HKS:
-        tree = build_hierarchy(
-            state.cache,
-            state.train.n_classes,
-            linkage=cfg.linkage,
-            space=cfg.cluster_space,
-            temperature=cfg.kd.temperature,
-        )
+        tree = build_hierarchy(state.cache, state.train.n_classes, cfg.linkage)
         return fetch_teacher(state.cache, tree, cfg.granularity, cfg.kd.temperature, cfg.exclude_self)
     if cfg.method is Method.FEDDISTILL:
         return feddistill_teacher(state.cache, cfg.kd.temperature)

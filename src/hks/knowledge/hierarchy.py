@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientDataError, InvalidInputError
-from ..numerics import tempered_softmax
 from .cache import KnowledgeCache
 
 Array = np.ndarray
@@ -193,25 +192,11 @@ def agglomerate(vectors: Array, cut: int, linkage: str = "average") -> ClusterTr
 
 
 def build_hierarchy(
-    cache: KnowledgeCache,
-    n_clusters: int,
-    linkage: str = "average",
-    space: str = "logits",
-    temperature: float = 3.0,
+    cache: KnowledgeCache, n_clusters: int, linkage: str = "average"
 ) -> ClusterTree:
-    """Cluster every cache row's logits until n_clusters roots remain; leaf
-    i is cache row i, so the cache must hold a round's uploads.
-
-    space="soft" clusters tempered softmax probabilities instead of raw
-    logits; the default clusters the raw vectors. The space shapes only the
-    tree: teachers always average raw logits.
-    """
+    """Cluster every cache row's raw logits until n_clusters roots remain;
+    leaf i is cache row i, so the cache must hold a round's uploads."""
     if cache.round < 0:
         raise InsufficientDataError("the cache holds no uploaded logits yet")
-    X = cache.logits
-    if space == "soft":
-        X, _ = tempered_softmax(X, temperature)
-    elif space != "logits":
-        raise InvalidInputError(f"space must be 'logits' or 'soft', got {space!r}")
-    return agglomerate(X, n_clusters, linkage)
+    return agglomerate(cache.logits, n_clusters, linkage)
 

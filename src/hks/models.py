@@ -139,7 +139,7 @@ def batch_loss_and_grad(
     Model k of the stack sees the batch X[k] (B, d) with labels y[k] and,
     with teachers, the table rows q[k], h[k], has[k]. Its batch loss is mean
     cross-entropy plus alpha_kd times the mean per-sample distillation loss
-    scale * (h - q . log q_s), which is the sample's KL divergence averaged
+    T^2 (h - q . log q_s), which is the sample's KL divergence averaged
     over its teachers; a sample with no teacher contributes zero KD. Returns
     (K,) loss arrays, (K, P) gradients and (K, B, C) logits.
 
@@ -162,7 +162,7 @@ def batch_loss_and_grad(
                 f"teachers have {teachers.q.shape[-1]} classes, model has {stack.n_classes}"
             )
         T = cfg.temperature
-        scale = T * T if cfg.t_squared_scaling else 1.0
+        scale = T * T
         P_T, log_P_T = tempered_softmax(Z, T)
         kl = teachers.h - (teachers.q * log_P_T).sum(axis=-1)
         kd = scale * np.maximum(kl, 0.0).sum(axis=1) / B
@@ -173,6 +173,7 @@ def batch_loss_and_grad(
     dZ /= B
     if teachers is not None and cfg.alpha_kd != 0.0:
         has = teachers.has
+        # (T * T) / T, not T: the two differ in the last bit for some T
         dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (P_T[has] - teachers.q[has])
 
     grads = np.empty_like(stack.params)

@@ -20,23 +20,23 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class KdConfig:
-    """Distillation knobs: softening temperature, loss weight, T^2 scaling.
+    """Distillation knobs: softening temperature and loss weight.
 
     The temperature default is a conventional choice and is recorded in every
-    experiment report; t_squared_scaling keeps the distillation gradient
-    magnitude comparable to cross-entropy across temperatures.
+    experiment report. The distillation term always carries a factor T^2
+    (Hinton et al., arXiv:1503.02531), which keeps its gradient magnitude
+    comparable to cross-entropy across temperatures, so T^2 must be finite.
     """
 
     temperature: float = 3.0
     alpha_kd: float = 1.5
-    t_squared_scaling: bool = True
 
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so they reject it too
         if not 0 < self.temperature < math.inf:
             raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r})")
         # T * T, not T ** 2: a float's ** raises OverflowError where * gives inf
-        if self.t_squared_scaling and not self.temperature * self.temperature < math.inf:
+        if not self.temperature * self.temperature < math.inf:
             raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r}): T^2 overflows")
         if not 0 <= self.alpha_kd < math.inf:
             raise ConfigError(f"constraint violation on 'alpha_kd' (got {self.alpha_kd!r})")

@@ -377,9 +377,9 @@ def _paired(z_s: Vector, z_t: Vector) -> tuple[Array, Array]:
 def kd_loss(z_s: Vector, z_t: Vector, cfg: KdConfig) -> float:
     """Teacher-weighted KL divergence KL(q_t || q_s) at temperature T.
 
-    Both distributions are softened with cfg.temperature; the result is
-    multiplied by T^2 when cfg.t_squared_scaling is on. Terms where the
-    teacher probability underflows to zero contribute nothing.
+    Both distributions are softened with cfg.temperature, and the result is
+    multiplied by T^2. Terms where the teacher probability underflows to
+    zero contribute nothing.
     """
     z_s, z_t = _paired(z_s, z_t)
     T = cfg.temperature
@@ -387,18 +387,14 @@ def kd_loss(z_s: Vector, z_t: Vector, cfg: KdConfig) -> float:
     log_qt = log_softmax(z_t / T)
     q_t = np.exp(log_qt)
     kl = float(np.dot(q_t, log_qt - log_qs))
-    kl = max(kl, 0.0)
-    if cfg.t_squared_scaling:
-        kl *= T * T
-    return kl
+    return max(kl, 0.0) * (T * T)
 
 
 def kd_grad(z_s: Vector, z_t: Vector, cfg: KdConfig) -> Array:
-    """Gradient of kd_loss w.r.t. the student logits: (scale/T) (q_s - q_t)."""
+    """Gradient of kd_loss w.r.t. the student logits: T (q_s - q_t)."""
     z_s, z_t = _paired(z_s, z_t)
     T = cfg.temperature
-    scale = T * T if cfg.t_squared_scaling else 1.0
-    return (scale / T) * (softmax_t(z_s, T) - softmax_t(z_t, T))
+    return T * (softmax_t(z_s, T) - softmax_t(z_t, T))
 
 
 def sgd_step(params: Vector, grads: Vector, lr: float) -> Array:
@@ -618,7 +614,7 @@ def reference_batch_loss_and_grad(
         if teachers.q.shape[1] != m.n_classes:
             raise ShapeError(f"teachers have {teachers.q.shape[1]} classes, model has {m.n_classes}")
         T = cfg.temperature
-        scale = T * T if cfg.t_squared_scaling else 1.0
+        scale = T * T
         kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
         kd = scale * float(np.maximum(kl, 0.0).sum()) / B
     bd = LossBreakdown(ce=ce, kd=kd)

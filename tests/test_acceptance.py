@@ -65,18 +65,14 @@ def test_criterion_01_gradient_oracle():
     rng = np.random.default_rng(102)
     for case in range(100):
         n_classes = (2, 5, 10)[case % 3]
-        cfg = KdConfig(
-            temperature=float(rng.uniform(1.0, 5.0)),
-            alpha_kd=1.0,
-            t_squared_scaling=bool(case % 2),
-        )
+        cfg = KdConfig(temperature=float(rng.uniform(1.0, 5.0)), alpha_kd=1.0)
         z_s = rng.normal(scale=2.0, size=n_classes)
         z_t = rng.normal(scale=2.0, size=n_classes)
         numeric = finite_diff(lambda v: kd_loss(v, z_t, cfg), z_s)
         worst = max(worst, _rel_err(kd_grad(z_s, z_t, cfg), numeric))
 
     rng = np.random.default_rng(103)
-    kd_cfg = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=True)
+    kd_cfg = KdConfig(temperature=3.0, alpha_kd=1.5)
     for case in range(100):
         m = build_model(CapacityTier.SMALL, 4, 3, seed=int(rng.integers(1 << 30)))
         batch = int(rng.integers(2, 7))
@@ -202,7 +198,7 @@ def test_criterion_06_warmup_and_ablation_identities():
         for report in result.reports[:3]:
             assert report.mean_kd == 0.0, (method, report.round)
 
-    kd_off = KdConfig(temperature=3.0, alpha_kd=0.0, t_squared_scaling=True)
+    kd_off = KdConfig(temperature=3.0, alpha_kd=0.0)
     cfg_hks = FederationConfig(
         method=Method.HKS, n_clients=3, rounds=5, warmup_rounds=1, alpha_dir=1000.0, seed=6, kd=kd_off
     )

@@ -197,11 +197,9 @@ class TestRunCommand:
         assert err.startswith("error: constraint violation on 'temperature'") and "overflows" in err
         assert not (out / "rounds.csv").exists()
 
-    @pytest.mark.parametrize("extra", [["--temperature", "1e154"],
-                                       ["--t-squared-scaling", "false", "--temperature", "1e200"]])
-    def test_temperature_with_a_finite_kd_scale_runs(self, tmp_path, extra):
+    def test_temperature_with_a_finite_kd_scale_runs(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["run", *fast_flags(out), *extra]) == 0
+        assert main(["run", *fast_flags(out), "--temperature", "1e154"]) == 0
         assert (out / "rounds.csv").exists()
 
     @pytest.mark.parametrize(
@@ -783,38 +781,53 @@ class TestExitCodes:
         assert table == {**EXIT_CODES, **OTHER_EXIT_CODES}
 
 
-class TestRemovedHnswKeys:
-    """fedcache's neighbours come from an exact search, so the HNSW settings
-    are gone: a flag, a settings file or a run directory that holds one is
-    rejected with exit 2, naming the key."""
+# Settings that no longer exist, each with a value it once took.
+RETIRED_KEYS = {
+    "hnsw_m": 8,
+    "hnsw_ef_construction": 64,
+    "hnsw_ef_search": 32,
+    "cluster_space": "logits",
+    "t_squared_scaling": True,
+}
 
-    def test_flag_exits_2(self, tmp_path, capsys):
+
+class TestRetiredKeys:
+    """A retired setting is rejected with exit 2, naming the key, whether it
+    comes as a flag, in a settings file or in an old run directory's
+    settings: fedcache's neighbours come from an exact search (no HNSW
+    settings), the tree is always built on raw logits, and the KD term
+    always carries T^2."""
+
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_flag_exits_2(self, tmp_path, capsys, key):
         out = tmp_path / "run"
+        flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", *fast_flags(out), "--method", "fedcache", "--hnsw-m", "8"])
+            main(["run", *fast_flags(out), flag, flag_text(RETIRED_KEYS[key])])
         assert exit_info.value.code == 2
-        assert "--hnsw-m" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["hnsw_m", "hnsw_ef_construction", "hnsw_ef_search"])
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
     def test_config_file_key_exits_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"synthetic": "3,30,4,0.3", "method": "fedcache", key: 8}))
+        cfg.write_text(json.dumps({"synthetic": "3,30,4,0.3", key: RETIRED_KEYS[key]}))
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
         assert not out.exists()
 
-    def test_report_over_a_run_holding_the_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_report_over_a_run_holding_the_key_exits_2(self, tmp_path, capsys, key):
         run_dir = tmp_path / "runs" / "old"
-        assert main(["run", *fast_flags(run_dir), "--method", "fedcache"]) == 0
+        assert main(["run", *fast_flags(run_dir)]) == 0
         settings_file = run_dir / "config.resolved.json"
         settings = json.loads(settings_file.read_text())
-        settings_file.write_text(json.dumps({**settings, "hnsw_m": 16}))
+        settings_file.write_text(json.dumps({**settings, key: RETIRED_KEYS[key]}))
         capsys.readouterr()
         assert main(["report", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: run {run_dir}: unknown config key: 'hnsw_m'\n"
+        assert err == f"error: run {run_dir}: unknown config key: {key!r}\n"
 
 
 class TestModuleEntry:
@@ -915,25 +928,16 @@ def parse_json(tmp_path, cfg, cls=RunConfig):
 
 
 class TestStrictCoercion:
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("exclude_self", "false"),
-            ("t_squared_scaling", "no"),
-            ("exclude_self", 0),
-            ("t_squared_scaling", 1),
-            ("exclude_self", None),
-        ],
-    )
-    def test_bool_key_takes_only_json_bools(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match=f"type mismatch on '{key}'"):
-            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", key: value})
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_bool_key_takes_only_json_bools(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="type mismatch on 'exclude_self'"):
+            parse_json(tmp_path, {"synthetic": "3,10,4,0.3", "exclude_self": value})
 
     def test_bool_flags_take_true_and_false(self):
         rc = parse_flags("--synthetic", "3,10,4,0.3", "--exclude-self", "false")
         assert rc.federation.exclude_self is False
-        rc = parse_flags("--synthetic", "3,10,4,0.3", "--t-squared-scaling", "true")
-        assert rc.federation.kd.t_squared_scaling is True
+        rc = parse_flags("--synthetic", "3,10,4,0.3", "--exclude-self", "true")
+        assert rc.federation.exclude_self is True
         with pytest.raises(ConfigError, match="type mismatch on 'exclude_self'"):
             parse_flags("--synthetic", "3,10,4,0.3", "--exclude-self", "no")
 
@@ -1015,7 +1019,6 @@ NON_DEFAULT = {
     "batch_size": 4,
     "temperature": 2.0,
     "alpha_kd": 0.5,
-    "t_squared_scaling": False,
     "R": 2,
     "alpha_dir": 0.25,
     "seed": 9,
@@ -1025,7 +1028,6 @@ NON_DEFAULT = {
     "fedavg_tier": "large",
     "d_hash": 16,
     "linkage": "single",
-    "cluster_space": "soft",
     "synthetic": [5, 20, 6, 0.5],
     "idx_images": "other-images.idx",
     "idx_labels": "other-labels.idx",
@@ -1118,16 +1120,38 @@ class TestSingleSchema:
         assert by_json.resolved() == by_flag.resolved()
         assert by_json.resolved()[key] == value
 
-    def test_resolved_config_round_trips(self, tmp_path):
-        out = tmp_path / "run"
-        extra = ["--exclude-self", "false", "--temperature", "2.5", "--linkage", "complete",
-                 "--min-per-client", "3", "--local-epochs", "2", "--test-fraction", "0.25"]
-        assert main(["run", *fast_flags(out), *extra]) == 0
-        first = (out / "config.resolved.json").read_bytes()
-        cfg_file = tmp_path / "resolved.json"
-        cfg_file.write_bytes(first)
-        assert main(["run", "--config", str(cfg_file)]) == 0
-        assert (out / "config.resolved.json").read_bytes() == first
+    def test_readme_table_lists_every_key_and_flag_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        cells = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        # a cell may name several keys or flags, as in `idx_images` / `idx_labels`
+        keys = [k for key_cell, _ in cells for k in key_cell.replace("`", "").split(" / ")]
+        flags = [f for _, flag_cell in cells for f in flag_cell.replace("`", "").split(" / ")]
+        assert [k.strip() for k in keys] == KEYS
+        assert [f.strip() for f in flags] == [f.flag for f in config_fields()]
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_resolved_config_round_trips(self, tmp_path, method):
+        # a run from a run's config.resolved.json, into another directory,
+        # writes the same files; only the wall time and the directory differ
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        extra = ["--method", method, "--exclude-self", "false", "--temperature", "2.5",
+                 "--linkage", "complete", "--granularity", "middle", "--R", "2",
+                 "--fedavg-tier", "medium", "--min-per-client", "3", "--local-epochs", "2",
+                 "--test-fraction", "0.25"]
+        assert main(["run", *fast_flags(out_a), *extra]) == 0
+        resolved = out_a / "config.resolved.json"
+        assert main(["run", "--config", str(resolved), "--out", str(out_b)]) == 0
+        settings = resolved.read_text().replace(json.dumps(str(out_a)), json.dumps(str(out_b)))
+        assert (out_b / "config.resolved.json").read_text() == settings
+        assert (out_b / "rounds.csv").read_bytes() == (out_a / "rounds.csv").read_bytes()
+
+        def summary(out):
+            lines = (out / "summary.json").read_text().splitlines()
+            return [line for line in lines if not line.startswith('  "wall_seconds": ')]
+
+        assert summary(out_b) == summary(out_a)
+        assert len(summary(out_a)) == len((out_a / "summary.json").read_text().splitlines()) - 1
 
 
 @dataclass(frozen=True)
@@ -1220,3 +1244,106 @@ class TestRunInvocations:
             with open(run_dir / "rounds.csv", newline="") as f:
                 rows = list(csv.reader(line for line in f if not line.startswith("#")))
             assert [row[0] for row in rows[1:]] == [str(t) for t in range(rounds)], argv
+
+
+def rarely(draw):
+    """True about one time in ten; hypothesis favours the ends of a range,
+    so the mark is in its middle."""
+    return draw(st.integers(0, 9)) == 5
+
+
+def sweep_entries(draw, valid, bad, min_size=0):
+    """Up to 3 distinct entries of a sweep list; rarely one more that
+    repeats the first or is `bad`."""
+    values = draw(st.lists(st.sampled_from(valid), min_size=min_size, max_size=3, unique=True))
+    if values and rarely(draw):
+        values.append(draw(st.sampled_from([values[0], *bad])))
+    return values
+
+
+@st.composite
+def sweep_invocations(draw):
+    """`hks sweep` argument lists on tiny blob tasks: 1-3 methods, and the
+    granularity, R and seed lists absent or holding 1-3 entries. Rarely an
+    entry repeats, does not parse or is out of range, a list goes to no
+    listed method, or the step size diverges."""
+    methods = sweep_entries(draw, [m.value for m in Method], [], min_size=1)
+    n_clients = draw(st.integers(1, 4))
+    batch_size = draw(st.integers(1, 3))
+    rounds = draw(st.integers(1, 2))
+    # every client gets at least 5 samples, so it keeps one to test on
+    per_class = -(-n_clients * 5 * draw(st.integers(2, 4)) // 3)
+    argv = [
+        "sweep",
+        "--synthetic", f"3,{per_class},3,0.3",
+        "--methods", ",".join(methods),
+        "--n-clients", str(n_clients),
+        "--batch-size", str(batch_size),
+        "--min-per-client", "5",
+        "--rounds", str(rounds),
+        "--warmup-rounds", str(draw(st.integers(0, rounds))),
+        "--lr", "1e300" if rarely(draw) else "0.1",
+    ]
+    lists = (
+        ("--granularities", "hks", [g.value for g in Granularity], ["coarse"]),
+        ("--R-values", "fedcache", ["1", "2", "3"], ["0", "x"]),
+        ("--seeds", None, ["0", "1", "2"], ["-1"]),
+    )
+    for flag, reader, valid, bad in lists:
+        values = sweep_entries(draw, valid, bad)
+        if values and (reader in (None, *methods) or rarely(draw)):
+            argv += [flag, ",".join(values)]
+    return argv
+
+
+def swept_rows(argv):
+    """The (method, hyperparameter, n_seeds) rows that a successful sweep's
+    comparison.csv holds, worked out from its argument list."""
+    args = dict(zip(argv[1::2], argv[2::2]))
+    n_seeds = len(args.get("--seeds", "0").split(","))
+    swept = {
+        "hks": [f"granularity={g}" for g in args.get("--granularities", "all").split(",")],
+        "fedcache": [f"R={r}" for r in sorted(map(int, args.get("--R-values", "4").split(",")))],
+        "fedavg": ["fedavg_tier=small"],
+    }
+    return sorted(
+        (method, label, str(n_seeds))
+        for method in args["--methods"].split(",")
+        for label in swept.get(method, ["-"])
+    )
+
+
+class TestSweepInvocations:
+    """Every `hks sweep`, and `hks report` over what it leaves, ends in exit
+    0 with one comparison row per method and swept value, or in one
+    `error:` line and a code from the README table."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sweep_invocations())
+    def test_exit_codes_and_comparison_rows(self, argv):
+        codes = {0, *EXIT_CODES.values(), *OTHER_EXIT_CODES.values()}
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep_dir, report_file = Path(tmp) / "sweep", Path(tmp) / "report.csv"
+            results = []
+            for command in ([*argv, "--out", str(sweep_dir)],
+                            ["report", str(sweep_dir), "--out", str(report_file)]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(command)
+                assert code in codes, command
+                lines = err.getvalue().splitlines(keepends=True)
+                if code != 0:
+                    assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+                    assert lines[0].endswith("\n")
+                else:
+                    assert lines == [], command
+                results.append(code)
+            if results[0] != 0:
+                return
+            assert results[1] == 0, argv
+            comparison = (sweep_dir / "comparison.csv").read_bytes()
+            assert report_file.read_bytes() == comparison
+            rows = list(csv.DictReader(comparison.decode("ascii").splitlines()))
+            got = sorted((row["method"], row["hyperparameter"], row["n_seeds"]) for row in rows)
+            assert got == swept_rows(argv), argv

@@ -547,9 +547,7 @@ def oracle_teachers(state):
     if cfg.method is Method.HKS:
         if state.round <= cfg.warmup_rounds:
             return None
-        tree = build_hierarchy(
-            cache, state.train.n_classes, cfg.linkage, cfg.cluster_space, cfg.kd.temperature
-        )
+        tree = build_hierarchy(cache, state.train.n_classes, cfg.linkage)
         return [path_teacher(cache, tree, row, cfg.granularity, cfg.exclude_self) for row in rows]
     if cfg.method is Method.FEDDISTILL:
         return [feddistill_class_teacher(cache, row) for row in rows]
@@ -558,20 +556,19 @@ def oracle_teachers(state):
 
 
 ORACLE_CASES = [
-    *[(Method.HKS, g, e, "logits", "average") for g in Granularity for e in (True, False)],
-    (Method.HKS, Granularity.ALL, True, "soft", "average"),
-    (Method.HKS, Granularity.ALL, True, "logits", "single"),
-    (Method.HKS, Granularity.MIDDLE, True, "logits", "complete"),
-    (Method.FEDDISTILL, Granularity.ALL, True, "logits", "average"),
-    (Method.FEDCACHE, Granularity.ALL, True, "logits", "average"),
+    *[(Method.HKS, g, e, "average") for g in Granularity for e in (True, False)],
+    (Method.HKS, Granularity.ALL, True, "single"),
+    (Method.HKS, Granularity.MIDDLE, True, "complete"),
+    (Method.FEDDISTILL, Granularity.ALL, True, "average"),
+    (Method.FEDCACHE, Granularity.ALL, True, "average"),
 ]
 
 
 class TestTeacherTableOracle:
     @pytest.mark.parametrize("warmup_rounds", [0, 2])
-    @pytest.mark.parametrize("method,granularity,exclude_self,space,linkage", ORACLE_CASES)
+    @pytest.mark.parametrize("method,granularity,exclude_self,linkage", ORACLE_CASES)
     def test_per_sample_kd_matches_oracle_every_round(
-        self, dataset, method, granularity, exclude_self, space, linkage, warmup_rounds, monkeypatch
+        self, dataset, method, granularity, exclude_self, linkage, warmup_rounds, monkeypatch
     ):
         train, test = dataset
         cfg = tiny_cfg(
@@ -580,7 +577,6 @@ class TestTeacherTableOracle:
             warmup_rounds=warmup_rounds,
             granularity=granularity,
             exclude_self=exclude_self,
-            cluster_space=space,
             linkage=linkage,
         )
         state = init_federation(cfg, train, test)
@@ -845,7 +841,7 @@ class TestMethodIsolation:
 class TestAblationIdentity:
     def test_hks_with_zero_kd_weight_matches_local_only_bitwise(self, dataset):
         train, test = dataset
-        kd_off = KdConfig(temperature=3.0, alpha_kd=0.0, t_squared_scaling=True)
+        kd_off = KdConfig(temperature=3.0, alpha_kd=0.0)
         cfg_hks = tiny_cfg(Method.HKS, rounds=4, warmup_rounds=1, kd=kd_off)
         cfg_local = tiny_cfg(Method.LOCAL_ONLY, rounds=4, warmup_rounds=1, kd=kd_off)
         state_h = init_federation(cfg_hks, train, test)

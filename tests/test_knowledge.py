@@ -48,7 +48,6 @@ from reference_oracles import (
     path_teacher,
     reference_pairwise_distances,
     reference_teacher_table,
-    softmax_rows,
     table_from_lists,
 )
 
@@ -859,24 +858,6 @@ class TestFetchTeacher(FourPoints):
         np.testing.assert_allclose(teacher_rows(teachers, 2), [[10.1]])
 
 
-class TestSoftClusterSpace:
-    def test_teachers_average_raw_logits_not_clustered_probabilities(self):
-        rng = np.random.default_rng(7)
-        logits = rng.normal(scale=3.0, size=(24, 4))
-        cache = make_cache(logits)
-        tree = build_hierarchy(cache, 3, space="soft", temperature=3.0)
-        table = fetch_teacher(cache, tree, Granularity.ALL, 3.0)
-        q, h = table.q, table.h
-        raw = [path_teacher(cache, tree, row, Granularity.ALL) for row in range(len(cache))]
-        expected = table_from_lists(raw, 4, 3.0)
-        np.testing.assert_allclose(q, expected.q, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h, expected.h, rtol=0, atol=1e-12)
-        # softening the mean clustered probabilities again gives far flatter targets
-        probs = make_cache(softmax_rows(logits, 3.0))
-        soft = [path_teacher(probs, tree, row, Granularity.ALL) for row in range(len(cache))]
-        assert np.abs(table_from_lists(soft, 4, 3.0).q - q).max() > 0.1
-
-
 def nested_logits(rng, n_classes=10):
     """2048 logit rows in 8 clusters of 4 of 8 groups of 8 rows, each level
     100 times wider than the one below, so every linkage's paths stay short
@@ -887,17 +868,12 @@ def nested_logits(rng, n_classes=10):
     )
 
 
-TREE_KINDS = [("average", "logits"), ("single", "logits"), ("complete", "logits"), ("average", "soft")]
-
-
 @pytest.fixture(scope="module")
 def large_trees():
-    """One 2048-leaf cache over 8 clients and its tree for each kind."""
+    """One 2048-leaf cache over 8 clients and its tree for each linkage."""
     cache = cache_from_rows([256] * 8, nested_logits(np.random.default_rng(21)))
-    return cache, {
-        kind: build_hierarchy(cache, 10, linkage=kind[0], space=kind[1], temperature=T)
-        for kind in TREE_KINDS
-    }
+    linkages = ("average", "single", "complete")
+    return cache, {linkage: build_hierarchy(cache, 10, linkage) for linkage in linkages}
 
 
 @pytest.fixture(scope="module")
@@ -920,10 +896,10 @@ class TestBuildersMatchPaddedOracle:
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     @pytest.mark.parametrize("granularity", list(Granularity))
-    @pytest.mark.parametrize("kind", TREE_KINDS, ids="-".join)
-    def test_large_tree(self, large_trees, kind, granularity, exclude_self):
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_large_tree(self, large_trees, linkage, granularity, exclude_self):
         cache, trees = large_trees
-        logits, mask = path_teachers(cache, trees[kind], granularity, exclude_self)
+        logits, mask = path_teachers(cache, trees[linkage], granularity, exclude_self)
         if granularity is Granularity.ALL:
             assert mask.shape[1] > 8  # paths long enough for pairwise sums of h
         assert mask.any(axis=1).mean() > 0.9

@@ -22,12 +22,13 @@ from reference_oracles import (
     one_model_step,
     param_count,
     reference_train_step,
+    softmax_rows,
     stack_of,
     stacked_table,
     table_from_lists,
 )
 
-CFG = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=True)
+CFG = KdConfig(temperature=3.0, alpha_kd=1.5)
 
 
 def small_model(seed=0, input_dim=4, n_classes=3):
@@ -181,6 +182,31 @@ class TestEndToEndGradient:
         err = np.linalg.norm(grads - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 1.1, 3.0, 7.0])
+    def test_kd_term_carries_t_squared_and_its_gradient_matches(self, temperature):
+        # the KD term is T^2 KL(q_t || q_s) at every temperature, and the
+        # gradient's (T * T) / T factor agrees with it
+        rng = np.random.default_rng([14, int(10 * temperature)])
+        m = small_model(seed=5)
+        X = rng.normal(size=(5, 4))
+        y = rng.integers(3, size=5)
+        teacher_logits = rng.normal(scale=2.0, size=(5, 3))
+        cfg = KdConfig(temperature=temperature, alpha_kd=1.5)
+        teachers = table_from_lists([[z] for z in teacher_logits], 3, temperature)
+        bd, grads, Z = one_model_loss_and_grad(m, X, y, teachers, cfg)
+        q_t = softmax_rows(teacher_logits, temperature)
+        q_s = softmax_rows(Z, temperature)
+        kl = (q_t * np.log(q_t / q_s)).sum(axis=1).mean()
+        assert kl > 1e-3
+        assert bd.kd == pytest.approx(temperature * temperature * kl, rel=1e-9)
+
+        def loss_of(params):
+            return batch_loss(Model(m.architecture_id, m.layer_dims, params), X, y, teachers, cfg)
+
+        numeric = finite_diff(loss_of, m.params)
+        err = np.linalg.norm(grads - numeric) / max(np.linalg.norm(numeric), 1e-12)
+        assert err < 1e-4
+
     @pytest.mark.parametrize("with_teacher", [False, True])
     def test_stacked_finite_diff_matches_one_vector_at_a_time(self, with_teacher):
         rng = np.random.default_rng(13 if with_teacher else 12)
@@ -321,21 +347,19 @@ class TestStackedStepMatchesReference:
                 assert bd.kd.max() > 0.0
 
     @pytest.mark.parametrize("tier", list(CapacityTier))
-    @pytest.mark.parametrize("t_squared_scaling", [True, False])
-    def test_table_without_teachers_equals_no_table(self, tier, t_squared_scaling):
+    def test_table_without_teachers_equals_no_table(self, tier):
         # a distilling round whose table gives no row a teacher trains as a
         # round without a table, bit for bit
         rng = np.random.default_rng(9)
         K, B = 3, 5
-        cfg = KdConfig(temperature=3.0, alpha_kd=1.5, t_squared_scaling=t_squared_scaling)
         models = [build_model(tier, self.INPUT_DIM, self.N_CLASSES, seed=k) for k in range(K)]
-        empty = table_from_lists([[]] * B, self.N_CLASSES, cfg.temperature)
+        empty = table_from_lists([[]] * B, self.N_CLASSES, CFG.temperature)
         with_table, without = stack_of(*models), stack_of(*models)
         for step in range(3):
             X = rng.normal(scale=3.0, size=(K, B, self.INPUT_DIM))
             y = rng.integers(self.N_CLASSES, size=(K, B))
-            bd, Z = train_step(with_table, X, y, stacked_table(*[empty] * K), cfg, lr=0.05)
-            want, want_Z = train_step(without, X, y, None, cfg, lr=0.05)
+            bd, Z = train_step(with_table, X, y, stacked_table(*[empty] * K), CFG, lr=0.05)
+            want, want_Z = train_step(without, X, y, None, CFG, lr=0.05)
             assert np.array_equal(with_table.params, without.params), step
             assert np.array_equal(Z, want_Z), step
             assert np.array_equal(astuple(bd), astuple(want)), step

@@ -180,24 +180,26 @@ class TestCrossEntropy:
 
 class TestKdLoss:
     def test_identical_logits_give_zero(self):
-        cfg = KdConfig(temperature=4.0, alpha_kd=1.0, t_squared_scaling=False)
+        cfg = KdConfig(temperature=4.0, alpha_kd=1.0)
         z = np.array([1.0, -2.0, 0.5])
         assert kd_loss(z, z, cfg) == 0.0
 
     def test_hand_computed_value(self):
         # q_t = [0.75, 0.25], q_s = [0.5, 0.5] at T=1
-        cfg = KdConfig(temperature=1.0, alpha_kd=1.0, t_squared_scaling=False)
+        cfg = KdConfig(temperature=1.0, alpha_kd=1.0)
         z_t = [math.log(3), 0.0]
         z_s = [0.0, 0.0]
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
         assert kd_loss(z_s, z_t, cfg) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.130812, abs=1e-6)
 
-    def test_t_squared_scaling_multiplies_by_four_at_t2(self):
-        flat = KdConfig(temperature=2.0, alpha_kd=1.0, t_squared_scaling=False)
-        scaled = KdConfig(temperature=2.0, alpha_kd=1.0, t_squared_scaling=True)
+    def test_kl_carries_t_squared_at_t2(self):
+        # q_t = [sqrt(3), 1] / (sqrt(3) + 1) and q_s = [0.5, 0.5] at T=2
+        cfg = KdConfig(temperature=2.0, alpha_kd=1.0)
         z_s, z_t = [0.0, 0.0], [math.log(3), 0.0]
-        assert kd_loss(z_s, z_t, scaled) == pytest.approx(4.0 * kd_loss(z_s, z_t, flat), rel=1e-12)
+        q_t = np.array([math.sqrt(3), 1.0]) / (math.sqrt(3) + 1.0)
+        kl = float(q_t @ np.log(2.0 * q_t))
+        assert kd_loss(z_s, z_t, cfg) == pytest.approx(4.0 * kl, rel=1e-12)
 
     def test_shape_mismatch(self):
         cfg = KdConfig()
@@ -212,7 +214,7 @@ class TestKdLoss:
     def test_nonnegative_and_zero_iff_equal_distributions(self, z_s, z_t, temperature):
         n = min(len(z_s), len(z_t))
         z_s, z_t = z_s[:n], z_t[:n]
-        cfg = KdConfig(temperature=temperature, alpha_kd=1.0, t_squared_scaling=False)
+        cfg = KdConfig(temperature=temperature, alpha_kd=1.0)
         val = kd_loss(z_s, z_t, cfg)
         assert val >= 0.0
         q_s = softmax_t(z_s, temperature)
@@ -235,16 +237,6 @@ class TestGradients:
         z = np.array([0.3, -1.2, 2.0])
         np.testing.assert_allclose(kd_grad(z, z, cfg), np.zeros(3), atol=1e-12)
 
-    def test_kd_grad_scaling_is_exactly_t_squared(self):
-        t = 3.0
-        flat = KdConfig(temperature=t, alpha_kd=1.0, t_squared_scaling=False)
-        scaled = KdConfig(temperature=t, alpha_kd=1.0, t_squared_scaling=True)
-        rng = np.random.default_rng(7)
-        z_s, z_t = rng.normal(size=5), rng.normal(size=5)
-        np.testing.assert_allclose(
-            kd_grad(z_s, z_t, scaled), t * t * kd_grad(z_s, z_t, flat), rtol=1e-12
-        )
-
     @pytest.mark.parametrize("n_classes", [2, 5, 10])
     def test_ce_grad_matches_finite_differences(self, n_classes):
         rng = np.random.default_rng(100 + n_classes)
@@ -258,7 +250,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("n_classes", [2, 5, 10])
     def test_kd_grad_matches_finite_differences(self, n_classes):
-        cfg = KdConfig(temperature=3.0, alpha_kd=1.0, t_squared_scaling=True)
+        cfg = KdConfig(temperature=3.0, alpha_kd=1.0)
         rng = np.random.default_rng(200 + n_classes)
         for _ in range(20):
             z_s = rng.normal(scale=2.0, size=n_classes)
@@ -319,8 +311,6 @@ class TestKdConfig:
     def test_rejects_temperature_whose_square_overflows(self, temperature):
         with pytest.raises(ConfigError, match="temperature"):
             KdConfig(temperature=temperature)
-        # without T^2 scaling the square is never taken
-        assert KdConfig(temperature=temperature, t_squared_scaling=False).temperature == temperature
 
     def test_temperature_with_a_finite_square_accepted(self):
         assert KdConfig(temperature=1e154).temperature == 1e154
@@ -329,4 +319,3 @@ class TestKdConfig:
         cfg = KdConfig()
         assert cfg.temperature == 3.0
         assert cfg.alpha_kd == 1.5
-        assert cfg.t_squared_scaling
