@@ -18,7 +18,7 @@ from .federation import (
 from .knowledge import Granularity, KnowledgeCache
 from .metrics import ExperimentSummary, RoundReport, evaluate, maua
 from .models import CapacityTier, Model, build_model, fedavg_aggregate
-from .numerics import KdConfig, LossBreakdown
+from .numerics import KdConfig
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,5 @@ __all__ = [
     "build_model",
     "fedavg_aggregate",
     "KdConfig",
-    "LossBreakdown",
     "__version__",
 ]

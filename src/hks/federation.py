@@ -7,8 +7,8 @@ barrier left it, and changes no field of the state: hks clusters the cache
 into this round's tree, which is never kept, and fedcache reads the
 neighbour rows that init searched. The client phase trains one
 capacity tier at a time, all of the tier's clients in lockstep as the one
-stack of models that holds them for the whole run, each step through a view
-of its block of rows that the tier built at init. Clients are independent,
+stack of models that holds them for the whole run, each step through the
+view of its block of rows that it carries from init. Clients are independent,
 and each keeps its own batch order, RNG stream and teacher rows, so every
 client ends the phase as it would training alone, bit for bit. A single
 barrier then checks every client in client-id order and, for the logit
@@ -57,7 +57,7 @@ from .models import (
     fedavg_aggregate,
     train_step,
 )
-from .numerics import KdConfig, LossBreakdown, TeacherTable
+from .numerics import KdConfig, TeacherTable
 
 Array = np.ndarray
 
@@ -152,9 +152,9 @@ class FederationConfig:
 
 @dataclass
 class ClientState:
-    client_id: int
-    tier: CapacityTier
-    # A view of the client's row of its tier's stack.
+    """Client k of `FederationState.clients`: a view of its row of its
+    tier's stack, and its data."""
+
     model: Model
     shard: ClientShard
 
@@ -165,21 +165,14 @@ class TierStack:
 
     Row r of `stack` is client `members[r]`'s model. Rows are sorted by shard
     size, largest first and ties by client id, so every step of `steps`
-    (`lockstep_stacks` of the nonincreasing `sizes`) trains one block of rows.
-    `views` holds one `Model` per (first row, end row) block of `steps`, a
-    view of those rows of `stack`, built once with the tier.
+    (`lockstep_stacks` of the nonincreasing `sizes`) trains one block of rows,
+    and carries a `Model` whose parameters are a view of those rows.
     """
 
     members: Array
     stack: Model
     sizes: Array
-    steps: list[tuple[int, int, int, int]]
-    views: dict[tuple[int, int], Model] = field(init=False)
-
-    def __post_init__(self) -> None:
-        params = self.stack.params
-        views = {(a, b): replace(self.stack, params=params[a:b]) for _, a, b, _ in self.steps}
-        object.__setattr__(self, "views", views)
+    steps: list[tuple[int, int, int, int, Model]]
 
 
 @dataclass
@@ -254,10 +247,13 @@ def init_federation(
         seeds = [child_seed(cfg.seed, _TAG_MODEL_INIT, k) for k in members]
         built = [build_model(tier, dataset.input_dim, dataset.n_classes, s) for s in seeds]
         stack = replace(built[0], params=np.stack([m.params for m in built]))
-        steps = lockstep_stacks(sizes[members], cfg.batch_size)
+        steps = [
+            (start, a, b, width, replace(stack, params=stack.params[a:b]))
+            for start, a, b, width in lockstep_stacks(sizes[members], cfg.batch_size)
+        ]
         tiers.append(TierStack(np.array(members), stack, sizes[members], steps))
         for r, k in enumerate(members):
-            clients[k] = ClientState(k, tier, replace(stack, params=stack.params[r]), shards[k])
+            clients[k] = ClientState(replace(stack, params=stack.params[r]), shards[k])
     labels = train.labels if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE) else None
     cache = KnowledgeCache(sizes, dataset.n_classes, labels=labels)
     neighbors = None
@@ -284,14 +280,14 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     Uploads apply only at the barrier, so every teacher is fixed for the
     whole round and the table is built once, before any client trains,
     from the cache as the previous round left it. No method distills
-    before the first upload. The state is only read: fedcache's neighbour
-    rows come from init.
+    before round 1, whose cache holds round 0's uploads. The state is only
+    read: fedcache's neighbour rows come from init.
     """
     cfg = state.config
     # hks's first tree clusters round W's uploads, so its round-W client
     # phase still trains on cross-entropy alone.
-    first = cfg.warmup_rounds + (cfg.method is Method.HKS)
-    if cfg.method not in LOGIT_METHODS or round_index < first or state.cache.round < 0:
+    first = max(1, cfg.warmup_rounds + (cfg.method is Method.HKS))
+    if cfg.method not in LOGIT_METHODS or round_index < first:
         return None
     if cfg.method is Method.HKS:
         tree = build_hierarchy(state.cache, state.train.n_classes, cfg.linkage)
@@ -327,21 +323,21 @@ def client_train(
     round_index: int,
     table: TeacherTable | None,
     uploads: Array | None,
-) -> LossBreakdown:
+) -> tuple[Array, Array]:
     """The client phase of one capacity tier: local epochs on seeded batches,
     every client of the tier stepped in lockstep in its stack, in place;
     without a teacher table (warm-up rounds) training is pure cross-entropy.
 
     Each client keeps its own batch order, teacher rows and loss sums, and a
     stacked step computes each model as a step of that model alone would, so
-    every client ends as it would training by itself. Each step trains its
-    block's prebuilt view of the stack. Features, labels and teacher rows
-    are read by cache row, and, for the logit methods, the last forward
-    logits of every training sample are written to its row of the (n, C)
-    `uploads` (None for the other methods).
+    every client ends as it would training by itself. Each step trains the
+    view of its block of the stack that it carries. Features, labels and
+    teacher rows are read by cache row, and, for the logit methods, the last
+    forward logits of every training sample are written to its row of the
+    (n, C) `uploads` (None for the other methods).
 
-    Returns each stack row's sample-weighted mean loss breakdown, as (K,)
-    arrays.
+    Returns each stack row's sample-weighted mean cross-entropy and KD loss,
+    as a pair of (K,) arrays.
     """
     cfg = state.config
     starts = [state.cache.rows[k].start for k in tier.members]
@@ -354,10 +350,10 @@ def client_train(
         for r, k in enumerate(tier.members):
             shuffled = epoch_order(state.clients[k].shard, cfg.seed, epoch_key)
             sample_order[r, : tier.sizes[r]] = starts[r] + shuffled
-        for start, a, b, width in tier.steps:
+        for start, a, b, width, view in tier.steps:
             idx = sample_order[a:b, start : start + width]
-            bd, Z = train_step(
-                tier.views[a, b],
+            (ce, kd), Z = train_step(
+                view,
                 state.train.features[idx],
                 state.train.labels[idx],
                 None if table is None else table.take(idx),
@@ -366,11 +362,10 @@ def client_train(
             )
             if uploads is not None:
                 uploads[idx] = Z
-            ce_sum[a:b] += bd.ce * width
-            kd_sum[a:b] += bd.kd * width
+            ce_sum[a:b] += ce * width
+            kd_sum[a:b] += kd * width
     n_samples = tier.sizes * cfg.local_epochs
-    ce, kd = ce_sum / n_samples, kd_sum / n_samples
-    return LossBreakdown(ce=ce, kd=kd)
+    return ce_sum / n_samples, kd_sum / n_samples
 
 
 def run_round(state: FederationState) -> RoundReport:
@@ -387,19 +382,18 @@ def run_round(state: FederationState) -> RoundReport:
     ce = np.empty(len(state.clients))
     kd = np.empty(len(state.clients))
     for tier in state.tiers:
-        bd = client_train(tier, state, t, table, uploads)
-        ce[tier.members], kd[tier.members] = bd.ce, bd.kd
+        ce[tier.members], kd[tier.members] = client_train(tier, state, t, table, uploads)
 
     # One check per client and round keeps the steps free of it; in client-id
     # order, so a divergent run names its lowest diverged client.
-    for client in state.clients:
-        where = f"client {client.client_id} in round {t}"
+    for k, client in enumerate(state.clients):
+        where = f"client {k} in round {t}"
         if not np.isfinite(client.model.params).all():
             raise DivergenceError(f"training diverged: non-finite parameters at {where}")
-        if uploading and not np.isfinite(uploads[state.cache.rows[client.client_id]]).all():
+        if uploading and not np.isfinite(uploads[state.cache.rows[k]]).all():
             raise DivergenceError(f"training diverged: non-finite logits at {where}")
     if uploading:
-        state.cache.update_logits(uploads, t)
+        state.cache.update_logits(uploads)
 
     if cfg.method is Method.FEDAVG:
         (tier,) = state.tiers

@@ -7,7 +7,8 @@ k: the latest uploaded logits and, only for the methods that read them
 key: the cluster tree's leaves and fedcache's neighbour entries are cache
 rows.
 Every client uploads in every round of a logit method, so the round's
-barrier writes all rows at once and the cache holds either no logits or one
+barrier writes all rows at once and the cache holds either no logits (before
+the first upload, and always for the methods that upload none) or the last
 round's; the server phase and the clients only read.
 """
 from __future__ import annotations
@@ -22,10 +23,9 @@ Array = np.ndarray
 
 
 class KnowledgeCache:
-    """Logits (n, C) of the upload round `round` (-1 before the first
-    upload) and optional labels (n,) for clients holding `sizes[k]` samples
-    each. `rows[k]` is client k's row slice and `owner[i]` the client of
-    row i.
+    """The last upload's logits (n, C), None before the first, and optional
+    labels (n,) for clients holding `sizes[k]` samples each. `rows[k]` is
+    client k's row slice and `owner[i]` the client of row i.
 
     Label reads are counted so tests can assert the label-free mode never
     touches them server-side.
@@ -43,8 +43,8 @@ class KnowledgeCache:
         self.rows = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
         n = len(self.owner)
-        self.logits = np.zeros((n, n_classes))
-        self.round = -1
+        self.n_classes = n_classes
+        self.logits: Array | None = None
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape[:1] != (n,):
@@ -55,13 +55,13 @@ class KnowledgeCache:
     def __len__(self) -> int:
         return len(self.owner)
 
-    def update_logits(self, Z: Array, round_index: int) -> None:
-        """Overwrite every row with one round's uploads, (n, C) in row order."""
-        Z = np.asarray(Z, dtype=np.float64)
-        if Z.shape != self.logits.shape:
-            raise ShapeError(f"round {round_index} uploaded {Z.shape}, expected {self.logits.shape}")
-        self.logits[:] = Z
-        self.round = round_index
+    def update_logits(self, Z: Array) -> None:
+        """Replace every row with a copy of one round's uploads, (n, C) in
+        row order."""
+        Z = np.array(Z, dtype=np.float64)
+        if Z.shape != (len(self), self.n_classes):
+            raise ShapeError(f"uploaded {Z.shape}, expected {(len(self), self.n_classes)}")
+        self.logits = Z
 
     def read_labels(self) -> Array:
         """Every row's label for the label-using baselines; counted, mode-gated."""

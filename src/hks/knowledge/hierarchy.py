@@ -196,7 +196,7 @@ def build_hierarchy(
 ) -> ClusterTree:
     """Cluster every cache row's raw logits until n_clusters roots remain;
     leaf i is cache row i, so the cache must hold a round's uploads."""
-    if cache.round < 0:
+    if cache.logits is None:
         raise InsufficientDataError("the cache holds no uploaded logits yet")
     return agglomerate(cache.logits, n_clusters, linkage)
 

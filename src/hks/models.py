@@ -1,13 +1,13 @@
-"""Pluggable small-model zoo: three MLP capacity tiers, backprop, FedAvg.
+"""Small-model zoo: three MLP capacity tiers, backprop, FedAvg.
 
 A `Model` holds one model's flat float64 parameter vector, or a stack of K
-models of one architecture as K rows of one (K, P) array; nothing here holds
+models of one architecture as K rows of one (K, P) array, and its layer
+sizes, from which everything else about it is computed; nothing here holds
 hidden state. Training steps every model of a stack on its own batch at
 once and updates the rows in place, so a model whose vector is a view of a
 stack row sees every step; each layer layout's parameter slices are
-computed once and reused by every step. The tier layout stands in for the three backbone
-depths of the reference setting; the build/forward/train surface is the
-extension point for richer architectures.
+computed once and reused by every step. The tier layout stands in for the
+three backbone depths of the reference setting.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .numerics import KdConfig, LossBreakdown, TeacherTable, tempered_softmax
+from .numerics import KdConfig, TeacherTable, tempered_softmax
 
 Array = np.ndarray
 
@@ -52,9 +52,12 @@ class Model:
     block.
     """
 
-    architecture_id: str
     layer_dims: tuple[int, ...]
     params: Array
+
+    @property
+    def architecture_id(self) -> str:
+        return "mlp-" + "-".join(str(d) for d in self.layer_dims)
 
     @property
     def n_classes(self) -> int:
@@ -63,10 +66,6 @@ class Model:
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-
-def architecture_id(layer_dims: Sequence[int]) -> str:
-    return "mlp-" + "-".join(str(d) for d in layer_dims)
 
 
 @functools.cache
@@ -95,7 +94,7 @@ def build_model(tier: CapacityTier, input_dim: int, n_classes: int, seed: int) -
     for i, o in zip(dims[:-1], dims[1:]):
         a = np.sqrt(6.0 / (i + o))
         parts.append(rng.uniform(-a, a, size=(i + 1) * o))
-    return Model(architecture_id(dims), dims, np.concatenate(parts))
+    return Model(dims, np.concatenate(parts))
 
 
 def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
@@ -132,7 +131,7 @@ def batch_loss_and_grad(
     y: Array,
     teachers: TeacherTable | None,
     cfg: KdConfig,
-) -> tuple[LossBreakdown, Array, Array]:
+) -> tuple[tuple[Array, Array], Array, Array]:
     """Each model's batch loss, its gradient w.r.t. the model's flat
     parameters, and its logits.
 
@@ -141,7 +140,8 @@ def batch_loss_and_grad(
     cross-entropy plus alpha_kd times the mean per-sample distillation loss
     T^2 (h - q . log q_s), which is the sample's KL divergence averaged
     over its teachers; a sample with no teacher contributes zero KD. Returns
-    (K,) loss arrays, (K, P) gradients and (K, B, C) logits.
+    the (K,) cross-entropy and KD arrays as a pair, (K, P) gradients and
+    (K, B, C) logits.
 
     One `tempered_softmax` of the logits gives the cross-entropy and the
     start of its gradient, and with teachers one more at the temperature
@@ -166,7 +166,6 @@ def batch_loss_and_grad(
         P_T, log_P_T = tempered_softmax(Z, T)
         kl = teachers.h - (teachers.q * log_P_T).sum(axis=-1)
         kd = scale * np.maximum(kl, 0.0).sum(axis=1) / B
-    bd = LossBreakdown(ce=ce, kd=kd)
 
     dZ = P
     dZ[picked] -= 1.0
@@ -187,7 +186,7 @@ def batch_loss_and_grad(
         if li > 0:
             W = stack.params[:, ws].reshape(K, i, o)
             delta = (delta @ W.transpose(0, 2, 1)) * (pre[li - 1] > 0.0)
-    return bd, grads, Z
+    return (ce, kd), grads, Z
 
 
 def train_step(
@@ -197,20 +196,20 @@ def train_step(
     teachers: TeacherTable | None,
     cfg: KdConfig,
     lr: float,
-) -> tuple[LossBreakdown, Array]:
+) -> tuple[tuple[Array, Array], Array]:
     """One SGD step of each model of the stack on the batch-mean loss of its
-    own batch, in place on `stack.params`; returns (losses, logits) as
+    own batch, in place on `stack.params`; returns ((ce, kd), logits) as
     `batch_loss_and_grad` does.
 
     Overflow to inf or NaN raises no floating-point warning: the client
     phase checks every trained model for non-finite values once per round.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bd, grads, Z = batch_loss_and_grad(stack, X, y, teachers, cfg)
+        losses, grads, Z = batch_loss_and_grad(stack, X, y, teachers, cfg)
         grads *= lr
         params = stack.params
         params -= grads
-    return bd, Z
+    return losses, Z
 
 
 def fedavg_aggregate(params: Array, sizes: Sequence[int]) -> Array:

@@ -1,8 +1,8 @@
 """Dense vector math for the training core.
 
-Distillation settings, loss breakdowns, one level's teacher table and the
-one tempered softmax, which gives a distribution and its log from a single
-exponent; the batched losses and their gradients live in `models`.
+Distillation settings, one level's teacher table and the one tempered
+softmax, which gives a distribution and its log from a single exponent; the
+batched losses and their gradients live in `models`.
 Everything is float64 and purely functional, so callers may invoke these
 from any number of workers without coordination.
 """
@@ -40,15 +40,6 @@ class KdConfig:
             raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r}): T^2 overflows")
         if not 0 <= self.alpha_kd < math.inf:
             raise ConfigError(f"constraint violation on 'alpha_kd' (got {self.alpha_kd!r})")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Cross-entropy and distillation loss for one step or round; a stacked
-    training step holds one (K,) array entry per model."""
-
-    ce: float
-    kd: float
 
 
 @dataclass(frozen=True)

@@ -19,23 +19,22 @@ from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
 from hks.models import Model, _layer_slices, batch_loss_and_grad, train_step
-from hks.numerics import KdConfig, LossBreakdown, TeacherTable
+from hks.numerics import KdConfig, TeacherTable
 
 Array = np.ndarray
 Vector = Sequence[float] | Array
 
 
-def cache_from_rows(sizes, logits=None, labels=None, n_classes=None, round_index=0):
+def cache_from_rows(sizes, logits=None, labels=None, n_classes=None):
     """KnowledgeCache of clients holding `sizes[k]` rows each, client by
-    client, with row-aligned labels; the given logits are
-    uploaded as round `round_index`. Without logits the cache waits for its
-    first upload."""
+    client, with row-aligned labels; the given logits are uploaded. Without
+    logits the cache waits for its first upload."""
     if logits is not None:
         logits = np.asarray(logits, dtype=np.float64).reshape(sum(sizes), -1)
         n_classes = logits.shape[1]
     cache = KnowledgeCache(sizes, n_classes, labels=labels)
     if logits is not None:
-        cache.update_logits(logits, round_index)
+        cache.update_logits(logits)
     return cache
 
 
@@ -538,27 +537,26 @@ def one_model_loss_and_grad(
     m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig
 ):
     """The runtime's `batch_loss_and_grad` on a stack of one model, unstacked:
-    (LossBreakdown of floats, (P,) gradient, (B, C) logits)."""
+    ((ce, kd) as floats, (P,) gradient, (B, C) logits)."""
     tables = None if teachers is None else stacked_table(teachers)
-    bd, grads, Z = batch_loss_and_grad(stack_of(m), X[None], y[None], tables, cfg)
-    return LossBreakdown(float(bd.ce[0]), float(bd.kd[0])), grads[0], Z[0]
+    (ce, kd), grads, Z = batch_loss_and_grad(stack_of(m), X[None], y[None], tables, cfg)
+    return (float(ce[0]), float(kd[0])), grads[0], Z[0]
 
 
 def one_model_step(
     m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, lr: float
 ):
     """The runtime's `train_step` on a stack of one model, unstacked:
-    (trained model, LossBreakdown of floats, (B, C) logits)."""
+    (trained model, (ce, kd) as floats, (B, C) logits)."""
     stack = stack_of(m)
     tables = None if teachers is None else stacked_table(teachers)
-    bd, Z = train_step(stack, X[None], y[None], tables, cfg, lr)
-    losses = LossBreakdown(float(bd.ce[0]), float(bd.kd[0]))
-    return replace(m, params=stack.params[0]), losses, Z[0]
+    (ce, kd), Z = train_step(stack, X[None], y[None], tables, cfg, lr)
+    return replace(m, params=stack.params[0]), (float(ce[0]), float(kd[0])), Z[0]
 
 
 def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
-    bd, _, _ = one_model_loss_and_grad(m, X, y, teachers, cfg)
-    return bd.ce + cfg.alpha_kd * bd.kd
+    (ce, kd), _, _ = one_model_loss_and_grad(m, X, y, teachers, cfg)
+    return ce + cfg.alpha_kd * kd
 
 
 def batch_loss_finite_diff(
@@ -571,10 +569,10 @@ def batch_loss_finite_diff(
     shift = eps * np.eye(P)
     stack = replace(m, params=np.concatenate([m.params + shift, m.params - shift]))
     tables = None if teachers is None else stacked_table(*[teachers] * (2 * P))
-    bd, _, _ = batch_loss_and_grad(
+    (ce, kd), _, _ = batch_loss_and_grad(
         stack, np.repeat(X[None], 2 * P, axis=0), np.repeat(y[None], 2 * P, axis=0), tables, cfg
     )
-    total = bd.ce + cfg.alpha_kd * bd.kd
+    total = ce + cfg.alpha_kd * kd
     return (total[:P] - total[P:]) / (2.0 * eps)
 
 
@@ -599,8 +597,8 @@ def _reference_forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], lis
 
 def reference_batch_loss_and_grad(
     m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig
-) -> tuple[LossBreakdown, Array, Array]:
-    """One model's batch loss, its flat-parameter gradient and its logits,
+) -> tuple[tuple[float, float], Array, Array]:
+    """One model's (ce, kd) batch loss, its flat-parameter gradient and its logits,
     computed for that model alone; the oracle for the stacked
     `batch_loss_and_grad`."""
     B = X.shape[0]
@@ -617,7 +615,6 @@ def reference_batch_loss_and_grad(
         scale = T * T
         kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
         kd = scale * float(np.maximum(kl, 0.0).sum()) / B
-    bd = LossBreakdown(ce=ce, kd=kd)
 
     dZ = softmax_rows(Z)
     dZ[np.arange(B), y] -= 1.0
@@ -637,17 +634,17 @@ def reference_batch_loss_and_grad(
         if li > 0:
             W = m.params[ws].reshape(i, o)
             delta = (delta @ W.T) * (pre[li - 1] > 0.0)
-    return bd, grads, Z
+    return (ce, kd), grads, Z
 
 
 def reference_train_step(
     m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, lr: float
-) -> tuple[Model, LossBreakdown, Array]:
+) -> tuple[Model, tuple[float, float], Array]:
     """One SGD step of one model on the batch-mean loss; returns (model,
     losses, logits). The oracle for the stacked `train_step`."""
-    bd, grads, Z = reference_batch_loss_and_grad(m, X, y, teachers, cfg)
+    losses, grads, Z = reference_batch_loss_and_grad(m, X, y, teachers, cfg)
     new = replace(m, params=m.params - lr * grads)
-    return new, bd, Z
+    return new, losses, Z
 
 
 def reference_client_phase(tier, state, round_index, table, uploads):
@@ -676,20 +673,19 @@ def reference_client_phase(tier, state, round_index, table, uploads):
             for i in range(0, order.size, cfg.batch_size):
                 batch_idx = order[i : i + cfg.batch_size]
                 batch_teachers = None if teachers is None else teachers.take(batch_idx)
-                model, bd, Z = reference_train_step(
+                model, (ce, kd), Z = reference_train_step(
                     model, features[batch_idx], labels[batch_idx], batch_teachers, cfg.kd, cfg.lr
                 )
                 logits_out[batch_idx] = Z
-                ce_sum += bd.ce * len(batch_idx)
-                kd_sum += bd.kd * len(batch_idx)
+                ce_sum += ce * len(batch_idx)
+                kd_sum += kd * len(batch_idx)
                 n_samples += len(batch_idx)
         tier.stack.params[r] = model.params
         if uploads is not None:
             uploads[rows] = logits_out
         ce_out.append(ce_sum / n_samples)
         kd_out.append(kd_sum / n_samples)
-    ce, kd = np.array(ce_out), np.array(kd_out)
-    return LossBreakdown(ce=ce, kd=kd)
+    return np.array(ce_out), np.array(kd_out)
 
 
 def reference_synth_blobs(

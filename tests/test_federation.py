@@ -75,6 +75,12 @@ def dataset():
     return tiny_data()
 
 
+def tier_of(stack):
+    """The capacity tier whose hidden layers a tier stack's models have."""
+    (tier,) = [t for t, hidden in TIER_HIDDEN.items() if hidden == stack.stack.layer_dims[1:-1]]
+    return tier
+
+
 def sample_hashes(state):
     """Every cache row's hash, from the config's encoder seed stream, as
     `init_federation` hashes its training samples."""
@@ -90,10 +96,12 @@ class TestInit:
         train, test = synth_train_and_test(4, 200, 4, 0.5, seed=1)
         cfg = tiny_cfg(Method.HKS, n_clients=20, alpha_dir=1000.0)
         state = init_federation(cfg, train, test)
-        tiers = [c.tier for c in state.clients]
-        assert tiers.count(CapacityTier.SMALL) == 7
-        assert tiers.count(CapacityTier.MEDIUM) == 7
-        assert tiers.count(CapacityTier.LARGE) == 6
+        members = {tier_of(stack): sorted(stack.members.tolist()) for stack in state.tiers}
+        assert members == {
+            CapacityTier.SMALL: list(range(0, 20, 3)),
+            CapacityTier.MEDIUM: list(range(1, 20, 3)),
+            CapacityTier.LARGE: list(range(2, 20, 3)),
+        }
 
     def test_cache_covers_every_training_sample(self, dataset, monkeypatch):
         # only fedcache has a neighbour table, and no method builds a hash index
@@ -137,7 +145,9 @@ class TestInit:
         train, test = dataset
         cfg = tiny_cfg(Method.FEDAVG, fedavg_tier=CapacityTier.SMALL)
         state = init_federation(cfg, train, test)
-        assert {c.tier for c in state.clients} == {CapacityTier.SMALL}
+        (stack,) = state.tiers
+        assert tier_of(stack) is CapacityTier.SMALL
+        assert sorted(stack.members.tolist()) == list(range(len(state.clients)))
 
     def test_labels_cached_only_for_label_methods(self, dataset):
         train, test = dataset
@@ -179,10 +189,10 @@ class TestInit:
         state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
         cache = state.cache
         start = 0
-        for client in state.clients:
-            rows = cache.rows[client.client_id]
+        for k, client in enumerate(state.clients):
+            rows = cache.rows[k]
             assert rows == slice(start, start + len(client.shard.train))
-            assert (cache.owner[rows] == client.client_id).all()
+            assert (cache.owner[rows] == k).all()
             np.testing.assert_array_equal(cache.labels[rows], client.shard.train.labels)
             start = rows.stop
         assert start == len(cache)
@@ -225,13 +235,19 @@ class TestValidate:
 
 
 class TestRunRound:
-    def test_local_only_never_touches_cache(self, dataset):
+    @pytest.mark.parametrize("method", [Method.LOCAL_ONLY, Method.FEDAVG])
+    def test_parameter_methods_never_hold_logits(self, dataset, method, monkeypatch):
         train, test = dataset
-        state = init_federation(tiny_cfg(Method.LOCAL_ONLY), train, test)
-        before = state.cache.logits.copy()
-        run_round(state)
-        assert np.array_equal(state.cache.logits, before)
-        assert state.cache.round == -1
+        state = init_federation(tiny_cfg(method, rounds=3), train, test)
+
+        def no_upload(*args):
+            raise AssertionError(f"{method.value} uploaded logits")
+
+        monkeypatch.setattr(KnowledgeCache, "update_logits", no_upload)
+        assert state.cache.logits is None
+        for _ in range(3):
+            run_round(state)
+            assert state.cache.logits is None
 
     def test_fedavg_broadcast_synchronizes_clients(self, dataset):
         train, test = dataset
@@ -241,19 +257,25 @@ class TestRunRound:
         for c in state.clients[1:]:
             assert np.array_equal(c.model.params, base)
 
-    def test_fedavg_does_not_write_cache(self, dataset):
+    @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
+    def test_cache_holds_each_rounds_upload_buffer(self, dataset, method, monkeypatch):
         train, test = dataset
-        state = init_federation(tiny_cfg(Method.FEDAVG), train, test)
-        run_round(state)
-        assert state.cache.round == -1
+        state = init_federation(tiny_cfg(method, rounds=3, warmup_rounds=1), train, test)
+        assert state.cache.logits is None
+        train_clients = federation.client_train
+        buffers = {}
 
-    def test_upload_completeness_each_round(self, dataset):
-        train, test = dataset
-        state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
-        assert state.cache.round == -1
+        def recording(tier, state, round_index, table, uploads):
+            assert buffers.setdefault(round_index, uploads) is uploads
+            return train_clients(tier, state, round_index, table, uploads)
+
+        monkeypatch.setattr(federation, "client_train", recording)
         for t in range(3):
             run_round(state)
-            assert state.cache.round == t
+            uploads = buffers[t]
+            # a copy of the buffer, so the next round's writes cannot reach it
+            assert not np.shares_memory(state.cache.logits, uploads)
+            np.testing.assert_array_equal(state.cache.logits, uploads)
 
     @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
     def test_one_upload_per_round(self, dataset, method, monkeypatch):
@@ -261,14 +283,14 @@ class TestRunRound:
         update = KnowledgeCache.update_logits
         calls = []
 
-        def counted(cache, Z, round_index):
-            calls.append((round_index, Z.shape))
-            return update(cache, Z, round_index)
+        def counted(cache, Z):
+            calls.append(Z.shape)
+            return update(cache, Z)
 
         monkeypatch.setattr(KnowledgeCache, "update_logits", counted)
         result = run_experiment(tiny_cfg(method, rounds=3, warmup_rounds=1), train, test)
         shape = (len(result.state.cache), result.state.train.n_classes)
-        assert calls == [(t, shape) for t in range(3)]
+        assert calls == [shape] * 3
 
     @pytest.mark.parametrize("method", [Method.FEDDISTILL, Method.FEDCACHE, Method.HKS])
     def test_no_table_before_the_first_upload(self, dataset, method):
@@ -289,16 +311,16 @@ class TestRunRound:
 
         def checking(state, round_index):
             fields = dict(vars(state))
-            contents = copy.deepcopy((state.neighbors, state.cache.logits, state.cache.round))
+            contents = copy.deepcopy((state.neighbors, state.cache.logits))
             table = tables(state, round_index)
             assert vars(state).keys() == fields.keys()
             for key, value in vars(state).items():
                 assert value is fields[key], key
-            neighbors, logits, cache_round = contents
+            neighbors, logits = contents
             assert (state.neighbors is None) == (neighbors is None)
             assert neighbors is None or np.array_equal(state.neighbors, neighbors)
-            assert np.array_equal(state.cache.logits, logits)
-            assert state.cache.round == cache_round
+            assert (state.cache.logits is None) == (logits is None)
+            assert logits is None or np.array_equal(state.cache.logits, logits)
             assert state.round == round_index
             checked.append(round_index)
             return table
@@ -330,13 +352,21 @@ class TestRunRound:
     ):
         train, test = dataset
         build = federation.build_hierarchy
+        update = KnowledgeCache.update_logits
+        uploaded = []
         built_in = []
 
+        def recording(cache, Z):
+            uploaded.append(Z.copy())
+            return update(cache, Z)
+
         def counting(cache, *args, **kwargs):
-            # the round a tree serves follows the last upload it clusters
-            built_in.append(cache.round + 1)
+            # a tree clusters the last upload and serves the round after it
+            np.testing.assert_array_equal(cache.logits, uploaded[-1])
+            built_in.append(len(uploaded))
             return build(cache, *args, **kwargs)
 
+        monkeypatch.setattr(KnowledgeCache, "update_logits", recording)
         monkeypatch.setattr(federation, "build_hierarchy", counting)
         seen = record_tables(monkeypatch)
         cfg = tiny_cfg(Method.HKS, rounds=rounds, warmup_rounds=warmup_rounds)
@@ -426,14 +456,15 @@ class TestFedCacheNeighbourTable:
     def run_recording(self, state, monkeypatch):
         """Run every round; per round, the tables the client phase read and
         each sample's teacher from the exact-kNN neighbour rows at the
-        round's start."""
+        start of every round whose cache holds logits."""
         seen = record_tables(monkeypatch)
         expected = {}
         hashes = sample_hashes(state)
         for t in range(state.config.rounds):
-            neighbours = exact_neighbour_table(state.cache, hashes, state.config.R)
-            for row in range(len(state.cache)):
-                expected[(t, row)] = neighbour_teacher(state.cache, neighbours[row])
+            if state.cache.logits is not None:
+                neighbours = exact_neighbour_table(state.cache, hashes, state.config.R)
+                for row in range(len(state.cache)):
+                    expected[(t, row)] = neighbour_teacher(state.cache, neighbours[row])
             run_round(state)
         return seen, expected
 
@@ -530,11 +561,11 @@ def probe_kd(teachers, z_s, cfg):
     logits are its inputs (its bias gradient is the logit gradient)."""
     C = z_s.shape[0]
     params = np.concatenate([np.eye(C).ravel(), np.zeros(C)])
-    probe = Model(f"mlp-{C}-{C}", (C, C), params)
+    probe = Model((C, C), params)
     X, y, unit = z_s[None], np.array([0]), replace(cfg, alpha_kd=1.0)
-    bd, grads, _ = one_model_loss_and_grad(probe, X, y, teachers, unit)
+    (_, kd), grads, _ = one_model_loss_and_grad(probe, X, y, teachers, unit)
     _, ce_grads, _ = one_model_loss_and_grad(probe, X, y, None, unit)
-    return bd.kd, (grads - ce_grads)[C * C :]
+    return kd, (grads - ce_grads)[C * C :]
 
 
 def oracle_teachers(state):
@@ -542,7 +573,7 @@ def oracle_teachers(state):
     round about to run would read them; None when the method has none yet."""
     cfg, cache = state.config, state.cache
     rows = range(len(cache))
-    if cache.round < 0:
+    if cache.logits is None:
         return None
     if cfg.method is Method.HKS:
         if state.round <= cfg.warmup_rounds:
@@ -654,10 +685,10 @@ class TestDivergence:
 
         def poisoned(*args):
             # every stacked client's first logit row: the error names client 0
-            bd, Z = step(*args)
+            losses, Z = step(*args)
             Z = Z.copy()
             Z[:, 0, 0] = -np.inf
-            return bd, Z
+            return losses, Z
 
         monkeypatch.setattr(federation, "train_step", poisoned)
         state = init_federation(tiny_cfg(Method.FEDDISTILL), train, test)
@@ -671,7 +702,8 @@ class TestDivergence:
         state = init_federation(tiny_cfg(Method.HKS, n_clients=6), train, test)
         for client_id in (3, 1):
             state.train.features[state.cache.rows[client_id]] = 1e300
-        assert [state.clients[i].tier for i in (1, 3)] == [CapacityTier.MEDIUM, CapacityTier.SMALL]
+        tiers = {int(k): tier_of(stack) for stack in state.tiers for k in stack.members}
+        assert [tiers[1], tiers[3]] == [CapacityTier.MEDIUM, CapacityTier.SMALL]
         with pytest.raises(DivergenceError, match="non-finite parameters at client 1 in round 0"):
             run_round(state)
 
@@ -682,6 +714,7 @@ class TestTierStacks:
 
     @staticmethod
     def assert_models_are_stack_rows(state):
+        cfg = state.config
         members = []
         for tier in state.tiers:
             ids = tier.members.tolist()
@@ -693,7 +726,9 @@ class TestTierStacks:
                 assert np.array_equal(client.model.params, tier.stack.params[r])
                 assert tier.sizes[r] == len(client.shard.train)
                 assert client.model.layer_dims == tier.stack.layer_dims
-                assert tier.stack.layer_dims[1:-1] == TIER_HIDDEN[client.tier]
+                assert tier_of(tier) is (
+                    cfg.fedavg_tier if cfg.method is Method.FEDAVG else CapacityTier.for_client(k)
+                )
             members += ids
         assert sorted(members) == list(range(len(state.clients)))
 
@@ -709,18 +744,17 @@ class TestTierStacks:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_step_views_stay_live_every_round(self, dataset, method):
-        # each step trains its block's view built at init; fedavg's in-place
-        # broadcast must reach it, or later rounds would train stale copies
+        # each step trains the view of its block it carries from init;
+        # fedavg's in-place broadcast must reach it, or later rounds would
+        # train stale copies
         train, test = dataset
         cfg = tiny_cfg(method, n_clients=7, alpha_dir=0.3, batch_size=5, local_epochs=2)
         state = init_federation(cfg, train, test)
         for _ in range(cfg.rounds):
             run_round(state)
             for tier in state.tiers:
-                blocks = {(a, b) for _, a, b, _ in tier.steps}
-                assert set(tier.views) == blocks
-                assert len(blocks) > 1
-                for (a, b), view in tier.views.items():
+                assert len({(a, b) for _, a, b, _, _ in tier.steps}) > 1
+                for _, a, b, _, view in tier.steps:
                     assert np.shares_memory(view.params, tier.stack.params[a:b])
                     assert np.array_equal(view.params, tier.stack.params[a:b])
                     assert view.layer_dims == tier.stack.layer_dims
@@ -823,8 +857,8 @@ class TestClientPhaseMatchesReference:
                 want = run_round(reference)
             self.assert_same_report(got, want)
             assert np.array_equal(state.cache.logits, reference.cache.logits)
-            for a, b in zip(state.clients, reference.clients):
-                assert np.array_equal(a.model.params, b.model.params), a.client_id
+            for k, (a, b) in enumerate(zip(state.clients, reference.clients)):
+                assert np.array_equal(a.model.params, b.model.params), k
         if method in (Method.FEDDISTILL, Method.FEDCACHE, Method.HKS):
             assert got.mean_kd > 0.0
 

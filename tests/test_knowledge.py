@@ -52,14 +52,14 @@ from reference_oracles import (
 )
 
 
-def make_cache(points, clients=None, labels=None, round_index=0):
+def make_cache(points, clients=None, labels=None):
     """Cache of one uploaded row per point, row i held by client clients[i]
     (nondecreasing; all client 0 by default)."""
     points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
     clients = [0] * len(points) if clients is None else clients
     assert clients == sorted(clients), "rows run client by client"
     sizes = np.bincount(clients).tolist()
-    return cache_from_rows(sizes, points, labels=labels, round_index=round_index)
+    return cache_from_rows(sizes, points, labels=labels)
 
 
 def encode(enc, x):
@@ -281,16 +281,17 @@ class TestHnswMatchesReference:
 class TestCache:
     def test_update_then_read(self):
         cache = make_cache([[1.0, 2.0], [3.0, 4.0]], clients=[0, 1])
-        cache.update_logits(np.array([[5.0, 6.0], [7.0, 8.0]]), round_index=3)
+        Z = np.array([[5.0, 6.0], [7.0, 8.0]])
+        cache.update_logits(Z)
+        # the cache keeps a copy: later writes to Z do not reach it
+        Z[0] = 9.0
         np.testing.assert_array_equal(cache.logits, [[5.0, 6.0], [7.0, 8.0]])
-        assert cache.round == 3
 
     def test_last_update_wins(self):
         cache = make_cache([[0.0]])
-        cache.update_logits(np.array([[1.0]]), 1)
-        cache.update_logits(np.array([[2.0]]), 2)
+        cache.update_logits(np.array([[1.0]]))
+        cache.update_logits(np.array([[2.0]]))
         np.testing.assert_array_equal(cache.logits[0], [2.0])
-        assert cache.round == 2
 
     def test_label_free_mode_has_no_labels(self):
         cache = make_cache([[1.0], [2.0]])
@@ -323,9 +324,10 @@ class TestCache:
 
     def test_rows_wait_for_their_first_upload(self):
         cache = KnowledgeCache([1, 1], 3)
-        assert cache.round == -1
-        assert cache.logits.shape == (2, 3)
+        assert cache.logits is None
         assert cache.labels is None
+        cache.update_logits(np.zeros((2, 3)))
+        assert cache.logits.shape == (2, 3)
 
     @pytest.mark.parametrize(
         "shape", [(1, 2), (2, 2), (4, 2), (3, 1), (3, 3), (2, 3), (3,), (6,), (3, 2, 1), ()]
@@ -335,9 +337,12 @@ class TestCache:
         logits = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         cache = cache_from_rows([2, 0, 1], logits)
         with pytest.raises(ShapeError):
-            cache.update_logits(np.zeros(shape), 1)
-        assert cache.round == 0
+            cache.update_logits(np.zeros(shape))
         np.testing.assert_array_equal(cache.logits, logits)
+        fresh = KnowledgeCache([2, 0, 1], 2)
+        with pytest.raises(ShapeError):
+            fresh.update_logits(np.zeros(shape))
+        assert fresh.logits is None
 
     def test_label_reads_count_every_row(self):
         cache = make_cache([[1.0], [2.0], [3.0]], labels=[0, 1, 0])
@@ -376,6 +381,7 @@ class TestBuildHierarchy(FourPoints):
     def test_cache_before_its_first_upload_rejected(self):
         # leaf i is cache row i, so a cache that holds no upload cannot be clustered
         cache = cache_from_rows([2, 1], n_classes=1)
+        assert cache.logits is None
         with pytest.raises(InsufficientDataError):
             build_hierarchy(cache, 2)
 
@@ -1130,7 +1136,7 @@ class TestFedCacheTeacher:
         neighbours = fedcache_neighbors(cache, self.HASHES, 2)
         logits = cache.logits.copy()
         logits[1] = [5.0, 7.0]
-        cache.update_logits(logits, 1)
+        cache.update_logits(logits)
         teachers = fedcache_teachers(cache, neighbours)
         np.testing.assert_allclose(teacher_rows(teachers, 0), [[4.0, 5.0]])
 

@@ -16,7 +16,7 @@ def constant_model(cls: int, n_classes: int = 2, input_dim: int = 1) -> Model:
     bias = np.zeros(n_classes)
     bias[cls] = 10.0
     params = np.concatenate([np.zeros(input_dim * n_classes), bias])
-    return Model(f"mlp-{input_dim}-{n_classes}", (input_dim, n_classes), params)
+    return Model((input_dim, n_classes), params)
 
 
 def labeled(labels, input_dim=1, n_classes=2):
@@ -35,7 +35,7 @@ class TestEvaluate:
     def test_hand_built_threshold_model(self):
         # logits [x, -x]: class 0 iff x >= 0 (argmax tie -> lowest index)
         params = np.array([1.0, -1.0, 0.0, 0.0])
-        m = Model("mlp-1-2", (1, 2), params)
+        m = Model((1, 2), params)
         ds = Dataset(np.array([[1.0], [-1.0], [2.0], [-2.0]]), np.array([0, 1, 1, 1]), 2)
         assert evaluate(m, ds) == 0.75
 
@@ -45,12 +45,12 @@ class TestEvaluate:
             evaluate(constant_model(0), empty)
 
     def test_argmax_tie_breaks_low(self):
-        m = Model("mlp-1-2", (1, 2), np.zeros(4))
+        m = Model((1, 2), np.zeros(4))
         assert evaluate(m, labeled([0, 0])) == 1.0
 
     def test_overflowing_logits_raise_divergence_silently(self):
         # finite parameters, but 1e300 * 1e10 overflows to inf
-        m = Model("mlp-1-2", (1, 2), np.array([1e300, -1e300, 0.0, 0.0]))
+        m = Model((1, 2), np.array([1e300, -1e300, 0.0, 0.0]))
         ds = Dataset(np.array([[1.0], [1e10]]), np.array([0, 0]), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

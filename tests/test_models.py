@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hks.models import (
     forward_batch,
     train_step,
 )
-from hks.numerics import KdConfig, LossBreakdown
+from hks.numerics import KdConfig
 
 from reference_oracles import (
     batch_loss,
@@ -46,6 +46,13 @@ class TestBuildModel:
         assert a.architecture_id == b.architecture_id
         assert np.array_equal(a.params, b.params)
 
+    def test_architecture_id_names_the_layer_sizes(self):
+        # computed from layer_dims, so a view of stack rows names its tier too
+        m = build_model(CapacityTier.MEDIUM, 6, 4, seed=0)
+        assert m.architecture_id == "mlp-6-64-32-4"
+        stack = stack_of(m, m)
+        assert replace(stack, params=stack.params[:1]).architecture_id == "mlp-6-64-32-4"
+
     def test_small_param_count(self):
         m = small_model()
         assert m.params.shape[0] == (4 + 1) * 32 + (32 + 1) * 3 == 259
@@ -75,7 +82,7 @@ class TestBuildModel:
 class TestForward:
     def test_zero_params_give_zero_logits(self):
         m = small_model()
-        zeroed = Model(m.architecture_id, m.layer_dims, np.zeros_like(m.params))
+        zeroed = Model(m.layer_dims, np.zeros_like(m.params))
         np.testing.assert_array_equal(forward_batch(zeroed, np.ones((1, 4))), np.zeros((1, 3)))
 
     def test_deterministic(self):
@@ -86,7 +93,7 @@ class TestForward:
     def test_identity_single_layer(self):
         # one linear layer, identity weights, zero bias
         params = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
-        m = Model("mlp-2-2", (2, 2), params)
+        m = Model((2, 2), params)
         np.testing.assert_allclose(forward_batch(m, np.array([[1.0, 2.0]])), [[1.0, 2.0]], atol=1e-15)
 
     def test_shape_mismatch(self):
@@ -102,32 +109,32 @@ class TestTrainBatch:
     def test_zero_lr_keeps_params(self):
         rng = np.random.default_rng(0)
         m = small_model()
-        new, bd, _ = one_model_step(m, *self.batch(rng), None, CFG, lr=0.0)
+        new, (ce, _), _ = one_model_step(m, *self.batch(rng), None, CFG, lr=0.0)
         np.testing.assert_array_equal(new.params, m.params)
-        assert bd.ce > 0
+        assert ce > 0
 
     def test_no_teacher_means_no_kd(self):
         rng = np.random.default_rng(1)
         m, (X, y) = small_model(), self.batch(rng)
-        _, bd, _ = one_model_step(m, X, y, None, CFG, lr=0.01)
-        assert bd.kd == 0.0
-        assert batch_loss(m, X, y, None, CFG) == pytest.approx(bd.ce)
+        _, (ce, kd), _ = one_model_step(m, X, y, None, CFG, lr=0.01)
+        assert kd == 0.0
+        assert batch_loss(m, X, y, None, CFG) == pytest.approx(ce)
 
     def test_teacher_breakdown_identity(self):
         rng = np.random.default_rng(2)
         X, y = self.batch(rng)
         teachers = table([[rng.normal(size=3)] for _ in y])
         m = small_model()
-        _, bd, _ = one_model_step(m, X, y, teachers, CFG, lr=0.01)
-        assert bd.kd > 0
-        want = bd.ce + CFG.alpha_kd * bd.kd
+        _, (ce, kd), _ = one_model_step(m, X, y, teachers, CFG, lr=0.01)
+        assert kd > 0
+        want = ce + CFG.alpha_kd * kd
         assert batch_loss(m, X, y, teachers, CFG) == pytest.approx(want, abs=1e-9)
 
     def test_unavailable_entries_contribute_zero(self):
         rng = np.random.default_rng(3)
         X, y = self.batch(rng)
-        new, bd, _ = one_model_step(small_model(), X, y, table([[]] * len(y)), CFG, lr=0.01)
-        assert bd.kd == 0.0
+        new, (_, kd), _ = one_model_step(small_model(), X, y, table([[]] * len(y)), CFG, lr=0.01)
+        assert kd == 0.0
         plain, _, _ = one_model_step(small_model(), X, y, None, CFG, lr=0.01)
         np.testing.assert_array_equal(new.params, plain.params)
 
@@ -135,20 +142,20 @@ class TestTrainBatch:
         rng = np.random.default_rng(4)
         X, y = self.batch(rng, n=1)
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        _, bd_multi, _ = one_model_step(small_model(), X, y, table([[t1, t2]]), CFG, lr=0.0)
-        _, bd_a, _ = one_model_step(small_model(), X, y, table([[t1]]), CFG, lr=0.0)
-        _, bd_b, _ = one_model_step(small_model(), X, y, table([[t2]]), CFG, lr=0.0)
-        assert bd_multi.kd == pytest.approx((bd_a.kd + bd_b.kd) / 2, rel=1e-12)
+        _, (_, kd_multi), _ = one_model_step(small_model(), X, y, table([[t1, t2]]), CFG, lr=0.0)
+        _, (_, kd_a), _ = one_model_step(small_model(), X, y, table([[t1]]), CFG, lr=0.0)
+        _, (_, kd_b), _ = one_model_step(small_model(), X, y, table([[t2]]), CFG, lr=0.0)
+        assert kd_multi == pytest.approx((kd_a + kd_b) / 2, rel=1e-12)
 
     def test_descent_on_fixed_sample(self):
         rng = np.random.default_rng(5)
         X, y = rng.normal(size=(1, 4)), np.array([1])
         m = build_model(CapacityTier.SMALL, 4, 2, seed=9)
-        _, bd0, _ = one_model_step(m, X, y, None, CFG, lr=0.0)
+        _, (ce0, _), _ = one_model_step(m, X, y, None, CFG, lr=0.0)
         for _ in range(50):
             m, _, _ = one_model_step(m, X, y, None, CFG, lr=0.1)
-        _, bd_end, _ = one_model_step(m, X, y, None, CFG, lr=0.0)
-        assert bd_end.ce < bd0.ce
+        _, (ce_end, _), _ = one_model_step(m, X, y, None, CFG, lr=0.0)
+        assert ce_end < ce0
 
     def test_teacher_length_mismatch(self):
         rng = np.random.default_rng(6)
@@ -175,7 +182,7 @@ class TestEndToEndGradient:
         _, grads, _ = one_model_loss_and_grad(m, X, y, teachers, CFG)
 
         def loss_of(params):
-            probe = Model(m.architecture_id, m.layer_dims, params)
+            probe = Model(m.layer_dims, params)
             return batch_loss(probe, X, y, teachers, CFG)
 
         numeric = finite_diff(loss_of, m.params)
@@ -193,15 +200,15 @@ class TestEndToEndGradient:
         teacher_logits = rng.normal(scale=2.0, size=(5, 3))
         cfg = KdConfig(temperature=temperature, alpha_kd=1.5)
         teachers = table_from_lists([[z] for z in teacher_logits], 3, temperature)
-        bd, grads, Z = one_model_loss_and_grad(m, X, y, teachers, cfg)
+        (_, kd), grads, Z = one_model_loss_and_grad(m, X, y, teachers, cfg)
         q_t = softmax_rows(teacher_logits, temperature)
         q_s = softmax_rows(Z, temperature)
         kl = (q_t * np.log(q_t / q_s)).sum(axis=1).mean()
         assert kl > 1e-3
-        assert bd.kd == pytest.approx(temperature * temperature * kl, rel=1e-9)
+        assert kd == pytest.approx(temperature * temperature * kl, rel=1e-9)
 
         def loss_of(params):
-            return batch_loss(Model(m.architecture_id, m.layer_dims, params), X, y, teachers, cfg)
+            return batch_loss(Model(m.layer_dims, params), X, y, teachers, cfg)
 
         numeric = finite_diff(loss_of, m.params)
         err = np.linalg.norm(grads - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -216,7 +223,7 @@ class TestEndToEndGradient:
         teachers = table([[rng.normal(size=3)] if i % 2 else [] for i in range(5)]) if with_teacher else None
 
         def loss_of(params):
-            return batch_loss(Model(m.architecture_id, m.layer_dims, params), X, y, teachers, CFG)
+            return batch_loss(Model(m.layer_dims, params), X, y, teachers, CFG)
 
         expected = finite_diff(loss_of, m.params)
         got = batch_loss_finite_diff(m, X, y, teachers, CFG)
@@ -231,8 +238,8 @@ class TestFedavg:
         np.testing.assert_allclose(out, m.params, atol=1e-15)
 
     def test_arithmetic(self):
-        base = Model("mlp-1-1", (1, 1), np.array([2.0, 0.0]))
-        other = Model("mlp-1-1", (1, 1), np.array([4.0, 0.0]))
+        base = Model((1, 1), np.array([2.0, 0.0]))
+        other = Model((1, 1), np.array([4.0, 0.0]))
         out = fedavg_aggregate(stack_of(base, other).params, [5, 5])
         np.testing.assert_allclose(out, [3.0, 0.0])
 
@@ -331,7 +338,7 @@ class TestStackedStepMatchesReference:
             X = rng.normal(size=(K, B, self.INPUT_DIM))
             y = rng.integers(self.N_CLASSES, size=(K, B))
             tables = self.tables(rng, K, B, mode)
-            bd, Z = train_step(
+            (ce, kd), Z = train_step(
                 stack, X, y, None if tables is None else stacked_table(*tables), cfg, lr=0.05
             )
             for k in range(K):
@@ -341,10 +348,9 @@ class TestStackedStepMatchesReference:
                 )
                 assert np.array_equal(stack.params[k], models[k].params), (step, k)
                 assert np.array_equal(Z[k], want_Z), (step, k)
-                got = LossBreakdown(bd.ce[k], bd.kd[k])
-                assert np.array_equal(astuple(got), astuple(want)), (step, k)
+                assert np.array_equal((ce[k], kd[k]), want), (step, k)
             if mode == "teachers":
-                assert bd.kd.max() > 0.0
+                assert kd.max() > 0.0
 
     @pytest.mark.parametrize("tier", list(CapacityTier))
     def test_table_without_teachers_equals_no_table(self, tier):
@@ -358,12 +364,12 @@ class TestStackedStepMatchesReference:
         for step in range(3):
             X = rng.normal(scale=3.0, size=(K, B, self.INPUT_DIM))
             y = rng.integers(self.N_CLASSES, size=(K, B))
-            bd, Z = train_step(with_table, X, y, stacked_table(*[empty] * K), CFG, lr=0.05)
-            want, want_Z = train_step(without, X, y, None, CFG, lr=0.05)
+            (ce, kd), Z = train_step(with_table, X, y, stacked_table(*[empty] * K), CFG, lr=0.05)
+            (want_ce, want_kd), want_Z = train_step(without, X, y, None, CFG, lr=0.05)
             assert np.array_equal(with_table.params, without.params), step
             assert np.array_equal(Z, want_Z), step
-            assert np.array_equal(astuple(bd), astuple(want)), step
-            assert not bd.kd.any()
+            assert np.array_equal(ce, want_ce) and np.array_equal(kd, want_kd), step
+            assert not kd.any()
 
     @pytest.mark.parametrize("tier", list(CapacityTier))
     @pytest.mark.parametrize("mode", ["none", "teachers"])
@@ -384,7 +390,7 @@ class TestStackedStepMatchesReference:
             _, Z = train_step(stack, X, y, None if tables is None else stacked_table(*tables), cfg, lr=0.05)
             assert not np.array_equal(stack.params, before)
             for k in range(K):
-                row = Model(stack.architecture_id, stack.layer_dims, before[k])
+                row = Model(stack.layer_dims, before[k])
                 assert np.array_equal(Z[k], forward_batch(row, X[k])), (step, k)
 
     def test_step_updates_only_its_own_stack(self):

@@ -71,9 +71,11 @@ def test_traced_run_yields_nested_spans_and_the_layer_counts_it_implies(method, 
     assert tracer_module.check_spans(tracer.spans) == []
     metrics = tracer_module.layer_metrics(tracer.spans, cache.label_reads)
     assert metrics["models.train_step_calls"] > 0
-    # each stacked step runs inside the client phase of its tier
+    # each stacked step runs inside the client phase of its tier and names
+    # that tier, which the per-tier step times are summed under
     for span in tracer.spans:
         if span[2] == "models.train_step":
+            assert span[5]["tier"] in ("small", "medium", "large"), span[5]
             parents = []
             while span[1] is not None:
                 span = tracer.spans[span[1]]
