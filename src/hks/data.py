@@ -3,7 +3,7 @@
 Covers the IDX image/label format (gzip-transparent), a synthetic Gaussian
 blob generator for desk-scale runs, per-class Dirichlet partitioning across
 clients, and stratified local train/test splits. Datasets are immutable after
-construction and safe to read from concurrent workers.
+construction.
 """
 from __future__ import annotations
 
@@ -128,7 +128,9 @@ def synth_blobs(n_classes: int, per_class: int, input_dim: int, spread: float, s
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
     centers = 4.0 * centers / norms
     noise = rng.standard_normal((n_classes * per_class, input_dim))
-    feats = np.repeat(centers, per_class, axis=0) + spread * noise
+    # a spread near the float64 limit overflows to inf, which Dataset rejects
+    with np.errstate(over="ignore"):
+        feats = np.repeat(centers, per_class, axis=0) + spread * noise
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     return Dataset(feats, labels, n_classes)
 
@@ -210,7 +212,6 @@ def dirichlet_partition(
 class ClientShard:
     """One client's training data and held-out local test split."""
 
-    client_id: int
     train: Dataset
     local_test: Dataset
 
@@ -246,17 +247,13 @@ def split_local_test(
         train_idx.extend(members[n_test:].tolist())
     train_idx.sort()
     test_idx.sort()
-    return ClientShard(
-        client_id=client_id,
-        train=ds.subset(train_idx),
-        local_test=ds.subset(test_idx),
-    )
+    return ClientShard(ds.subset(train_idx), ds.subset(test_idx))
 
 
-def epoch_order(shard: ClientShard, seed: int, epoch: int) -> Array:
-    """The shard's train indices shuffled for one epoch, keyed by (seed,
-    client, epoch); batch j is entries j*B:(j+1)*B for batch size B."""
-    return np.random.default_rng([seed, shard.client_id, epoch]).permutation(len(shard.train))
+def epoch_order(shard: ClientShard, client: int, seed: int, epoch: int) -> Array:
+    """Client `client`'s train indices shuffled for one epoch, keyed by
+    (seed, client, epoch); batch j is entries j*B:(j+1)*B for batch size B."""
+    return np.random.default_rng([seed, client, epoch]).permutation(len(shard.train))
 
 
 def stratified_subsample(ds: Dataset, n_samples: int, seed: int) -> Dataset:

@@ -10,15 +10,12 @@ class HksError(Exception):
 
 
 class InvalidInputError(HksError, ValueError):
-    """Non-finite values, bad temperatures, malformed weights."""
+    """Non-finite or out-of-range values, such as features too large to
+    hash; and states that only a direct library call creates: mismatched
+    shapes, a cluster tree from another cache, a label read from a
+    label-free cache, a metric over no rounds."""
 
     exit_code = 17
-
-
-class ShapeError(HksError, ValueError):
-    """Vector/matrix length mismatch."""
-
-    exit_code = 16
 
 
 class FormatError(HksError, ValueError):
@@ -67,24 +64,6 @@ class InsufficientDataError(HksError, ValueError):
     """Fewer records than requested clusters."""
 
     exit_code = 11
-
-
-class StaleHierarchyError(HksError, RuntimeError):
-    """Cluster tree predates the sample or is absent when required."""
-
-    exit_code = 12
-
-
-class ModeError(HksError, RuntimeError):
-    """Operation needs a capability the current mode disabled (e.g. labels)."""
-
-    exit_code = 13
-
-
-class UndefinedMetricError(HksError, ValueError):
-    """Metric requested over an empty report list."""
-
-    exit_code = 15
 
 
 class ConfigError(HksError, ValueError):

@@ -348,7 +348,7 @@ def client_train(
         # sample_order[r, j] is the cache row of row r's j-th sample this epoch
         sample_order = np.zeros((len(starts), tier.sizes[0]), dtype=np.intp)
         for r, k in enumerate(tier.members):
-            shuffled = epoch_order(state.clients[k].shard, cfg.seed, epoch_key)
+            shuffled = epoch_order(state.clients[k].shard, k, cfg.seed, epoch_key)
             sample_order[r, : tier.sizes[r]] = starts[r] + shuffled
         for start, a, b, width, view in tier.steps:
             idx = sample_order[a:b, start : start + width]

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError, ModeError, ShapeError
+from ..errors import InvalidInputError
 
 Array = np.ndarray
 
@@ -48,7 +48,7 @@ class KnowledgeCache:
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape[:1] != (n,):
-                raise ShapeError(f"labels must have {n} rows, got shape {labels.shape}")
+                raise InvalidInputError(f"labels must have {n} rows, got shape {labels.shape}")
         self.labels = labels
         self.label_reads = 0
 
@@ -60,12 +60,12 @@ class KnowledgeCache:
         row order."""
         Z = np.array(Z, dtype=np.float64)
         if Z.shape != (len(self), self.n_classes):
-            raise ShapeError(f"uploaded {Z.shape}, expected {(len(self), self.n_classes)}")
+            raise InvalidInputError(f"uploaded {Z.shape}, expected {(len(self), self.n_classes)}")
         self.logits = Z
 
     def read_labels(self) -> Array:
         """Every row's label for the label-using baselines; counted, mode-gated."""
         if self.labels is None:
-            raise ModeError("cache stores no labels in this mode")
+            raise InvalidInputError("cache stores no labels in this mode")
         self.label_reads += len(self.labels)
         return self.labels

@@ -1,8 +1,7 @@
 """Feature hashing: a fixed seeded random projection, unit-normalized.
 
-The encoder is an interface point; this default keeps the artifact
-self-contained and deterministic. One projection matrix serves the whole
-experiment, so equal inputs always hash identically.
+One projection matrix serves the whole experiment, so equal inputs always
+hash identically.
 """
 from __future__ import annotations
 
@@ -23,9 +22,12 @@ class RandomProjectionEncoder:
         self.projection = rng.standard_normal((d_hash, input_dim))
 
     def encode_rows(self, X: Array) -> Array:
-        """Unit-normalized projection of each row of X; raises on any zero-norm row."""
-        H = X @ self.projection.T
-        norms = np.linalg.norm(H, axis=1, keepdims=True)
+        """Unit-normalized projection of each row of X; raises on a zero or non-finite norm."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = X @ self.projection.T
+            norms = np.linalg.norm(H, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise InvalidInputError("features are too large to hash: projection norms overflow")
         if np.any(norms == 0.0):
             raise DegenerateInputError("projection collapsed an input to zero")
         return H / norms

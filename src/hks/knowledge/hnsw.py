@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidInputError, ShapeError
+from ..errors import InvalidInputError
 
 Array = np.ndarray
 Predicate = Callable[[int], bool]
@@ -68,7 +68,7 @@ class HnswIndex:
     def _hash_vector(self, h: Array) -> Array:
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (self.dim,):
-            raise ShapeError(f"hash vector must have shape ({self.dim},), got {h.shape}")
+            raise InvalidInputError(f"hash vector must have shape ({self.dim},), got {h.shape}")
         if not np.isfinite(h).all():
             raise InvalidInputError("hash vector must be finite")
         return h

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import InvalidInputError, ShapeError, StaleHierarchyError
+from ..errors import InvalidInputError
 from ..numerics import TeacherTable, teacher_table
 from .cache import KnowledgeCache
 from .hierarchy import ClusterTree
@@ -53,7 +53,7 @@ def fetch_teacher(
     """
     n = len(cache)
     if tree.n_leaves != n:
-        raise StaleHierarchyError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
+        raise InvalidInputError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
     X = cache.logits
     # One replay of the merges fills each node's logit sum, with its member
     # count in a trailing column, and its parent (-1 for a root). One entry
@@ -128,7 +128,9 @@ def fedcache_neighbors(cache: KnowledgeCache, hashes: Array, R: int) -> Array:
     """
     hashes = np.asarray(hashes, dtype=np.float64)
     if hashes.ndim != 2 or len(hashes) != len(cache):
-        raise ShapeError(f"hashes must have {len(cache)} rows of d_hash, got shape {hashes.shape}")
+        raise InvalidInputError(
+            f"hashes must have {len(cache)} rows of d_hash, got shape {hashes.shape}"
+        )
     if not np.isfinite(hashes).all():
         raise InvalidInputError("hashes must be finite")
     if R < 1:

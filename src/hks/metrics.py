@@ -3,7 +3,7 @@
 MAUA is the maximum over rounds of the mean per-client local-test accuracy
 (personalization); global accuracy is the mean over clients of accuracy on
 the evenly distributed global test set (generalization). All functions are
-read-only and safe to call concurrently.
+read-only.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import DivergenceError, EmptyDatasetError, InvalidInputError, UndefinedMetricError
+from .errors import DivergenceError, EmptyDatasetError, InvalidInputError
 from .models import Model, forward_batch
 
 Array = np.ndarray
@@ -90,12 +90,12 @@ def maua(per_round_acc: Sequence) -> float:
     """Max over rounds of the unweighted client mean of local accuracy, from
     one per-client accuracy vector per round."""
     if len(per_round_acc) == 0:
-        raise UndefinedMetricError("MAUA is undefined without any round")
+        raise InvalidInputError("MAUA is undefined without any round")
     return float(max(np.mean(row, dtype=np.float64) for row in per_round_acc))
 
 
 def summarize(reports: Sequence[RoundReport]) -> ExperimentSummary:
-    """The run's headline numbers; UndefinedMetricError without any round."""
+    """The run's headline numbers; InvalidInputError without any round."""
     global_means = [r.mean_global_acc for r in reports]
     return ExperimentSummary(
         maua=maua([r.per_client_local_acc for r in reports]),

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError
 from .numerics import KdConfig, TeacherTable, tempered_softmax
 
 Array = np.ndarray
@@ -120,7 +120,7 @@ def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
 def forward_batch(m: Model, X: Array) -> Array:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.input_dim:
-        raise ShapeError(f"expected (B, {m.input_dim}) inputs, got {X.shape}")
+        raise InvalidInputError(f"expected (B, {m.input_dim}) inputs, got {X.shape}")
     Z, _, _ = _forward_acts(m, X)
     return Z
 
@@ -156,9 +156,11 @@ def batch_loss_and_grad(
     kd = np.zeros(K)
     if teachers is not None:
         if teachers.has.shape != (K, B):
-            raise ShapeError(f"teacher table has {teachers.has.shape} rows, batch has {(K, B)}")
+            raise InvalidInputError(
+                f"teacher table has {teachers.has.shape} rows, batch has {(K, B)}"
+            )
         if teachers.q.shape[-1] != stack.n_classes:
-            raise ShapeError(
+            raise InvalidInputError(
                 f"teachers have {teachers.q.shape[-1]} classes, model has {stack.n_classes}"
             )
         T = cfg.temperature
@@ -217,7 +219,7 @@ def fedavg_aggregate(params: Array, sizes: Sequence[int]) -> Array:
     dataset sizes and summed in row order."""
     s = np.asarray(sizes, dtype=np.float64)
     if params.shape[:1] != s.shape:
-        raise ShapeError(f"{len(params)} models but {s.shape[0]} sizes")
+        raise InvalidInputError(f"{len(params)} models but {s.shape[0]} sizes")
     if np.any(s < 0) or s.sum() <= 0:
         raise InvalidInputError("sizes must be nonnegative with positive total")
     merged = np.zeros(params.shape[1:])

@@ -3,8 +3,7 @@
 Distillation settings, one level's teacher table and the one tempered
 softmax, which gives a distribution and its log from a single exponent; the
 batched losses and their gradients live in `models`.
-Everything is float64 and purely functional, so callers may invoke these
-from any number of workers without coordination.
+Everything is float64 and purely functional.
 """
 from __future__ import annotations
 

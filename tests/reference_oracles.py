@@ -9,12 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ClientShard, Dataset
-from hks.errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    ShapeError,
-    StaleHierarchyError,
-)
+from hks.errors import InsufficientDataError, InvalidInputError
 from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
@@ -315,7 +310,7 @@ def neighbour_teacher(cache, neighbour_rows):
 def _as_vector(z: Vector, name: str = "input") -> Array:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {z.shape}")
+        raise InvalidInputError(f"{name} must be 1-D, got shape {z.shape}")
     return z
 
 
@@ -367,7 +362,7 @@ def _paired(z_s: Vector, z_t: Vector) -> tuple[Array, Array]:
     z_s = _as_vector(z_s, "student logits")
     z_t = _as_vector(z_t, "teacher logits")
     if z_s.shape != z_t.shape:
-        raise ShapeError(f"student/teacher length mismatch: {z_s.shape} vs {z_t.shape}")
+        raise InvalidInputError(f"student/teacher length mismatch: {z_s.shape} vs {z_t.shape}")
     _require_finite(z_s, "student logits")
     _require_finite(z_t, "teacher logits")
     return z_s, z_t
@@ -401,7 +396,7 @@ def sgd_step(params: Vector, grads: Vector, lr: float) -> Array:
     params = _as_vector(params, "params")
     grads = _as_vector(grads, "grads")
     if params.shape != grads.shape:
-        raise ShapeError(f"params/grads length mismatch: {params.shape} vs {grads.shape}")
+        raise InvalidInputError(f"params/grads length mismatch: {params.shape} vs {grads.shape}")
     return params - lr * grads
 
 
@@ -485,7 +480,7 @@ def padded_path_teachers(cache, tree, granularity, exclude_self=True):
     """
     n = len(cache)
     if tree.n_leaves != n:
-        raise StaleHierarchyError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
+        raise InvalidInputError(f"cluster tree has {tree.n_leaves} leaves, the cache {n} rows")
     X = cache.logits
     top = n + len(tree.merges)
     sums = np.empty((top, X.shape[1] + 1))
@@ -608,9 +603,11 @@ def reference_batch_loss_and_grad(
     kd = 0.0
     if teachers is not None:
         if len(teachers.has) != B:
-            raise ShapeError(f"teacher table has {len(teachers.has)} rows, batch has {B}")
+            raise InvalidInputError(f"teacher table has {len(teachers.has)} rows, batch has {B}")
         if teachers.q.shape[1] != m.n_classes:
-            raise ShapeError(f"teachers have {teachers.q.shape[1]} classes, model has {m.n_classes}")
+            raise InvalidInputError(
+                f"teachers have {teachers.q.shape[1]} classes, model has {m.n_classes}"
+            )
         T = cfg.temperature
         scale = T * T
         kl = teachers.h - (teachers.q * log_softmax_rows(Z / T)).sum(axis=1)
@@ -669,7 +666,7 @@ def reference_client_phase(tier, state, round_index, table, uploads):
         n_samples = 0
         for e in range(cfg.local_epochs):
             epoch_key = round_index * cfg.local_epochs + e
-            order = reference_epoch_order(client.shard, cfg.seed, epoch_key)
+            order = reference_epoch_order(client.shard, k, cfg.seed, epoch_key)
             for i in range(0, order.size, cfg.batch_size):
                 batch_idx = order[i : i + cfg.batch_size]
                 batch_teachers = None if teachers is None else teachers.take(batch_idx)
@@ -723,7 +720,7 @@ def reference_synth_train_and_test(
     return full.subset(train_idx), full.subset(test_idx)
 
 
-def reference_split_local_test(indices, ds: Dataset, test_fraction: float, seed: int, client_id=0):
+def reference_split_local_test(indices, ds: Dataset, test_fraction: float, seed: int):
     """Stratified local split with a class of one shard sample sent to train
     by its own branch. The bit-exact oracle for `split_local_test`."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -742,14 +739,14 @@ def reference_split_local_test(indices, ds: Dataset, test_fraction: float, seed:
         train_idx.extend(members[n_test:].tolist())
     train_idx.sort()
     test_idx.sort()
-    return ClientShard(client_id, ds.subset(train_idx), ds.subset(test_idx))
+    return ClientShard(ds.subset(train_idx), ds.subset(test_idx))
 
 
-def reference_epoch_order(shard: ClientShard, seed: int, epoch: int) -> Array:
+def reference_epoch_order(shard: ClientShard, client: int, seed: int, epoch: int) -> Array:
     """`arange` shuffled in place by the (seed, client, epoch) generator. The
     bit-exact oracle for `epoch_order`."""
     order = np.arange(len(shard.train))
-    rng = np.random.default_rng([seed, shard.client_id, epoch])
+    rng = np.random.default_rng([seed, client, epoch])
     rng.shuffle(order)
     return order
 

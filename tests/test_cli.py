@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hks
@@ -459,6 +459,45 @@ class TestIdxRuns:
         assert trained == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "labels, flags, code, line",
+        [
+            # image 0 is all zeros, so its hash projection is zero
+            ([i % 3 for i in range(60)],
+             ["--method", "fedcache", "--n-clients", "2", "--rounds", "2", "--batch-size", "2"],
+             9, "error: projection collapsed an input to zero"),
+            # hks cuts the tree into one cluster per class: 10, over the 8
+            # training rows left after the held-out tenth and the local test
+            ([0, 9] * 6,
+             ["--method", "hks", "--n-clients", "1", "--rounds", "2", "--warmup-rounds", "0",
+              "--batch-size", "1", "--min-per-client", "0"],
+             11, "error: 8 records cannot be cut into 10 clusters"),
+        ],
+        ids=["zero-image-exits-9", "fewer-rows-than-classes-exits-11"],
+    )
+    def test_run_on_an_unusable_idx_pair_prints_one_error_line(
+        self, tmp_path, capsys, labels, flags, code, line
+    ):
+        import numpy as np
+
+        from hks.data import Dataset
+        from reference_oracles import write_idx
+
+        n = len(labels)
+        feats = np.random.default_rng(0).integers(1, 256, size=(n, 4)) / 255.0
+        feats[0] = 0.0
+        write_idx(Dataset(feats, np.array(labels), max(labels) + 1),
+                  tmp_path / "imgs.idx", tmp_path / "labs.idx")
+        out = tmp_path / "run"
+        argv = ["run", "--idx-images", str(tmp_path / "imgs.idx"),
+                "--idx-labels", str(tmp_path / "labs.idx"), *flags, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and captured.out == ""
+        assert not out.exists()
+
     def test_missing_idx_file_maps_to_io_exit_code(self, tmp_path):
         code = main(
             [
@@ -720,13 +759,12 @@ class TestSweepAndReport:
         assert not out.exists()
 
 
-# The exit code of every error type; 10 and 14 are retired, and 19 and 21
-# are the codes of MemoryError and of any other OSError.
+# The exit code of every error type; 10, 12, 13, 14, 15 and 16 are retired,
+# and 19 and 21 are the codes of MemoryError and of any other OSError.
 EXIT_CODES = {
     "ConfigError": 2, "FormatError": 3, "ConsistencyError": 4, "TruncatedFileError": 5,
     "InfeasiblePartitionError": 6, "EmptyShardError": 7, "EmptyDatasetError": 8,
-    "DegenerateInputError": 9, "InsufficientDataError": 11, "StaleHierarchyError": 12,
-    "ModeError": 13, "UndefinedMetricError": 15, "ShapeError": 16, "InvalidInputError": 17,
+    "DegenerateInputError": 9, "InsufficientDataError": 11, "InvalidInputError": 17,
     "DivergenceError": 18, "HksError": 20,
 }
 OTHER_EXIT_CODES = {"MemoryError": 19, "OSError": 21}
@@ -863,6 +901,24 @@ class TestModuleEntry:
         assert proc.stderr.splitlines() == [
             "error: training diverged: non-finite parameters at client 0 in round 0"
         ]
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--synthetic", "3,10,4,1e308", "--method", "local_only", "--rounds", "1"],
+             "error: features contain non-finite values"),
+            (["--synthetic", "3,20,4,1e155", "--method", "fedcache", "--rounds", "3",
+              "--warmup-rounds", "1", "--batch-size", "2", "--lr", "1e-300"],
+             "error: features are too large to hash: projection norms overflow"),
+        ],
+        ids=["blob-features", "fedcache-hash-norms"],
+    )
+    def test_overflowing_features_exit_17_with_only_the_error_line(self, tmp_path, flags, line):
+        # the overflow itself is no floating-point warning; the typed error
+        # is the run's one line on stderr
+        proc = self.run_module("run", *flags, "--n-clients", "2", "--out", str(tmp_path / "run"))
+        assert proc.returncode == 17
+        assert proc.stderr.splitlines() == [line]
 
     def test_divergence_after_an_overflowing_loss_prints_only_the_error_line(self, tmp_path):
         # alpha_kd * kd overflows in the rounds before the parameters do; no
@@ -1222,6 +1278,12 @@ class TestRunInvocations:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(run_invocations())
+    # blob features that overflow to inf, and fedcache hashes whose norms do
+    @example((["run", "--synthetic", "3,10,4,1e308", "--method", "local_only",
+               "--n-clients", "2", "--rounds", "1"], 1))
+    @example((["run", "--synthetic", "3,20,4,1e155", "--method", "fedcache",
+               "--n-clients", "2", "--rounds", "3", "--warmup-rounds", "1",
+               "--batch-size", "2", "--lr", "1e-300"], 3))
     def test_exit_code_and_outputs(self, case):
         argv, rounds = case
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

@@ -291,27 +291,27 @@ class TestEpochOrder:
     def make_shard(self, n=10):
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(size=(n, 2)), np.zeros(n, dtype=np.int64), 1)
-        return ClientShard(client_id=3, train=ds, local_test=ds)
+        return ClientShard(train=ds, local_test=ds)
 
     def test_same_key_same_order(self):
         shard = self.make_shard()
-        a = epoch_order(shard, seed=7, epoch=2)
-        b = epoch_order(shard, seed=7, epoch=2)
+        a = epoch_order(shard, 3, seed=7, epoch=2)
+        b = epoch_order(shard, 3, seed=7, epoch=2)
         assert np.array_equal(a, b)
 
     def test_epochs_reshuffle(self):
         shard = self.make_shard(20)
         differing = 0
         for seed in range(20):
-            a = epoch_order(shard, seed=seed, epoch=0)
-            b = epoch_order(shard, seed=seed, epoch=1)
+            a = epoch_order(shard, 3, seed=seed, epoch=0)
+            b = epoch_order(shard, 3, seed=seed, epoch=1)
             if not np.array_equal(a, b):
                 differing += 1
         assert differing >= 19
 
     def test_order_covers_shard(self):
         shard = self.make_shard(13)
-        assert sorted(epoch_order(shard, seed=1, epoch=0).tolist()) == list(range(13))
+        assert sorted(epoch_order(shard, 3, seed=1, epoch=0).tolist()) == list(range(13))
 
 
 class TestSubsample:
@@ -416,8 +416,7 @@ class TestDataMatchesOracles:
         for i, (ds, shard) in enumerate(shard_cases()):
             counts.update(np.bincount(ds.labels[shard]).tolist())
             got = split_local_test(shard, ds, test_fraction, seed=i, client_id=i)
-            want = reference_split_local_test(shard, ds, test_fraction, seed=i, client_id=i)
-            assert got.client_id == want.client_id
+            want = reference_split_local_test(shard, ds, test_fraction, seed=i)
             assert_same_dataset(got.train, want.train)
             assert_same_dataset(got.local_test, want.local_test)
         assert {1, 2} <= counts  # the grid has one- and two-sample classes
@@ -425,8 +424,8 @@ class TestDataMatchesOracles:
     def test_epoch_order(self):
         for size in range(51):
             ds = Dataset(np.zeros((size, 1)), np.zeros(size, dtype=np.int64), 1)
-            for client_id, seed, epoch in [(0, 0, 0), (3, 7, 2), (19, 12345, 40)]:
-                shard = ClientShard(client_id, ds, ds)
-                got = epoch_order(shard, seed, epoch)
-                want = reference_epoch_order(shard, seed, epoch)
+            shard = ClientShard(ds, ds)
+            for client, seed, epoch in [(0, 0, 0), (3, 7, 2), (19, 12345, 40)]:
+                got = epoch_order(shard, client, seed, epoch)
+                want = reference_epoch_order(shard, client, seed, epoch)
                 assert got.dtype == want.dtype and np.array_equal(got, want)

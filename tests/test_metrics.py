@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hks.data import Dataset
-from hks.errors import DivergenceError, EmptyDatasetError, UndefinedMetricError
+from hks.errors import DivergenceError, EmptyDatasetError, InvalidInputError
 from hks.metrics import RoundReport, evaluate, maua, summarize
 from hks.models import Model
 
@@ -69,7 +69,7 @@ class TestMaua:
         assert maua([[0.42, 0.42], [0.42, 0.42]]) == pytest.approx(0.42)
 
     def test_empty_reports_rejected(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(InvalidInputError, match="MAUA is undefined without any round"):
             maua([])
 
     def test_summarize_reads_the_local_accuracy_of_round_reports(self):
@@ -128,7 +128,7 @@ class TestGlobalAccuracy:
 
 class TestSummarize:
     def test_empty_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(InvalidInputError, match="MAUA is undefined without any round"):
             summarize([])
 
     def test_best_and_final(self):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hks.errors import InvalidInputError, ShapeError
+from hks.errors import InvalidInputError
 from hks.models import (
     CapacityTier,
     Model,
@@ -97,7 +97,7 @@ class TestForward:
         np.testing.assert_allclose(forward_batch(m, np.array([[1.0, 2.0]])), [[1.0, 2.0]], atol=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match=r"expected \(B, 4\) inputs, got \(1, 5\)"):
             forward_batch(small_model(), np.ones((1, 5)))
 
 
@@ -160,14 +160,14 @@ class TestTrainBatch:
     def test_teacher_length_mismatch(self):
         rng = np.random.default_rng(6)
         X, y = self.batch(rng, n=4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="teacher table has .* rows, batch has"):
             one_model_step(small_model(), X, y, table([[rng.normal(size=3)]] * 3), CFG, lr=0.01)
 
     def test_teacher_class_count_mismatch(self):
         rng = np.random.default_rng(7)
         X, y = self.batch(rng, n=2)
         teachers = table([[rng.normal(size=4)]] * 2, n_classes=4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="teachers have 4 classes, model has 3"):
             one_model_step(small_model(), X, y, teachers, CFG, lr=0.01)
 
 
@@ -257,16 +257,16 @@ class TestFedavg:
         assert np.array_equal(fedavg_aggregate(stack_of(*models).params, [10, 20, 30]), want)
 
     @pytest.mark.parametrize(
-        "sizes, error",
+        "sizes, message",
         [
-            ([5, 5], ShapeError),
-            ([6, -1, -1], InvalidInputError),
-            ([0, 0, 0], InvalidInputError),
+            ([5, 5], "3 models but 2 sizes"),
+            ([6, -1, -1], "sizes must be nonnegative with positive total"),
+            ([0, 0, 0], "sizes must be nonnegative with positive total"),
         ],
     )
-    def test_sizes_must_be_one_per_row_with_a_positive_total(self, sizes, error):
+    def test_sizes_must_be_one_per_row_with_a_positive_total(self, sizes, message):
         stack = stack_of(*(small_model(seed=s) for s in range(3)))
-        with pytest.raises(error):
+        with pytest.raises(InvalidInputError, match=message):
             fedavg_aggregate(stack.params, sizes)
 
     def test_permutation_equivariance(self):
