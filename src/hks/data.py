@@ -250,10 +250,10 @@ def split_local_test(
     return ClientShard(ds.subset(train_idx), ds.subset(test_idx))
 
 
-def epoch_order(shard: ClientShard, client: int, seed: int, epoch: int) -> Array:
-    """Client `client`'s train indices shuffled for one epoch, keyed by
-    (seed, client, epoch); batch j is entries j*B:(j+1)*B for batch size B."""
-    return np.random.default_rng([seed, client, epoch]).permutation(len(shard.train))
+def epoch_order(n_train: int, client: int, seed: int, epoch: int) -> Array:
+    """Client `client`'s `n_train` train indices shuffled for one epoch, keyed
+    by (seed, client, epoch); batch j is entries j*B:(j+1)*B for batch size B."""
+    return np.random.default_rng([seed, client, epoch]).permutation(n_train)
 
 
 def stratified_subsample(ds: Dataset, n_samples: int, seed: int) -> Dataset:

@@ -7,10 +7,13 @@ barrier left it, and changes no field of the state: hks clusters the cache
 into this round's tree, which is never kept, and fedcache reads the
 neighbour rows that init searched. The client phase trains one
 capacity tier at a time, all of the tier's clients in lockstep as the one
-stack of models that holds them for the whole run, each step through the
-view of its block of rows that it carries from init. Clients are independent,
-and each keeps its own batch order, RNG stream and teacher rows, so every
-client ends the phase as it would training alone, bit for bit. A single
+stack of models that holds them for the whole run: each epoch takes one
+stacked step per full-batch position, through the view of the rows that
+have a batch there, then one per distinct short last-batch width, over
+the rows whose last batch has that width, gathered from the stack and
+written back. Clients are independent, and each keeps its own batch order,
+RNG stream and teacher rows, so every client ends the phase as it would
+training alone, bit for bit. A single
 barrier then checks every client in client-id order and, for the logit
 methods, writes the whole round's buffered uploads into the cache in one
 call (only they allocate the buffer), or, for fedavg, applies the
@@ -164,15 +167,19 @@ class TierStack:
     """One capacity tier's clients and their models, one stack for the run.
 
     Row r of `stack` is client `members[r]`'s model. Rows are sorted by shard
-    size, largest first and ties by client id, so every step of `steps`
-    (`lockstep_stacks` of the nonincreasing `sizes`) trains one block of rows,
-    and carries a `Model` whose parameters are a view of those rows.
+    size, largest first and ties by client id, so the rows with a full batch
+    at a position are a prefix of the stack. An epoch (`epoch_plan` of the
+    nonincreasing `sizes`) runs the `full` steps, each a batch position and
+    a `Model` whose parameters are a view of that prefix, then the `tails`,
+    each the rows whose short last batch has one width and those batches'
+    (rows, width) sample positions.
     """
 
     members: Array
     stack: Model
     sizes: Array
-    steps: list[tuple[int, int, int, int, Model]]
+    full: list[tuple[int, Model]]
+    tails: list[tuple[Array, Array]]
 
 
 @dataclass
@@ -247,11 +254,9 @@ def init_federation(
         seeds = [child_seed(cfg.seed, _TAG_MODEL_INIT, k) for k in members]
         built = [build_model(tier, dataset.input_dim, dataset.n_classes, s) for s in seeds]
         stack = replace(built[0], params=np.stack([m.params for m in built]))
-        steps = [
-            (start, a, b, width, replace(stack, params=stack.params[a:b]))
-            for start, a, b, width in lockstep_stacks(sizes[members], cfg.batch_size)
-        ]
-        tiers.append(TierStack(np.array(members), stack, sizes[members], steps))
+        full, tails = epoch_plan(sizes[members], cfg.batch_size)
+        views = [(start, replace(stack, params=stack.params[:end])) for start, end in full]
+        tiers.append(TierStack(np.array(members), stack, sizes[members], views, tails))
         for r, k in enumerate(members):
             clients[k] = ClientState(replace(stack, params=stack.params[r]), shards[k])
     labels = train.labels if cfg.method in (Method.FEDDISTILL, Method.FEDCACHE) else None
@@ -297,24 +302,29 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
     return fedcache_teacher(state.cache, state.neighbors, cfg.kd.temperature)
 
 
-def lockstep_stacks(sizes: Array, batch_size: int) -> list[tuple[int, int, int, int]]:
+def epoch_plan(
+    sizes: Array, batch_size: int
+) -> tuple[list[tuple[int, int]], list[tuple[Array, Array]]]:
     """The steps of one epoch of lockstep training over shards of nonincreasing
-    `sizes`, as (position, first row, end row, batch size).
+    `sizes`: the full steps as (position, end row), then the tail steps as
+    (rows, positions).
 
-    Each shard is cut into batches in its own order; a step at a position
-    stacks the rows whose batch there has one size. Rows with a full batch
-    come first and each short size forms the next block, because the sizes
-    do not increase.
+    Each shard is cut into batches in its own order. A full step trains the
+    batch at one position of every row that has a full batch there, rows
+    [0, end) because the sizes do not increase. A tail step trains the short
+    last batch of every row whose last batch has one width, whatever its
+    position: `positions[i]` are the sample positions of row `rows[i]`'s
+    tail. Each row's tail is its last batch, so every row still trains its
+    batches in order.
     """
-    steps = []
-    for start in range(0, int(sizes[0]), batch_size):
-        widths = np.minimum(sizes - start, batch_size)
-        row = 0
-        while row < len(widths) and widths[row] > 0:
-            end = row + int(np.count_nonzero(widths[row:] == widths[row]))
-            steps.append((start, row, end, int(widths[row])))
-            row = end
-    return steps
+    n_full = sizes // batch_size
+    full = [(j * batch_size, int(np.count_nonzero(n_full > j))) for j in range(int(n_full[0]))]
+    widths = sizes % batch_size
+    tails = []
+    for width in np.flatnonzero(np.bincount(widths)[1:]) + 1:
+        rows = np.flatnonzero(widths == width)
+        tails.append((rows, (n_full[rows] * batch_size)[:, None] + np.arange(width)))
+    return full, tails
 
 
 def client_train(
@@ -330,11 +340,13 @@ def client_train(
 
     Each client keeps its own batch order, teacher rows and loss sums, and a
     stacked step computes each model as a step of that model alone would, so
-    every client ends as it would training by itself. Each step trains the
-    view of its block of the stack that it carries. Features, labels and
-    teacher rows are read by cache row, and, for the logit methods, the last
-    forward logits of every training sample are written to its row of the
-    (n, C) `uploads` (None for the other methods).
+    every client ends as it would training by itself. Each epoch follows the
+    tier's plan: every full step trains the view of the stack's prefix that
+    it carries, and every tail step trains its rows gathered from the stack,
+    then writes them back. Features, labels and teacher rows are read by
+    cache row, and, for the logit methods, the last forward logits of every
+    training sample are written to its row of the (n, C) `uploads` (None for
+    the other methods).
 
     Returns each stack row's sample-weighted mean cross-entropy and KD loss,
     as a pair of (K,) arrays.
@@ -343,27 +355,37 @@ def client_train(
     starts = [state.cache.rows[k].start for k in tier.members]
     ce_sum = np.zeros(len(starts))
     kd_sum = np.zeros(len(starts))
+
+    def step(model: Model, rows: slice | Array, idx: Array) -> None:
+        (ce, kd), Z = train_step(
+            model,
+            state.train.features[idx],
+            state.train.labels[idx],
+            None if table is None else table.take(idx),
+            cfg.kd,
+            cfg.lr,
+        )
+        if uploads is not None:
+            uploads[idx] = Z
+        width = idx.shape[1]
+        ce_sum[rows] += ce * width
+        kd_sum[rows] += kd * width
+
     for e in range(cfg.local_epochs):
         epoch_key = round_index * cfg.local_epochs + e
         # sample_order[r, j] is the cache row of row r's j-th sample this epoch
         sample_order = np.zeros((len(starts), tier.sizes[0]), dtype=np.intp)
         for r, k in enumerate(tier.members):
-            shuffled = epoch_order(state.clients[k].shard, k, cfg.seed, epoch_key)
-            sample_order[r, : tier.sizes[r]] = starts[r] + shuffled
-        for start, a, b, width, view in tier.steps:
-            idx = sample_order[a:b, start : start + width]
-            (ce, kd), Z = train_step(
-                view,
-                state.train.features[idx],
-                state.train.labels[idx],
-                None if table is None else table.take(idx),
-                cfg.kd,
-                cfg.lr,
+            sample_order[r, : tier.sizes[r]] = starts[r] + epoch_order(
+                int(tier.sizes[r]), k, cfg.seed, epoch_key
             )
-            if uploads is not None:
-                uploads[idx] = Z
-            ce_sum[a:b] += ce * width
-            kd_sum[a:b] += kd * width
+        for start, view in tier.full:
+            end = len(view.params)
+            step(view, slice(0, end), sample_order[:end, start : start + cfg.batch_size])
+        for rows, positions in tier.tails:
+            gathered = Model(tier.stack.layer_dims, tier.stack.params[rows])
+            step(gathered, rows, sample_order[rows[:, None], positions])
+            tier.stack.params[rows] = gathered.params
     n_samples = tier.sizes * cfg.local_epochs
     return ce_sum / n_samples, kd_sum / n_samples
 

@@ -3,10 +3,11 @@
 A `Model` holds one model's flat float64 parameter vector, or a stack of K
 models of one architecture as K rows of one (K, P) array, and its layer
 sizes, from which everything else about it is computed; nothing here holds
-hidden state. Training steps every model of a stack on its own batch at
-once and updates the rows in place, so a model whose vector is a view of a
-stack row sees every step; each layer layout's parameter slices are
-computed once and reused by every step. The tier layout stands in for the
+hidden state but its per-layer weight and bias views of `params`, which
+each `Model` builds on first use and every later forward and backward pass
+reads. Training steps every model of a stack on its own batch at once and
+updates the rows in place, so the views and any model whose vector is a
+view of a stack row see every step. The tier layout stands in for the
 three backbone depths of the reference setting.
 """
 from __future__ import annotations
@@ -54,6 +55,17 @@ class Model:
 
     layer_dims: tuple[int, ...]
     params: Array
+
+    @functools.cached_property
+    def layers(self) -> tuple[tuple[Array, Array], ...]:
+        """Per layer, the (..., in_dim, out_dim) weight and (..., 1, out_dim)
+        bias views of `params`, built once per `Model`; a `dataclasses.replace`
+        with new params builds its own."""
+        lead = self.params.shape[:-1]
+        return tuple(
+            (self.params[..., ws].reshape(*lead, i, o), self.params[..., None, bs])
+            for ws, bs, i, o in _layer_slices(self.layer_dims)
+        )
 
     @property
     def architecture_id(self) -> str:
@@ -103,12 +115,10 @@ def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
     pre: list[Array] = []
     post: list[Array] = []
     H = X
-    layers = _layer_slices(m.layer_dims)
-    for li, (ws, bs, i, o) in enumerate(layers):
-        W = m.params[..., ws].reshape(*m.params.shape[:-1], i, o)
-        b = m.params[..., None, bs]
+    last = len(m.layers) - 1
+    for li, (W, b) in enumerate(m.layers):
         A = H @ W + b
-        if li < len(layers) - 1:
+        if li < last:
             pre.append(A)
             H = np.maximum(A, 0.0)
             post.append(H)
@@ -186,7 +196,7 @@ def batch_loss_and_grad(
         grads[:, ws] = (A_prev.transpose(0, 2, 1) @ delta).reshape(K, i * o)
         grads[:, bs] = delta.sum(axis=1)
         if li > 0:
-            W = stack.params[:, ws].reshape(K, i, o)
+            W = stack.layers[li][0]
             delta = (delta @ W.transpose(0, 2, 1)) * (pre[li - 1] > 0.0)
     return (ce, kd), grads, Z
 

@@ -666,7 +666,7 @@ def reference_client_phase(tier, state, round_index, table, uploads):
         n_samples = 0
         for e in range(cfg.local_epochs):
             epoch_key = round_index * cfg.local_epochs + e
-            order = reference_epoch_order(client.shard, k, cfg.seed, epoch_key)
+            order = reference_epoch_order(len(labels), k, cfg.seed, epoch_key)
             for i in range(0, order.size, cfg.batch_size):
                 batch_idx = order[i : i + cfg.batch_size]
                 batch_teachers = None if teachers is None else teachers.take(batch_idx)
@@ -742,10 +742,10 @@ def reference_split_local_test(indices, ds: Dataset, test_fraction: float, seed:
     return ClientShard(ds.subset(train_idx), ds.subset(test_idx))
 
 
-def reference_epoch_order(shard: ClientShard, client: int, seed: int, epoch: int) -> Array:
-    """`arange` shuffled in place by the (seed, client, epoch) generator. The
-    bit-exact oracle for `epoch_order`."""
-    order = np.arange(len(shard.train))
+def reference_epoch_order(n_train: int, client: int, seed: int, epoch: int) -> Array:
+    """`arange(n_train)` shuffled in place by the (seed, client, epoch)
+    generator. The bit-exact oracle for `epoch_order`."""
+    order = np.arange(n_train)
     rng = np.random.default_rng([seed, client, epoch])
     rng.shuffle(order)
     return order

@@ -1242,7 +1242,7 @@ class TestNewFieldNeedsNoOtherEdit:
 def run_invocations(draw):
     """`hks run` argument lists on tiny blob tasks sized from their settings,
     so most cases train: every method, 1-6 clients, batch sizes and local
-    epochs that cut shards into uneven lockstep blocks, at most 3 rounds,
+    epochs that leave shards full and short batches, at most 3 rounds,
     and now and then a step size or skew that makes a run fail."""
     method = draw(st.sampled_from([m.value for m in Method]))
     n_clients = draw(st.integers(1, 6))

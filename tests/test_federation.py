@@ -20,7 +20,7 @@ from hks.federation import (
     Method,
     child_seed,
     init_federation,
-    lockstep_stacks,
+    epoch_plan,
     run_experiment,
     run_round,
 )
@@ -744,19 +744,21 @@ class TestTierStacks:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_step_views_stay_live_every_round(self, dataset, method):
-        # each step trains the view of its block it carries from init;
-        # fedavg's in-place broadcast must reach it, or later rounds would
-        # train stale copies
+        # each full step trains the view of its prefix of the stack that it
+        # carries from init; fedavg's in-place broadcast must reach it, or
+        # later rounds would train stale copies
         train, test = dataset
         cfg = tiny_cfg(method, n_clients=7, alpha_dir=0.3, batch_size=5, local_epochs=2)
         state = init_federation(cfg, train, test)
+        ends = {len(view.params) for tier in state.tiers for _, view in tier.full}
+        assert len(ends) > 1
         for _ in range(cfg.rounds):
             run_round(state)
             for tier in state.tiers:
-                assert len({(a, b) for _, a, b, _, _ in tier.steps}) > 1
-                for _, a, b, _, view in tier.steps:
-                    assert np.shares_memory(view.params, tier.stack.params[a:b])
-                    assert np.array_equal(view.params, tier.stack.params[a:b])
+                for _, view in tier.full:
+                    end = len(view.params)
+                    assert np.shares_memory(view.params, tier.stack.params[:end])
+                    assert np.array_equal(view.params, tier.stack.params[:end])
                     assert view.layer_dims == tier.stack.layer_dims
 
     def test_fedavg_writes_the_merged_vector_into_every_row(self, dataset, monkeypatch):
@@ -789,36 +791,72 @@ class TestTierStacks:
         self.assert_models_are_stack_rows(state)
 
 
-class TestLockstepStacks:
-    def test_one_shard_is_cut_into_full_batches_then_the_rest(self):
-        assert lockstep_stacks(np.array([10]), 8) == [(0, 0, 1, 8), (8, 0, 1, 2)]
+class TestEpochPlan:
+    @staticmethod
+    def tails_as_lists(tails):
+        return [(rows.tolist(), positions.tolist()) for rows, positions in tails]
 
-    def test_full_batches_then_one_stack_per_short_size(self):
-        assert lockstep_stacks(np.array([10, 10, 9, 6, 2]), 4) == [
-            (0, 0, 4, 4), (0, 4, 5, 2),
-            (4, 0, 3, 4), (4, 3, 4, 2),
-            (8, 0, 2, 2), (8, 2, 3, 1),
+    @staticmethod
+    def random_sizes(seed):
+        rng = np.random.default_rng(seed)
+        sizes = np.sort(rng.integers(1, 40, size=int(rng.integers(1, 9))))[::-1]
+        return sizes, int(rng.integers(1, 9))
+
+    def test_one_shard_is_cut_into_full_batches_then_the_rest(self):
+        full, tails = epoch_plan(np.array([10]), 8)
+        assert full == [(0, 1)]
+        assert self.tails_as_lists(tails) == [([0], [[8, 9]])]
+
+    def test_full_steps_then_one_step_per_short_width_at_any_position(self):
+        # 4 steps, where a step per (position, width) block would take 6
+        full, tails = epoch_plan(np.array([10, 10, 9, 6, 2]), 4)
+        assert full == [(0, 4), (4, 3)]
+        assert self.tails_as_lists(tails) == [
+            ([2], [[8]]),
+            ([0, 1, 3, 4], [[8, 9], [8, 9], [4, 5], [0, 1]]),
         ]
+
+    def test_shards_shorter_than_a_batch_have_only_a_tail(self):
+        full, tails = epoch_plan(np.array([3, 2, 2]), 4)
+        assert full == []
+        assert self.tails_as_lists(tails) == [([1, 2], [[0, 1], [0, 1]]), ([0], [[0, 1, 2]])]
+
+    def test_shards_of_whole_batches_have_no_tail(self):
+        full, tails = epoch_plan(np.array([8, 4, 4]), 4)
+        assert full == [(0, 3), (4, 1)]
+        assert tails == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_row_gets_its_own_batches_in_order(self, seed):
-        rng = np.random.default_rng(seed)
-        sizes = np.sort(rng.integers(1, 40, size=int(rng.integers(1, 9))))[::-1]
-        batch_size = int(rng.integers(1, 9))
+        sizes, batch_size = self.random_sizes(seed)
         seen = [[] for _ in sizes]
-        for start, first, end, width in lockstep_stacks(sizes, batch_size):
-            assert 0 <= first < end <= len(sizes)
-            for row in range(first, end):
-                seen[row].append((start, width))
+        full, tails = epoch_plan(sizes, batch_size)
+        for start, end in full:
+            assert 0 < end <= len(sizes)
+            for row in range(end):
+                seen[row].append((start, batch_size))
+        for rows, positions in tails:
+            assert positions.ndim == 2 and len(positions) == len(rows)
+            for row, batch in zip(rows, positions):
+                assert np.array_equal(batch, np.arange(batch[0], batch[0] + len(batch)))
+                seen[row].append((int(batch[0]), len(batch)))
         for row, n in enumerate(sizes):
             want = [(i, min(batch_size, n - i)) for i in range(0, n, batch_size)]
             assert seen[row] == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_steps_per_epoch_are_the_most_full_batches_plus_the_distinct_short_widths(self, seed):
+        sizes, batch_size = self.random_sizes(seed)
+        full, tails = epoch_plan(sizes, batch_size)
+        widths = {int(n) % batch_size for n in sizes} - {0}
+        assert len(full) + len(tails) == sizes[0] // batch_size + len(widths)
 
 
 class TestClientPhaseMatchesReference:
     """The lockstep client phase leaves every client where training it alone,
     one model at a time, would: over whole runs with unequal shards, so short
-    batches fall at different positions, and all three tiers."""
+    batches of one width fall at different positions and train in one step,
+    with shards smaller than a batch, and all three tiers."""
 
     @staticmethod
     def assert_same_report(got, want):
@@ -840,16 +878,31 @@ class TestClientPhaseMatchesReference:
             (Method.HKS, "small"),
         ],
     )
-    def test_whole_run_equals_the_reference_client_phase(self, method, fedavg_tier, monkeypatch):
+    @pytest.mark.parametrize("shards", ["unequal", "short"])
+    def test_whole_run_equals_the_reference_client_phase(
+        self, method, fedavg_tier, shards, monkeypatch
+    ):
         train, test = synth_train_and_test(4, 60, 6, 0.3, seed=1, test_per_class=10)
+        batch = dict(batch_size=5) if shards == "unequal" else dict(batch_size=16, min_per_client=6)
         cfg = dict(
             method=method, n_clients=7, rounds=4, warmup_rounds=1, local_epochs=2, lr=0.05,
-            batch_size=5, alpha_dir=0.3, R=2, seed=0, fedavg_tier=fedavg_tier,
+            alpha_dir=0.3, R=2, seed=0, fedavg_tier=fedavg_tier, **batch,
         )
         state = init_federation(FederationConfig(**cfg), train, test)
         reference = init_federation(FederationConfig(**cfg), train, test)
         sizes = [len(c.shard.train) for c in state.clients]
-        assert len({n // 5 for n in sizes}) > 2 and len({n % 5 for n in sizes}) > 2, sizes
+        B = cfg["batch_size"]
+        if shards == "unequal":
+            assert len({n // B for n in sizes}) > 2 and len({n % B for n in sizes}) > 2, sizes
+            # one tail step trains short batches that sit at different positions
+            assert any(
+                len(set(positions[:, 0].tolist())) > 1
+                for tier in state.tiers
+                for _, positions in tier.tails
+            )
+        else:
+            # some client has no full batch, so it trains only in tail steps
+            assert min(sizes) < B, sizes
         for _ in range(cfg["rounds"]):
             got = run_round(state)
             with monkeypatch.context() as patch:

@@ -101,6 +101,49 @@ class TestForward:
             forward_batch(small_model(), np.ones((1, 5)))
 
 
+class TestLayerViews:
+    """Each `Model` builds its per-layer weight and bias views of `params`
+    once; every forward and backward pass reads them."""
+
+    def test_views_share_memory_with_params(self):
+        m = build_model(CapacityTier.LARGE, 6, 4, seed=0)
+        stack = stack_of(m, build_model(CapacityTier.LARGE, 6, 4, seed=1))
+        for model, lead in ((m, ()), (stack, (2,)), (replace(stack, params=stack.params[1:]), (1,))):
+            assert len(model.layers) == len(model.layer_dims) - 1
+            for (W, b), i, o in zip(model.layers, model.layer_dims[:-1], model.layer_dims[1:]):
+                assert W.shape == (*lead, i, o) and b.shape == (*lead, 1, o)
+                assert np.shares_memory(W, model.params) and np.shares_memory(b, model.params)
+            assert model.layers is model.layers
+
+    def test_views_see_an_in_place_train_step(self):
+        rng = np.random.default_rng(3)
+        stack = stack_of(*[build_model(CapacityTier.MEDIUM, 4, 3, seed=s) for s in range(3)])
+        before = [(W.copy(), b.copy()) for W, b in stack.layers]
+        train_step(stack, rng.normal(size=(3, 5, 4)), rng.integers(3, size=(3, 5)), None, CFG, lr=0.1)
+        fresh = replace(stack, params=stack.params.copy())
+        for (W, b), (W0, b0), (want_W, want_b) in zip(stack.layers, before, fresh.layers):
+            assert not np.array_equal(W, W0) and not np.array_equal(b, b0)
+            assert np.array_equal(W, want_W) and np.array_equal(b, want_b)
+
+    def test_a_replaced_model_builds_its_own_views(self):
+        m = small_model(seed=2)
+        built = m.layers
+        other = replace(m, params=np.zeros_like(m.params))
+        assert other.layers is not built
+        for (W, b), (W0, b0) in zip(other.layers, built):
+            assert np.shares_memory(W, other.params) and not np.shares_memory(W, m.params)
+            assert not W.any() and not b.any() and W0.any()
+        assert not forward_batch(other, np.ones((2, 4))).any()
+
+    def test_forward_batch_on_one_vector_equals_the_reference(self):
+        m = build_model(CapacityTier.LARGE, 4, 3, seed=6)
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(7, 4)), rng.integers(3, size=7)
+        assert m.params.ndim == 1
+        _, _, want = reference_train_step(m, X, y, None, CFG, 0.0)
+        assert np.array_equal(forward_batch(m, X), want)
+
+
 class TestTrainBatch:
     def batch(self, rng, n=6, input_dim=4, n_classes=3):
         pairs = [(rng.normal(size=input_dim), int(rng.integers(n_classes))) for _ in range(n)]
