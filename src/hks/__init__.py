@@ -18,7 +18,6 @@ from .federation import (
 from .knowledge import Granularity, KnowledgeCache
 from .metrics import ExperimentSummary, RoundReport, evaluate, maua
 from .models import CapacityTier, Model, build_model, fedavg_aggregate
-from .numerics import KdConfig
 
 __version__ = "0.1.0"
 
@@ -46,6 +45,5 @@ __all__ = [
     "Model",
     "build_model",
     "fedavg_aggregate",
-    "KdConfig",
     "__version__",
 ]

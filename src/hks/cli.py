@@ -90,8 +90,8 @@ class ConfigField:
     """One settable config value: a leaf of the RunConfig dataclass tree.
 
     The JSON key is the leaf field's name and the flag is that name with
-    dashes, so nested settings (e.g. `federation.kd.temperature`) are set as
-    a flat `temperature` key or `--temperature` flag.
+    dashes, so nested settings (e.g. `federation.temperature`) are set as a
+    flat `temperature` key or `--temperature` flag.
     """
 
     path: tuple[str, ...]
@@ -133,17 +133,15 @@ def config_fields(cls: type = RunConfig) -> tuple[ConfigField, ...]:
 
 
 def _coerce(f: ConfigField, value):
-    """Read a JSON (or flag) value as the field's declared type."""
+    """Read a JSON (or flag) value as the field's declared type; an Enum
+    setting stays lowercased text, which `FederationConfig` reads."""
     key, kind = f.key, f.kind
     if value is None and f.optional:
         return None
     if get_origin(kind) is tuple:
         return _parse_synthetic(value)
     if issubclass(kind, Enum):
-        try:
-            return kind(str(value).lower())
-        except ValueError:
-            raise ConfigError(f"unknown {key} {value!r}")
+        return str(value).lower()
     mismatch = ConfigError(f"type mismatch on '{key}': cannot read {value!r} as {kind.__name__}")
     if (
         isinstance(value, bool) != (kind is bool)

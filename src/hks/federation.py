@@ -23,7 +23,7 @@ set once for every client.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -60,7 +60,7 @@ from .models import (
     fedavg_aggregate,
     train_step,
 )
-from .numerics import KdConfig, TeacherTable
+from .numerics import TeacherTable
 
 Array = np.ndarray
 
@@ -94,9 +94,11 @@ def child_seed(*parts: int) -> int:
 class FederationConfig:
     """Federation settings; a built config is valid and never changes.
 
-    `warmup_rounds` and `min_per_client` are derived when they are None and
-    stored as ints, so `dataclasses.replace` keeps the derived values: pass
-    None for a key to derive it again from the new settings.
+    The one place that coerces (an Enum's text to the Enum) and checks them;
+    the KD term carries T^2 (Hinton et al., arXiv:1503.02531), so T^2 must
+    be positive and finite. `warmup_rounds` and `min_per_client` are derived
+    when they are None and stored as ints, so `dataclasses.replace` keeps
+    the derived values: pass None for a key to derive it again.
     """
 
     method: Method = Method.HKS
@@ -109,7 +111,8 @@ class FederationConfig:
     warmup_rounds: int | None = None
     lr: float = 0.01
     batch_size: int = 8
-    kd: KdConfig = field(default_factory=KdConfig)
+    temperature: float = 3.0
+    alpha_kd: float = 1.5
     R: int = 4
     alpha_dir: float = 1.0
     seed: int = 0
@@ -132,6 +135,8 @@ class FederationConfig:
             object.__setattr__(self, "warmup_rounds", min(10, self.rounds))
         if self.min_per_client is None:
             object.__setattr__(self, "min_per_client", 2 * self.batch_size)
+        # T * T, not T ** 2: a float's ** raises OverflowError where * gives inf
+        t_squared = self.temperature * self.temperature
         # chained comparisons are False for NaN, so they reject it too
         checks = [
             ("n_clients", self.n_clients >= 1),
@@ -140,6 +145,10 @@ class FederationConfig:
             ("warmup_rounds", 0 <= self.warmup_rounds <= self.rounds),
             ("lr", 0 < self.lr < math.inf),
             ("batch_size", self.batch_size >= 1),
+            ("temperature", 0 < self.temperature < math.inf),
+            ("temperature", t_squared < math.inf, "T^2 overflows"),
+            ("temperature", t_squared > 0, "T^2 underflows to zero"),
+            ("alpha_kd", 0 <= self.alpha_kd < math.inf),
             ("R", self.R >= 1),
             ("alpha_dir", 0 < self.alpha_dir < math.inf),
             ("seed", self.seed >= 0),
@@ -148,9 +157,10 @@ class FederationConfig:
             ("d_hash", self.d_hash >= 1),
             ("linkage", self.linkage in LINKAGES),
         ]
-        for key, ok in checks:
+        for key, ok, *why in checks:
             if not ok:
-                raise ConfigError(f"constraint violation on '{key}' (got {getattr(self, key)!r})")
+                note = f": {why[0]}" if why else ""
+                raise ConfigError(f"constraint violation on '{key}' (got {getattr(self, key)!r}){note}")
 
 
 @dataclass
@@ -296,10 +306,10 @@ def teacher_tables(state: FederationState, round_index: int) -> TeacherTable | N
         return None
     if cfg.method is Method.HKS:
         tree = build_hierarchy(state.cache, state.train.n_classes, cfg.linkage)
-        return fetch_teacher(state.cache, tree, cfg.granularity, cfg.kd.temperature, cfg.exclude_self)
+        return fetch_teacher(state.cache, tree, cfg.granularity, cfg.temperature, cfg.exclude_self)
     if cfg.method is Method.FEDDISTILL:
-        return feddistill_teacher(state.cache, cfg.kd.temperature)
-    return fedcache_teacher(state.cache, state.neighbors, cfg.kd.temperature)
+        return feddistill_teacher(state.cache, cfg.temperature)
+    return fedcache_teacher(state.cache, state.neighbors, cfg.temperature)
 
 
 def epoch_plan(
@@ -362,7 +372,8 @@ def client_train(
             state.train.features[idx],
             state.train.labels[idx],
             None if table is None else table.take(idx),
-            cfg.kd,
+            cfg.temperature,
+            cfg.alpha_kd,
             cfg.lr,
         )
         if uploads is not None:

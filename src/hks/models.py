@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import KdConfig, TeacherTable, tempered_softmax
+from .numerics import TeacherTable, tempered_softmax
 
 Array = np.ndarray
 
@@ -109,21 +109,20 @@ def build_model(tier: CapacityTier, input_dim: int, n_classes: int, seed: int) -
     return Model(dims, np.concatenate(parts))
 
 
-def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], list[Array]]:
-    """Forward pass keeping pre/post activations for backprop: (B, d) inputs
-    for one model, (K, B, d) for a stack, one batch per model."""
-    pre: list[Array] = []
+def _forward_acts(m: Model, X: Array) -> tuple[Array, list[Array]]:
+    """Forward pass keeping the hidden post-activations, whose `> 0` is ReLU's
+    mask for backprop: (B, d) inputs for one model, (K, B, d) for a stack,
+    one batch per model."""
     post: list[Array] = []
     H = X
     last = len(m.layers) - 1
     for li, (W, b) in enumerate(m.layers):
         A = H @ W + b
         if li < last:
-            pre.append(A)
             H = np.maximum(A, 0.0)
             post.append(H)
         else:
-            return A, pre, post
+            return A, post
     raise AssertionError("model has no layers")
 
 
@@ -131,7 +130,7 @@ def forward_batch(m: Model, X: Array) -> Array:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.input_dim:
         raise InvalidInputError(f"expected (B, {m.input_dim}) inputs, got {X.shape}")
-    Z, _, _ = _forward_acts(m, X)
+    Z, _ = _forward_acts(m, X)
     return Z
 
 
@@ -140,7 +139,8 @@ def batch_loss_and_grad(
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
-    cfg: KdConfig,
+    temperature: float,
+    alpha_kd: float,
 ) -> tuple[tuple[Array, Array], Array, Array]:
     """Each model's batch loss, its gradient w.r.t. the model's flat
     parameters, and its logits.
@@ -158,7 +158,7 @@ def batch_loss_and_grad(
     gives the KL term and the distillation gradient.
     """
     K, B = y.shape
-    Z, pre, post = _forward_acts(stack, X)
+    Z, post = _forward_acts(stack, X)
     P, log_P = tempered_softmax(Z, 1.0)
     picked = (np.arange(K)[:, None], np.arange(B), y)
     # the sum over the batch, then one divide: the bits of `mean`
@@ -173,7 +173,7 @@ def batch_loss_and_grad(
             raise InvalidInputError(
                 f"teachers have {teachers.q.shape[-1]} classes, model has {stack.n_classes}"
             )
-        T = cfg.temperature
+        T = temperature
         scale = T * T
         P_T, log_P_T = tempered_softmax(Z, T)
         kl = teachers.h - (teachers.q * log_P_T).sum(axis=-1)
@@ -182,10 +182,10 @@ def batch_loss_and_grad(
     dZ = P
     dZ[picked] -= 1.0
     dZ /= B
-    if teachers is not None and cfg.alpha_kd != 0.0:
+    if teachers is not None and alpha_kd != 0.0:
         has = teachers.has
         # (T * T) / T, not T: the two differ in the last bit for some T
-        dZ[has] += (cfg.alpha_kd / B) * (scale / T) * (P_T[has] - teachers.q[has])
+        dZ[has] += (alpha_kd / B) * (scale / T) * (P_T[has] - teachers.q[has])
 
     grads = np.empty_like(stack.params)
     layers = _layer_slices(stack.layer_dims)
@@ -197,7 +197,8 @@ def batch_loss_and_grad(
         grads[:, bs] = delta.sum(axis=1)
         if li > 0:
             W = stack.layers[li][0]
-            delta = (delta @ W.transpose(0, 2, 1)) * (pre[li - 1] > 0.0)
+            # post > 0 is pre > 0 for every float, NaN and -0.0 included
+            delta = (delta @ W.transpose(0, 2, 1)) * (post[li - 1] > 0.0)
     return (ce, kd), grads, Z
 
 
@@ -206,7 +207,8 @@ def train_step(
     X: Array,
     y: Array,
     teachers: TeacherTable | None,
-    cfg: KdConfig,
+    temperature: float,
+    alpha_kd: float,
     lr: float,
 ) -> tuple[tuple[Array, Array], Array]:
     """One SGD step of each model of the stack on the batch-mean loss of its
@@ -217,7 +219,7 @@ def train_step(
     phase checks every trained model for non-finite values once per round.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, grads, Z = batch_loss_and_grad(stack, X, y, teachers, cfg)
+        losses, grads, Z = batch_loss_and_grad(stack, X, y, teachers, temperature, alpha_kd)
         grads *= lr
         params = stack.params
         params -= grads

@@ -1,44 +1,17 @@
 """Dense vector math for the training core.
 
-Distillation settings, one level's teacher table and the one tempered
-softmax, which gives a distribution and its log from a single exponent; the
-batched losses and their gradients live in `models`.
+One level's teacher table and the one tempered softmax, which gives a
+distribution and its log from a single exponent; the batched losses and
+their gradients live in `models`.
 Everything is float64 and purely functional.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class KdConfig:
-    """Distillation knobs: softening temperature and loss weight.
-
-    The temperature default is a conventional choice and is recorded in every
-    experiment report. The distillation term always carries a factor T^2
-    (Hinton et al., arXiv:1503.02531), which keeps its gradient magnitude
-    comparable to cross-entropy across temperatures, so T^2 must be finite.
-    """
-
-    temperature: float = 3.0
-    alpha_kd: float = 1.5
-
-    def __post_init__(self) -> None:
-        # chained comparisons are False for NaN, so they reject it too
-        if not 0 < self.temperature < math.inf:
-            raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r})")
-        # T * T, not T ** 2: a float's ** raises OverflowError where * gives inf
-        if not self.temperature * self.temperature < math.inf:
-            raise ConfigError(f"constraint violation on 'temperature' (got {self.temperature!r}): T^2 overflows")
-        if not 0 <= self.alpha_kd < math.inf:
-            raise ConfigError(f"constraint violation on 'alpha_kd' (got {self.alpha_kd!r})")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ import numpy as np
 
 from hks.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, ClientShard, Dataset
 from hks.errors import InsufficientDataError, InvalidInputError
+from hks.federation import FederationConfig
 from hks.knowledge import ClusterTree, HnswIndex, KnowledgeCache, Merge
 from hks.knowledge.hierarchy import LINKAGES
 from hks.knowledge.hnsw import Predicate
 from hks.models import Model, _layer_slices, batch_loss_and_grad, train_step
-from hks.numerics import KdConfig, TeacherTable
+from hks.numerics import TeacherTable
 
 Array = np.ndarray
 Vector = Sequence[float] | Array
@@ -368,7 +369,7 @@ def _paired(z_s: Vector, z_t: Vector) -> tuple[Array, Array]:
     return z_s, z_t
 
 
-def kd_loss(z_s: Vector, z_t: Vector, cfg: KdConfig) -> float:
+def kd_loss(z_s: Vector, z_t: Vector, cfg: FederationConfig) -> float:
     """Teacher-weighted KL divergence KL(q_t || q_s) at temperature T.
 
     Both distributions are softened with cfg.temperature, and the result is
@@ -384,7 +385,7 @@ def kd_loss(z_s: Vector, z_t: Vector, cfg: KdConfig) -> float:
     return max(kl, 0.0) * (T * T)
 
 
-def kd_grad(z_s: Vector, z_t: Vector, cfg: KdConfig) -> Array:
+def kd_grad(z_s: Vector, z_t: Vector, cfg: FederationConfig) -> Array:
     """Gradient of kd_loss w.r.t. the student logits: T (q_s - q_t)."""
     z_s, z_t = _paired(z_s, z_t)
     T = cfg.temperature
@@ -529,33 +530,35 @@ def stacked_table(*tables: TeacherTable) -> TeacherTable:
 
 
 def one_model_loss_and_grad(
-    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: FederationConfig
 ):
     """The runtime's `batch_loss_and_grad` on a stack of one model, unstacked:
     ((ce, kd) as floats, (P,) gradient, (B, C) logits)."""
     tables = None if teachers is None else stacked_table(teachers)
-    (ce, kd), grads, Z = batch_loss_and_grad(stack_of(m), X[None], y[None], tables, cfg)
+    (ce, kd), grads, Z = batch_loss_and_grad(
+        stack_of(m), X[None], y[None], tables, cfg.temperature, cfg.alpha_kd
+    )
     return (float(ce[0]), float(kd[0])), grads[0], Z[0]
 
 
 def one_model_step(
-    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, lr: float
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: FederationConfig, lr: float
 ):
     """The runtime's `train_step` on a stack of one model, unstacked:
     (trained model, (ce, kd) as floats, (B, C) logits)."""
     stack = stack_of(m)
     tables = None if teachers is None else stacked_table(teachers)
-    (ce, kd), Z = train_step(stack, X[None], y[None], tables, cfg, lr)
+    (ce, kd), Z = train_step(stack, X[None], y[None], tables, cfg.temperature, cfg.alpha_kd, lr)
     return replace(m, params=stack.params[0]), (float(ce[0]), float(kd[0])), Z[0]
 
 
-def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig) -> float:
+def batch_loss(m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: FederationConfig) -> float:
     (ce, kd), _, _ = one_model_loss_and_grad(m, X, y, teachers, cfg)
     return ce + cfg.alpha_kd * kd
 
 
 def batch_loss_finite_diff(
-    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, eps: float = 1e-5
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: FederationConfig, eps: float = 1e-5
 ) -> Array:
     """`finite_diff` of `batch_loss` over one model's flat parameters, from
     one stacked `batch_loss_and_grad` call: rows params + eps e_i, then
@@ -564,9 +567,8 @@ def batch_loss_finite_diff(
     shift = eps * np.eye(P)
     stack = replace(m, params=np.concatenate([m.params + shift, m.params - shift]))
     tables = None if teachers is None else stacked_table(*[teachers] * (2 * P))
-    (ce, kd), _, _ = batch_loss_and_grad(
-        stack, np.repeat(X[None], 2 * P, axis=0), np.repeat(y[None], 2 * P, axis=0), tables, cfg
-    )
+    Xs, ys = np.repeat(X[None], 2 * P, axis=0), np.repeat(y[None], 2 * P, axis=0)
+    (ce, kd), _, _ = batch_loss_and_grad(stack, Xs, ys, tables, cfg.temperature, cfg.alpha_kd)
     total = ce + cfg.alpha_kd * kd
     return (total[:P] - total[P:]) / (2.0 * eps)
 
@@ -591,7 +593,7 @@ def _reference_forward_acts(m: Model, X: Array) -> tuple[Array, list[Array], lis
 
 
 def reference_batch_loss_and_grad(
-    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: FederationConfig
 ) -> tuple[tuple[float, float], Array, Array]:
     """One model's (ce, kd) batch loss, its flat-parameter gradient and its logits,
     computed for that model alone; the oracle for the stacked
@@ -635,7 +637,7 @@ def reference_batch_loss_and_grad(
 
 
 def reference_train_step(
-    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: KdConfig, lr: float
+    m: Model, X: Array, y: Array, teachers: TeacherTable | None, cfg: FederationConfig, lr: float
 ) -> tuple[Model, tuple[float, float], Array]:
     """One SGD step of one model on the batch-mean loss; returns (model,
     losses, logits). The oracle for the stacked `train_step`."""
@@ -671,7 +673,7 @@ def reference_client_phase(tier, state, round_index, table, uploads):
                 batch_idx = order[i : i + cfg.batch_size]
                 batch_teachers = None if teachers is None else teachers.take(batch_idx)
                 model, (ce, kd), Z = reference_train_step(
-                    model, features[batch_idx], labels[batch_idx], batch_teachers, cfg.kd, cfg.lr
+                    model, features[batch_idx], labels[batch_idx], batch_teachers, cfg, cfg.lr
                 )
                 logits_out[batch_idx] = Z
                 ce_sum += ce * len(batch_idx)

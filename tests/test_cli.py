@@ -35,7 +35,6 @@ from hks.federation import FederationConfig, Method
 from hks.knowledge import Granularity
 from hks.metrics import ExperimentSummary
 from hks.models import CapacityTier
-from hks.numerics import KdConfig
 
 
 def fast_flags(out_dir, seed="0"):
@@ -55,8 +54,8 @@ class TestParseConfig:
         path.write_text(json.dumps({"synthetic": "4,50,8,0.3"}))
         rc = parse_config(str(path))
         fed = rc.federation
-        assert fed.kd.temperature == 3.0
-        assert fed.kd.alpha_kd == 1.5
+        assert fed.temperature == 3.0
+        assert fed.alpha_kd == 1.5
         assert fed.warmup_rounds == 10
         assert fed.lr == 0.01
         assert fed.batch_size == 8
@@ -201,6 +200,27 @@ class TestRunCommand:
         out = tmp_path / "run"
         assert main(["run", *fast_flags(out), "--temperature", "1e154"]) == 0
         assert (out / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("value", ["1.5e-162", "1e-200", "1e-308"])
+    def test_temperature_whose_square_underflows_exits_2_before_training(
+        self, tmp_path, capsys, value
+    ):
+        # a zero T^2 would switch distillation off without a word, and near
+        # the smallest floats the softened logits overflow
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), "--temperature", value]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: constraint violation on 'temperature' (got {value}): T^2 underflows to zero"
+        ]
+        assert not (out / "rounds.csv").exists()
+
+    def test_temperature_with_the_smallest_positive_square_distills(self, tmp_path):
+        # 1.6e-162 squared is the smallest subnormal, 5e-324
+        out = tmp_path / "run"
+        assert main(["run", *fast_flags(out), "--temperature", "1.6e-162"]) == 0
+        with open(out / "rounds.csv", newline="") as f:
+            rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        assert float(rows[-1]["mean_kd"]) > 0.0
 
     @pytest.mark.parametrize(
         "key, value",
@@ -871,11 +891,11 @@ class TestRetiredKeys:
 class TestModuleEntry:
     """`python -m hks.cli` runs the same command line as the console script."""
 
-    def run_module(self, *args):
+    def run_module(self, *args, python_flags=()):
         src = str(Path(hks.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
-            [sys.executable, "-m", "hks.cli", *args],
+            [sys.executable, *python_flags, "-m", "hks.cli", *args],
             env=env,
             capture_output=True,
             text=True,
@@ -892,6 +912,20 @@ class TestModuleEntry:
         proc = self.run_module("run", "--synthetic", "3,30,4,0.3", "--alpha-dir", "-1")
         assert proc.returncode == 2
         assert "alpha_dir" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["1e-200", "1e-308"])
+    def test_temperature_whose_square_underflows_exits_2_under_warnings_as_errors(
+        self, tmp_path, value
+    ):
+        proc = self.run_module(
+            "run", "--synthetic", "3,30,4,0.3", "--method", "hks", "--n-clients", "3",
+            "--rounds", "4", "--warmup-rounds", "1", "--temperature", value,
+            "--out", str(tmp_path / "run"), python_flags=("-W", "error"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: constraint violation on 'temperature' (got {value}): T^2 underflows to zero"
+        ]
 
     def test_divergent_run_exits_18_with_only_the_error_line(self, tmp_path):
         # overflow inside a training step is no floating-point warning; the
@@ -1108,7 +1142,7 @@ def option(parser, dest):
 def declared_default(key):
     """The default that the config dataclass declaring `key` gives it, read
     like `attribute` reads a value."""
-    for cls in (KdConfig, FederationConfig, RunConfig):
+    for cls in (FederationConfig, RunConfig):
         for f in fields(cls):
             if f.name == key:
                 return f.default.value if isinstance(f.default, Enum) else f.default
@@ -1117,7 +1151,7 @@ def declared_default(key):
 
 def attribute(rc, key):
     """The value of `key` read from whichever config object declares it."""
-    for obj in (rc.federation.kd, rc.federation, rc):
+    for obj in (rc.federation, rc):
         if key in {f.name for f in fields(obj)}:
             value = getattr(obj, key)
             return value.value if isinstance(value, Enum) else (
@@ -1175,6 +1209,52 @@ class TestSingleSchema:
         assert attribute(by_flag, key) == value
         assert by_json.resolved() == by_flag.resolved()
         assert by_json.resolved()[key] == value
+
+    def test_a_written_settings_file_reads_back_to_the_same_bytes(self, tmp_path):
+        # config.resolved.json as runs write it, pinned: every key in the
+        # field-table order, the distillation settings at non-default values
+        # beside the other federation keys
+        text = """{
+  "method": "feddistill",
+  "granularity": "all",
+  "n_clients": 20,
+  "rounds": 18,
+  "local_epochs": 1,
+  "warmup_rounds": 10,
+  "lr": 0.01,
+  "batch_size": 8,
+  "temperature": 1.1,
+  "alpha_kd": 0.7,
+  "R": 4,
+  "alpha_dir": 1.0,
+  "seed": 0,
+  "exclude_self": true,
+  "test_fraction": 0.2,
+  "min_per_client": 16,
+  "fedavg_tier": "small",
+  "d_hash": 32,
+  "linkage": "average",
+  "synthetic": [
+    3,
+    30,
+    4,
+    0.3
+  ],
+  "idx_images": null,
+  "idx_labels": null,
+  "idx_test_images": null,
+  "idx_test_labels": null,
+  "max_train_samples": null,
+  "out": "runs/pinned"
+}
+"""
+        path = tmp_path / "config.resolved.json"
+        path.write_text(text)
+        rc = parse_config(str(path))
+        assert (rc.federation.temperature, rc.federation.alpha_kd) == (1.1, 0.7)
+        assert list(rc.resolved().items()) == list(json.loads(text).items())
+        assert len(rc.resolved()) == 26
+        assert json.dumps(rc.resolved(), indent=2) + "\n" == text
 
     def test_readme_table_lists_every_key_and_flag_in_order(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

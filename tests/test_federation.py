@@ -33,7 +33,6 @@ from hks.knowledge import (
 )
 from hks.metrics import evaluate
 from hks.models import TIER_HIDDEN, CapacityTier, Model, forward_batch
-from hks.numerics import KdConfig
 
 from reference_oracles import (
     ReferenceHnsw,
@@ -199,11 +198,39 @@ class TestInit:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("key", ["lr", "alpha_dir", "test_fraction"])
+    @pytest.mark.parametrize("key", ["lr", "temperature", "alpha_kd", "alpha_dir", "test_fraction"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_float_settings_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             tiny_cfg(**{key: value})
+
+    def test_nonpositive_temperature_rejected(self):
+        with pytest.raises(ConfigError, match="'temperature'"):
+            FederationConfig(temperature=0.0)
+
+    def test_negative_kd_weight_rejected(self):
+        with pytest.raises(ConfigError, match="'alpha_kd'"):
+            FederationConfig(alpha_kd=-0.5)
+
+    @pytest.mark.parametrize("temperature", [1e155, 1e200, 1e308])
+    def test_temperature_whose_square_overflows_rejected(self, temperature):
+        with pytest.raises(ConfigError, match=r"'temperature' \(got .*\): T\^2 overflows$"):
+            FederationConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [1.5e-162, 1e-200, 1e-308])
+    def test_temperature_whose_square_underflows_rejected(self, temperature):
+        # a zero T^2 would switch distillation off without a word
+        with pytest.raises(ConfigError, match=r"'temperature' \(got .*\): T\^2 underflows to zero$"):
+            FederationConfig(temperature=temperature)
+
+    # 1.6e-162 squared is the smallest subnormal, 5e-324; 1.5e-162 squared is 0
+    @pytest.mark.parametrize("temperature", [1e154, 1.6e-162])
+    def test_temperature_with_a_positive_finite_square_accepted(self, temperature):
+        assert FederationConfig(temperature=temperature).temperature == temperature
+
+    def test_kd_defaults(self):
+        cfg = FederationConfig()
+        assert (cfg.temperature, cfg.alpha_kd) == (3.0, 1.5)
 
     @pytest.mark.parametrize("key", ["method", "granularity", "fedavg_tier"])
     def test_unknown_enum_value_rejected(self, key):
@@ -479,7 +506,7 @@ class TestFedCacheNeighbourTable:
         first = max(warmup_rounds, 1)
         assert all(seen[key] is None for key in seen if key[0] < first)
         assert sorted({key[0] for key in seen if seen[key] is not None}) == list(range(first, 5))
-        T = cfg.kd.temperature
+        T = cfg.temperature
         for (t, k), table in seen.items():
             if table is None:
                 continue
@@ -628,8 +655,8 @@ class TestTeacherTableOracle:
                 teachers = expected[t][state.cache.rows[k].start + i]
                 assert table.has[i] == bool(teachers), (t, k, i)
                 z_s = rng.normal(scale=2.0, size=state.train.n_classes)
-                loss, grad = probe_kd(table.take([i]), z_s, cfg.kd)
-                want_loss, want_grad = mean_kd(z_s, teachers, cfg.kd)
+                loss, grad = probe_kd(table.take([i]), z_s, cfg)
+                want_loss, want_grad = mean_kd(z_s, teachers, cfg)
                 assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12), (t, k, i)
                 np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
@@ -928,9 +955,9 @@ class TestMethodIsolation:
 class TestAblationIdentity:
     def test_hks_with_zero_kd_weight_matches_local_only_bitwise(self, dataset):
         train, test = dataset
-        kd_off = KdConfig(temperature=3.0, alpha_kd=0.0)
-        cfg_hks = tiny_cfg(Method.HKS, rounds=4, warmup_rounds=1, kd=kd_off)
-        cfg_local = tiny_cfg(Method.LOCAL_ONLY, rounds=4, warmup_rounds=1, kd=kd_off)
+        kd_off = dict(temperature=3.0, alpha_kd=0.0)
+        cfg_hks = tiny_cfg(Method.HKS, rounds=4, warmup_rounds=1, **kd_off)
+        cfg_local = tiny_cfg(Method.LOCAL_ONLY, rounds=4, warmup_rounds=1, **kd_off)
         state_h = init_federation(cfg_hks, train, test)
         state_l = init_federation(cfg_local, train, test)
         for _ in range(4):

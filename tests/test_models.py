@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hks.errors import InvalidInputError
+from hks.federation import FederationConfig
 from hks.models import (
     CapacityTier,
     Model,
@@ -12,7 +13,6 @@ from hks.models import (
     forward_batch,
     train_step,
 )
-from hks.numerics import KdConfig
 
 from reference_oracles import (
     batch_loss,
@@ -28,7 +28,7 @@ from reference_oracles import (
     table_from_lists,
 )
 
-CFG = KdConfig(temperature=3.0, alpha_kd=1.5)
+CFG = FederationConfig(temperature=3.0, alpha_kd=1.5)
 
 
 def small_model(seed=0, input_dim=4, n_classes=3):
@@ -119,7 +119,8 @@ class TestLayerViews:
         rng = np.random.default_rng(3)
         stack = stack_of(*[build_model(CapacityTier.MEDIUM, 4, 3, seed=s) for s in range(3)])
         before = [(W.copy(), b.copy()) for W, b in stack.layers]
-        train_step(stack, rng.normal(size=(3, 5, 4)), rng.integers(3, size=(3, 5)), None, CFG, lr=0.1)
+        X, y = rng.normal(size=(3, 5, 4)), rng.integers(3, size=(3, 5))
+        train_step(stack, X, y, None, CFG.temperature, CFG.alpha_kd, lr=0.1)
         fresh = replace(stack, params=stack.params.copy())
         for (W, b), (W0, b0), (want_W, want_b) in zip(stack.layers, before, fresh.layers):
             assert not np.array_equal(W, W0) and not np.array_equal(b, b0)
@@ -241,7 +242,7 @@ class TestEndToEndGradient:
         X = rng.normal(size=(5, 4))
         y = rng.integers(3, size=5)
         teacher_logits = rng.normal(scale=2.0, size=(5, 3))
-        cfg = KdConfig(temperature=temperature, alpha_kd=1.5)
+        cfg = FederationConfig(temperature=temperature, alpha_kd=1.5)
         teachers = table_from_lists([[z] for z in teacher_logits], 3, temperature)
         (_, kd), grads, Z = one_model_loss_and_grad(m, X, y, teachers, cfg)
         q_t = softmax_rows(teacher_logits, temperature)
@@ -368,13 +369,20 @@ class TestStackedStepMatchesReference:
             tables.append(table_from_lists(entries, self.N_CLASSES, CFG.temperature))
         return tables
 
+    def test_relu_mask_of_the_output_is_the_mask_of_the_input(self):
+        # the backward pass reads ReLU's mask from its output, the oracle
+        # from its input
+        tiny = np.nextafter(0.0, 1.0)
+        pre = np.array([np.nan, -np.nan, -0.0, 0.0, tiny, -tiny, 1.0, -1.0, np.inf, -np.inf])
+        assert np.array_equal(np.maximum(pre, 0.0) > 0.0, pre > 0.0)
+
     @pytest.mark.parametrize("tier", list(CapacityTier))
     @pytest.mark.parametrize("K", [1, 3, 7])
     @pytest.mark.parametrize("B", [1, 5, 8])
     @pytest.mark.parametrize("mode", ["none", "teachers", "alpha_kd=0"])
     def test_bit_identical_to_one_model_steps(self, tier, K, B, mode):
         rng = np.random.default_rng([K, B, len(mode)])
-        cfg = KdConfig(temperature=3.0, alpha_kd=0.0) if mode == "alpha_kd=0" else CFG
+        cfg = FederationConfig(temperature=3.0, alpha_kd=0.0) if mode == "alpha_kd=0" else CFG
         models = [build_model(tier, self.INPUT_DIM, self.N_CLASSES, seed=k) for k in range(K)]
         stack = stack_of(*models)
         for step in range(2):
@@ -382,7 +390,8 @@ class TestStackedStepMatchesReference:
             y = rng.integers(self.N_CLASSES, size=(K, B))
             tables = self.tables(rng, K, B, mode)
             (ce, kd), Z = train_step(
-                stack, X, y, None if tables is None else stacked_table(*tables), cfg, lr=0.05
+                stack, X, y, None if tables is None else stacked_table(*tables),
+                cfg.temperature, cfg.alpha_kd, lr=0.05,
             )
             for k in range(K):
                 teachers = None if tables is None else tables[k]
@@ -407,8 +416,9 @@ class TestStackedStepMatchesReference:
         for step in range(3):
             X = rng.normal(scale=3.0, size=(K, B, self.INPUT_DIM))
             y = rng.integers(self.N_CLASSES, size=(K, B))
-            (ce, kd), Z = train_step(with_table, X, y, stacked_table(*[empty] * K), CFG, lr=0.05)
-            (want_ce, want_kd), want_Z = train_step(without, X, y, None, CFG, lr=0.05)
+            kd_args = (CFG.temperature, CFG.alpha_kd)
+            (ce, kd), Z = train_step(with_table, X, y, stacked_table(*[empty] * K), *kd_args, lr=0.05)
+            (want_ce, want_kd), want_Z = train_step(without, X, y, None, *kd_args, lr=0.05)
             assert np.array_equal(with_table.params, without.params), step
             assert np.array_equal(Z, want_Z), step
             assert np.array_equal(ce, want_ce) and np.array_equal(kd, want_kd), step
@@ -423,14 +433,14 @@ class TestStackedStepMatchesReference:
         # each row's forward pass before the update
         rng = np.random.default_rng([len(mode), int(temperature)])
         K, B = 3, 5
-        cfg = KdConfig(temperature=temperature, alpha_kd=1.5)
         stack = stack_of(*[build_model(tier, self.INPUT_DIM, self.N_CLASSES, seed=k) for k in range(K)])
         for step in range(2):
             before = stack.params.copy()
             X = rng.normal(size=(K, B, self.INPUT_DIM))
             y = rng.integers(self.N_CLASSES, size=(K, B))
             tables = self.tables(rng, K, B, mode)
-            _, Z = train_step(stack, X, y, None if tables is None else stacked_table(*tables), cfg, lr=0.05)
+            tables = None if tables is None else stacked_table(*tables)
+            _, Z = train_step(stack, X, y, tables, temperature, 1.5, lr=0.05)
             assert not np.array_equal(stack.params, before)
             for k in range(K):
                 row = Model(stack.layer_dims, before[k])
@@ -442,7 +452,7 @@ class TestStackedStepMatchesReference:
         stack = stack_of(*models)
         before = [m.params.copy() for m in models]
         X, y = rng.normal(size=(3, 2, 4)), rng.integers(3, size=(3, 2))
-        train_step(stack, X, y, None, CFG, lr=0.1)
+        train_step(stack, X, y, None, CFG.temperature, CFG.alpha_kd, lr=0.1)
         assert not np.array_equal(stack.params[0], before[0])
         for m, params in zip(models, before):
             assert np.array_equal(m.params, params)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hks.errors import ConfigError, InvalidInputError
-from hks.numerics import KdConfig, teacher_table, tempered_softmax
+from hks.errors import InvalidInputError
+from hks.federation import FederationConfig
+from hks.numerics import teacher_table, tempered_softmax
 
 from reference_oracles import (
     ce_grad,
@@ -180,13 +181,13 @@ class TestCrossEntropy:
 
 class TestKdLoss:
     def test_identical_logits_give_zero(self):
-        cfg = KdConfig(temperature=4.0, alpha_kd=1.0)
+        cfg = FederationConfig(temperature=4.0, alpha_kd=1.0)
         z = np.array([1.0, -2.0, 0.5])
         assert kd_loss(z, z, cfg) == 0.0
 
     def test_hand_computed_value(self):
         # q_t = [0.75, 0.25], q_s = [0.5, 0.5] at T=1
-        cfg = KdConfig(temperature=1.0, alpha_kd=1.0)
+        cfg = FederationConfig(temperature=1.0, alpha_kd=1.0)
         z_t = [math.log(3), 0.0]
         z_s = [0.0, 0.0]
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
@@ -195,14 +196,14 @@ class TestKdLoss:
 
     def test_kl_carries_t_squared_at_t2(self):
         # q_t = [sqrt(3), 1] / (sqrt(3) + 1) and q_s = [0.5, 0.5] at T=2
-        cfg = KdConfig(temperature=2.0, alpha_kd=1.0)
+        cfg = FederationConfig(temperature=2.0, alpha_kd=1.0)
         z_s, z_t = [0.0, 0.0], [math.log(3), 0.0]
         q_t = np.array([math.sqrt(3), 1.0]) / (math.sqrt(3) + 1.0)
         kl = float(q_t @ np.log(2.0 * q_t))
         assert kd_loss(z_s, z_t, cfg) == pytest.approx(4.0 * kl, rel=1e-12)
 
     def test_shape_mismatch(self):
-        cfg = KdConfig()
+        cfg = FederationConfig()
         with pytest.raises(InvalidInputError, match="student/teacher length mismatch"):
             kd_loss([0.0, 1.0], [0.0, 1.0, 2.0], cfg)
 
@@ -214,7 +215,7 @@ class TestKdLoss:
     def test_nonnegative_and_zero_iff_equal_distributions(self, z_s, z_t, temperature):
         n = min(len(z_s), len(z_t))
         z_s, z_t = z_s[:n], z_t[:n]
-        cfg = KdConfig(temperature=temperature, alpha_kd=1.0)
+        cfg = FederationConfig(temperature=temperature, alpha_kd=1.0)
         val = kd_loss(z_s, z_t, cfg)
         assert val >= 0.0
         q_s = softmax_t(z_s, temperature)
@@ -233,7 +234,7 @@ class TestGradients:
         np.testing.assert_allclose(ce_grad([50.0, 0.0], 0), [0.0, 0.0], atol=1e-9)
 
     def test_kd_grad_zero_for_identical(self):
-        cfg = KdConfig(temperature=3.0, alpha_kd=1.0)
+        cfg = FederationConfig(temperature=3.0, alpha_kd=1.0)
         z = np.array([0.3, -1.2, 2.0])
         np.testing.assert_allclose(kd_grad(z, z, cfg), np.zeros(3), atol=1e-12)
 
@@ -250,7 +251,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("n_classes", [2, 5, 10])
     def test_kd_grad_matches_finite_differences(self, n_classes):
-        cfg = KdConfig(temperature=3.0, alpha_kd=1.0)
+        cfg = FederationConfig(temperature=3.0, alpha_kd=1.0)
         rng = np.random.default_rng(200 + n_classes)
         for _ in range(20):
             z_s = rng.normal(scale=2.0, size=n_classes)
@@ -291,31 +292,3 @@ class TestFiniteDiff:
         err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         assert err < 1e-5
 
-
-class TestKdConfig:
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ConfigError):
-            KdConfig(temperature=0.0)
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ConfigError):
-            KdConfig(alpha_kd=-0.5)
-
-    @pytest.mark.parametrize("key", ["temperature", "alpha_kd"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite_values(self, key, value):
-        with pytest.raises(ConfigError, match=key):
-            KdConfig(**{key: value})
-
-    @pytest.mark.parametrize("temperature", [1e155, 1e200, 1e308])
-    def test_rejects_temperature_whose_square_overflows(self, temperature):
-        with pytest.raises(ConfigError, match="temperature"):
-            KdConfig(temperature=temperature)
-
-    def test_temperature_with_a_finite_square_accepted(self):
-        assert KdConfig(temperature=1e154).temperature == 1e154
-
-    def test_defaults(self):
-        cfg = KdConfig()
-        assert cfg.temperature == 3.0
-        assert cfg.alpha_kd == 1.5
